@@ -2,6 +2,8 @@
 forward solvers, maximum-principle verification, the wealth benchmark, and
 nonlinear filtering reductions."""
 
+__version__ = "0.1.0"
+
 from .donsker import (
     FirstOrderChaosSpec,
     HistorySnapshot,
@@ -26,6 +28,7 @@ from .errors import (
     LinearSolveFailure,
     MassCollapse,
     MissingDerivativeCallback,
+    ModelMismatch,
     NonParabolic,
     NumericalCheckFailure,
     QuadratureFailure,
@@ -98,4 +101,3 @@ from .zakai import (
     zakai_step,
 )
 
-__version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 import yaml
 
-from . import donsker, portfolio, zakai
+from . import __version__, donsker, portfolio, zakai
 from .donsker import FirstOrderChaosSpec, HistorySnapshot
 from .errors import ConfigError, NumericalCheckFailure
 from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, solve_forward
@@ -29,8 +29,6 @@ from .noise import LevySpec, PathBundle, TimeGrid, sample_bundle
 from .zakai import ObservationPath, SignalModel
 
 __all__ = ["main", "validate_config", "run_experiment", "SCHEMAS"]
-
-_VERSION = "0.1.0"
 
 SCHEMAS = {
     "donsker-table": {
@@ -429,7 +427,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config_path: Path, out_dir: Path, seed_override=None, threads: int = 1) -> dict:
+def run_experiment(config_path: Path, out_dir: Path, seed_override=None) -> dict:
     """Validate, run, and write artifacts plus a manifest.  Returns the
     manifest dict; raises ConfigError / NumericalCheckFailure."""
     raw = Path(config_path).read_bytes()
@@ -447,9 +445,8 @@ def run_experiment(config_path: Path, out_dir: Path, seed_override=None, threads
         "kind": cfg["kind"],
         "config_sha256": hashlib.sha256(raw).hexdigest(),
         "seed": seed,
-        "threads": threads,
         "versions": {
-            "spdecontrol": _VERSION,
+            "spdecontrol": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
@@ -496,7 +493,6 @@ def _build_parser():
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", required=True)
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=1)
     val_p = sub.add_parser("validate", help="validate a config without running it")
     val_p.add_argument("--config", required=True)
     list_p = sub.add_parser("list", help="list experiment kinds or one kind's schema")
@@ -518,7 +514,7 @@ def main(argv=None) -> int:
         print("ok")
         return 0
     try:
-        manifest = run_experiment(args.config, args.out, args.seed, args.threads)
+        manifest = run_experiment(args.config, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,11 @@ class LinearSolveFailure(SpdeControlError):
     """The implicit banded system was singular or the solve did not finish."""
 
 
+class ModelMismatch(SpdeControlError, ValueError):
+    """Inputs describe different noise models, or a routine cannot handle the
+    model it was given (a jump insider variable in a Brownian-only routine)."""
+
+
 class StepTooLarge(SpdeControlError):
     """A perturbation step would push the control outside the admissible set."""
 

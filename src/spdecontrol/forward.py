@@ -65,10 +65,12 @@ class SpatialGrid:
 class OperatorSpec:
     """Linear integro-differential operator acting in x.
 
-    second_coeff/first_coeff: callables (t, x, u, z) -> real, broadcastable
-    over x (and over the control value).  jump_shift, when present, is a
-    callable (t, x, u, z, zeta) -> shift amount for the nonlocal part, with
-    atom weights taken from levy.
+    second_coeff/first_coeff: callables (t, x, u, z) -> real.  jump_shift,
+    when present, is a callable (t, x, u, z, zeta) -> shift amount for the
+    nonlocal part, with atom weights taken from levy.  Every callable must
+    broadcast u against the node array x of shape (n,): u is a scalar or an
+    (n,) array for one operator, and an (n_paths, 1) or (n_paths, n) control
+    stack when one operator per path is assembled.
     """
 
     second_coeff: object
@@ -151,8 +153,11 @@ class StateField:
 class AssembledOperator:
     """Discretized operator: tridiagonal bands plus an optional dense block.
 
-    Boundary rows are identically zero; Dirichlet data is imposed by
-    overwriting boundary nodes after each implicit solve.
+    A single operator has bands of shape (n,) and a dense block of shape
+    (n, n); a stack of per-path operators has bands of shape (n_paths, n) and
+    a dense block of shape (n_paths, n, n).  Boundary rows are identically
+    zero; Dirichlet data is imposed by overwriting boundary nodes after each
+    implicit solve.
     """
 
     def __init__(self, lower, diag, upper, dense_part=None):
@@ -160,29 +165,49 @@ class AssembledOperator:
         self.diag = diag
         self.upper = upper  # coefficient of v[i+1] in row i
         self.dense_part = dense_part
-        self.n = len(diag)
+        self.n = diag.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.diag.ndim == 2
 
     def apply(self, v):
         v = np.asarray(v, dtype=float)
         out = self.diag * v
-        out[1:] += self.lower[1:] * v[:-1]
-        out[:-1] += self.upper[:-1] * v[1:]
+        out[..., 1:] += self.lower[..., 1:] * v[..., :-1]
+        out[..., :-1] += self.upper[..., :-1] * v[..., 1:]
         if self.dense_part is not None:
-            out = out + self.dense_part @ v
+            if self.stacked:
+                out = out + (self.dense_part @ v[..., None])[..., 0]
+            else:
+                out = out + self.dense_part @ v
         return out
 
     def dense(self):
-        mat = np.diag(self.diag) + np.diag(self.lower[1:], -1) + np.diag(self.upper[:-1], 1)
+        n = self.n
+        i = np.arange(n)
+        mat = np.zeros(self.diag.shape + (n,))
+        mat[..., i, i] = self.diag
+        mat[..., i[1:], i[:-1]] = self.lower[..., 1:]
+        mat[..., i[:-1], i[1:]] = self.upper[..., :-1]
         if self.dense_part is not None:
             mat = mat + self.dense_part
         return mat
 
     def apply_transpose(self, v):
+        """Transpose action on one vector; single operators only."""
         return self.dense().T @ np.asarray(v, dtype=float)
 
     def solve_implicit(self, dt, rhs):
-        """Solve (I - dt A) y = rhs; rhs may be a vector or (n, n_rhs)."""
+        """Solve (I - dt A) y = rhs.
+
+        For a single operator rhs is a vector or an (n_rhs, n) array of
+        right-hand sides, one per row.  For a stack of n_paths operators rhs
+        is (n_paths, n) and row p is solved with operator p.
+        """
         rhs = np.asarray(rhs, dtype=float)
+        if self.stacked:
+            return self._solve_stacked(dt, rhs)
         try:
             if self.dense_part is None:
                 ab = np.zeros((3, self.n))
@@ -199,45 +224,87 @@ class AssembledOperator:
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise LinearSolveFailure(str(exc)) from exc
 
+    def _solve_stacked(self, dt, rhs):
+        if rhs.shape != self.diag.shape:
+            raise ValueError(f"rhs of shape {rhs.shape} for operators of shape {self.diag.shape}")
+        if self.dense_part is not None:
+            mat = np.eye(self.n) - dt * self.dense()
+            try:
+                y = np.linalg.solve(mat, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise LinearSolveFailure(str(exc)) from exc
+        else:
+            y = _thomas(-dt * self.lower, 1.0 - dt * self.diag, -dt * self.upper, rhs)
+        if not np.all(np.isfinite(y)):
+            raise LinearSolveFailure("implicit solve produced non-finite values")
+        return y
+
+
+def _thomas(sub, main, sup, rhs):
+    """Tridiagonal elimination without pivoting, vectorized over paths: row i
+    of system p reads
+    sub[p, i] y[p, i-1] + main[p, i] y[p, i] + sup[p, i] y[p, i+1] = rhs[p, i]."""
+    n = main.shape[1]
+    c = np.empty(main.shape)
+    d = np.empty(main.shape)
+    c_prev = d_prev = 0.0
+    for i in range(n):
+        piv = main[:, i] - sub[:, i] * c_prev
+        if np.any(piv == 0.0):
+            raise LinearSolveFailure(f"zero pivot in row {i} of a tridiagonal solve")
+        c[:, i] = c_prev = sup[:, i] / piv
+        d[:, i] = d_prev = (rhs[:, i] - sub[:, i] * d_prev) / piv
+    for i in range(n - 2, -1, -1):
+        d[:, i] -= c[:, i] * d[:, i + 1]
+    return d
+
 
 def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> AssembledOperator:
     """Central-difference discretization of the operator at time t.
 
-    u_field may be a scalar or per-node array of control values.
+    u_field is a scalar or per-node array of control values for one operator,
+    or an (n_paths, 1) or (n_paths, n_nodes) control stack for one operator
+    per path (see AssembledOperator for the resulting shapes).
     """
     xs = grid.nodes()
     n = grid.n_nodes
     dx = grid.dx
-    s = np.broadcast_to(np.asarray(op.second_coeff(t, xs, u_field, z), dtype=float), (n,)).copy()
-    f = np.broadcast_to(np.asarray(op.first_coeff(t, xs, u_field, z), dtype=float), (n,)).copy()
+    shape = (np.shape(u_field)[0], n) if np.ndim(u_field) == 2 else (n,)
+    s = np.broadcast_to(np.asarray(op.second_coeff(t, xs, u_field, z), dtype=float), shape).copy()
+    f = np.broadcast_to(np.asarray(op.first_coeff(t, xs, u_field, z), dtype=float), shape).copy()
     if np.any(s < -1e-12):
         raise NonParabolic(f"second-order coefficient has minimum {s.min():.3e} < 0")
     s = np.maximum(s, 0.0)
 
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    lower[1:-1] = s[1:-1] / dx**2 - f[1:-1] / (2.0 * dx)
-    diag[1:-1] = -2.0 * s[1:-1] / dx**2
-    upper[1:-1] = s[1:-1] / dx**2 + f[1:-1] / (2.0 * dx)
+    lower = np.zeros(shape)
+    diag = np.zeros(shape)
+    upper = np.zeros(shape)
+    lower[..., 1:-1] = s[..., 1:-1] / dx**2 - f[..., 1:-1] / (2.0 * dx)
+    diag[..., 1:-1] = -2.0 * s[..., 1:-1] / dx**2
+    upper[..., 1:-1] = s[..., 1:-1] / dx**2 + f[..., 1:-1] / (2.0 * dx)
 
     dense_part = None
     if op.jump_shift is not None and op.levy.atoms:
-        dense_part = np.zeros((n, n))
+        # lam * [y(x + gamma) - y(x) - gamma y'(x)] on interior rows.  Each
+        # update touches every (path, row) once, so fancy-index += is exact
+        # and gives the same sums as updating row by row.
+        dense_part = np.zeros(shape + (n,))
+        dense = dense_part.reshape(-1, n, n)
+        paths = np.arange(dense.shape[0])[:, None]
+        rows = np.arange(1, n - 1)
         for mark, lam in op.levy.atoms:
             gam = np.broadcast_to(
-                np.asarray(op.jump_shift(t, xs, u_field, z, mark), dtype=float), (n,)
-            )
+                np.asarray(op.jump_shift(t, xs, u_field, z, mark), dtype=float), shape
+            ).reshape(-1, n)
             shifted = np.clip(xs + gam, grid.x_left, grid.x_right)
             idx = np.clip(np.searchsorted(xs, shifted) - 1, 0, n - 2)
             w = (shifted - xs[idx]) / dx
-            for i in range(1, n - 1):
-                # lam * [y(x + gamma) - y(x) - gamma y'(x)]
-                dense_part[i, idx[i]] += lam * (1.0 - w[i])
-                dense_part[i, idx[i] + 1] += lam * w[i]
-                dense_part[i, i] -= lam
-                dense_part[i, i - 1] += lam * gam[i] / (2.0 * dx)
-                dense_part[i, i + 1] -= lam * gam[i] / (2.0 * dx)
+            idx, w, gam = idx[:, 1:-1], w[:, 1:-1], gam[:, 1:-1]
+            dense[paths, rows, idx] += lam * (1.0 - w)
+            dense[paths, rows, idx + 1] += lam * w
+            dense[paths, rows, rows] -= lam
+            dense[paths, rows, rows - 1] += lam * gam / (2.0 * dx)
+            dense[paths, rows, rows + 1] -= lam * gam / (2.0 * dx)
     return AssembledOperator(lower, diag, upper, dense_part)
 
 

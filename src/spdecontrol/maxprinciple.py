@@ -10,16 +10,14 @@ of the necessary conditions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import donsker
 from .donsker import FirstOrderChaosSpec
-from .errors import DegenerateVolatility, StepTooLarge
+from .errors import DegenerateVolatility, ModelMismatch, StepTooLarge
 from .forward import (
-    AssembledOperator,
     CoefficientSet,
     ControlPolicy,
     OperatorSpec,
@@ -55,6 +53,9 @@ __all__ = [
 ]
 
 _EPS_VOL = 1e-12
+# memory of one block's (n_paths, n, n) stack of control-dependent jump
+# operators; larger blocks are split, which leaves results unchanged
+_JUMP_STACK_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,16 @@ def _trapezoid_weights(grid: SpatialGrid) -> np.ndarray:
     return w
 
 
+def _has_jumps(chaos) -> bool:
+    return chaos is not None and not chaos.is_gaussian
+
+
+def _require_brownian(chaos, routine: str):
+    if _has_jumps(chaos):
+        raise ModelMismatch(f"{routine} advances the insider mean by beta dB only; "
+                            "it does not support a jump insider variable")
+
+
 def _weight_vec(chaos, z, t, m):
     if chaos is None:
         return None
@@ -189,14 +200,11 @@ def _ensemble_block(
 
         if not op.control_dependent:
             A = assembled if assembled is not None else assemble_operator(op, grid, t, 0.0, z)
-            Y = A.solve_implicit(dt, rhs)
         else:
-            out = np.empty_like(rhs)
-            for i in range(nb):
-                ui = u if np.ndim(u) == 0 else u_bc[i]
-                A = assemble_operator(op, grid, t, ui, z)
-                out[i] = A.solve_implicit(dt, rhs[i])
-            Y = out
+            # one operator per path, assembled and solved as a stack
+            u_stack = np.broadcast_to(u_bc, (nb, 1)) if np.ndim(u) == 0 else u_bc
+            A = assemble_operator(op, grid, t, u_stack, z)
+        Y = A.solve_implicit(dt, rhs)
 
         t_next = tgrid.time(k + 1)
         Y[:, 0] = coeffs.boundary(t_next, xs[0])
@@ -236,28 +244,28 @@ def run_ensemble(
     channel: int = 0,
     perf: PerformanceSpec | None = None,
     block_size: int = 4096,
-    threads: int = 1,
 ) -> EnsembleResult:
     """Vectorized Monte Carlo sweep of the forward scheme over many paths.
 
     Path p reproduces sample_bundle(..., path_index=p, channel=channel)
-    bit-exactly, so results do not depend on blocking or thread count.
+    bit-exactly, so results do not depend on blocking.  levy drives the
+    state's jumps; when chaos has a jump part it must be chaos.levy, since
+    the insider mean m is advanced with the same jump counts.
     """
-    blocks = [
-        range(lo, min(lo + block_size, n_paths)) for lo in range(0, n_paths, block_size)
-    ]
-
-    def work(idx_range):
-        return _ensemble_block(
-            coeffs, op, control, z, grid, tgrid, chaos, levy, seed,
-            list(idx_range), channel, perf,
+    if _has_jumps(chaos) and levy != chaos.levy:
+        raise ModelMismatch(
+            f"insider variable jumps on {chaos.levy} but the ensemble draws {levy}; "
+            "pass levy=chaos.levy"
         )
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
-    else:
-        parts = [work(b) for b in blocks]
+    if op.control_dependent and op.jump_shift is not None and op.levy.atoms:
+        block_size = min(block_size, max(1, _JUMP_STACK_BYTES // (8 * grid.n_nodes**2)))
+    parts = [
+        _ensemble_block(
+            coeffs, op, control, z, grid, tgrid, chaos, levy, seed,
+            list(range(lo, min(lo + block_size, n_paths))), channel, perf,
+        )
+        for lo in range(0, n_paths, block_size)
+    ]
 
     if len(parts) == 1:
         return parts[0]
@@ -319,7 +327,6 @@ def estimate_j(
     seed: int,
     *,
     levy: LevySpec = LevySpec(),
-    threads: int = 1,
     return_samples: bool = False,
 ):
     """Monte Carlo estimate of the z-parametrized performance functional.
@@ -331,7 +338,7 @@ def estimate_j(
         raise ValueError("horizon must stay at least one step before T0")
     res = run_ensemble(
         coeffs, op, control, z, grid, tgrid,
-        chaos=chaos, levy=levy, n_paths=n_paths, seed=seed, perf=perf, threads=threads,
+        chaos=chaos, levy=levy, n_paths=n_paths, seed=seed, perf=perf,
     )
     wx = _trapezoid_weights(grid)
     kvals = np.broadcast_to(
@@ -384,7 +391,6 @@ def gateaux_derivative(
     n_paths: int = 4096,
     seed: int = 0,
     levy: LevySpec = LevySpec(),
-    threads: int = 1,
 ) -> PerformanceEstimate:
     """Directional derivative of the performance by central differences with
     common random numbers (same seed, hence same noise on both sides)."""
@@ -392,11 +398,11 @@ def gateaux_derivative(
     dn = perturbed_policy(control, direction, -a_step)
     _, s_up = estimate_j(
         coeffs, op, up, perf, chaos, z, grid, tgrid, n_paths, seed,
-        levy=levy, threads=threads, return_samples=True,
+        levy=levy, return_samples=True,
     )
     _, s_dn = estimate_j(
         coeffs, op, dn, perf, chaos, z, grid, tgrid, n_paths, seed,
-        levy=levy, threads=threads, return_samples=True,
+        levy=levy, return_samples=True,
     )
     d = (s_up - s_dn) / (2.0 * a_step)
     return PerformanceEstimate(
@@ -455,10 +461,11 @@ def sensitivity_residual(
     """Max defect of chi against the discrete linearized state equation.
 
     Requires a control-independent operator (the linearization of the
-    operator in u is not formed here).
+    operator in u is not formed here) and a Gaussian insider variable.
     """
     if op.control_dependent:
         raise NotImplementedError("residual check needs a control-independent operator")
+    _require_brownian(chaos, "sensitivity_residual")
     tgrid = bundle.grid
     xs = grid.nodes()
     dt = tgrid.dt
@@ -507,8 +514,10 @@ def reduced_adjoint_solve(
 
     The process is the stochastic exponential of (b0 pi - a0/b0) dB; its
     initial value is fixed by matching the supplied terminal value.
-    pi may be a ControlPolicy or a plain callable (t, z) -> value.
+    pi may be a ControlPolicy or a plain callable (t, z) -> value.  The
+    insider variable, if given, must be Gaussian.
     """
+    _require_brownian(chaos, "reduced_adjoint_solve")
     tgrid = bundle.grid
     dt = tgrid.dt
     n = tgrid.n_steps
@@ -553,7 +562,6 @@ def verify_x_independent_stationarity(
     seed: int = 0,
     a_step: float = 1e-3,
     levy: LevySpec = LevySpec(),
-    threads: int = 1,
     tol_tstat: float = 3.0,
 ) -> dict:
     """Check the x-independent first-order condition by time-localized
@@ -580,7 +588,7 @@ def verify_x_independent_stationarity(
         )
         est = gateaux_derivative(
             coeffs, op, control, direction, perf, chaos, z, grid, tgrid,
-            a_step=a_step, n_paths=n_paths, seed=seed, levy=levy, threads=threads,
+            a_step=a_step, n_paths=n_paths, seed=seed, levy=levy,
         )
         width = t_hi - t_lo
         entries.append(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import donsker
 from .donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
-from .errors import DegenerateVolatility, WealthNonpositive
+from .errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
 from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid
 from .maxprinciple import PerformanceEstimate, PerformanceSpec, run_ensemble
 from .noise import PathBundle, TimeGrid
@@ -187,7 +187,6 @@ def run_portfolio_experiment(
     n_paths: int,
     seed: int,
     *,
-    threads: int = 1,
     raise_on_all_rejected: bool = True,
     keep_samples: bool = False,
 ) -> list:
@@ -211,7 +210,7 @@ def run_portfolio_experiment(
     for name, policy in candidates.items():
         res = run_ensemble(
             coeffs, op, policy, z, grid, tgrid,
-            chaos=spec, n_paths=n_paths, seed=seed, threads=threads,
+            chaos=spec, n_paths=n_paths, seed=seed,
         )
         accepted = res.min_interior > 0.0
         n_rej = int(n_paths - np.count_nonzero(accepted))
@@ -267,7 +266,7 @@ def martingale_match_check(
     O(sqrt(dt)).
     """
     if not spec.is_gaussian:
-        raise ValueError("martingale check requires a Gaussian specification")
+        raise ModelMismatch("martingale check requires a Gaussian specification")
     tgrid = bundle.grid
     dt = tgrid.dt
     K_total = utility.k_total(market.D, z)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import spdecontrol
 from spdecontrol.cli import SCHEMAS, main, validate_config
 from spdecontrol.errors import ConfigError
 
@@ -82,6 +83,8 @@ def test_run_writes_manifest_and_artifacts(tmp_path):
         assert key in manifest
     assert manifest["kind"] == "donsker-table"
     assert "time" not in manifest and "timestamp" not in manifest
+    assert "threads" not in manifest
+    assert manifest["versions"]["spdecontrol"] == spdecontrol.__version__
     for name in manifest["artifacts"]:
         assert (out / name).exists()
 

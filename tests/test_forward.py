@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdecontrol.errors import NonParabolic
 from spdecontrol.forward import (
@@ -76,6 +78,109 @@ def test_implicit_solve_matches_dense_inverse():
     assert np.allclose(y, dense, atol=1e-12)
     multi = A.solve_implicit(0.01, np.vstack([rhs, 2 * rhs]))
     assert np.allclose(multi[1], 2 * y, atol=1e-12)
+
+
+JUMP_LEVY = LevySpec(atoms=((0.5, 3.0), (-0.8, 1.5)))
+
+
+def jump_op(levy=JUMP_LEVY):
+    # shifts up to about 1.0 on the unit interval, so some shifted points clip
+    return OperatorSpec(
+        second_coeff=lambda t, x, u, z: 0.5 + 0.1 * u * u,
+        first_coeff=lambda t, x, u, z: 0.1 * u * (1.0 + x),
+        jump_shift=lambda t, x, u, z, mark: mark * u * (0.3 + x),
+        levy=levy,
+    )
+
+
+def loop_jump_part(op, grid, t, u, z):
+    """Row-by-row reference assembly of the nonlocal part of one operator."""
+    xs, n, dx = grid.nodes(), grid.n_nodes, grid.dx
+    dense = np.zeros((n, n))
+    for mark, lam in op.levy.atoms:
+        gam = np.broadcast_to(np.asarray(op.jump_shift(t, xs, u, z, mark), dtype=float), (n,))
+        shifted = np.clip(xs + gam, grid.x_left, grid.x_right)
+        idx = np.clip(np.searchsorted(xs, shifted) - 1, 0, n - 2)
+        w = (shifted - xs[idx]) / dx
+        for i in range(1, n - 1):
+            dense[i, idx[i]] += lam * (1.0 - w[i])
+            dense[i, idx[i] + 1] += lam * w[i]
+            dense[i, i] -= lam
+            dense[i, i - 1] += lam * gam[i] / (2.0 * dx)
+            dense[i, i + 1] -= lam * gam[i] / (2.0 * dx)
+    return dense
+
+
+@pytest.mark.parametrize("per_node", [False, True], ids=["(n_paths,1)", "(n_paths,n_nodes)"])
+def test_stacked_assembly_slices_match_single_operators(per_node):
+    grid = SpatialGrid(0.0, 1.0, 12)
+    rng = np.random.default_rng(0)
+    u = rng.uniform(0.0, 1.0, (5, grid.n_nodes if per_node else 1))
+    op = jump_op()
+    stack = assemble_operator(op, grid, 0.2, u, 0.3)
+    v = rng.standard_normal((5, grid.n_nodes))
+    for p in range(5):
+        single = assemble_operator(op, grid, 0.2, u[p], 0.3)
+        for band in ("lower", "diag", "upper", "dense_part"):
+            assert np.array_equal(getattr(stack, band)[p], getattr(single, band))
+        assert np.array_equal(stack.dense()[p], single.dense())
+        assert np.array_equal(single.dense_part, loop_jump_part(op, grid, 0.2, u[p], 0.3))
+        assert np.allclose(stack.apply(v)[p], single.apply(v[p]), rtol=1e-13, atol=1e-12)
+
+
+def test_stacked_band_solve_matches_solve_banded():
+    grid = SpatialGrid(0.0, 1.0, 20)
+    op = OperatorSpec(
+        second_coeff=lambda t, x, u, z: 0.2 + u * u,
+        first_coeff=lambda t, x, u, z: 2.0 * u * np.cos(x),
+    )
+    rng = np.random.default_rng(1)
+    u = rng.uniform(-1.0, 1.0, (7, 1))
+    rhs = rng.standard_normal((7, grid.n_nodes))
+    y = assemble_operator(op, grid, 0.0, u, 0.0).solve_implicit(0.01, rhs)
+    for p in range(7):
+        ref = assemble_operator(op, grid, 0.0, u[p], 0.0).solve_implicit(0.01, rhs[p])
+        assert np.max(np.abs(y[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_stacked_assembly_rejects_one_negative_diffusion():
+    grid = SpatialGrid(0.0, 1.0, 8)
+    op = OperatorSpec(second_coeff=lambda t, x, u, z: u, first_coeff=lambda t, x, u, z: 0.0)
+    u = np.array([[0.5], [0.2], [-0.1], [0.3]])
+    with pytest.raises(NonParabolic):
+        assemble_operator(op, grid, 0.0, u, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(2, 30),
+    x_left=st.floats(-2.0, 2.0),
+    length=st.floats(0.1, 5.0),
+    n_paths=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    affine=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+def test_jump_part_annihilates_affine_functions(n_cells, x_left, length, n_paths, seed, affine):
+    # y(x + g) - y(x) - g y'(x) vanishes for affine y, and linear
+    # interpolation and central differences are exact on affine functions,
+    # as long as no shifted point leaves the domain
+    grid = SpatialGrid(x_left, x_left + length, n_cells)
+    xs = grid.nodes()
+    frac = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_paths, grid.n_nodes))
+    # |shift| = |mark * gam| <= distance to the nearer boundary
+    gam = frac * np.minimum(grid.x_right - xs, xs - grid.x_left)
+    op = OperatorSpec(
+        second_coeff=lambda t, x, u, z: 0.0,
+        first_coeff=lambda t, x, u, z: 0.0,
+        jump_shift=lambda t, x, u, z, mark: mark * u,
+        levy=LevySpec(atoms=((1.0, 2.0), (-0.5, 0.7))),
+    )
+    dense = assemble_operator(op, grid, 0.0, gam, 0.0).dense_part
+    y = affine[0] + affine[1] * xs
+    out = dense @ y
+    scale = 2.7 * (1.0 + grid.n_nodes) * (abs(affine[0]) + abs(affine[1]) * (abs(x_left) + length))
+    assert np.all(np.abs(out[:, 1:-1]) <= 1e-12 * scale)
+    assert np.all(out[:, [0, -1]] == 0.0)
 
 
 def test_heat_solution_matches_separable_decay():

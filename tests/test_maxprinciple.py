@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spdecontrol import portfolio as pf
-from spdecontrol.errors import DegenerateVolatility, StepTooLarge
+from spdecontrol.donsker import FirstOrderChaosSpec
+from spdecontrol.errors import DegenerateVolatility, ModelMismatch, StepTooLarge
 from spdecontrol.forward import (
     CoefficientSet,
     ControlPolicy,
@@ -279,21 +281,115 @@ def test_ensemble_paths_bitwise_match_single_solver():
     assert np.array_equal(res.y_terminal[5], f.values[-1])
 
 
-def test_ensemble_independent_of_blocking_and_threads():
+def test_ensemble_independent_of_blocking():
     market, spec, coeffs, op, _ = bench()
     pol = pf.optimal_policy(market, spec)
     tg = TimeGrid(0.0, 0.5, 20)
     a = run_ensemble(coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=10, seed=4)
-    bschema = run_ensemble(
+    b = run_ensemble(
         coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=10, seed=4, block_size=3
     )
-    c = run_ensemble(
-        coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=10, seed=4,
-        block_size=3, threads=4,
+    assert np.array_equal(a.y_terminal, b.y_terminal)
+    assert np.array_equal(a.m_terminal, b.m_terminal)
+
+
+JUMP_LEVY = LevySpec(atoms=((0.5, 3.0),))
+JUMP_CHAOS = FirstOrderChaosSpec(
+    beta=lambda t: 1.0, psi=lambda t, mark: mark, levy=JUMP_LEVY, T0=1.0
+)
+
+
+def jump_model():
+    """General model with a control-dependent nonlocal operator."""
+    op = OperatorSpec(
+        second_coeff=lambda t, x, u, z: 0.5 + 0.1 * u * u,
+        first_coeff=lambda t, x, u, z: 0.1 * u,
+        jump_shift=lambda t, x, u, z, mark: 0.2 * mark * u,
+        levy=JUMP_LEVY,
+        control_dependent=True,
     )
-    assert np.array_equal(a.y_terminal, bschema.y_terminal)
-    assert np.array_equal(bschema.y_terminal, c.y_terminal)
-    assert np.array_equal(a.m_terminal, c.m_terminal)
+    coeffs = CoefficientSet(
+        a=lambda t, x, y, u, z: 0.1 * u * y,
+        b=lambda t, x, y, u, z: 0.2 * y,
+        c=lambda t, x, y, u, z, mark: 0.1 * mark * y,
+        xi=lambda x, z: np.sin(math.pi * x),
+    )
+    return op, coeffs
+
+
+@pytest.mark.parametrize("mode", ["x-independent", "x-dependent"])
+def test_control_dependent_jump_ensemble_matches_single_path_solver(mode):
+    op, coeffs = jump_model()
+
+    def rule(k, t, x, z, hist):
+        m = np.asarray(hist.m, dtype=float)
+        if x is None:
+            return np.clip(0.5 + 0.3 * m, 0.0, 1.0)
+        return np.clip(0.5 + 0.3 * m[..., None] + 0.2 * x, 0.0, 1.0)
+
+    pol = ControlPolicy(rule=rule, mode=mode, bounds=(0.0, 1.0))
+    grid = SpatialGrid(0.0, 1.0, 16)
+    tg = TimeGrid(0.0, 0.5, 25)
+    res = run_ensemble(
+        coeffs, op, pol, 0.3, grid, tg, chaos=JUMP_CHAOS, levy=JUMP_LEVY, n_paths=6, seed=2
+    )
+    for p in range(6):
+        f = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 2, p), grid,
+                          chaos=JUMP_CHAOS)
+        ref = f.values[-1]
+        assert np.max(np.abs(res.y_terminal[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_control_dependent_jump_ensemble_memory_is_bounded():
+    # 1200 paths at 64 cells would hold 40 MB per (n_paths, n, n) stack in
+    # one block; blocks are split so that a stack stays near 16 MB
+    op, coeffs = jump_model()
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 0.0 * np.asarray(hist.m),
+                        bounds=(0.0, 1.0))
+    tracemalloc.start()
+    try:
+        run_ensemble(coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 64), TimeGrid(0.0, 0.1, 1),
+                     levy=JUMP_LEVY, n_paths=1200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("entry", ["run_ensemble", "estimate_j", "gateaux_derivative"])
+def test_levy_omitted_with_jump_insider_variable_raises(entry):
+    op, coeffs = jump_model()
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 0.0 * np.asarray(hist.m),
+                        bounds=(0.0, 1.0))
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: 0.0, k=lambda x, y, z: y)
+    grid = SpatialGrid(0.0, 1.0, 8)
+    tg = TimeGrid(0.0, 0.2, 5)
+    calls = {
+        "run_ensemble": lambda: run_ensemble(
+            coeffs, op, pol, 0.3, grid, tg, chaos=JUMP_CHAOS, n_paths=4
+        ),
+        "estimate_j": lambda: estimate_j(coeffs, op, pol, perf, JUMP_CHAOS, 0.3, grid, tg, 4, 0),
+        "gateaux_derivative": lambda: gateaux_derivative(
+            coeffs, op, pol, direction(1.0), perf, JUMP_CHAOS, 0.3, grid, tg, n_paths=4
+        ),
+    }
+    with pytest.raises(ModelMismatch):
+        calls[entry]()
+
+
+def test_brownian_only_routines_reject_jump_insider_variable():
+    tg = TimeGrid(0.0, 0.2, 10)
+    b = sample_bundle(tg, JUMP_LEVY, 1, 0)
+    with pytest.raises(ModelMismatch):
+        reduced_adjoint_solve(
+            lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.0, 1.0, b, 0.0, chaos=JUMP_CHAOS
+        )
+    pol = const_policy(0.3)
+    base = solve_forward(COEFFS, OP, pol, 0.0, b, GRID)
+    chi = np.zeros_like(base.values)
+    with pytest.raises(ModelMismatch):
+        sensitivity_residual(chi, base, COEFFS, OP, pol, direction(1.0), 0.0, b, GRID,
+                             chaos=JUMP_CHAOS)
 
 
 def test_stationarity_report_is_json_friendly_and_passes_at_optimum():

@@ -5,7 +5,7 @@ import pytest
 
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
-from spdecontrol.errors import DegenerateVolatility
+from spdecontrol.errors import DegenerateVolatility, ModelMismatch
 from spdecontrol.forward import SpatialGrid
 from spdecontrol.noise import LevySpec, TimeGrid, sample_bundle
 
@@ -151,6 +151,15 @@ def test_martingale_match_degenerate_horizon():
     b = sample_bundle(tg, LevySpec(), 1, 0)
     pol = pf.optimal_policy(market, spec)
     assert pf.martingale_match_check(market, utility, spec, 0.5, pol, b) <= 1e-6
+
+
+def test_martingale_match_rejects_jump_insider_variable():
+    market, utility, _ = pf.benchmark_market(8)
+    levy = LevySpec(atoms=((0.5, 2.0),))
+    spec = FirstOrderChaosSpec(beta=lambda s: 1.0, psi=lambda s, mark: mark, levy=levy, T0=1.0)
+    b = sample_bundle(TimeGrid(0.0, 0.2, 10), levy, 1, 0)
+    with pytest.raises(ModelMismatch):
+        pf.martingale_match_check(market, utility, spec, 0.5, pf.constant_policy(0.5), b)
 
 
 def test_csv_table_format(tmp_path):
