@@ -21,6 +21,7 @@ from .donsker import (
 from .errors import (
     BoundaryViolation,
     ConfigError,
+    ControlShapeMismatch,
     DegenerateCurvature,
     DegenerateVariance,
     DegenerateVolatility,

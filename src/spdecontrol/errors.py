@@ -38,6 +38,11 @@ class ModelMismatch(SpdeControlError, ValueError):
     model it was given (a jump insider variable in a Brownian-only routine)."""
 
 
+class ControlShapeMismatch(SpdeControlError, ValueError):
+    """A control rule returned values whose shape fits neither its mode nor
+    the block of paths and nodes it was evaluated on."""
+
+
 class StepTooLarge(SpdeControlError):
     """A perturbation step would push the control outside the admissible set."""
 

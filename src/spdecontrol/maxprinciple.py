@@ -16,7 +16,7 @@ import numpy as np
 
 from . import donsker
 from .donsker import FirstOrderChaosSpec
-from .errors import DegenerateVolatility, ModelMismatch, StepTooLarge
+from .errors import ControlShapeMismatch, DegenerateVolatility, ModelMismatch, StepTooLarge
 from .forward import (
     CoefficientSet,
     ControlPolicy,
@@ -147,6 +147,26 @@ def _weight_vec(chaos, z, t, m):
     return donsker.delta_from_mean(chaos, z, t, np.asarray(m, dtype=float))
 
 
+def _block_control(u, mode, nb, n_nodes):
+    """Control values of one step shaped to broadcast against the (nb,
+    n_nodes) state block: an x-dependent rule gives one profile (n_nodes,)
+    shared by all paths or one per path (nb, n_nodes); an x-independent rule
+    gives one value per path (nb,).  Either may return a scalar."""
+    shape = np.shape(u)
+    if shape == ():
+        return u
+    if mode == "x-dependent":
+        if shape == (n_nodes,):
+            return u[None, :]
+        if shape == (nb, n_nodes):
+            return u
+    elif shape == (nb,):
+        return u[:, None]
+    raise ControlShapeMismatch(
+        f"{mode} control rule returned shape {shape} for {nb} paths on {n_nodes} nodes"
+    )
+
+
 def _ensemble_block(
     coeffs, op, control, z, grid, tgrid, chaos, levy, seed, path_indices, channel, perf
 ):
@@ -176,7 +196,7 @@ def _ensemble_block(
         t = tgrid.time(k)
         hist = PathHistory(t=t, m=m)
         u = control.values(k, t, xs, z, hist)
-        u_bc = u[..., None] if np.ndim(u) == 1 else u  # (nb, 1) against (nb, n_nodes)
+        u_bc = _block_control(u, control.mode, nb, grid.n_nodes)
 
         if perf is not None:
             w = _weight_vec(chaos, z, t, m)
@@ -202,7 +222,8 @@ def _ensemble_block(
             A = assembled if assembled is not None else assemble_operator(op, grid, t, 0.0, z)
         else:
             # one operator per path, assembled and solved as a stack
-            u_stack = np.broadcast_to(u_bc, (nb, 1)) if np.ndim(u) == 0 else u_bc
+            width = grid.n_nodes if control.mode == "x-dependent" else 1
+            u_stack = np.broadcast_to(u_bc, (nb, width))
             A = assemble_operator(op, grid, t, u_stack, z)
         Y = A.solve_implicit(dt, rhs)
 

@@ -16,16 +16,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BoundaryViolation,
     DegenerateCurvature,
-    LinearSolveFailure,
     MassCollapse,
     WeightDegeneracy,
 )
-from .forward import ControlPolicy, PathHistory, SpatialGrid
+from .forward import AssembledOperator, ControlPolicy, PathHistory, SpatialGrid
 from .maxprinciple import PerformanceEstimate
 from .noise import LevySpec, PathBundle, TimeGrid, _rng
 
@@ -59,7 +57,15 @@ _EPS_CURV = 1e-10
 @dataclass(frozen=True)
 class SignalModel:
     """Signal drift/volatility/jump coefficients, observation function, and
-    initial density on the truncated state space."""
+    initial density on the truncated state space.
+
+    Callables must act elementwise on arrays.  The grid solver and the
+    particle filter pass x as the node array or the particle array, and r as
+    a scalar or an (n_paths, 1) column of observation values, one per
+    reference-measure path; the signal simulator passes scalars.  A callable
+    may return a scalar where its value does not depend on x or r (constant
+    volatility, say); results are broadcast to the full shape.
+    """
 
     alpha: object  # (x, r, u) -> real
     beta: object  # (x, r, u) -> real
@@ -72,7 +78,7 @@ class SignalModel:
 
     def check_initial_mass(self, sgrid: SpatialGrid, z, tol: float = 1e-8) -> float:
         xs = sgrid.nodes()
-        f = np.asarray(self.F_init(xs, z), dtype=float)
+        f = _full(self.F_init(xs, z), xs.shape)
         if np.any(f < 0):
             raise ValueError("initial density must be nonnegative")
         mass = float(np.trapezoid(f, dx=sgrid.dx))
@@ -134,12 +140,17 @@ class ZakaiSolution:
         return UnnormalizedDensity(self.grid, self.values[k])
 
 
+def _full(value, shape) -> np.ndarray:
+    """A callable's result broadcast to shape (constant lambdas return scalars)."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
 def sample_initial_states(
     model: SignalModel, sgrid: SpatialGrid, n: int, seed: int, channel: int = 3
 ) -> np.ndarray:
     """Draw initial signal states from F_init by inverse transform on the grid."""
     xs = sgrid.nodes()
-    f = np.asarray(model.F_init(xs, 0.0), dtype=float)
+    f = _full(model.F_init(xs, 0.0), xs.shape)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * sgrid.dx)))
     cdf /= cdf[-1]
     u = _rng(seed, 0, channel, 0).uniform(size=n)
@@ -193,7 +204,7 @@ def simulate_signal_observation(
 def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath) -> GirsanovWeight:
     """K(t) = exp(int h(X) dR - half int h(X)^2 ds), left-endpoint sums."""
     tgrid = obs.grid
-    h = np.array([model.h_obs(x) for x in signal[:-1]])
+    h = _full(model.h_obs(signal[:-1]), signal[:-1].shape)
     expo = np.concatenate(([0.0], np.cumsum(h * obs.increments - 0.5 * h**2 * tgrid.dt)))
     return GirsanovWeight(times=tgrid.times(), values=np.exp(expo))
 
@@ -201,18 +212,22 @@ def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath
 def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u):
     """Tridiagonal bands (lower, diag, upper) of the signal generator L on the
     grid; boundary rows are zero.  Interior row sums vanish exactly, so the
-    transpose-transport conserves total mass to machine precision."""
+    transpose-transport conserves total mass to machine precision.
+
+    A scalar r gives bands of shape (n_nodes,); an (n_paths, 1) column of r
+    gives one set of bands per path, of shape (n_paths, n_nodes).
+    """
     xs = sgrid.nodes()
-    n = sgrid.n_nodes
+    shape = np.broadcast_shapes(np.shape(r), xs.shape)
     dx = sgrid.dx
-    adv = np.array([model.alpha(x, r, u) for x in xs]) / (2.0 * dx)
-    dif = 0.5 * np.array([model.beta(x, r, u) for x in xs]) ** 2 / dx**2
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    lower[1:-1] = dif[1:-1] - adv[1:-1]
-    diag[1:-1] = -2.0 * dif[1:-1]
-    upper[1:-1] = dif[1:-1] + adv[1:-1]
+    adv = _full(model.alpha(xs, r, u), shape) / (2.0 * dx)
+    dif = 0.5 * _full(model.beta(xs, r, u), shape) ** 2 / dx**2
+    lower = np.zeros(shape)
+    diag = np.zeros(shape)
+    upper = np.zeros(shape)
+    lower[..., 1:-1] = dif[..., 1:-1] - adv[..., 1:-1]
+    diag[..., 1:-1] = -2.0 * dif[..., 1:-1]
+    upper[..., 1:-1] = dif[..., 1:-1] + adv[..., 1:-1]
     return lower, diag, upper
 
 
@@ -222,19 +237,26 @@ def transport_matrix(model: SignalModel, sgrid: SpatialGrid, r, u) -> np.ndarray
     return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
 
 
-def _solve_transposed_transport(bands, dt, rhs):
-    """Solve (I - dt L^T) y = rhs with L given by its bands."""
+def _transposed(bands) -> AssembledOperator:
+    """L^T as an operator (one or a stack), given the bands of L:
+    (L^T)[i, i-1] = L[i-1, i] = upper[i-1], (L^T)[i, i+1] = L[i+1, i] = lower[i+1]."""
     lower, diag, upper = bands
-    n = len(diag)
-    ab = np.zeros((3, n))
-    # (L^T)[i, i+1] = L[i+1, i] = lower[i+1]; (L^T)[i, i-1] = L[i-1, i] = upper[i-1]
-    ab[0, 1:] = -dt * lower[1:]
-    ab[1] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * upper[:-1]
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise LinearSolveFailure(str(exc)) from exc
+    lower_t = np.zeros_like(diag)
+    upper_t = np.zeros_like(diag)
+    lower_t[..., 1:] = upper[..., :-1]
+    upper_t[..., :-1] = lower[..., 1:]
+    return AssembledOperator(lower_t, diag, upper_t)
+
+
+def _step(Y, transport: AssembledOperator, dx, dR, h_vals, dt):
+    """Splitting-up step for one density (n_nodes,) or a block (n_paths,
+    n_nodes) with dR a scalar or an (n_paths, 1) column: solve
+    (I - dt L^T) y = Y, clamp negative values, multiply by the likelihood
+    factor.  Returns the new densities and the clamped mass per density."""
+    y = transport.solve_implicit(dt, Y)
+    defect = -dx * np.sum(np.minimum(y, 0.0), axis=-1)
+    y = np.maximum(y, 0.0)
+    return y * np.exp(h_vals * dR - 0.5 * h_vals**2 * dt), defect
 
 
 def zakai_step(
@@ -253,13 +275,38 @@ def zakai_step(
     sgrid = density.grid
     if bands is None:
         bands = transport_bands(model, sgrid, r, u)
-    y = _solve_transposed_transport(bands, dt, density.values)
-    defect = float(-sgrid.dx * np.sum(y[y < 0.0]))
-    y = np.maximum(y, 0.0)
     if h_vals is None:
-        h_vals = np.array([model.h_obs(x) for x in sgrid.nodes()])
-    y = y * np.exp(h_vals * dR - 0.5 * h_vals**2 * dt)
-    return UnnormalizedDensity(sgrid, y), defect
+        h_vals = _full(model.h_obs(sgrid.nodes()), (sgrid.n_nodes,))
+    y, defect = _step(density.values, _transposed(bands), sgrid.dx, dR, h_vals, dt)
+    return UnnormalizedDensity(sgrid, y), float(defect)
+
+
+def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGrid):
+    """Splitting-up sweep over a block of observation paths at once.
+
+    dR holds one path of observation increments per row, (n_paths, n_steps).
+    Yields (Y, defect) at t_0, ..., t_N: Y is the (n_paths, n_nodes) block of
+    densities and defect the mass clamped per path in the step to that time
+    (zero at t_0).  With autonomous coefficients all paths share one banded
+    operator; otherwise its bands depend on each path's r(t_k) and the stack
+    is solved path by path in one vectorized elimination.
+    """
+    n_paths = dR.shape[0]
+    dt = tgrid.dt
+    xs = sgrid.nodes()
+    h_vals = _full(model.h_obs(xs), xs.shape)
+    Y = np.tile(np.maximum(_full(model.F_init(xs, z), xs.shape), 0.0), (n_paths, 1))
+    yield Y, np.zeros(n_paths)
+    if model.autonomous:
+        transport = _transposed(transport_bands(model, sgrid, 0.0, 0.0))
+    else:
+        r = np.concatenate((np.zeros((n_paths, 1)), np.cumsum(dR, axis=1)), axis=1)
+    for k in range(tgrid.n_steps):
+        u = _control_value(control, k, tgrid.time(k), z)
+        if not model.autonomous:
+            transport = _transposed(transport_bands(model, sgrid, r[:, k, None], u))
+        Y, defect = _step(Y, transport, sgrid.dx, dR[:, k, None], h_vals, dt)
+        yield Y, defect
 
 
 def solve_zakai(
@@ -269,28 +316,15 @@ def solve_zakai(
     obs: ObservationPath,
     sgrid: SpatialGrid,
 ) -> ZakaiSolution:
-    """Splitting-up sweep over a whole observation path."""
+    """Splitting-up sweep over a whole observation path (a block of one)."""
     tgrid = obs.grid
-    xs = sgrid.nodes()
     values = np.empty((tgrid.n_steps + 1, sgrid.n_nodes))
-    values[0] = np.maximum(np.asarray(model.F_init(xs, z), dtype=float), 0.0)
-    dens = UnnormalizedDensity(sgrid, values[0])
-    bmass = np.empty(tgrid.n_steps + 1)
-    bmass[0] = dens.boundary_mass()
     clamp = 0.0
-    r_vals = obs.values()
-    h_vals = np.array([model.h_obs(x) for x in xs])
-    bands = transport_bands(model, sgrid, 0.0, 0.0) if model.autonomous else None
-    for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
-        u = _control_value(control, k, t, z)
-        dens, defect = zakai_step(
-            dens, model, u, r_vals[k], obs.increments[k], tgrid.dt,
-            bands=bands, h_vals=h_vals,
-        )
-        clamp += defect
-        values[k + 1] = dens.values
-        bmass[k + 1] = dens.boundary_mass()
+    dR = np.asarray(obs.increments, dtype=float)[None, :]
+    for k, (Y, defect) in enumerate(_sweep(model, control, z, dR, sgrid, tgrid)):
+        values[k] = Y[0]
+        clamp += float(defect[0])
+    bmass = sgrid.dx * (values[:, 0] + values[:, -1])
     return ZakaiSolution(grid=sgrid, tgrid=tgrid, values=values, clamp_defect=clamp, boundary_mass=bmass)
 
 
@@ -330,10 +364,10 @@ def particle_filter_oracle(
     for k in range(tgrid.n_steps):
         t = tgrid.time(k)
         u = _control_value(control, k, t, z)
-        drift = np.array([model.alpha(xi, r, u) for xi in x])
-        vol = np.array([model.beta(xi, r, u) for xi in x])
+        drift = _full(model.alpha(x, r, u), x.shape)
+        vol = _full(model.beta(x, r, u), x.shape)
         x = x + drift * dt + vol * math.sqrt(dt) * rng.standard_normal(n_particles)
-        h = np.array([model.h_obs(xi) for xi in x])
+        h = _full(model.h_obs(x), x.shape)
         logw = h * obs.increments[k] - 0.5 * h**2 * dt
         w = np.exp(logw - logw.max())
         w /= w.sum()
@@ -387,7 +421,8 @@ def transformed_performance(
 ) -> PerformanceEstimate:
     """Reference-measure performance: observations are simulated as Brownian
     motion and the profit/bequest densities are integrated against the
-    unnormalized filter density.
+    unnormalized filter density.  All paths are swept together as one block;
+    only the current densities are kept.
 
     f: (t, x) -> rate density; g: x -> terminal density.
     """
@@ -397,16 +432,12 @@ def transformed_performance(
     wq = np.full(sgrid.n_nodes, sgrid.dx)
     g_vals = np.asarray(g(xs), dtype=float) * wq
     db = brownian_increment_matrix(tgrid, seed, range(n_paths), channel)
-    samples = np.empty(n_paths)
-    for p in range(n_paths):
-        obs = ObservationPath(grid=tgrid, increments=db[p])
-        sol = solve_zakai(model, control, z, obs, sgrid)
-        acc = 0.0
-        if f is not None:
-            for k in range(tgrid.n_steps):
-                fv = np.asarray(f(tgrid.time(k), xs), dtype=float)
-                acc += tgrid.dt * float(np.sum(fv * wq * sol.values[k]))
-        samples[p] = acc + float(np.sum(g_vals * sol.values[-1]))
+    acc = np.zeros(n_paths)
+    for k, (Y, _) in enumerate(_sweep(model, control, z, db, sgrid, tgrid)):
+        if f is not None and k < tgrid.n_steps:
+            fv = np.asarray(f(tgrid.time(k), xs), dtype=float)
+            acc += tgrid.dt * np.sum(fv * wq * Y, axis=1)
+    samples = acc + np.sum(g_vals * Y, axis=1)
     return PerformanceEstimate(
         mean=float(np.mean(samples)),
         stderr=float(np.std(samples, ddof=1) / math.sqrt(n_paths)),

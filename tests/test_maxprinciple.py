@@ -6,7 +6,12 @@ import pytest
 
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec
-from spdecontrol.errors import DegenerateVolatility, ModelMismatch, StepTooLarge
+from spdecontrol.errors import (
+    ControlShapeMismatch,
+    DegenerateVolatility,
+    ModelMismatch,
+    StepTooLarge,
+)
 from spdecontrol.forward import (
     CoefficientSet,
     ControlPolicy,
@@ -338,6 +343,34 @@ def test_control_dependent_jump_ensemble_matches_single_path_solver(mode):
                           chaos=JUMP_CHAOS)
         ref = f.values[-1]
         assert np.max(np.abs(res.y_terminal[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_paths", [5, 9])  # 9 paths = 9 nodes
+def test_shared_x_dependent_profile_ensemble_matches_single_path_solver(n_paths):
+    # the rule returns one (n_nodes,) profile for every path
+    op, coeffs = jump_model()
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: 0.2 * x, mode="x-dependent",
+                        bounds=(0.0, 1.0))
+    grid = SpatialGrid(0.0, 1.0, 8)
+    tg = TimeGrid(0.0, 0.5, 10)
+    res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, levy=JUMP_LEVY, n_paths=n_paths, seed=1)
+    for p in range(n_paths):
+        ref = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 1, p), grid).values[-1]
+        assert np.max(np.abs(res.y_terminal[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode, shape", [
+    ("x-dependent", (5, 1)),
+    ("x-dependent", (5,)),
+    ("x-independent", (9,)),
+    ("x-independent", (5, 9)),
+])
+def test_ensemble_rejects_control_of_the_wrong_shape(mode, shape):
+    op, coeffs = jump_model()
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(shape, 0.5), mode=mode)
+    with pytest.raises(ControlShapeMismatch):
+        run_ensemble(coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 8), TimeGrid(0.0, 0.1, 2),
+                     levy=JUMP_LEVY, n_paths=5, seed=0)
 
 
 def test_control_dependent_jump_ensemble_memory_is_bounded():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdecontrol import zakai as zk
 from spdecontrol.errors import (
@@ -10,7 +12,7 @@ from spdecontrol.errors import (
     MassCollapse,
 )
 from spdecontrol.forward import SpatialGrid
-from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix, sample_bundle
+from spdecontrol.noise import LevySpec, TimeGrid, _rng, brownian_increment_matrix, sample_bundle
 
 
 def linear_model(a=-0.5, b=0.4, c=1.0, m0=0.0, P0=0.04):
@@ -155,6 +157,94 @@ def test_pure_observation_closed_form():
     assert np.max(np.abs(sol.values[-1] - exact)) < 1e-10
 
 
+def r_dependent_model(autonomous):
+    # the drift depends on the observation value r only when not autonomous
+    base = linear_model()
+    if autonomous:
+        return base
+    return zk.SignalModel(
+        alpha=lambda x, r, u: -0.5 * x + 0.3 * r,
+        beta=base.beta, h_obs=base.h_obs, F_init=base.F_init, autonomous=False,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_paths=st.integers(1, 7),
+    n_steps=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 0.5),
+    autonomous=st.booleans(),
+)
+def test_batched_sweep_rows_equal_single_path_solves(n_paths, n_steps, seed, scale, autonomous):
+    model = r_dependent_model(autonomous)
+    sg = SpatialGrid(-2.0, 2.0, 40)
+    tg = TimeGrid(0.0, 0.5, n_steps)
+    dR = scale * np.random.default_rng(seed).standard_normal((n_paths, n_steps))
+    block = np.array([Y.copy() for Y, _ in zk._sweep(model, None, 0.0, dR, sg, tg)])
+    for p in range(n_paths):
+        sol = zk.solve_zakai(model, None, 0.0, zk.ObservationPath(grid=tg, increments=dR[p]), sg)
+        assert np.array_equal(block[:, p], sol.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drift=st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+    vol=st.tuples(st.floats(0.5, 1.5), st.floats(0.0, 0.5)),
+    n_steps=st.integers(1, 20),
+    T=st.floats(0.01, 1.0),
+)
+def test_transpose_transport_conserves_mass_without_observation(drift, vol, n_steps, T):
+    # beta^2 >= |alpha| dx on this grid, so the implicit transpose transport
+    # is an M-matrix and keeps the density nonnegative
+    sg = SpatialGrid(-2.0, 2.0, 80)
+    model = zk.SignalModel(
+        alpha=lambda x, r, u: drift[0] + drift[1] * x,
+        beta=lambda x, r, u: vol[0] + vol[1] * x * x,
+        h_obs=lambda x: 0.0,
+        F_init=linear_model().F_init,
+    )
+    tg = TimeGrid(0.0, T, n_steps)
+    obs = zk.ObservationPath(grid=tg, increments=np.full(n_steps, 0.3))
+    sol = zk.solve_zakai(model, None, 0.0, obs, sg)
+    masses = sg.dx * sol.values.sum(axis=1)
+    assert np.max(np.abs(masses - masses[0])) <= 1e-12
+    assert sol.clamp_defect <= 1e-12
+
+
+def test_non_autonomous_sweep_matches_zakai_step_loop():
+    # r(t_k) enters the bands of step k; the public one-step routine with a
+    # scalar r is the reference
+    model = r_dependent_model(autonomous=False)
+    sg = SpatialGrid(-2.0, 2.0, 60)
+    tg = TimeGrid(0.0, 0.5, 20)
+    obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 6, [0], 2)[0])
+    sol = zk.solve_zakai(model, None, 0.0, obs, sg)
+    dens = zk.UnnormalizedDensity(sg, np.asarray(model.F_init(sg.nodes(), 0.0)))
+    r_vals = obs.values()
+    for k in range(tg.n_steps):
+        dens, _ = zk.zakai_step(dens, model, 0.0, r_vals[k], obs.increments[k], tg.dt)
+        assert np.max(np.abs(sol.values[k + 1] - dens.values)) <= 1e-12 * np.max(dens.values)
+
+
+def test_non_autonomous_route_matches_autonomous_for_r_free_coefficients():
+    sg = SpatialGrid(-2.0, 2.0, 60)
+    tg = TimeGrid(0.0, 0.5, 20)
+    auto = linear_model()
+    banded = zk.SignalModel(
+        alpha=auto.alpha, beta=auto.beta, h_obs=auto.h_obs, F_init=auto.F_init, autonomous=False
+    )
+    obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 5, [0], 2)[0])
+    a = zk.solve_zakai(auto, None, 0.0, obs, sg).values
+    b = zk.solve_zakai(banded, None, 0.0, obs, sg).values
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    f = lambda t, x: x * x
+    ea = zk.transformed_performance(auto, None, f, lambda x: x, 0.0, sg, tg, 40, 3)
+    eb = zk.transformed_performance(banded, None, f, lambda x: x, 0.0, sg, tg, 40, 3)
+    assert eb.mean == pytest.approx(ea.mean, rel=1e-12)
+    assert eb.stderr == pytest.approx(ea.stderr, rel=1e-12)
+
+
 def test_normalize_homogeneity_and_collapse():
     dens = zk.UnnormalizedDensity(SGRID, np.asarray(linear_model().F_init(SGRID.nodes(), 0.0)))
     unit, mass = zk.normalize(dens)
@@ -179,6 +269,45 @@ def test_particle_filter_prior_mean_when_uninformative():
     pf = zk.particle_filter_oracle(model, obs, 4000, 0, sgrid=SGRID)
     se = 0.2 * math.sqrt(0.5) / math.sqrt(4000) + 0.2 / math.sqrt(4000)
     assert abs(pf["means"][-1] - 0.3) <= 5 * se
+
+
+def particle_filter_loop(model, obs, n_particles, seed, sgrid, channel=5):
+    """Per-particle reference: the scalar-callable loop the vectorized
+    particle step replaced (no control)."""
+    tgrid = obs.grid
+    dt = tgrid.dt
+    rng = _rng(seed, 0, channel, 0)
+    x = zk.sample_initial_states(model, sgrid, n_particles, seed, channel=channel + 1)
+    means = [float(np.mean(x))]
+    r = 0.0
+    for k in range(tgrid.n_steps):
+        drift = np.array([model.alpha(xi, r, 0.0) for xi in x])
+        vol = np.array([model.beta(xi, r, 0.0) for xi in x])
+        x = x + drift * dt + vol * math.sqrt(dt) * rng.standard_normal(n_particles)
+        h = np.array([model.h_obs(xi) for xi in x])
+        logw = h * obs.increments[k] - 0.5 * h**2 * dt
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        positions = (np.arange(n_particles) + rng.uniform()) / n_particles
+        x = x[np.searchsorted(np.cumsum(w), positions)]
+        means.append(float(np.mean(x)))
+        r += obs.increments[k]
+    return np.array(means), x
+
+
+def test_particle_filter_matches_per_particle_loop():
+    model = zk.SignalModel(
+        alpha=lambda x, r, u: -0.5 * x + 0.2 * r,
+        beta=lambda x, r, u: 0.4,  # a scalar for every particle
+        h_obs=lambda x: x - 0.1 * x * x * x,
+        F_init=linear_model(m0=0.2).F_init,
+    )
+    tg = TimeGrid(0.0, 0.5, 20)
+    obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 8, [0], 2)[0])
+    pf = zk.particle_filter_oracle(model, obs, 500, 8, sgrid=SGRID)
+    means, final = particle_filter_loop(model, obs, 500, 8, SGRID)
+    assert np.array_equal(pf["means"], means)
+    assert np.array_equal(pf["final_particles"], final)
 
 
 def test_particle_filter_minimum_size():
