@@ -4,6 +4,11 @@ an interval with Dirichlet data.
 Scheme: semi-implicit Euler-Maruyama, implicit in the linear operator and
 explicit in drift, noise and jump terms, second-order central differences in
 space.  The left-endpoint rule is used for every stochastic sum.
+
+There is one stepper, step_forward, and it advances a block of paths held as
+an (n_paths, n_nodes) array; a single-path solve is an ensemble of one.  Jumps
+enter as per-atom event counts N_a over a step, compensated by lam_a dt, in
+the state and in the compensated insider mean m(t) (advance_mean) alike.
 """
 from __future__ import annotations
 
@@ -11,9 +16,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .errors import LinearSolveFailure, NonParabolic
+from .errors import ControlShapeMismatch, LinearSolveFailure, ModelMismatch, NonParabolic
 from .noise import LevySpec, PathBundle, TimeGrid
 
 __all__ = [
@@ -25,6 +30,7 @@ __all__ = [
     "StateField",
     "AssembledOperator",
     "assemble_operator",
+    "advance_mean",
     "step_forward",
     "solve_forward",
     "weak_residual",
@@ -99,7 +105,9 @@ class CoefficientSet:
 class PathHistory:
     """What a control rule may look at: time and the compensated insider mean.
 
-    m is a scalar for single-path solves and an array for ensembles.
+    m is an (n_paths,) array in forward sweeps, one entry per path of the
+    block (a single-path solve is a block of one), and a scalar in the
+    scalar per-path routines (reduced adjoint, martingale check, Zakai).
     """
 
     t: float
@@ -177,10 +185,7 @@ class AssembledOperator:
         out[..., 1:] += self.lower[..., 1:] * v[..., :-1]
         out[..., :-1] += self.upper[..., :-1] * v[..., 1:]
         if self.dense_part is not None:
-            if self.stacked:
-                out = out + (self.dense_part @ v[..., None])[..., 0]
-            else:
-                out = out + self.dense_part @ v
+            out = out + (self.dense_part @ v[..., None])[..., 0]
         return out
 
     def dense(self):
@@ -194,10 +199,6 @@ class AssembledOperator:
             mat = mat + self.dense_part
         return mat
 
-    def apply_transpose(self, v):
-        """Transpose action on one vector; single operators only."""
-        return self.dense().T @ np.asarray(v, dtype=float)
-
     def solve_implicit(self, dt, rhs):
         """Solve (I - dt A) y = rhs.
 
@@ -206,35 +207,28 @@ class AssembledOperator:
         is (n_paths, n) and row p is solved with operator p.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if self.stacked:
-            return self._solve_stacked(dt, rhs)
-        try:
-            if self.dense_part is None:
-                ab = np.zeros((3, self.n))
-                ab[0, 1:] = -dt * self.upper[:-1]
-                ab[1] = 1.0 - dt * self.diag
-                ab[2, :-1] = -dt * self.lower[1:]
-                if rhs.ndim == 1:
-                    return solve_banded((1, 1), ab, rhs)
-                return solve_banded((1, 1), ab, rhs.T).T
-            mat = np.eye(self.n) - dt * self.dense()
-            if rhs.ndim == 1:
-                return np.linalg.solve(mat, rhs)
-            return np.linalg.solve(mat, rhs.T).T
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise LinearSolveFailure(str(exc)) from exc
-
-    def _solve_stacked(self, dt, rhs):
-        if rhs.shape != self.diag.shape:
+        if self.stacked and rhs.shape != self.diag.shape:
             raise ValueError(f"rhs of shape {rhs.shape} for operators of shape {self.diag.shape}")
-        if self.dense_part is not None:
-            mat = np.eye(self.n) - dt * self.dense()
-            try:
-                y = np.linalg.solve(mat, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise LinearSolveFailure(str(exc)) from exc
-        else:
-            y = _thomas(-dt * self.lower, 1.0 - dt * self.diag, -dt * self.upper, rhs)
+        try:
+            if self.dense_part is not None:
+                mat = np.eye(self.n) - dt * self.dense()
+                if self.stacked:
+                    y = np.linalg.solve(mat, rhs[..., None])[..., 0]
+                else:
+                    y = np.linalg.solve(mat, rhs.T).T
+            elif self.stacked:
+                y = _thomas(-dt * self.lower, 1.0 - dt * self.diag, -dt * self.upper, rhs)
+            else:
+                # the LAPACK routine solve_banded((1, 1), ...) calls, without
+                # that wrapper's per-call cost, which dominated one-path steps
+                *_, y, info = dgtsv(
+                    -dt * self.lower[1:], 1.0 - dt * self.diag, -dt * self.upper[:-1], rhs.T
+                )
+                if info:
+                    raise LinearSolveFailure(f"zero pivot in row {info} of a tridiagonal solve")
+                y = y.T
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(str(exc)) from exc
         if not np.all(np.isfinite(y)):
             raise LinearSolveFailure("implicit solve produced non-finite values")
         return y
@@ -308,69 +302,160 @@ def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> Ass
     return AssembledOperator(lower, diag, upper, dense_part)
 
 
-def _jump_contribution(coeffs, bundle, k, t, xs, y, u, z):
-    """Realized compensated jump increment of the c-term at step k."""
-    if coeffs.c is None:
-        return 0.0
-    out = 0.0
-    for mark in bundle.jump_events[k]:
-        out = out + coeffs.c(t, xs, y, u, z, mark)
-    for mark, lam in bundle.levy.atoms:
-        out = out - bundle.grid.dt * lam * coeffs.c(t, xs, y, u, z, mark)
-    return out
+def _has_jumps(chaos) -> bool:
+    return chaos is not None and not chaos.is_gaussian
 
 
-def _advance_history(hist, chaos, bundle, k):
-    """Update the compensated insider mean across step k."""
-    grid = bundle.grid
-    t = grid.time(k)
+def _bundle_noise(bundle: PathBundle):
+    """A bundle's noise as an ensemble of one: Brownian increments (1,
+    n_steps) and one (1, n_steps) array of event counts per atom of
+    bundle.levy, as brownian_increment_matrix and jump_count_matrices give."""
+    marks = [mark for mark, _ in bundle.levy.atoms]
+    counts = [np.zeros((1, bundle.grid.n_steps), dtype=np.int64) for _ in marks]
+    for k, events in enumerate(bundle.jump_events):
+        for mark in events:
+            if mark not in marks:
+                raise ModelMismatch(f"jump mark {mark} at step {k} is not an atom of {bundle.levy}")
+            counts[marks.index(mark)][0, k] += 1
+    return bundle.brownian_increments[None], counts
+
+
+def advance_mean(chaos, m, t, dt, db_k, counts_k=(), levy: LevySpec = LevySpec()):
+    """Compensated insider mean m(t) advanced across the step [t, t + dt).
+
+    m + beta(t) dB + sum_a psi(t, mark_a) (N_a - lam_a dt), where N_a =
+    counts_k[a] counts the events of atom a of levy in the step.  Every
+    integrand is taken at the left endpoint t, the compensator's too, so the
+    compensator int psi lam ds is the left-endpoint rule.  m, db_k and the
+    counts are scalars or (n_paths,) arrays.  A Gaussian chaos reads no
+    counts; with a jump part, levy must be chaos.levy (else ModelMismatch).
+    chaos None leaves m unchanged.
+    """
     if chaos is None:
-        return PathHistory(t=grid.time(k + 1), m=hist.m)
-    m = hist.m + chaos.beta(t) * bundle.brownian_increments[k]
-    if chaos.psi is not None and chaos.levy.atoms:
-        for mark in bundle.jump_events[k]:
-            m += chaos.psi(t, mark)
-        for mark, lam in chaos.levy.atoms:
-            m -= grid.dt * lam * chaos.psi(t, mark)
-    return PathHistory(t=grid.time(k + 1), m=m)
+        return m
+    m = m + chaos.beta(t) * db_k
+    if _has_jumps(chaos):
+        # the counts are the state's; they drive m only on the same measure
+        if levy != chaos.levy:
+            raise ModelMismatch(f"insider variable jumps on {chaos.levy} but the noise is {levy}")
+        for a, (mark, lam) in enumerate(levy.atoms):
+            m = m + chaos.psi(t, mark) * counts_k[a] - dt * lam * chaos.psi(t, mark)
+    return m
+
+
+def _block_control(control: ControlPolicy, k, t, xs, z, m):
+    """Control values at step k for the block of len(m) paths, shaped to
+    broadcast against the (n_paths, n_nodes) state block: an x-dependent rule
+    gives one profile (n_nodes,) shared by all paths or one per path
+    (n_paths, n_nodes); an x-independent rule gives one value per path
+    (n_paths,).  Either may return a scalar."""
+    u = control.values(k, t, xs, z, PathHistory(t=t, m=m))
+    nb, n_nodes = len(m), len(xs)
+    shape = u.shape
+    if shape == ():
+        return u
+    if control.mode == "x-dependent":
+        if shape == (n_nodes,):
+            return u[None, :]
+        if shape == (nb, n_nodes):
+            return u
+    elif shape == (nb,):
+        return u[:, None]
+    raise ControlShapeMismatch(
+        f"{control.mode} control rule returned shape {shape} for {nb} paths on {n_nodes} nodes"
+    )
+
+
+def _explicit_rhs(coeffs: CoefficientSet, t, xs, Y, u, z, dt, db_k, counts_k, levy):
+    """Y + dt a + b dB, then + c(mark_a) (N_a - lam_a dt) atom by atom.
+    Results depend on this order of the sums at round-off; keep it."""
+    rhs = (
+        Y
+        + dt * np.broadcast_to(np.asarray(coeffs.a(t, xs, Y, u, z), dtype=float), Y.shape)
+        + np.broadcast_to(np.asarray(coeffs.b(t, xs, Y, u, z), dtype=float), Y.shape)
+        * db_k[:, None]
+    )
+    if coeffs.c is not None:
+        for a, (mark, lam) in enumerate(levy.atoms):
+            cv = np.broadcast_to(np.asarray(coeffs.c(t, xs, Y, u, z, mark), dtype=float), Y.shape)
+            rhs += cv * (counts_k[a] - dt * lam)[:, None]
+    return rhs
+
+
+def _step_operator(op: OperatorSpec, grid: SpatialGrid, t, u, z, n_paths):
+    """The operator at t: one for all paths when it ignores the control,
+    else a stack of one per path."""
+    if not op.control_dependent:
+        return assemble_operator(op, grid, t, 0.0, z)
+    width = np.shape(u)[1] if np.ndim(u) == 2 else 1
+    return assemble_operator(op, grid, t, np.broadcast_to(u, (n_paths, width)), z)
 
 
 def step_forward(
-    y,
+    Y,
     k,
+    u,
     *,
     coeffs: CoefficientSet,
     op: OperatorSpec,
-    control: ControlPolicy,
     grid: SpatialGrid,
-    bundle: PathBundle,
+    tgrid: TimeGrid,
     z,
-    hist: PathHistory | None = None,
+    db_k,
+    counts_k,
+    levy: LevySpec,
     assembled: AssembledOperator | None = None,
 ):
-    """One semi-implicit step from node k to k+1.  Returns the next slice."""
-    tgrid = bundle.grid
+    """One semi-implicit step of a block of paths from node k to k+1.
+
+    Y is the (n_paths, n_nodes) state at t_k, u the step's control block (see
+    _block_control), db_k the paths' Brownian increments (n_paths,) and
+    counts_k[a] their event counts (n_paths,) of atom a of levy.  The
+    operator is assembled at t_k, one per path when it depends on the
+    control, unless a time-invariant one is passed as assembled.  Returns the
+    state at t_{k+1} with the Dirichlet data imposed.
+    """
     t = tgrid.time(k)
     dt = tgrid.dt
     xs = grid.nodes()
-    if hist is None:
-        hist = PathHistory(t=t, m=0.0)
-    u = control.values(k, t, xs, z, hist)
-    u_nodes = np.broadcast_to(np.asarray(u, dtype=float), (grid.n_nodes,)) \
-        if control.mode == "x-dependent" else u
-    rhs = (
-        y
-        + dt * np.broadcast_to(np.asarray(coeffs.a(t, xs, y, u, z), dtype=float), y.shape)
-        + np.broadcast_to(np.asarray(coeffs.b(t, xs, y, u, z), dtype=float), y.shape)
-        * bundle.brownian_increments[k]
-        + _jump_contribution(coeffs, bundle, k, t, xs, y, u, z)
-    )
-    A = assembled if assembled is not None else assemble_operator(op, grid, t, u_nodes, z)
-    y_next = A.solve_implicit(dt, rhs)
+    rhs = _explicit_rhs(coeffs, t, xs, Y, u, z, dt, db_k, counts_k, levy)
+    A = assembled if assembled is not None else _step_operator(op, grid, t, u, z, len(Y))
+    Y = A.solve_implicit(dt, rhs)
     t_next = tgrid.time(k + 1)
-    y_next[0] = coeffs.boundary(t_next, xs[0])
-    y_next[-1] = coeffs.boundary(t_next, xs[-1])
-    return y_next
+    Y[:, 0] = coeffs.boundary(t_next, xs[0])
+    Y[:, -1] = coeffs.boundary(t_next, xs[-1])
+    return Y
+
+
+def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, counts, levy, chaos):
+    """Drive step_forward over the time grid for the block of paths with
+    Brownian increments db (n_paths, n_steps) and event counts counts[a]
+    (n_paths, n_steps) of atom a of levy.
+
+    Yields (t_k, Y, u, m) at every node k = 0..n_steps: the state block, the
+    control of the step from t_k (None at the last node) and the insider mean.
+    """
+    xs = grid.nodes()
+    dt = tgrid.dt
+    y0 = np.asarray(coeffs.xi(xs, z), dtype=float) if coeffs.xi is not None else np.zeros_like(xs)
+    Y = np.tile(np.broadcast_to(y0, (grid.n_nodes,)), (len(db), 1))
+    Y[:, 0] = coeffs.boundary(tgrid.t_start, xs[0])
+    Y[:, -1] = coeffs.boundary(tgrid.t_start, xs[-1])
+    m = np.zeros(len(db))
+    assembled = None
+    if op.time_invariant and not op.control_dependent:
+        assembled = assemble_operator(op, grid, tgrid.t_start, 0.0, z)
+    for k in range(tgrid.n_steps):
+        t = tgrid.time(k)
+        u = _block_control(control, k, t, xs, z, m)
+        yield t, Y, u, m
+        db_k, counts_k = db[:, k], [c[:, k] for c in counts]
+        Y = step_forward(
+            Y, k, u, coeffs=coeffs, op=op, grid=grid, tgrid=tgrid, z=z,
+            db_k=db_k, counts_k=counts_k, levy=levy, assembled=assembled,
+        )
+        m = advance_mean(chaos, m, t, dt, db_k, counts_k, levy)
+    yield tgrid.time(tgrid.n_steps), Y, None, m
 
 
 def solve_forward(
@@ -383,28 +468,19 @@ def solve_forward(
     *,
     chaos=None,
 ) -> StateField:
-    """Full sweep of step_forward over the bundle's time grid."""
-    tgrid = bundle.grid
-    xs = grid.nodes()
-    values = np.empty((tgrid.n_steps + 1, grid.n_nodes))
-    y = np.asarray(coeffs.xi(xs, z), dtype=float) if coeffs.xi is not None else np.zeros_like(xs)
-    y = np.broadcast_to(y, (grid.n_nodes,)).copy()
-    y[0] = coeffs.boundary(tgrid.t_start, xs[0])
-    y[-1] = coeffs.boundary(tgrid.t_start, xs[-1])
-    values[0] = y
-    hist = PathHistory(t=tgrid.t_start, m=0.0)
+    """Forward solve on one noise path, recording every time slice.
 
-    assembled = None
-    if op.time_invariant and not op.control_dependent:
-        assembled = assemble_operator(op, grid, tgrid.t_start, 0.0, z)
-    for k in range(tgrid.n_steps):
-        y = step_forward(
-            y, k, coeffs=coeffs, op=op, control=control, grid=grid,
-            bundle=bundle, z=z, hist=hist, assembled=assembled,
-        )
-        values[k + 1] = y
-        hist = _advance_history(hist, chaos, bundle, k)
-    return StateField(grid=grid, tgrid=tgrid, z=z, values=values)
+    The path is an ensemble of one: the sweep of step_forward over the
+    bundle's Brownian increments and its jump events counted per atom of
+    bundle.levy.  Raises ModelMismatch when chaos jumps on another LevySpec
+    than the bundle, or when an event's mark is not an atom of bundle.levy.
+    """
+    db, counts = _bundle_noise(bundle)
+    sweep = _sweep(coeffs, op, control, z, grid, bundle.grid, db, counts, bundle.levy, chaos)
+    values = np.empty((bundle.grid.n_steps + 1, grid.n_nodes))
+    for k, (_, Y, _, _) in enumerate(sweep):
+        values[k] = Y[0]
+    return StateField(grid=grid, tgrid=bundle.grid, z=z, values=values)
 
 
 def weak_residual(
@@ -430,22 +506,17 @@ def weak_residual(
         raise ValueError("test function must vanish at the boundary nodes")
     xs = grid.nodes()
     dt = tgrid.dt
-    hist = PathHistory(t=tgrid.t_start, m=0.0)
+    db, counts = _bundle_noise(bundle)
+    m = np.zeros(1)
 
     acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
     for k in range(tgrid.n_steps):
         t = tgrid.time(k)
-        y = field.values[k]
-        u = control.values(k, t, xs, z, hist)
-        u_nodes = u if control.mode == "x-independent" else np.broadcast_to(u, (grid.n_nodes,))
-        A = assemble_operator(op, grid, t, u_nodes, z)
-        acc -= dt * grid.inner(y, A.apply_transpose(phi))
-        acc -= dt * grid.inner(np.broadcast_to(np.asarray(coeffs.a(t, xs, y, u, z), dtype=float), y.shape), phi)
-        acc -= grid.inner(
-            np.broadcast_to(np.asarray(coeffs.b(t, xs, y, u, z), dtype=float), y.shape), phi
-        ) * bundle.brownian_increments[k]
-        jump = _jump_contribution(coeffs, bundle, k, t, xs, y, u, z)
-        if np.ndim(jump) or jump != 0.0:
-            acc -= grid.inner(np.broadcast_to(np.asarray(jump, dtype=float), y.shape), phi)
-        hist = _advance_history(hist, chaos, bundle, k)
+        Y = field.values[k][None]
+        u = _block_control(control, k, t, xs, z, m)
+        counts_k = [c[:, k] for c in counts]
+        explicit = _explicit_rhs(coeffs, t, xs, Y, u, z, dt, db[:, k], counts_k, bundle.levy) - Y
+        A = _step_operator(op, grid, t, u, z, 1)
+        acc -= grid.inner((dt * A.apply(Y) + explicit)[0], phi)
+        m = advance_mean(chaos, m, t, dt, db[:, k], counts_k, bundle.levy)
     return abs(acc)

@@ -16,13 +16,16 @@ import numpy as np
 
 from . import donsker
 from .donsker import FirstOrderChaosSpec
-from .errors import ControlShapeMismatch, DegenerateVolatility, ModelMismatch, StepTooLarge
+from .errors import DegenerateVolatility, ModelMismatch, StepTooLarge
 from .forward import (
     CoefficientSet,
     ControlPolicy,
     OperatorSpec,
     PathHistory,
     SpatialGrid,
+    _has_jumps,
+    _sweep,
+    advance_mean,
     assemble_operator,
     solve_forward,
 )
@@ -131,10 +134,6 @@ def _trapezoid_weights(grid: SpatialGrid) -> np.ndarray:
     return w
 
 
-def _has_jumps(chaos) -> bool:
-    return chaos is not None and not chaos.is_gaussian
-
-
 def _require_brownian(chaos, routine: str):
     if _has_jumps(chaos):
         raise ModelMismatch(f"{routine} advances the insider mean by beta dB only; "
@@ -147,26 +146,6 @@ def _weight_vec(chaos, z, t, m):
     return donsker.delta_from_mean(chaos, z, t, np.asarray(m, dtype=float))
 
 
-def _block_control(u, mode, nb, n_nodes):
-    """Control values of one step shaped to broadcast against the (nb,
-    n_nodes) state block: an x-dependent rule gives one profile (n_nodes,)
-    shared by all paths or one per path (nb, n_nodes); an x-independent rule
-    gives one value per path (nb,).  Either may return a scalar."""
-    shape = np.shape(u)
-    if shape == ():
-        return u
-    if mode == "x-dependent":
-        if shape == (n_nodes,):
-            return u[None, :]
-        if shape == (nb, n_nodes):
-            return u
-    elif shape == (nb,):
-        return u[:, None]
-    raise ControlShapeMismatch(
-        f"{mode} control rule returned shape {shape} for {nb} paths on {n_nodes} nodes"
-    )
-
-
 def _ensemble_block(
     coeffs, op, control, z, grid, tgrid, chaos, levy, seed, path_indices, channel, perf
 ):
@@ -176,73 +155,22 @@ def _ensemble_block(
     wx = _trapezoid_weights(grid)
     db = brownian_increment_matrix(tgrid, seed, path_indices, channel)
     counts = jump_count_matrices(tgrid, levy, seed, path_indices, channel)
-
-    y0 = np.broadcast_to(
-        np.asarray(coeffs.xi(xs, z), dtype=float) if coeffs.xi is not None else np.zeros_like(xs),
-        (grid.n_nodes,),
-    )
-    Y = np.tile(y0, (nb, 1))
-    Y[:, 0] = coeffs.boundary(tgrid.t_start, xs[0])
-    Y[:, -1] = coeffs.boundary(tgrid.t_start, xs[-1])
-    m = np.zeros(nb)
     h_int = np.zeros(nb) if perf is not None else None
-    min_int = Y[:, 1:-1].min(axis=1)
+    min_int = np.full(nb, np.inf)
 
-    assembled = None
-    if not op.control_dependent and op.time_invariant:
-        assembled = assemble_operator(op, grid, tgrid.t_start, 0.0, z)
-
-    for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
-        hist = PathHistory(t=t, m=m)
-        u = control.values(k, t, xs, z, hist)
-        u_bc = _block_control(u, control.mode, nb, grid.n_nodes)
-
-        if perf is not None:
-            w = _weight_vec(chaos, z, t, m)
-            hvals = np.broadcast_to(
-                np.asarray(perf.h(t, xs, Y, u_bc, z), dtype=float), Y.shape
-            )
-            h_int += dt * w * (hvals @ wx)
-
-        rhs = (
-            Y
-            + dt * np.broadcast_to(np.asarray(coeffs.a(t, xs, Y, u_bc, z), dtype=float), Y.shape)
-            + np.broadcast_to(np.asarray(coeffs.b(t, xs, Y, u_bc, z), dtype=float), Y.shape)
-            * db[:, k][:, None]
-        )
-        if coeffs.c is not None and levy.atoms:
-            for a, (mark, lam) in enumerate(levy.atoms):
-                cv = np.broadcast_to(
-                    np.asarray(coeffs.c(t, xs, Y, u_bc, z, mark), dtype=float), Y.shape
-                )
-                rhs += cv * (counts[a][:, k] - dt * lam)[:, None]
-
-        if not op.control_dependent:
-            A = assembled if assembled is not None else assemble_operator(op, grid, t, 0.0, z)
-        else:
-            # one operator per path, assembled and solved as a stack
-            width = grid.n_nodes if control.mode == "x-dependent" else 1
-            u_stack = np.broadcast_to(u_bc, (nb, width))
-            A = assemble_operator(op, grid, t, u_stack, z)
-        Y = A.solve_implicit(dt, rhs)
-
-        t_next = tgrid.time(k + 1)
-        Y[:, 0] = coeffs.boundary(t_next, xs[0])
-        Y[:, -1] = coeffs.boundary(t_next, xs[-1])
+    for t, Y, u, m in _sweep(coeffs, op, control, z, grid, tgrid, db, counts, levy, chaos):
         np.minimum(min_int, Y[:, 1:-1].min(axis=1), out=min_int)
+        if perf is not None and u is not None:
+            w = _weight_vec(chaos, z, t, m)
+            hvals = np.broadcast_to(np.asarray(perf.h(t, xs, Y, u, z), dtype=float), Y.shape)
+            # a row sum, not hvals @ wx: a BLAS product rounds each row
+            # differently for different block sizes
+            h_int += dt * w * np.sum(hvals * wx, axis=1)
 
-        if chaos is not None:
-            m = m + chaos.beta(t) * db[:, k]
-            if chaos.psi is not None and chaos.levy.atoms:
-                for a, (mark, lam) in enumerate(levy.atoms):
-                    m = m + chaos.psi(t, mark) * counts[a][:, k] - dt * lam * chaos.psi(t, mark)
-
-    w_T = _weight_vec(chaos, z, tgrid.t_end, m)
     return EnsembleResult(
         n_paths=nb,
         y_terminal=Y,
-        w_terminal=w_T,
+        w_terminal=_weight_vec(chaos, z, tgrid.t_end, m),
         h_integral=h_int,
         min_interior=min_int,
         m_terminal=m,
@@ -271,13 +199,9 @@ def run_ensemble(
     Path p reproduces sample_bundle(..., path_index=p, channel=channel)
     bit-exactly, so results do not depend on blocking.  levy drives the
     state's jumps; when chaos has a jump part it must be chaos.levy, since
-    the insider mean m is advanced with the same jump counts.
+    the insider mean m is advanced with the same jump counts (advance_mean
+    raises ModelMismatch otherwise).
     """
-    if _has_jumps(chaos) and levy != chaos.levy:
-        raise ModelMismatch(
-            f"insider variable jumps on {chaos.levy} but the ensemble draws {levy}; "
-            "pass levy=chaos.levy"
-        )
     if op.control_dependent and op.jump_shift is not None and op.levy.atoms:
         block_size = min(block_size, max(1, _JUMP_STACK_BYTES // (8 * grid.n_nodes**2)))
     parts = [
@@ -490,12 +414,13 @@ def sensitivity_residual(
     tgrid = bundle.grid
     xs = grid.nodes()
     dt = tgrid.dt
-    hist = PathHistory(t=tgrid.t_start, m=0.0)
+    m = 0.0
     lo, hi = control.bounds
     worst = 0.0
     A = assemble_operator(op, grid, tgrid.t_start, 0.0, z)
     for k in range(tgrid.n_steps):
         t = tgrid.time(k)
+        hist = PathHistory(t=t, m=m)
         y = base_field.values[k]
         u0 = np.asarray(control.values(k, t, xs, z, hist), dtype=float)
         b0 = np.asarray(direction.beta0.rule(k, t, None if control.mode == "x-independent" else xs, z, hist), dtype=float)
@@ -512,11 +437,7 @@ def sensitivity_residual(
         lhs = chi[k + 1] - dt * A.apply(chi[k + 1])
         defect = lhs - pred
         worst = max(worst, float(np.max(np.abs(defect[1:-1]))))
-        if chaos is not None:
-            m = hist.m + chaos.beta(t) * bundle.brownian_increments[k]
-            hist = PathHistory(t=tgrid.time(k + 1), m=m)
-        else:
-            hist = PathHistory(t=tgrid.time(k + 1), m=hist.m)
+        m = advance_mean(chaos, m, t, dt, bundle.brownian_increments[k])
     return worst
 
 
@@ -543,20 +464,17 @@ def reduced_adjoint_solve(
     dt = tgrid.dt
     n = tgrid.n_steps
     theta = np.empty(n)
-    hist = PathHistory(t=tgrid.t_start, m=0.0)
+    db = bundle.brownian_increments
+    m = 0.0
     for k in range(n):
         t = tgrid.time(k)
         vol = b0(t, z)
         if abs(vol) < _EPS_VOL:
             raise DegenerateVolatility(f"|b0({t}, {z})| below {_EPS_VOL}")
-        pk = pi.values(k, t, None, z, hist) if isinstance(pi, ControlPolicy) else pi(t, z)
+        pk = pi.values(k, t, None, z, PathHistory(t=t, m=m)) if isinstance(pi, ControlPolicy) else pi(t, z)
         theta[k] = vol * float(np.asarray(pk)) - a0(t, z) / vol
-        if chaos is not None:
-            hist = PathHistory(t=tgrid.time(k + 1), m=hist.m + chaos.beta(t) * bundle.brownian_increments[k])
-        else:
-            hist = PathHistory(t=tgrid.time(k + 1), m=hist.m)
+        m = advance_mean(chaos, m, t, dt, db[k])
 
-    db = bundle.brownian_increments
     if method == "exact":
         expo = np.concatenate(([0.0], np.cumsum(theta * db - 0.5 * theta**2 * dt)))
         raw = np.exp(expo)

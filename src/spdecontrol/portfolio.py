@@ -17,7 +17,14 @@ import numpy as np
 from . import donsker
 from .donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
 from .errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
-from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid
+from .forward import (
+    CoefficientSet,
+    ControlPolicy,
+    OperatorSpec,
+    PathHistory,
+    SpatialGrid,
+    advance_mean,
+)
 from .maxprinciple import PerformanceEstimate, PerformanceSpec, run_ensemble
 from .noise import PathBundle, TimeGrid
 
@@ -273,15 +280,13 @@ def martingale_match_check(
 
     m = 0.0
     expo = 0.0
-    from .forward import PathHistory
-
     for k in range(tgrid.n_steps):
         t = tgrid.time(k)
         pik = float(np.asarray(control.values(k, t, None, z, PathHistory(t=t, m=m))))
         vol = market.vol(t, z)
         theta = vol * pik - market.a0(t, z) / vol
         expo += theta * bundle.brownian_increments[k] - 0.5 * theta**2 * dt
-        m += spec.beta(t) * bundle.brownian_increments[k]
+        m = advance_mean(spec, m, t, dt, bundle.brownian_increments[k])
 
     T = tgrid.t_end
     lhs = K_total * donsker.gaussian_weight(spec, z, T, m)

@@ -37,7 +37,6 @@ __all__ = [
     "simulate_signal_observation",
     "girsanov_weight",
     "transport_bands",
-    "transport_matrix",
     "zakai_step",
     "solve_zakai",
     "normalize",
@@ -229,12 +228,6 @@ def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u):
     diag[..., 1:-1] = -2.0 * dif[..., 1:-1]
     upper[..., 1:-1] = dif[..., 1:-1] + adv[..., 1:-1]
     return lower, diag, upper
-
-
-def transport_matrix(model: SignalModel, sgrid: SpatialGrid, r, u) -> np.ndarray:
-    """Dense matrix of the signal generator L, assembled from the bands."""
-    lower, diag, upper = transport_bands(model, sgrid, r, u)
-    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
 
 
 def _transposed(bands) -> AssembledOperator:

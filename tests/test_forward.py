@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdecontrol.errors import NonParabolic
+from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, effective_mean
+from spdecontrol.errors import ModelMismatch, NonParabolic
 from spdecontrol.forward import (
     CoefficientSet,
     ControlPolicy,
     OperatorSpec,
     PathHistory,
     SpatialGrid,
+    advance_mean,
     assemble_operator,
     solve_forward,
     weak_residual,
 )
-from spdecontrol.noise import LevySpec, PathBundle, TimeGrid, sample_bundle
+from spdecontrol.noise import LevySpec, PathBundle, TimeGrid, jump_count_matrices, sample_bundle
 
 
 def zero_bundle(tgrid):
@@ -267,6 +269,57 @@ def test_jump_coefficient_paths_stay_finite_and_compensated():
     b = sample_bundle(tgrid, levy, 9, 0)
     f = solve_forward(coeffs, heat_op(), null_control(), 0.0, b, grid)
     assert np.all(np.isfinite(f.values))
+
+
+@pytest.mark.parametrize("case", ["chaos jumps on another LevySpec", "event mark not an atom"])
+def test_single_path_solve_rejects_mixed_noise_models(case):
+    # psi would be added at the bundle's marks and compensated with another
+    # measure's rates, or a jump would be lost in the per-atom counts
+    grid = SpatialGrid(0.0, 1.0, 8)
+    tgrid = TimeGrid(0.0, 0.5, 20)
+    coeffs = CoefficientSet(
+        a=lambda t, x, y, u, z: 0.0,
+        b=lambda t, x, y, u, z: 0.0,
+        c=lambda t, x, y, u, z, mark: 0.1 * mark * y,
+        xi=lambda x, z: np.sin(math.pi * x),
+    )
+    chaos_levy = LevySpec(atoms=((0.5, 3.0),))
+    chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, psi=lambda t, mark: mark, levy=chaos_levy)
+    if case == "chaos jumps on another LevySpec":
+        b = sample_bundle(tgrid, LevySpec(atoms=((1.0, 1.0),)), 0, 0)
+    else:
+        events = [()] * tgrid.n_steps
+        events[3] = (0.5, 0.7)
+        b = PathBundle(grid=tgrid, brownian_increments=np.zeros(tgrid.n_steps),
+                       jump_events=tuple(events), seed=0, path_index=0, levy=chaos_levy)
+    with pytest.raises(ModelMismatch):
+        solve_forward(coeffs, heat_op(), null_control(), 0.0, b, grid, chaos=chaos)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 5.0)), max_size=2),
+    beta=st.floats(-2.0, 2.0),
+    psi=st.floats(-1.0, 1.0),
+    n_steps=st.integers(1, 30),
+    T=st.floats(0.05, 0.9),
+    seed=st.integers(0, 2**16),
+)
+def test_advance_mean_matches_effective_mean_of_snapshot(atoms, beta, psi, n_steps, T, seed):
+    # for time-constant beta and psi the left-endpoint compensator equals the
+    # continuous one, so the step-wise update reproduces the snapshot oracle
+    levy = LevySpec(atoms=tuple(atoms))
+    spec = FirstOrderChaosSpec(beta=lambda s: beta, psi=lambda s, mark: psi * mark, levy=levy, T0=1.0)
+    tgrid = TimeGrid(0.0, T, n_steps)
+    bundle = sample_bundle(tgrid, levy, seed, 0)
+    counts = jump_count_matrices(tgrid, levy, seed, [0])
+    m = 0.0
+    for k in range(n_steps + 1):
+        ref = effective_mean(spec, HistorySnapshot.from_bundle(spec, bundle, k))
+        assert abs(m - ref) <= 1e-12
+        if k < n_steps:
+            m = advance_mean(spec, m, tgrid.time(k), tgrid.dt, bundle.brownian_increments[k],
+                             [c[0, k] for c in counts], levy)
 
 
 def test_weak_residual_small_and_first_order():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec
@@ -341,8 +343,7 @@ def test_control_dependent_jump_ensemble_matches_single_path_solver(mode):
     for p in range(6):
         f = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 2, p), grid,
                           chaos=JUMP_CHAOS)
-        ref = f.values[-1]
-        assert np.max(np.abs(res.y_terminal[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(res.y_terminal[p], f.values[-1])
 
 
 @pytest.mark.parametrize("n_paths", [5, 9])  # 9 paths = 9 nodes
@@ -356,7 +357,78 @@ def test_shared_x_dependent_profile_ensemble_matches_single_path_solver(n_paths)
     res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, levy=JUMP_LEVY, n_paths=n_paths, seed=1)
     for p in range(n_paths):
         ref = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 1, p), grid).values[-1]
-        assert np.max(np.abs(res.y_terminal[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(res.y_terminal[p], ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    jumps=st.booleans(),
+    n_paths=st.integers(1, 9),
+    block_size=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_ensemble_bitwise_independent_of_any_block_size(jumps, n_paths, block_size, seed):
+    op, coeffs = jump_model()
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.clip(0.5 + 0.3 * np.asarray(hist.m), 0.0, 1.0),
+                        bounds=(0.0, 1.0))
+    if jumps:
+        chaos, levy = JUMP_CHAOS, JUMP_LEVY
+    else:
+        chaos, levy = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0), LevySpec()
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
+    run = lambda bs: run_ensemble(
+        coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 4), chaos=chaos,
+        levy=levy, n_paths=n_paths, seed=seed, perf=None if jumps else perf, block_size=bs,
+    )
+    whole, split = run(n_paths), run(block_size)
+    for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior", "m_terminal"):
+        a, b = getattr(whole, attr), getattr(split, attr)
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(["x-independent", "x-dependent"]),
+    jump=st.sampled_from([None, (0.5, 3.0), (-0.8, 1.5)]),
+    n_paths=st.integers(1, 4),
+    n_cells=st.integers(3, 10),
+    n_steps=st.integers(1, 6),
+    lin=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_ensemble_rows_equal_single_path_solves_bitwise(mode, jump, n_paths, n_cells, n_steps, lin, seed):
+    # a path of an ensemble and the same path solved alone run through the
+    # same block stepper, so they agree bit for bit for any coefficients
+    a1, a2, b1, c1, f1, g1 = lin
+    levy = LevySpec(atoms=(jump,)) if jump else LevySpec()
+    chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, psi=lambda t, mark: mark, levy=levy, T0=1.0)
+    op = OperatorSpec(
+        second_coeff=lambda t, x, u, z: 0.3 + 0.2 * u,
+        first_coeff=lambda t, x, u, z: f1 * u,
+        jump_shift=(lambda t, x, u, z, mark: 0.2 * g1 * mark * u) if jump else None,
+        levy=levy,
+    )
+    coeffs = CoefficientSet(
+        a=lambda t, x, y, u, z: a1 * y + a2 * u,
+        b=lambda t, x, y, u, z: b1 * y,
+        c=lambda t, x, y, u, z, mark: c1 * mark * y,
+        xi=lambda x, z: np.sin(math.pi * x),
+    )
+
+    def rule(k, t, x, z, hist):
+        m = np.asarray(hist.m, dtype=float)
+        if x is None:
+            return np.clip(0.5 + 0.3 * m, 0.0, 1.0)
+        return np.clip(0.5 + 0.3 * m[..., None] + 0.2 * x, 0.0, 1.0)
+
+    pol = ControlPolicy(rule=rule, mode=mode, bounds=(0.0, 1.0))
+    grid = SpatialGrid(0.0, 1.0, n_cells)
+    tg = TimeGrid(0.0, 0.3, n_steps)
+    res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, chaos=chaos, levy=levy,
+                       n_paths=n_paths, seed=seed)
+    for p in range(n_paths):
+        f = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, levy, seed, p), grid, chaos=chaos)
+        assert np.array_equal(res.y_terminal[p], f.values[-1])
 
 
 @pytest.mark.parametrize("mode, shape", [
