@@ -48,7 +48,7 @@ control = ControlPolicy(rule=lambda k, t, x, z, hist: 0.0)
 bundle = sample_bundle(tgrid, levy, seed=7, path_index=0)
 field = solve_forward(coeffs, op, control, 0.0, bundle, grid)
 print(f"\none noisy path: terminal midpoint value {field.values[-1, 16]:.4f}, "
-      f"{sum(len(ev) for ev in bundle.jump_events)} jumps")
+      f"{int(bundle.jump_counts.sum())} jumps")
 
 # weak-form defect against a boundary-vanishing test function
 phi = np.sin(math.pi * grid.nodes())

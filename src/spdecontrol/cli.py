@@ -30,69 +30,85 @@ from .zakai import ObservationPath, SignalModel
 
 __all__ = ["main", "validate_config", "run_experiment", "SCHEMAS"]
 
-SCHEMAS = {
+def _floats(value):
+    return [float(v) for v in value]
+
+
+def _ints(value):
+    return [int(v) for v in value]
+
+
+def _interval(value):
+    lo, hi = _floats(value)
+    return [lo, hi]
+
+
+# kind -> parameter -> (reader, default, description).  validate_config reads
+# every parameter with its reader and fills in the defaults, so a run gets
+# values it can use or the config is refused.
+_PARAMS = {
     "donsker-table": {
-        "T0": "terminal information time, float > 0 (default 1.0)",
-        "beta_const": "constant integrand of the information variable (default 1.0)",
-        "t_values": "list of evaluation times, each in [0, T0)",
-        "z_values": "list of density evaluation points",
-        "history_mean": "realized conditioning mean m(t) (default 0.0)",
-        "tol_abs": "max |quadrature - closed form| allowed (default 1e-8)",
+        "T0": (float, 1.0, "terminal information time, float > 0"),
+        "beta_const": (float, 1.0, "constant integrand of the information variable, nonzero"),
+        "t_values": (_floats, [0.0, 0.25, 0.5, 0.75], "list of evaluation times, each in [0, T0)"),
+        "z_values": (_floats, [-1.0, -0.5, 0.0, 0.5, 1.0], "list of density evaluation points"),
+        "history_mean": (float, 0.0, "realized conditioning mean m(t)"),
+        "tol_abs": (float, 1e-8, "max |quadrature - closed form| allowed"),
     },
     "forward-convergence": {
-        "t_end": "horizon of the diffusion oracle (default 0.1)",
-        "space_cells": "list of cell counts for the space study (default [8, 16, 32])",
-        "space_steps": "fine step count shared by the space study (default 4096)",
-        "time_steps": "list of step counts for the time study (default [16, 32, 64])",
-        "time_cells": "cell count shared by the time study (default 16)",
-        "dx_order_range": "accepted empirical order interval (default [1.8, 2.2])",
-        "dt_order_range": "accepted empirical order interval (default [0.8, 1.2])",
+        "t_end": (float, 0.1, "horizon of the diffusion oracle, > 0"),
+        "space_cells": (_ints, [8, 16, 32], "list of cell counts for the space study, each >= 2"),
+        "space_steps": (int, 4096, "fine step count shared by the space study, >= 1"),
+        "time_steps": (_ints, [16, 32, 64], "list of step counts for the time study, each >= 1"),
+        "time_cells": (int, 16, "cell count shared by the time study, >= 2"),
+        "dx_order_range": (_interval, [1.8, 2.2], "accepted empirical order interval"),
+        "dt_order_range": (_interval, [0.8, 1.2], "accepted empirical order interval"),
     },
     "portfolio": {
-        "T": "trading horizon, must satisfy T < T0 = 1",
-        "z": "conditioning value of the insider variable (default 0.5)",
-        "n_cells": "spatial cells of the wealth grid (default 16)",
-        "n_steps": "time steps (default 200)",
-        "n_paths": "Monte Carlo paths (default 2000)",
-        "shifts": "constant control offsets compared against the optimum (default [-0.25, 0.25])",
+        "T": (float, 0.5, "trading horizon, must satisfy T + T/n_steps <= T0 = 1"),
+        "z": (float, 0.5, "conditioning value of the insider variable"),
+        "n_cells": (int, 16, "spatial cells of the wealth grid, >= 2"),
+        "n_steps": (int, 200, "time steps, >= 1"),
+        "n_paths": (int, 2000, "Monte Carlo paths, >= 2"),
+        "shifts": (_floats, [-0.25, 0.25], "constant control offsets compared against the optimum"),
     },
     "stationarity": {
-        "T": "horizon, must satisfy T < T0 = 1",
-        "z": "conditioning value (default 0.5)",
-        "n_cells": "spatial cells (default 16)",
-        "n_steps": "time steps (default 100)",
-        "n_paths": "Monte Carlo paths (default 2000)",
-        "n_windows": "time windows for localized directions (default 3)",
-        "a_step": "central difference step (default 1e-3)",
-        "tol_tstat": "verdict threshold on |t| (default 3.0)",
+        "T": (float, 0.5, "horizon, must satisfy T + T/n_steps <= T0 = 1"),
+        "z": (float, 0.5, "conditioning value"),
+        "n_cells": (int, 16, "spatial cells, >= 2"),
+        "n_steps": (int, 100, "time steps, >= 1"),
+        "n_paths": (int, 2000, "Monte Carlo paths, >= 2"),
+        "n_windows": (int, 3, "time windows for localized directions, >= 1"),
+        "a_step": (float, 1e-3, "central difference step, in (0, 1)"),
+        "tol_tstat": (float, 3.0, "verdict threshold on |t|"),
     },
     "zakai-benchmark": {
-        "a": "signal drift rate dX = aX dt + b dv (default -0.5)",
-        "b": "signal volatility (default 0.4)",
-        "c": "observation gain dR = cX dt + dw (default 1.0)",
-        "m0": "initial state mean (default 0.0)",
-        "P0": "initial state variance (default 0.04)",
-        "x_lo": "state-space truncation, lower edge (default -2.0)",
-        "x_hi": "state-space truncation, upper edge (default 2.0)",
-        "n_cells": "spatial cells at the base resolution (default 400)",
-        "n_steps": "time steps at the base resolution (default 100)",
-        "T": "horizon (default 1.0)",
-        "n_particles": "particle-filter oracle size (default 10000)",
-        "tol_grid": "allowed |grid mean - Kalman mean| (default 5e-2)",
-        "refine_levels": "number of halvings of dx and dt measured (default 2)",
-        "factor_range": "accepted per-halving error-reduction interval (default [1.6, 2.6])",
+        "a": (float, -0.5, "signal drift rate dX = aX dt + b dv"),
+        "b": (float, 0.4, "signal volatility"),
+        "c": (float, 1.0, "observation gain dR = cX dt + dw"),
+        "m0": (float, 0.0, "initial state mean"),
+        "P0": (float, 0.04, "initial state variance, > 0"),
+        "x_lo": (float, -2.0, "state-space truncation, lower edge"),
+        "x_hi": (float, 2.0, "state-space truncation, upper edge, > x_lo"),
+        "n_cells": (int, 400, "spatial cells at the base resolution, >= 2"),
+        "n_steps": (int, 100, "time steps at the base resolution, >= 1"),
+        "T": (float, 1.0, "horizon, > 0"),
+        "n_particles": (int, 10000, "particle-filter oracle size, >= 100"),
+        "tol_grid": (float, 5e-2, "allowed |grid mean - Kalman mean|"),
+        "refine_levels": (int, 2, "number of halvings of dx and dt measured, >= 1"),
+        "factor_range": (_interval, [1.6, 2.6], "accepted per-halving error-reduction interval"),
     },
     "coercivity": {
-        "pi": "control value scaling the generator (default 1.0)",
-        "beta_slope": "volatility profile beta(x) = 1 + slope*x (default 0.5)",
-        "cells": "list of cell counts (default [16, 32, 64])",
-        "C_max": "allowed constant in |ratio - 1| <= C dx (default 5.0)",
+        "pi": (float, 1.0, "control value scaling the generator"),
+        "beta_slope": (float, 0.5, "volatility profile beta(x) = 1 + slope*x"),
+        "cells": (_ints, [16, 32, 64], "list of cell counts, each >= 2"),
+        "C_max": (float, 5.0, "allowed constant in |ratio - 1| <= C dx"),
     },
 }
 
-_CONSTRAINTS = {
-    "portfolio": "T < T0",
-    "stationarity": "T < T0",
+SCHEMAS = {
+    kind: {key: f"{desc} (default {default})" for key, (_, default, desc) in params.items()}
+    for kind, params in _PARAMS.items()
 }
 
 
@@ -100,8 +116,62 @@ def _fail_config(msg: str):
     raise ConfigError(msg)
 
 
+def _read_params(kind: str, params: dict) -> dict:
+    """Every parameter of the kind read by its reader, defaults filled in."""
+    p = {}
+    for key, (reader, default, _) in _PARAMS[kind].items():
+        value = params.get(key, default)
+        try:
+            p[key] = reader(value)
+        except (TypeError, ValueError) as exc:
+            _fail_config(f"parameter {key} = {value!r} of kind {kind} is unreadable: {exc}")
+    return p
+
+
+def _check_constraints(kind: str, p: dict):
+    def need(ok, what):
+        if not ok:
+            _fail_config(f"constraint violated: {what}")
+
+    for key in ("n_cells", "time_cells"):
+        if key in p:
+            need(p[key] >= 2, f"{key} >= 2 ({key}={p[key]})")
+    for key in ("space_cells", "cells"):
+        if key in p:
+            need(all(c >= 2 for c in p[key]), f"every entry of {key} >= 2 ({key}={p[key]})")
+    for key in ("n_steps", "space_steps", "n_windows", "refine_levels"):
+        if key in p:
+            need(p[key] >= 1, f"{key} >= 1 ({key}={p[key]})")
+    if kind == "donsker-table":
+        T0 = p["T0"]
+        need(T0 > 0, "T0 > 0")
+        need(p["beta_const"] != 0, "beta_const != 0")
+        for t in p["t_values"]:
+            need(0 <= t < T0, f"t < T0 (t={t}, T0={T0})")
+    if kind == "forward-convergence":
+        need(p["t_end"] > 0, "t_end > 0")
+        need(all(s >= 1 for s in p["time_steps"]), "every entry of time_steps >= 1")
+    if kind in ("portfolio", "stationarity"):
+        T = p["T"]
+        need(T < 1.0, f"T < T0 (T={T}, T0=1.0)")
+        need(T > 0, "T > 0")
+        # the conditional density needs the horizon one step before T0
+        need(T * (1.0 + 1.0 / p["n_steps"]) <= 1.0 + 1e-12,
+             f"T + T/n_steps <= T0 (T={T}, n_steps={p['n_steps']}, T0=1.0)")
+        need(p["n_paths"] >= 2, f"n_paths >= 2 (n_paths={p['n_paths']})")
+    if kind == "stationarity":
+        need(0 < p["a_step"] < 1, f"0 < a_step < 1 (a_step={p['a_step']})")
+    if kind == "zakai-benchmark":
+        need(p["x_hi"] > p["x_lo"], "x_hi > x_lo")
+        need(p["n_particles"] >= 100, "n_particles >= 100")
+        need(p["T"] > 0, "T > 0")
+        need(p["P0"] > 0, "P0 > 0")
+
+
 def validate_config(cfg: dict) -> dict:
-    """Schema plus physical-constraint validation; returns normalized config."""
+    """Schema plus physical-constraint validation; returns the normalized
+    config with every parameter read and defaults filled in.  A value the
+    run could not use raises ConfigError."""
     if not isinstance(cfg, dict):
         _fail_config("config root must be a mapping")
     kind = cfg.get("kind")
@@ -114,31 +184,10 @@ def validate_config(cfg: dict) -> dict:
     if unknown:
         _fail_config(f"unknown parameter(s) {sorted(unknown)} for kind {kind}")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         _fail_config("seed must be a nonnegative integer")
-
-    p = dict(params)
-    if kind == "donsker-table":
-        T0 = float(p.get("T0", 1.0))
-        if T0 <= 0:
-            _fail_config("constraint violated: T0 > 0")
-        for t in p.get("t_values", [0.0, 0.5]):
-            if not 0 <= t < T0:
-                _fail_config(f"constraint violated: t < T0 (t={t}, T0={T0})")
-    if kind in ("portfolio", "stationarity"):
-        T = float(p.get("T", 0.5))
-        if not T < 1.0:
-            _fail_config(f"constraint violated: T < T0 (T={T}, T0=1.0)")
-        if T <= 0:
-            _fail_config("constraint violated: T > 0")
-    if kind == "zakai-benchmark":
-        if float(p.get("x_hi", 2.0)) <= float(p.get("x_lo", -2.0)):
-            _fail_config("constraint violated: x_hi > x_lo")
-        if int(p.get("n_particles", 10000)) < 100:
-            _fail_config("constraint violated: n_particles >= 100")
-    for key in ("n_paths", "n_steps", "n_cells"):
-        if key in p and int(p[key]) < 1:
-            _fail_config(f"constraint violated: {key} >= 1")
+    p = _read_params(kind, params)
+    _check_constraints(kind, p)
     return {"kind": kind, "seed": seed, "params": p}
 
 
@@ -171,7 +220,7 @@ def _zero_bundle(tgrid: TimeGrid) -> PathBundle:
     return PathBundle(
         grid=tgrid,
         brownian_increments=np.zeros(tgrid.n_steps),
-        jump_events=tuple(() for _ in range(tgrid.n_steps)),
+        jump_counts=np.zeros((0, tgrid.n_steps), dtype=np.int64),
         seed=0,
         path_index=0,
     )
@@ -219,12 +268,12 @@ def _orders(errors):
 
 
 def _run_donsker_table(p, seed, out: Path):
-    T0 = float(p.get("T0", 1.0))
-    beta_const = float(p.get("beta_const", 1.0))
-    t_values = [float(t) for t in p.get("t_values", [0.0, 0.25, 0.5, 0.75])]
-    z_values = [float(z) for z in p.get("z_values", [-1.0, -0.5, 0.0, 0.5, 1.0])]
-    m0 = float(p.get("history_mean", 0.0))
-    tol = float(p.get("tol_abs", 1e-8))
+    T0 = p["T0"]
+    beta_const = p["beta_const"]
+    t_values = p["t_values"]
+    z_values = p["z_values"]
+    m0 = p["history_mean"]
+    tol = p["tol_abs"]
     spec = FirstOrderChaosSpec(beta=lambda s: beta_const, T0=T0)
     rows = []
     worst = 0.0
@@ -241,13 +290,13 @@ def _run_donsker_table(p, seed, out: Path):
 
 
 def _run_forward_convergence(p, seed, out: Path):
-    t_end = float(p.get("t_end", 0.1))
-    space_cells = [int(c) for c in p.get("space_cells", [8, 16, 32])]
-    space_steps = int(p.get("space_steps", 4096))
-    time_steps = [int(s) for s in p.get("time_steps", [16, 32, 64])]
-    time_cells = int(p.get("time_cells", 16))
-    dx_lo, dx_hi = [float(v) for v in p.get("dx_order_range", [1.8, 2.2])]
-    dt_lo, dt_hi = [float(v) for v in p.get("dt_order_range", [0.8, 1.2])]
+    t_end = p["t_end"]
+    space_cells = p["space_cells"]
+    space_steps = p["space_steps"]
+    time_steps = p["time_steps"]
+    time_cells = p["time_cells"]
+    dx_lo, dx_hi = p["dx_order_range"]
+    dt_lo, dt_hi = p["dt_order_range"]
 
     ex = [heat_space_error(c, space_steps, t_end) for c in space_cells]
     et = [heat_time_error(time_cells, s, t_end) for s in time_steps]
@@ -263,12 +312,12 @@ def _run_forward_convergence(p, seed, out: Path):
 
 
 def _run_portfolio(p, seed, out: Path):
-    T = float(p.get("T", 0.5))
-    z = float(p.get("z", 0.5))
-    n_cells = int(p.get("n_cells", 16))
-    n_steps = int(p.get("n_steps", 200))
-    n_paths = int(p.get("n_paths", 2000))
-    shifts = [float(s) for s in p.get("shifts", [-0.25, 0.25])]
+    T = p["T"]
+    z = p["z"]
+    n_cells = p["n_cells"]
+    n_steps = p["n_steps"]
+    n_paths = p["n_paths"]
+    shifts = p["shifts"]
     market, utility, spec = portfolio.benchmark_market(n_cells)
     tgrid = TimeGrid(0.0, T, n_steps)
     pol = portfolio.optimal_policy(market, spec)
@@ -295,14 +344,14 @@ def _run_portfolio(p, seed, out: Path):
 
 
 def _run_stationarity(p, seed, out: Path):
-    T = float(p.get("T", 0.5))
-    z = float(p.get("z", 0.5))
-    n_cells = int(p.get("n_cells", 16))
-    n_steps = int(p.get("n_steps", 100))
-    n_paths = int(p.get("n_paths", 2000))
-    n_windows = int(p.get("n_windows", 3))
-    a_step = float(p.get("a_step", 1e-3))
-    tol_tstat = float(p.get("tol_tstat", 3.0))
+    T = p["T"]
+    z = p["z"]
+    n_cells = p["n_cells"]
+    n_steps = p["n_steps"]
+    n_paths = p["n_paths"]
+    n_windows = p["n_windows"]
+    a_step = p["a_step"]
+    tol_tstat = p["tol_tstat"]
     market, utility, spec = portfolio.benchmark_market(n_cells)
     coeffs, op = portfolio.wealth_dynamics(market)
     perf = portfolio.log_utility_performance(market, utility)
@@ -319,20 +368,20 @@ def _run_stationarity(p, seed, out: Path):
 
 
 def _run_zakai_benchmark(p, seed, out: Path):
-    a = float(p.get("a", -0.5))
-    b = float(p.get("b", 0.4))
-    c = float(p.get("c", 1.0))
-    m0 = float(p.get("m0", 0.0))
-    P0 = float(p.get("P0", 0.04))
-    x_lo = float(p.get("x_lo", -2.0))
-    x_hi = float(p.get("x_hi", 2.0))
-    n_cells = int(p.get("n_cells", 400))
-    n_steps = int(p.get("n_steps", 100))
-    T = float(p.get("T", 1.0))
-    n_particles = int(p.get("n_particles", 10000))
-    tol_grid = float(p.get("tol_grid", 5e-2))
-    levels = int(p.get("refine_levels", 2))
-    f_lo, f_hi = [float(v) for v in p.get("factor_range", [1.6, 2.6])]
+    a = p["a"]
+    b = p["b"]
+    c = p["c"]
+    m0 = p["m0"]
+    P0 = p["P0"]
+    x_lo = p["x_lo"]
+    x_hi = p["x_hi"]
+    n_cells = p["n_cells"]
+    n_steps = p["n_steps"]
+    T = p["T"]
+    n_particles = p["n_particles"]
+    tol_grid = p["tol_grid"]
+    levels = p["refine_levels"]
+    f_lo, f_hi = p["factor_range"]
 
     model = SignalModel(
         alpha=lambda x, r, u: a * x,
@@ -396,10 +445,10 @@ def _run_zakai_benchmark(p, seed, out: Path):
 
 
 def _run_coercivity(p, seed, out: Path):
-    pi = float(p.get("pi", 1.0))
-    slope = float(p.get("beta_slope", 0.5))
-    cells = [int(c) for c in p.get("cells", [16, 32, 64])]
-    C_max = float(p.get("C_max", 5.0))
+    pi = p["pi"]
+    slope = p["beta_slope"]
+    cells = p["cells"]
+    C_max = p["C_max"]
     rows = []
     ok = True
     for n_cells in cells:

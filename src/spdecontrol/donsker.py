@@ -91,11 +91,13 @@ class HistorySnapshot:
         grid = bundle.grid
         ts = grid.times()[:k]
         acc = float(np.sum([spec.beta(t) for t in ts] * bundle.brownian_increments[:k])) if k else 0.0
-        events = []
-        for j in range(k):
-            for mark in bundle.jump_events[j]:
-                events.append((grid.time(j), mark))
-        return cls(t=grid.time(k), accumulated_b=acc, jump_events=tuple(events))
+        # events in time order, in atom order within a step
+        counts = bundle.jump_counts[:, :k].T
+        steps, atoms = np.nonzero(counts)
+        n = counts[steps, atoms]
+        times = np.repeat(grid.time(steps), n).tolist()
+        marks = np.repeat(bundle.levy.marks[atoms], n).tolist()
+        return cls(t=grid.time(k), accumulated_b=acc, jump_events=tuple(zip(times, marks)))
 
 
 def _gl_nodes(a: float, b: float, n: int = _TIME_QUAD_NODES):
@@ -339,13 +341,10 @@ def phi_k(
 
     num = np.empty(n_paths)
     den = np.empty(n_paths)
+    no_jumps = np.zeros((0, n_steps), dtype=np.int64)
     for p in range(n_paths):
         cont = PathBundle(
-            grid=grid,
-            brownian_increments=db[p],
-            jump_events=tuple(() for _ in range(n_steps)),
-            seed=seed,
-            path_index=p,
+            grid=grid, brownian_increments=db[p], jump_counts=no_jumps, seed=seed, path_index=p
         )
         K = k_model.value(z, hist, cont)
         dK = k_model.derivative(z, hist, cont, hist.t)

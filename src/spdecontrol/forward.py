@@ -310,14 +310,7 @@ def _bundle_noise(bundle: PathBundle):
     """A bundle's noise as an ensemble of one: Brownian increments (1,
     n_steps) and one (1, n_steps) array of event counts per atom of
     bundle.levy, as brownian_increment_matrix and jump_count_matrices give."""
-    marks = [mark for mark, _ in bundle.levy.atoms]
-    counts = [np.zeros((1, bundle.grid.n_steps), dtype=np.int64) for _ in marks]
-    for k, events in enumerate(bundle.jump_events):
-        for mark in events:
-            if mark not in marks:
-                raise ModelMismatch(f"jump mark {mark} at step {k} is not an atom of {bundle.levy}")
-            counts[marks.index(mark)][0, k] += 1
-    return bundle.brownian_increments[None], counts
+    return bundle.brownian_increments[None], [n[None] for n in bundle.jump_counts]
 
 
 def advance_mean(chaos, m, t, dt, db_k, counts_k=(), levy: LevySpec = LevySpec()):
@@ -471,9 +464,8 @@ def solve_forward(
     """Forward solve on one noise path, recording every time slice.
 
     The path is an ensemble of one: the sweep of step_forward over the
-    bundle's Brownian increments and its jump events counted per atom of
-    bundle.levy.  Raises ModelMismatch when chaos jumps on another LevySpec
-    than the bundle, or when an event's mark is not an atom of bundle.levy.
+    bundle's Brownian increments and its per-atom event counts.  Raises
+    ModelMismatch when chaos jumps on another LevySpec than the bundle.
     """
     db, counts = _bundle_noise(bundle)
     sweep = _sweep(coeffs, op, control, z, grid, bundle.grid, db, counts, bundle.levy, chaos)

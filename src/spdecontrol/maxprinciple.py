@@ -108,6 +108,16 @@ class PerformanceEstimate:
         if self.n_paths < 2:
             raise ValueError("need at least two paths for a standard error")
 
+    @classmethod
+    def from_samples(cls, samples) -> PerformanceEstimate:
+        """Sample mean and its standard error (ddof 1) of Monte Carlo samples."""
+        n = len(samples)
+        return cls(
+            mean=float(np.mean(samples)),
+            stderr=float(np.std(samples, ddof=1) / math.sqrt(n)),
+            n_paths=n,
+        )
+
     def tstat(self) -> float:
         if self.stderr > 0:
             return self.mean / self.stderr
@@ -290,11 +300,7 @@ def estimate_j(
         np.asarray(perf.k(grid.nodes(), res.y_terminal, z), dtype=float), res.y_terminal.shape
     )
     samples = res.h_integral + res.w_terminal * (kvals @ wx)
-    est = PerformanceEstimate(
-        mean=float(np.mean(samples)),
-        stderr=float(np.std(samples, ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-    )
+    est = PerformanceEstimate.from_samples(samples)
     return (est, samples) if return_samples else est
 
 
@@ -349,12 +355,7 @@ def gateaux_derivative(
         coeffs, op, dn, perf, chaos, z, grid, tgrid, n_paths, seed,
         levy=levy, return_samples=True,
     )
-    d = (s_up - s_dn) / (2.0 * a_step)
-    return PerformanceEstimate(
-        mean=float(np.mean(d)),
-        stderr=float(np.std(d, ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-    )
+    return PerformanceEstimate.from_samples((s_up - s_dn) / (2.0 * a_step))
 
 
 def state_sensitivity(

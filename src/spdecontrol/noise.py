@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ModelMismatch
+
 __all__ = [
     "TimeGrid",
     "LevySpec",
@@ -81,15 +83,24 @@ class LevySpec:
 class PathBundle:
     """One realization of the driving noise on a time grid.
 
-    jump_events[k] is the tuple of realized marks during step k.
+    jump_counts[a, k] is the number of events of atom a of levy during step
+    k, an (n_atoms, n_steps) integer array, so a bundle is one row of the
+    brownian_increment_matrix / jump_count_matrices block of its path.
+    Increments or counts of another shape raise ModelMismatch.
     """
 
     grid: TimeGrid
     brownian_increments: np.ndarray
-    jump_events: tuple
+    jump_counts: np.ndarray
     seed: int
     path_index: int
     levy: LevySpec = field(default_factory=LevySpec)
+
+    def __post_init__(self):
+        want = ((self.grid.n_steps,), (len(self.levy.atoms), self.grid.n_steps))
+        got = (np.shape(self.brownian_increments), np.shape(self.jump_counts))
+        if got != want:
+            raise ModelMismatch(f"noise of shapes {got}, not {want} for {self.levy}")
 
 
 def _rng(seed: int, path_index: int, channel: int, sub: int) -> np.random.Generator:
@@ -133,27 +144,18 @@ def sample_bundle(
     path_index: int,
     channel: int = 0,
 ) -> PathBundle:
-    """Draw one reproducible noise bundle.
+    """Draw one reproducible noise bundle: row path_index of
+    brownian_increment_matrix and of each jump_count_matrices matrix.
 
     Brownian and Poisson streams use separate substreams of the
     (seed, path_index, channel) key and are statistically independent.
     """
     db = brownian_increment_matrix(grid, seed, [path_index], channel)[0]
-    events: list
-    if levy.atoms:
-        counts = jump_count_matrices(grid, levy, seed, [path_index], channel)
-        events = []
-        for k in range(grid.n_steps):
-            step_marks = []
-            for a, (mark, _) in enumerate(levy.atoms):
-                step_marks.extend([mark] * int(counts[a][0, k]))
-            events.append(tuple(step_marks))
-    else:
-        events = [() for _ in range(grid.n_steps)]
+    counts = jump_count_matrices(grid, levy, seed, [path_index], channel)
     return PathBundle(
         grid=grid,
         brownian_increments=db,
-        jump_events=tuple(events),
+        jump_counts=np.array([c[0] for c in counts], dtype=np.int64).reshape(-1, grid.n_steps),
         seed=seed,
         path_index=path_index,
         levy=levy,
@@ -179,20 +181,16 @@ def ito_integral(integrand, bundle: PathBundle) -> float:
 
 
 def compensated_jump_sum(bundle: PathBundle, psi=None) -> float:
-    """Compensated jump integral of psi(t, zeta) over the whole bundle.
-
-    psi defaults to the identity in the mark, psi(t, z) = z.  Events are
-    evaluated at the left endpoint of their step; the compensator uses the
-    same left-endpoint rule.
+    """Compensated jump integral of psi(t, zeta) over the whole bundle, the
+    sum of psi(t_k, mark_a) (N_ak - lam_a dt) over atoms a and steps k: events
+    and compensator alike at the left endpoint of their step.  psi defaults
+    to psi(t, z) = z and must act elementwise on an array of times t.
     """
     if psi is None:
         psi = lambda t, z: z
     grid = bundle.grid
+    ts = grid.times()[:-1]
     total = 0.0
-    for k, marks in enumerate(bundle.jump_events):
-        t = grid.time(k)
-        for z in marks:
-            total += psi(t, z)
-        for mark, lam in bundle.levy.atoms:
-            total -= grid.dt * lam * psi(t, mark)
+    for (mark, lam), n in zip(bundle.levy.atoms, bundle.jump_counts):
+        total += float(np.sum(np.broadcast_to(psi(ts, mark), ts.shape) * (n - grid.dt * lam)))
     return total

@@ -21,11 +21,19 @@ from .errors import (
     BoundaryViolation,
     DegenerateCurvature,
     MassCollapse,
+    ModelMismatch,
     WeightDegeneracy,
 )
 from .forward import AssembledOperator, ControlPolicy, PathHistory, SpatialGrid
 from .maxprinciple import PerformanceEstimate
-from .noise import LevySpec, PathBundle, TimeGrid, _rng
+from .noise import (
+    LevySpec,
+    PathBundle,
+    TimeGrid,
+    _rng,
+    brownian_increment_matrix,
+    jump_count_matrices,
+)
 
 __all__ = [
     "SignalModel",
@@ -61,9 +69,13 @@ class SignalModel:
     Callables must act elementwise on arrays.  The grid solver and the
     particle filter pass x as the node array or the particle array, and r as
     a scalar or an (n_paths, 1) column of observation values, one per
-    reference-measure path; the signal simulator passes scalars.  A callable
-    may return a scalar where its value does not depend on x or r (constant
-    volatility, say); results are broadcast to the full shape.
+    reference-measure path; the signal simulator passes scalars for one path
+    and (n_paths,) arrays of x and r for a block (direct_performance).  A
+    callable may return a scalar where its value does not depend on x or r
+    (constant volatility, say); results are broadcast to the full shape.
+
+    The signal jumps by gamma(x, r, u, mark) at the events of each atom of
+    levy, compensated by that atom's rate; without gamma it has no jumps.
     """
 
     alpha: object  # (x, r, u) -> real
@@ -76,11 +88,14 @@ class SignalModel:
     autonomous: bool = True
 
     def check_initial_mass(self, sgrid: SpatialGrid, z, tol: float = 1e-8) -> float:
+        """Mass of F_init on the grid by UnnormalizedDensity.mass, the rectangle
+        rule dx * sum of all node values (both boundary nodes in full), which
+        the transpose transport conserves exactly; it must be 1 within tol."""
         xs = sgrid.nodes()
         f = _full(self.F_init(xs, z), xs.shape)
         if np.any(f < 0):
             raise ValueError("initial density must be nonnegative")
-        mass = float(np.trapezoid(f, dx=sgrid.dx))
+        mass = UnnormalizedDensity(sgrid, f).mass()
         if abs(mass - 1.0) > tol:
             raise ValueError(f"initial density mass {mass} differs from 1 beyond {tol}")
         return mass
@@ -113,6 +128,9 @@ class UnnormalizedDensity:
     values: np.ndarray
 
     def mass(self) -> float:
+        """Rectangle rule: dx times the sum of all node values, both boundary
+        nodes counted in full.  The transpose transport conserves it exactly,
+        and normalize and check_initial_mass use it."""
         return float(self.grid.dx * np.sum(self.values))
 
     def boundary_mass(self) -> float:
@@ -162,6 +180,30 @@ def _control_value(control, k, t, z):
     return float(np.asarray(control.values(k, t, None, z, PathHistory(t=t, m=0.0))))
 
 
+def _euler_maruyama(model: SignalModel, control, z, tgrid: TimeGrid, x0, dv, dw, counts):
+    """Euler-Maruyama signal X (n_steps + 1, ...) and observation increments
+    dR (n_steps, ...) from signal and observation Brownian increments dv, dw
+    and counts[a], the events of atom a of model.levy, all time first:
+    (n_steps,) for one path from a scalar x0, (n_steps, n_paths) for a block
+    from x0 (n_paths,).  Jumps add gamma(mark_a) (N_a - lam_a dt) per atom."""
+    dt = tgrid.dt
+    X = np.empty((tgrid.n_steps + 1,) + np.shape(dv)[1:])
+    X[0] = x0
+    dR = np.empty(np.shape(dv))
+    r = 0.0
+    for k in range(tgrid.n_steps):
+        u = _control_value(control, k, tgrid.time(k), z)
+        x = X[k]
+        dR[k] = model.h_obs(x) * dt + dw[k]
+        step = model.alpha(x, r, u) * dt + model.beta(x, r, u) * dv[k]
+        if model.gamma is not None:
+            for (mark, lam), n in zip(model.levy.atoms, counts):
+                step = step + model.gamma(x, r, u, mark) * (n[k] - dt * lam)
+        X[k + 1] = x + step
+        r = r + dR[k]
+    return X, dR
+
+
 def simulate_signal_observation(
     model: SignalModel,
     control: ControlPolicy | None,
@@ -173,31 +215,17 @@ def simulate_signal_observation(
     """Euler-Maruyama signal path plus its observation increments.
 
     bundle_v drives the signal, bundle_w the observation noise; they must live
-    on the same time grid and come from independent channels.
+    on the same time grid and come from independent channels.  With a jump
+    coefficient gamma, bundle_v must be drawn on model.levy (else
+    ModelMismatch): its counts are compensated with that measure's rates.
     """
     if bundle_v.grid != bundle_w.grid:
         raise ValueError("signal and observation bundles must share a time grid")
-    tgrid = bundle_v.grid
-    dt = tgrid.dt
-    n = tgrid.n_steps
-    X = np.empty(n + 1)
-    X[0] = x0
-    dR = np.empty(n)
-    r = 0.0
-    for k in range(n):
-        t = tgrid.time(k)
-        u = _control_value(control, k, t, z)
-        x = X[k]
-        dR[k] = model.h_obs(x) * dt + bundle_w.brownian_increments[k]
-        step = model.alpha(x, r, u) * dt + model.beta(x, r, u) * bundle_v.brownian_increments[k]
-        if model.gamma is not None:
-            for mark in bundle_v.jump_events[k]:
-                step += model.gamma(x, r, u, mark)
-            for mark, lam in model.levy.atoms:
-                step -= dt * lam * model.gamma(x, r, u, mark)
-        X[k + 1] = x + step
-        r += dR[k]
-    return X, ObservationPath(grid=tgrid, increments=dR)
+    if model.gamma is not None and bundle_v.levy != model.levy:
+        raise ModelMismatch(f"signal jumps on {model.levy} but bundle_v is drawn on {bundle_v.levy}")
+    X, dR = _euler_maruyama(model, control, z, bundle_v.grid, x0, bundle_v.brownian_increments,
+                            bundle_w.brownian_increments, bundle_v.jump_counts)
+    return X, ObservationPath(grid=bundle_v.grid, increments=dR)
 
 
 def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath) -> GirsanovWeight:
@@ -419,8 +447,6 @@ def transformed_performance(
 
     f: (t, x) -> rate density; g: x -> terminal density.
     """
-    from .noise import brownian_increment_matrix
-
     xs = sgrid.nodes()
     wq = np.full(sgrid.n_nodes, sgrid.dx)
     g_vals = np.asarray(g(xs), dtype=float) * wq
@@ -430,12 +456,7 @@ def transformed_performance(
         if f is not None and k < tgrid.n_steps:
             fv = np.asarray(f(tgrid.time(k), xs), dtype=float)
             acc += tgrid.dt * np.sum(fv * wq * Y, axis=1)
-    samples = acc + np.sum(g_vals * Y, axis=1)
-    return PerformanceEstimate(
-        mean=float(np.mean(samples)),
-        stderr=float(np.std(samples, ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-    )
+    return PerformanceEstimate.from_samples(acc + np.sum(g_vals * Y, axis=1))
 
 
 def direct_performance(
@@ -452,25 +473,18 @@ def direct_performance(
     channel: int = 11,
 ) -> PerformanceEstimate:
     """Physical-measure Monte Carlo of the same performance functional,
-    evaluated directly on simulated signal paths."""
-    from .noise import sample_bundle
-
+    evaluated directly on simulated signal paths, all paths in one sweep."""
     x0s = sample_initial_states(model, sgrid, n_paths, seed, channel=channel + 2)
-    samples = np.empty(n_paths)
-    for p in range(n_paths):
-        bv = sample_bundle(tgrid, model.levy, seed, p, channel)
-        bw = sample_bundle(tgrid, LevySpec(), seed, p, channel + 1)
-        X, _ = simulate_signal_observation(model, control, z, bv, bw, x0s[p])
-        acc = 0.0
-        if f is not None:
-            for k in range(tgrid.n_steps):
-                acc += tgrid.dt * float(f(tgrid.time(k), X[k]))
-        samples[p] = acc + float(g(X[-1]))
-    return PerformanceEstimate(
-        mean=float(np.mean(samples)),
-        stderr=float(np.std(samples, ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-    )
+    paths = range(n_paths)
+    dv = brownian_increment_matrix(tgrid, seed, paths, channel).T
+    dw = brownian_increment_matrix(tgrid, seed, paths, channel + 1).T
+    counts = [n.T for n in jump_count_matrices(tgrid, model.levy, seed, paths, channel)]
+    X, _ = _euler_maruyama(model, control, z, tgrid, x0s, dv, dw, counts)
+    acc = 0.0
+    if f is not None:
+        for k in range(tgrid.n_steps):
+            acc = acc + tgrid.dt * f(tgrid.time(k), X[k])
+    return PerformanceEstimate.from_samples(acc + _full(g(X[-1]), (n_paths,)))
 
 
 def coercivity_check(y, pi: float, beta_vol, sgrid: SpatialGrid, alpha_drift: float = 0.0) -> tuple:

@@ -64,6 +64,43 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         validate_config({"seed": 0, "params": {}})
     with pytest.raises(ConfigError):
         validate_config([1, 2, 3])
+    with pytest.raises(ConfigError):
+        validate_config({"kind": "coercivity", "seed": True, "params": {}})
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("portfolio", "{n_cells: 1}"),
+        ("coercivity", "{cells: [0]}"),
+        ("stationarity", "{T: abc}"),
+        ("stationarity", "{n_paths: 1}"),
+        ("portfolio", "{T: 0.95, n_steps: 10}"),
+        ("forward-convergence", "{space_cells: [8, 1]}"),
+        ("forward-convergence", "{time_cells: 1}"),
+        ("forward-convergence", "{dx_order_range: [1.8]}"),
+        ("donsker-table", "{t_values: abc}"),
+        ("zakai-benchmark", "{P0: 0.0}"),
+        ("zakai-benchmark", "{n_cells: [400]}"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unusable_parameter_exits_2(tmp_path, capsys, kind, params, command):
+    # each of these passed validate and then crashed the run, or crashed
+    # validate itself, with a traceback and exit code 1
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"kind: {kind}\nseed: 0\nparams: {params}\n")
+    args = ["--config", str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main([command, *args]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_fills_in_read_defaults():
+    cfg = validate_config({"kind": "portfolio", "params": {"n_cells": "8", "shifts": [1]}})
+    assert cfg["params"]["n_cells"] == 8
+    assert cfg["params"]["shifts"] == [1.0]
+    assert cfg["params"]["T"] == 0.5
 
 
 def test_validate_accepts_good_config(tmp_path):

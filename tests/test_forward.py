@@ -25,7 +25,7 @@ def zero_bundle(tgrid):
     return PathBundle(
         grid=tgrid,
         brownian_increments=np.zeros(tgrid.n_steps),
-        jump_events=tuple(() for _ in range(tgrid.n_steps)),
+        jump_counts=np.zeros((0, tgrid.n_steps), dtype=np.int64),
         seed=0,
         path_index=0,
     )
@@ -271,10 +271,10 @@ def test_jump_coefficient_paths_stay_finite_and_compensated():
     assert np.all(np.isfinite(f.values))
 
 
-@pytest.mark.parametrize("case", ["chaos jumps on another LevySpec", "event mark not an atom"])
+@pytest.mark.parametrize("case", ["chaos jumps on another LevySpec", "counts do not fit levy"])
 def test_single_path_solve_rejects_mixed_noise_models(case):
     # psi would be added at the bundle's marks and compensated with another
-    # measure's rates, or a jump would be lost in the per-atom counts
+    # measure's rates, or counts of two atoms would be read as one
     grid = SpatialGrid(0.0, 1.0, 8)
     tgrid = TimeGrid(0.0, 0.5, 20)
     coeffs = CoefficientSet(
@@ -285,14 +285,14 @@ def test_single_path_solve_rejects_mixed_noise_models(case):
     )
     chaos_levy = LevySpec(atoms=((0.5, 3.0),))
     chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, psi=lambda t, mark: mark, levy=chaos_levy)
-    if case == "chaos jumps on another LevySpec":
-        b = sample_bundle(tgrid, LevySpec(atoms=((1.0, 1.0),)), 0, 0)
-    else:
-        events = [()] * tgrid.n_steps
-        events[3] = (0.5, 0.7)
-        b = PathBundle(grid=tgrid, brownian_increments=np.zeros(tgrid.n_steps),
-                       jump_events=tuple(events), seed=0, path_index=0, levy=chaos_levy)
     with pytest.raises(ModelMismatch):
+        if case == "chaos jumps on another LevySpec":
+            b = sample_bundle(tgrid, LevySpec(atoms=((1.0, 1.0),)), 0, 0)
+        else:
+            # counts of the atoms 0.5 and 0.7 for a bundle on the one atom 0.5
+            b = PathBundle(grid=tgrid, brownian_increments=np.zeros(tgrid.n_steps),
+                           jump_counts=np.zeros((2, tgrid.n_steps), dtype=np.int64),
+                           seed=0, path_index=0, levy=chaos_levy)
         solve_forward(coeffs, heat_op(), null_control(), 0.0, b, grid, chaos=chaos)
 
 

@@ -174,6 +174,35 @@ def test_gateaux_zero_direction_is_exactly_zero():
     assert est.mean == 0.0
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    b0=st.floats(-1.0, 1.0),
+    window=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
+    shift=st.floats(-0.5, 0.5),
+    a_step=st.floats(1e-4, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_gateaux_antisymmetric_in_direction(b0, window, shift, a_step, seed):
+    # perturbing along -beta0 by +a is perturbing along beta0 by -a, so the
+    # central difference changes sign exactly and its spread does not change
+    market, spec, coeffs, op, perf = bench()
+    pol = pf.shifted_policy(pf.optimal_policy(market, spec), shift)
+    tg = TimeGrid(0.0, 0.3, 20)
+    lo, hi = sorted(window)
+
+    def along(sign):
+        rule = lambda k, t, x, z, hist: sign * b0 * (lo <= t < hi)
+        return PerturbationDirection(beta0=ControlPolicy(rule=rule), K_bound=1.0)
+
+    est = [
+        gateaux_derivative(coeffs, op, pol, along(sign), perf, spec, 0.5, market.D, tg,
+                           a_step=a_step, n_paths=32, seed=seed)
+        for sign in (1.0, -1.0)
+    ]
+    assert est[1].mean == -est[0].mean
+    assert est[1].stderr == est[0].stderr
+
+
 def test_gateaux_negative_away_from_optimum():
     market, spec, coeffs, op, perf = bench()
     pol = pf.optimal_policy(market, spec)

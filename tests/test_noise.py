@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from spdecontrol.errors import ModelMismatch
 from spdecontrol.noise import (
     LevySpec,
+    PathBundle,
     TimeGrid,
     brownian_increment_matrix,
     brownian_value,
@@ -43,7 +45,7 @@ def test_bundle_reproducible_and_channel_independent():
     b1 = sample_bundle(grid, levy, seed=7, path_index=2)
     b2 = sample_bundle(grid, levy, seed=7, path_index=2)
     assert np.array_equal(b1.brownian_increments, b2.brownian_increments)
-    assert b1.jump_events == b2.jump_events
+    assert np.array_equal(b1.jump_counts, b2.jump_counts)
     other_channel = sample_bundle(grid, levy, seed=7, path_index=2, channel=1)
     assert not np.array_equal(b1.brownian_increments, other_channel.brownian_increments)
 
@@ -57,13 +59,27 @@ def test_increment_matrix_rows_match_bundles_in_any_order():
 
 
 def test_jump_counts_match_bundle_events():
+    # a bundle's counts are its path's rows of the ensemble's count matrices
     grid = TimeGrid(0.0, 2.0, 40)
     levy = LevySpec(atoms=((0.5, 2.0), (-1.0, 1.0)))
-    counts = jump_count_matrices(grid, levy, seed=3, path_indices=[1])
-    b = sample_bundle(grid, levy, seed=3, path_index=1)
-    for k in range(grid.n_steps):
-        assert b.jump_events[k].count(0.5) == counts[0][0, k]
-        assert b.jump_events[k].count(-1.0) == counts[1][0, k]
+    counts = jump_count_matrices(grid, levy, seed=3, path_indices=[4, 1, 0])
+    for i, p in enumerate([4, 1, 0]):
+        b = sample_bundle(grid, levy, seed=3, path_index=p)
+        assert b.jump_counts.dtype == np.int64
+        assert np.array_equal(b.jump_counts, np.stack([c[i] for c in counts]))
+    assert sample_bundle(grid, LevySpec(), seed=3, path_index=1).jump_counts.shape == (0, 40)
+
+
+@pytest.mark.parametrize(
+    "db_shape, counts_shape", [((40,), (1, 40)), ((40,), (2, 39)), ((40,), (80,)), ((39,), (2, 40))]
+)
+def test_bundle_rejects_noise_that_does_not_fit_grid_and_levy(db_shape, counts_shape):
+    grid = TimeGrid(0.0, 2.0, 40)
+    levy = LevySpec(atoms=((0.5, 2.0), (-1.0, 1.0)))
+    with pytest.raises(ModelMismatch):
+        PathBundle(grid=grid, brownian_increments=np.zeros(db_shape),
+                   jump_counts=np.zeros(counts_shape, dtype=np.int64), seed=0, path_index=0,
+                   levy=levy)
 
 
 def test_brownian_increment_moments():
@@ -101,6 +117,19 @@ def test_compensated_jump_sum_is_centered():
     m = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(m) <= 3 * se
+
+
+def test_compensated_jump_sum_counts_each_event_at_its_step():
+    grid = TimeGrid(0.0, 1.0, 4)
+    levy = LevySpec(atoms=((2.0, 3.0), (-1.0, 0.5)))
+    counts = np.array([[1, 0, 2, 0], [0, 1, 0, 0]])
+    b = PathBundle(grid=grid, brownian_increments=np.zeros(4), jump_counts=counts,
+                   seed=0, path_index=0, levy=levy)
+    # events 3 * 2.0 - 1.0, compensator (2.0 * 3.0 - 1.0 * 0.5) * T
+    assert compensated_jump_sum(b) == pytest.approx(5.0 - 5.5)
+    # psi(t, z) = t z: events at t = 0, 0.5, 0.5 (mark 2) and 0.25 (mark -1)
+    comp = (2.0 * 3.0 - 1.0 * 0.5) * 0.25 * (0.0 + 0.25 + 0.5 + 0.75)
+    assert compensated_jump_sum(b, lambda t, z: t * z) == pytest.approx(2.0 - 0.25 - comp)
 
 
 def test_compensated_jump_sum_no_atoms_is_zero():

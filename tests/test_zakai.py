@@ -10,9 +10,18 @@ from spdecontrol.errors import (
     BoundaryViolation,
     DegenerateCurvature,
     MassCollapse,
+    ModelMismatch,
 )
 from spdecontrol.forward import AssembledOperator, SpatialGrid
-from spdecontrol.noise import LevySpec, TimeGrid, _rng, brownian_increment_matrix, sample_bundle
+from spdecontrol.maxprinciple import PerformanceEstimate
+from spdecontrol.noise import (
+    LevySpec,
+    TimeGrid,
+    _rng,
+    brownian_increment_matrix,
+    jump_count_matrices,
+    sample_bundle,
+)
 
 
 def linear_model(a=-0.5, b=0.4, c=1.0, m0=0.0, P0=0.04):
@@ -88,6 +97,100 @@ def test_linear_signal_moments_match_ode():
     se = np.std(xs, ddof=1) / math.sqrt(len(xs))
     assert abs(np.mean(xs) - mean_exact) <= 3.5 * se
     assert np.var(xs) == pytest.approx(var_exact, rel=0.15)
+
+
+def jump_model(a, b, g, levy):
+    return zk.SignalModel(
+        alpha=lambda x, r, u: a * x,
+        beta=lambda x, r, u: b * (1.0 + 0.1 * r),
+        h_obs=lambda x: x,
+        F_init=linear_model().F_init,
+        gamma=lambda x, r, u, mark: g * mark * (1.0 + 0.5 * x),
+        levy=levy,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(0.0, 1.0),
+    g=st.floats(-1.0, 1.0),
+    atoms=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 5.0)), min_size=1, max_size=2),
+    n_paths=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_block_simulation_rows_equal_single_path_simulations(a, b, g, atoms, n_paths, seed):
+    levy = LevySpec(atoms=tuple(atoms))
+    model = jump_model(a, b, g, levy)
+    tg = TimeGrid(0.0, 0.5, 20)
+    x0s = np.linspace(-0.5, 0.5, n_paths)
+    paths = range(n_paths)
+    dv = brownian_increment_matrix(tg, seed, paths, 0)
+    dw = brownian_increment_matrix(tg, seed, paths, 1)
+    counts = jump_count_matrices(tg, levy, seed, paths, 0)
+    X, dR = zk._euler_maruyama(model, None, 0.0, tg, x0s, dv.T, dw.T, [n.T for n in counts])
+    for p in paths:
+        bv = sample_bundle(tg, levy, seed, p, channel=0)
+        bw = sample_bundle(tg, LevySpec(), seed, p, channel=1)
+        X1, obs = zk.simulate_signal_observation(model, None, 0.0, bv, bw, x0s[p])
+        assert np.array_equal(X[:, p], X1)
+        assert np.array_equal(dR[:, p], obs.increments)
+
+
+@pytest.mark.parametrize("bundle_atoms", [(), ((1.0, 1.0),)])
+def test_signal_simulation_rejects_bundle_on_another_levy_spec(bundle_atoms):
+    # the bundle's events would be added by gamma and compensated with
+    # model.levy's rates: E[X_T] read -1.5 (no atoms) and -0.5 instead of 0
+    model = jump_model(0.0, 0.0, 1.0, LevySpec(atoms=((0.5, 3.0),)))
+    tg = TimeGrid(0.0, 1.0, 10)
+    bv = sample_bundle(tg, LevySpec(atoms=bundle_atoms), 0, 0, channel=0)
+    bw = sample_bundle(tg, LevySpec(), 0, 0, channel=1)
+    with pytest.raises(ModelMismatch):
+        zk.simulate_signal_observation(model, None, 0.0, bv, bw, 0.0)
+    # without a jump coefficient the bundle's jumps are not read
+    no_gamma = zk.SignalModel(model.alpha, model.beta, model.h_obs, model.F_init, levy=model.levy)
+    X, _ = zk.simulate_signal_observation(no_gamma, None, 0.0, bv, bw, 0.0)
+    assert np.all(X == 0.0)
+
+
+def direct_performance_loop(model, f, g, sgrid, tgrid, n_paths, seed, channel=11):
+    """direct_performance one path at a time, as a reference for the sweep."""
+    x0s = zk.sample_initial_states(model, sgrid, n_paths, seed, channel=channel + 2)
+    samples = np.empty(n_paths)
+    for p in range(n_paths):
+        bv = sample_bundle(tgrid, model.levy, seed, p, channel)
+        bw = sample_bundle(tgrid, LevySpec(), seed, p, channel + 1)
+        X, _ = zk.simulate_signal_observation(model, None, 0.0, bv, bw, x0s[p])
+        acc = 0.0
+        if f is not None:
+            for k in range(tgrid.n_steps):
+                acc += tgrid.dt * float(f(tgrid.time(k), X[k]))
+        samples[p] = acc + float(g(X[-1]))
+    return samples
+
+
+@pytest.mark.parametrize("jumps", [False, True])
+def test_direct_performance_matches_per_path_loop(jumps):
+    levy = LevySpec(atoms=((0.5, 3.0), (-0.2, 1.0)))
+    model = jump_model(-0.5, 0.4, 0.3, levy) if jumps else linear_model()
+    f = lambda t, x: t * x
+    g = lambda x: x**2
+    tg = TimeGrid(0.0, 0.5, 25)
+    est = zk.direct_performance(model, None, f, g, 0.0, SGRID, tg, 50, 4)
+    ref = PerformanceEstimate.from_samples(
+        direct_performance_loop(model, f, g, SGRID, tg, 50, 4)
+    )
+    assert (est.mean, est.stderr, est.n_paths) == (ref.mean, ref.stderr, ref.n_paths)
+
+
+def test_direct_performance_compensates_signal_jumps():
+    # X_T = x0 + compensated jumps, so E[X_T] = E[x0] = 0
+    base = linear_model(a=0.0, b=0.0)
+    model = zk.SignalModel(base.alpha, base.beta, base.h_obs, base.F_init,
+                           gamma=lambda x, r, u, mark: mark, levy=LevySpec(atoms=((0.5, 3.0),)))
+    est = zk.direct_performance(model, None, None, lambda x: x, 0.0, SGRID,
+                                TimeGrid(0.0, 1.0, 50), 2000, 3)
+    assert abs(est.mean) <= 3 * est.stderr
 
 
 def test_girsanov_trivial_and_martingale():
