@@ -14,10 +14,10 @@ from spdecontrol.forward import ControlPolicy
 from spdecontrol.maxprinciple import (
     PerturbationDirection,
     gateaux_derivative,
-    reduced_adjoint_solve,
+    reduced_adjoint_block,
     verify_x_independent_stationarity,
 )
-from spdecontrol.noise import LevySpec, TimeGrid, sample_bundle
+from spdecontrol.noise import TimeGrid, brownian_increment_matrix
 
 market, utility, spec = pf.benchmark_market(16)
 coeffs, op = pf.wealth_dynamics(market)
@@ -47,11 +47,9 @@ for w in report["windows"]:
 print(f"  max |t| = {report['max_abs_tstat']:.2f}, passed = {report['passed']}")
 
 print("\nreduced adjoint p(T)/p(0) over 4000 paths (martingale => mean 1):")
-ratios = np.empty(4000)
 tg = TimeGrid(0.0, 0.5, 50)
-for p in range(4000):
-    b = sample_bundle(tg, LevySpec(), 11, p)
-    path = reduced_adjoint_solve(market.a0, market.b0, pol, 1.0, b, z, chaos=spec)
-    ratios[p] = path.values[-1] / path.p0
+db = brownian_increment_matrix(tg, 11, range(4000))
+block = reduced_adjoint_block(market.a0, market.b0, pol, 1.0, tg, db, z, chaos=spec)
+ratios = block.values[:, -1] / block.p0
 se = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
 print(f"  mean = {np.mean(ratios):.4f} +- {se:.4f}")

@@ -12,7 +12,6 @@ the state and in the compensated insider mean m(t) (advance_mean) alike.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,13 +104,12 @@ class CoefficientSet:
 class PathHistory:
     """What a control rule may look at: time and the compensated insider mean.
 
-    m is an (n_paths,) array in forward sweeps, one entry per path of the
-    block (a single-path solve is a block of one), and a scalar in the
-    scalar per-path routines (reduced adjoint, martingale check, Zakai).
+    m is an (n_paths,) array, one entry per path of the block the rule is
+    evaluated for; a single path is a block of one.
     """
 
     t: float
-    m: object = 0.0
+    m: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,8 @@ class ControlPolicy:
             val = self.rule(k, t, xs, z, hist)
         val = np.asarray(val, dtype=float)
         lo, hi = self.bounds
-        if np.any(val < lo - 1e-12) or np.any(val > hi + 1e-12):
+        # an infinite bound admits every value, so only finite ones are checked
+        if (lo > -np.inf and np.any(val < lo - 1e-12)) or (hi < np.inf and np.any(val > hi + 1e-12)):
             raise ValueError("control rule produced a value outside U")
         return val
 
@@ -148,14 +147,20 @@ class StateField:
     values: np.ndarray  # (n_steps + 1, n_nodes)
 
     def to_csv(self, path):
-        ts = self.tgrid.times()
-        xs = self.grid.nodes()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "value"])
-            for k, t in enumerate(ts):
-                for i, x in enumerate(xs):
-                    w.writerow([repr(float(t)), repr(float(x)), repr(float(self.values[k, i]))])
+        _write_node_csv(path, ["t", "x", "value"], self.tgrid.times(), self.grid.nodes(), self.values)
+
+
+def _write_node_csv(path, header, times, xs, *fields):
+    """One CSV row per (t_k, x_i) node: t, x and field[k, i] of each
+    (n_times, n_nodes) field, every number as the repr of a Python float,
+    in csv.writer's format: comma separated, CRLF line ends."""
+    x_txt = [repr(x) for x in xs.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for k, t in enumerate(times.tolist()):
+            t_txt = repr(t)
+            cols = zip(x_txt, *(map(repr, f[k].tolist()) for f in fields))
+            fh.write("".join(f"{t_txt},{','.join(row)}\r\n" for row in cols))
 
 
 class AssembledOperator:

@@ -24,6 +24,7 @@ from .forward import (
     PathHistory,
     SpatialGrid,
     _has_jumps,
+    _block_control,
     _sweep,
     advance_mean,
     assemble_operator,
@@ -52,6 +53,7 @@ __all__ = [
     "state_sensitivity",
     "sensitivity_residual",
     "reduced_adjoint_solve",
+    "reduced_adjoint_block",
     "verify_x_independent_stationarity",
 ]
 
@@ -83,11 +85,12 @@ class AdjointTriple:
 
 @dataclass(frozen=True)
 class ReducedAdjointPath:
-    """Per-step values of the scalar adjoint martingale along one path."""
+    """The scalar adjoint martingale at every grid time: values (n_steps + 1,)
+    and a float p0 for one path, (n_paths, n_steps + 1) and (n_paths,) for a block."""
 
     times: np.ndarray
     values: np.ndarray
-    p0: float
+    p0: object
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,16 @@ def estimate_j(
     return (est, samples) if return_samples else est
 
 
+def _clamp(u0, b0, bounds, K):
+    """Distance-to-boundary clamp delta of a direction b0 bounded by K at the
+    control u0, so that u0 + a * delta * b0 stays in U for every |a| < 1."""
+    if np.any(np.abs(b0) > K + 1e-12):
+        raise StepTooLarge("direction exceeds its stated bound")
+    lo, hi = bounds
+    dist = np.minimum(u0 - lo, hi - u0)
+    return np.minimum(dist / (2.0 * K), 1.0)
+
+
 def perturbed_policy(base: ControlPolicy, direction: PerturbationDirection, a: float) -> ControlPolicy:
     """Admissible perturbation u + a * delta * beta0 of a base policy.
 
@@ -312,16 +325,11 @@ def perturbed_policy(base: ControlPolicy, direction: PerturbationDirection, a: f
     """
     if abs(a) >= 1.0:
         raise StepTooLarge(f"perturbation size {a} outside (-1, 1)")
-    lo, hi = base.bounds
-    K = direction.K_bound
 
     def rule(k, t, x, z, hist):
         u0 = np.asarray(base.rule(k, t, x, z, hist), dtype=float)
         b0 = np.asarray(direction.beta0.rule(k, t, x, z, hist), dtype=float)
-        if np.any(np.abs(b0) > K + 1e-12):
-            raise StepTooLarge("direction exceeds its stated bound")
-        dist = np.minimum(u0 - lo, hi - u0)
-        delta = np.minimum(dist / (2.0 * K), 1.0)
+        delta = _clamp(u0, b0, base.bounds, direction.K_bound)
         return u0 + a * delta * b0
 
     return ControlPolicy(rule=rule, mode=base.mode, bounds=base.bounds)
@@ -415,18 +423,19 @@ def sensitivity_residual(
     tgrid = bundle.grid
     xs = grid.nodes()
     dt = tgrid.dt
-    m = 0.0
-    lo, hi = control.bounds
+    db = bundle.brownian_increments[None]
+    # the direction's rule sees the x the base control's rule sees, unchecked
+    # against U, as in perturbed_policy
+    beta0 = ControlPolicy(rule=direction.beta0.rule, mode=control.mode)
+    m = np.zeros(1)
     worst = 0.0
     A = assemble_operator(op, grid, tgrid.t_start, 0.0, z)
     for k in range(tgrid.n_steps):
         t = tgrid.time(k)
-        hist = PathHistory(t=t, m=m)
-        y = base_field.values[k]
-        u0 = np.asarray(control.values(k, t, xs, z, hist), dtype=float)
-        b0 = np.asarray(direction.beta0.rule(k, t, None if control.mode == "x-independent" else xs, z, hist), dtype=float)
-        dist = np.minimum(u0 - lo, hi - u0)
-        beta_eff = np.minimum(dist / (2.0 * direction.K_bound), 1.0) * b0
+        y = base_field.values[k][None]
+        u0 = _block_control(control, k, t, xs, z, m)
+        b0 = _block_control(beta0, k, t, xs, z, m)
+        beta_eff = _clamp(u0, b0, control.bounds, direction.K_bound) * b0
 
         a_y = _partial(lambda *g: coeffs.a(*g), (t, xs, y, u0, z), 2)
         a_u = _partial(lambda *g: coeffs.a(*g), (t, xs, y, u0, z), 3)
@@ -434,57 +443,64 @@ def sensitivity_residual(
         b_u = _partial(lambda *g: coeffs.b(*g), (t, xs, y, u0, z), 3)
 
         pred = chi[k] + dt * (a_y * chi[k] + a_u * beta_eff) \
-            + (b_y * chi[k] + b_u * beta_eff) * bundle.brownian_increments[k]
+            + (b_y * chi[k] + b_u * beta_eff) * db[:, k, None]
         lhs = chi[k + 1] - dt * A.apply(chi[k + 1])
         defect = lhs - pred
-        worst = max(worst, float(np.max(np.abs(defect[1:-1]))))
-        m = advance_mean(chaos, m, t, dt, bundle.brownian_increments[k])
+        worst = max(worst, float(np.max(np.abs(defect[:, 1:-1]))))
+        m = advance_mean(chaos, m, t, dt, db[:, k])
     return worst
 
 
-def reduced_adjoint_solve(
-    a0,
-    b0,
-    pi,
-    terminal: float,
-    bundle: PathBundle,
-    z,
-    *,
-    chaos=None,
-    method: str = "exact",
-) -> ReducedAdjointPath:
-    """Scalar adjoint martingale along one path.
-
-    The process is the stochastic exponential of (b0 pi - a0/b0) dB; its
-    initial value is fixed by matching the supplied terminal value.
-    pi may be a ControlPolicy or a plain callable (t, z) -> value.  The
-    insider variable, if given, must be Gaussian.
-    """
-    _require_brownian(chaos, "reduced_adjoint_solve")
-    tgrid = bundle.grid
-    dt = tgrid.dt
-    n = tgrid.n_steps
-    theta = np.empty(n)
-    db = bundle.brownian_increments
-    m = 0.0
-    for k in range(n):
+def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
+    """The reduced adjoint's one step loop: theta = b0 pi - a0/b0 (n_paths,
+    n_steps) on the block with Brownian increments db, and the insider mean
+    at the horizon.  pi is evaluated once per step for the whole block."""
+    _require_brownian(chaos, "the reduced adjoint")
+    db = np.asarray(db, dtype=float)
+    if db.ndim != 2 or db.shape[1] != tgrid.n_steps:
+        raise ModelMismatch(f"Brownian increments of shape {db.shape} for a {tgrid.n_steps}-step grid")
+    if callable(pi):
+        pi = ControlPolicy(rule=lambda k, t, x, z_, hist, f=pi: f(t, z_))
+    vol, shift = [], []
+    u = np.empty((tgrid.n_steps, len(db)))
+    m = np.zeros(len(db))
+    for k in range(tgrid.n_steps):
         t = tgrid.time(k)
-        vol = b0(t, z)
-        if abs(vol) < _EPS_VOL:
+        vol.append(b0(t, z))
+        if abs(vol[k]) < _EPS_VOL:
             raise DegenerateVolatility(f"|b0({t}, {z})| below {_EPS_VOL}")
-        pk = pi.values(k, t, None, z, PathHistory(t=t, m=m)) if isinstance(pi, ControlPolicy) else pi(t, z)
-        theta[k] = vol * float(np.asarray(pk)) - a0(t, z) / vol
-        m = advance_mean(chaos, m, t, dt, db[k])
+        shift.append(a0(t, z) / vol[k])
+        u[k] = pi.values(k, t, None, z, PathHistory(t=t, m=m))
+        m = advance_mean(chaos, m, t, tgrid.dt, db[:, k])
+    return (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T, m
 
-    if method == "exact":
-        expo = np.concatenate(([0.0], np.cumsum(theta * db - 0.5 * theta**2 * dt)))
-        raw = np.exp(expo)
-    elif method == "euler":
-        raw = np.concatenate(([1.0], np.cumprod(1.0 + theta * db)))
-    else:
+
+def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *,
+                          chaos=None, method: str = "exact") -> ReducedAdjointPath:
+    """Scalar adjoint martingale along each path of a block: the stochastic
+    exponential of (b0 pi - a0/b0) dB on the Brownian increments db (n_paths,
+    n_steps) of brownian_increment_matrix, scaled to the supplied terminal
+    value.  pi is an x-independent ControlPolicy or a plain callable
+    (t, z) -> value.  The insider variable, if given, must be Gaussian.
+    """
+    if method not in ("exact", "euler"):
         raise ValueError(f"unknown method {method!r}")
-    p0 = terminal / raw[-1]
-    return ReducedAdjointPath(times=tgrid.times(), values=p0 * raw, p0=p0)
+    theta, _ = _adjoint_integrand(a0, b0, pi, tgrid, db, z, chaos)
+    start = np.zeros((len(db), 1))
+    if method == "exact":
+        raw = np.exp(np.hstack((start, np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1))))
+    else:
+        raw = np.hstack((start + 1.0, np.cumprod(1.0 + theta * db, axis=1)))
+    p0 = terminal / raw[:, -1]
+    return ReducedAdjointPath(times=tgrid.times(), values=p0[:, None] * raw, p0=p0)
+
+
+def reduced_adjoint_solve(a0, b0, pi, terminal: float, bundle: PathBundle, z, *,
+                          chaos=None, method: str = "exact") -> ReducedAdjointPath:
+    """reduced_adjoint_block on one bundle's increments, a block of one."""
+    block = reduced_adjoint_block(a0, b0, pi, terminal, bundle.grid, bundle.brownian_increments[None],
+                                  z, chaos=chaos, method=method)
+    return ReducedAdjointPath(times=block.times, values=block.values[0], p0=float(block.p0[0]))
 
 
 def verify_x_independent_stationarity(

@@ -17,16 +17,9 @@ import numpy as np
 from . import donsker
 from .donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
 from .errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
-from .forward import (
-    CoefficientSet,
-    ControlPolicy,
-    OperatorSpec,
-    PathHistory,
-    SpatialGrid,
-    advance_mean,
-)
-from .maxprinciple import PerformanceEstimate, PerformanceSpec, run_ensemble
-from .noise import PathBundle, TimeGrid
+from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid
+from .maxprinciple import PerformanceEstimate, PerformanceSpec, _adjoint_integrand, run_ensemble
+from .noise import TimeGrid
 
 __all__ = [
     "MarketSpec",
@@ -231,12 +224,8 @@ def run_portfolio_experiment(
         yt = res.y_terminal[accepted]
         util = grid.dx * np.sum(kw[1:-1] * np.log(yt[:, 1:-1]), axis=1)
         samples = res.w_terminal[accepted] * util
-        n_acc = len(samples)
-        est = PerformanceEstimate(
-            mean=float(np.mean(samples)),
-            stderr=float(np.std(samples, ddof=1) / math.sqrt(n_acc)) if n_acc > 1 else math.inf,
-            n_paths=max(n_acc, 2),
-        )
+        est = PerformanceEstimate.from_samples(samples) if len(samples) > 1 \
+            else PerformanceEstimate(float(samples[0]), math.inf, 2)
         full = None
         if keep_samples:
             full = np.full(n_paths, math.nan)
@@ -262,36 +251,29 @@ def martingale_match_check(
     spec: FirstOrderChaosSpec,
     z,
     control: ControlPolicy,
-    bundle: PathBundle,
-) -> float:
-    """Relative defect of the terminal martingale identity on one path.
+    tgrid: TimeGrid,
+    db,
+) -> np.ndarray:
+    """Relative defect of the terminal martingale identity on each path of
+    the block with Brownian increments db (n_paths, n_steps).
 
     Left side: total utility weight times the conditional density at the
     horizon.  Right side: the same quantity at time zero propagated by the
-    stochastic exponential of (b0 pi - a0/b0) dB.  The two sides are computed
-    from independent discretizations; at the optimal control the defect is
+    stochastic exponential of (b0 pi - a0/b0) dB, whose integrand comes from
+    the reduced adjoint's step loop.  The two sides are computed from
+    independent discretizations; at the optimal control the defect is
     O(sqrt(dt)).
     """
     if not spec.is_gaussian:
         raise ModelMismatch("martingale check requires a Gaussian specification")
-    tgrid = bundle.grid
-    dt = tgrid.dt
     K_total = utility.k_total(market.D, z)
+    theta, m = _adjoint_integrand(market.a0, market.vol, control, tgrid, db, z, spec)
+    # summed step by step, as the adjoint's exact method sums it
+    expo = np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1)[:, -1]
 
-    m = 0.0
-    expo = 0.0
-    for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
-        pik = float(np.asarray(control.values(k, t, None, z, PathHistory(t=t, m=m))))
-        vol = market.vol(t, z)
-        theta = vol * pik - market.a0(t, z) / vol
-        expo += theta * bundle.brownian_increments[k] - 0.5 * theta**2 * dt
-        m = advance_mean(spec, m, t, dt, bundle.brownian_increments[k])
-
-    T = tgrid.t_end
-    lhs = K_total * donsker.gaussian_weight(spec, z, T, m)
-    rhs = K_total * donsker.gaussian_weight(spec, z, tgrid.t_start, 0.0) * math.exp(expo)
-    return abs(lhs - rhs) / (abs(lhs) + 1e-300)
+    lhs = K_total * donsker.gaussian_weight(spec, z, tgrid.t_end, m)
+    rhs = K_total * donsker.gaussian_weight(spec, z, tgrid.t_start, 0.0) * np.exp(expo)
+    return np.abs(lhs - rhs) / (np.abs(lhs) + 1e-300)
 
 
 def benchmark_market(n_cells: int = 32):

@@ -11,7 +11,6 @@ visible as boundary-node mass.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .errors import (
     ModelMismatch,
     WeightDegeneracy,
 )
-from .forward import AssembledOperator, ControlPolicy, PathHistory, SpatialGrid
+from .forward import AssembledOperator, ControlPolicy, PathHistory, SpatialGrid, _write_node_csv
 from .maxprinciple import PerformanceEstimate
 from .noise import (
     LevySpec,
@@ -177,7 +176,8 @@ def sample_initial_states(
 def _control_value(control, k, t, z):
     if control is None:
         return 0.0
-    return float(np.asarray(control.values(k, t, None, z, PathHistory(t=t, m=0.0))))
+    u = control.values(k, t, None, z, PathHistory(t=t, m=np.zeros(1)))
+    return float(np.broadcast_to(u, (1,))[0])
 
 
 def _euler_maruyama(model: SignalModel, control, z, tgrid: TimeGrid, x0, dv, dw, counts):
@@ -539,13 +539,9 @@ def feedback_pi(
 
 def filter_snapshots_csv(solution: ZakaiSolution, path):
     """Per-(t,x) CSV of the unnormalized and normalized filter densities."""
-    xs = solution.grid.nodes()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "unnormalized", "normalized"])
-        for k, t in enumerate(solution.tgrid.times()):
-            row = solution.values[k]
-            mass = solution.grid.dx * float(np.sum(row))
-            for i, x in enumerate(xs):
-                norm = row[i] / mass if mass > _EPS_MASS else math.nan
-                w.writerow([repr(float(t)), repr(float(x)), repr(float(row[i])), repr(float(norm))])
+    values = solution.values
+    mass = solution.grid.dx * np.sum(values, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = np.where(mass > _EPS_MASS, values / mass, math.nan)
+    _write_node_csv(path, ["t", "x", "unnormalized", "normalized"],
+                    solution.tgrid.times(), solution.grid.nodes(), values, normalized)

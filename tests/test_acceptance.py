@@ -25,6 +25,7 @@ from spdecontrol.forward import ControlPolicy, SpatialGrid
 from spdecontrol.maxprinciple import (
     PerturbationDirection,
     gateaux_derivative,
+    reduced_adjoint_block,
     reduced_adjoint_solve,
     verify_x_independent_stationarity,
 )
@@ -190,13 +191,19 @@ def test_criterion_07_reduced_adjoint_martingale():
     pol = pf.optimal_policy(market, spec)
     tgrid = TimeGrid(0.0, 0.5, 50)
     n = 10**4
-    ratios = np.empty(n)
-    for p in range(n):
+    db = brownian_increment_matrix(tgrid, 11, range(n))
+    block = reduced_adjoint_block(
+        market.a0, market.b0, pol, 1.0, tgrid, db, 0.5, chaos=spec, method="exact"
+    )
+    ratios = block.values[:, -1] / block.p0
+    # a single-path solve is row p of the block, bit for bit
+    for p in range(64):
         b = sample_bundle(tgrid, LevySpec(), 11, p)
         path = reduced_adjoint_solve(
             market.a0, market.b0, pol, 1.0, b, 0.5, chaos=spec, method="exact"
         )
-        ratios[p] = path.values[-1] / path.p0
+        assert path.p0 == block.p0[p]
+        assert np.array_equal(path.values, block.values[p])
     se = float(np.std(ratios, ddof=1) / math.sqrt(n))
     assert abs(float(np.mean(ratios)) - 1.0) <= 3 * se
     _report(

@@ -354,7 +354,7 @@ def test_weak_residual_requires_vanishing_test_function():
 def test_control_policy_bounds_enforced():
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: 2.0, bounds=(-1.0, 1.0))
     with pytest.raises(ValueError):
-        pol.values(0, 0.0, None, 0.0, PathHistory(t=0.0))
+        pol.values(0, 0.0, None, 0.0, PathHistory(t=0.0, m=np.zeros(1)))
 
 
 def test_state_field_csv_roundtrip(tmp_path):

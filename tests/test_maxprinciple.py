@@ -30,13 +30,14 @@ from spdecontrol.maxprinciple import (
     gateaux_derivative,
     hamiltonian,
     perturbed_policy,
+    reduced_adjoint_block,
     reduced_adjoint_solve,
     run_ensemble,
     sensitivity_residual,
     state_sensitivity,
     verify_x_independent_stationarity,
 )
-from spdecontrol.noise import LevySpec, TimeGrid, sample_bundle
+from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix, sample_bundle
 
 
 GRID = SpatialGrid(0.0, 1.0, 32)
@@ -263,6 +264,54 @@ def test_sensitivity_residual_shrinks_quadratically_in_step():
     # central differences: defect drops by ~4x per halving of the step
     assert 3.0 <= res[0] / res[1] <= 5.0
     assert 3.0 <= res[1] / res[2] <= 5.0
+
+
+def test_sensitivity_residual_rejects_direction_beyond_its_bound():
+    # the residual applies perturbed_policy's clamp, bound check included
+    tg = TimeGrid(0.0, 0.1, 5)
+    b = sample_bundle(tg, LevySpec(), 2, 0)
+    pol = const_policy(0.3)
+    base = solve_forward(COEFFS, OP, pol, 0.0, b, GRID)
+    chi = np.zeros_like(base.values)
+    with pytest.raises(StepTooLarge):
+        sensitivity_residual(chi, base, COEFFS, OP, pol, direction(2.0, K=1.0), 0.0, b, GRID)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    method=st.sampled_from(["exact", "euler"]),
+    policy=st.booleans(),
+    n_paths=st.integers(1, 6),
+    n_steps=st.integers(1, 12),
+    terminal=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),
+    seed=st.integers(0, 2**16),
+)
+def test_reduced_adjoint_block_rows_equal_single_path_calls(method, policy, n_paths, n_steps,
+                                                            terminal, seed):
+    market, _, spec = pf.benchmark_market(8)
+    pi = pf.optimal_policy(market, spec) if policy else (lambda t, z: 0.2 + t)
+    tg = TimeGrid(0.0, 0.4, n_steps)
+    block = reduced_adjoint_block(
+        market.a0, market.b0, pi, terminal, tg, brownian_increment_matrix(tg, seed, range(n_paths)),
+        0.5, chaos=spec, method=method,
+    )
+    assert block.values.shape == (n_paths, n_steps + 1)
+    assert block.p0.shape == (n_paths,)
+    for p in range(n_paths):
+        path = reduced_adjoint_solve(market.a0, market.b0, pi, terminal,
+                                     sample_bundle(tg, LevySpec(), seed, p), 0.5,
+                                     chaos=spec, method=method)
+        assert type(path.p0) is float
+        assert path.p0 == block.p0[p]
+        assert np.array_equal(path.values, block.values[p])
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (3, 11), (10,)])
+def test_reduced_adjoint_block_rejects_increments_off_the_grid(shape):
+    tg = TimeGrid(0.0, 0.5, 10)
+    with pytest.raises(ModelMismatch):
+        reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.3, 1.0, tg,
+                              np.zeros(shape), 0.0)
 
 
 def test_reduced_adjoint_constant_when_integrand_vanishes():

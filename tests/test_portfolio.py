@@ -7,7 +7,7 @@ from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
 from spdecontrol.errors import DegenerateVolatility, ModelMismatch
 from spdecontrol.forward import SpatialGrid
-from spdecontrol.noise import LevySpec, TimeGrid, sample_bundle
+from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix
 
 
 def test_optimal_pi_pure_information_term():
@@ -132,13 +132,10 @@ def test_martingale_match_small_at_optimum_large_off():
     market, utility, spec = pf.benchmark_market(16)
     tg = TimeGrid(0.0, 0.5, 400)
     pol = pf.optimal_policy(market, spec)
-    at, off = [], []
-    for p in range(200):
-        b = sample_bundle(tg, LevySpec(), 31, p)
-        at.append(pf.martingale_match_check(market, utility, spec, 0.5, pol, b))
-        off.append(
-            pf.martingale_match_check(market, utility, spec, 0.5, pf.shifted_policy(pol, 1.0), b)
-        )
+    db = brownian_increment_matrix(tg, 31, range(200))
+    at = pf.martingale_match_check(market, utility, spec, 0.5, pol, tg, db)
+    off = pf.martingale_match_check(market, utility, spec, 0.5, pf.shifted_policy(pol, 1.0), tg, db)
+    assert at.shape == off.shape == (200,)
     med_at = float(np.median(at))
     med_off = float(np.median(off))
     assert med_at < 3.0 * math.sqrt(tg.dt)
@@ -148,18 +145,30 @@ def test_martingale_match_small_at_optimum_large_off():
 def test_martingale_match_degenerate_horizon():
     market, utility, spec = pf.benchmark_market(16)
     tg = TimeGrid(0.0, 1e-6, 1)
-    b = sample_bundle(tg, LevySpec(), 1, 0)
+    db = brownian_increment_matrix(tg, 1, [0])
     pol = pf.optimal_policy(market, spec)
-    assert pf.martingale_match_check(market, utility, spec, 0.5, pol, b) <= 1e-6
+    assert pf.martingale_match_check(market, utility, spec, 0.5, pol, tg, db)[0] <= 1e-6
+
+
+def test_martingale_match_keeps_the_market_volatility_floor():
+    # |b0| = 1e-10 passes the adjoint's own floor but not the market's eps_vol
+    market, utility, spec = pf.benchmark_market(8)
+    market = pf.MarketSpec(a0=market.a0, b0=lambda t, z: 1e-10,
+                           alpha_init=market.alpha_init, D=market.D)
+    tg = TimeGrid(0.0, 0.2, 10)
+    db = brownian_increment_matrix(tg, 1, range(3))
+    with pytest.raises(DegenerateVolatility):
+        pf.martingale_match_check(market, utility, spec, 0.5, pf.constant_policy(0.5), tg, db)
 
 
 def test_martingale_match_rejects_jump_insider_variable():
     market, utility, _ = pf.benchmark_market(8)
     levy = LevySpec(atoms=((0.5, 2.0),))
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, psi=lambda s, mark: mark, levy=levy, T0=1.0)
-    b = sample_bundle(TimeGrid(0.0, 0.2, 10), levy, 1, 0)
+    tg = TimeGrid(0.0, 0.2, 10)
+    db = brownian_increment_matrix(tg, 1, [0])
     with pytest.raises(ModelMismatch):
-        pf.martingale_match_check(market, utility, spec, 0.5, pf.constant_policy(0.5), b)
+        pf.martingale_match_check(market, utility, spec, 0.5, pf.constant_policy(0.5), tg, db)
 
 
 def test_csv_table_format(tmp_path):
