@@ -394,7 +394,7 @@ def _run_zakai_benchmark(p, seed, out: Path):
     # the identically aggregated increments
     fine_steps = n_steps * 2 ** (levels - 1)
     tg_fine = TimeGrid(0.0, T, fine_steps)
-    x0 = zakai.sample_initial_states(model, SpatialGrid(x_lo, x_hi, n_cells), 1, seed, channel=15)[0]
+    x0 = zakai.sample_initial_states(model, SpatialGrid(x_lo, x_hi, n_cells), 1, seed, channel=15, z=0.0)[0]
     bv = sample_bundle(tg_fine, LevySpec(), seed, 0, channel=13)
     bw = sample_bundle(tg_fine, LevySpec(), seed, 0, channel=14)
     _, obs_fine = zakai.simulate_signal_observation(model, None, 0.0, bv, bw, x0)

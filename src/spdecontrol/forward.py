@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import ControlShapeMismatch, LinearSolveFailure, ModelMismatch, NonParabolic
 from .noise import LevySpec, PathBundle, TimeGrid
@@ -75,7 +75,8 @@ class OperatorSpec:
     nonlocal part, with atom weights taken from levy.  Every callable must
     broadcast u against the node array x of shape (n,): u is a scalar or an
     (n,) array for one operator, and an (n_paths, 1) or (n_paths, n) control
-    stack when one operator per path is assembled.
+    stack when one operator per path is assembled.  It acts on interior nodes
+    only, so the boundary rows of I - dt A are identity rows.
     """
 
     second_coeff: object
@@ -164,98 +165,112 @@ def _write_node_csv(path, header, times, xs, *fields):
 
 
 class AssembledOperator:
-    """Discretized operator: tridiagonal bands plus an optional dense block.
+    """Discretized operator stored as diagonals.
 
-    A single operator has bands of shape (n,) and a dense block of shape
-    (n, n); a stack of per-path operators has bands of shape (n_paths, n) and
-    a dense block of shape (n_paths, n, n).  Boundary rows are identically
-    zero; Dirichlet data is imposed by overwriting boundary nodes after each
-    implicit solve.
+    bands[j][..., i] is the coefficient of v[i + j - kl] in row i, for
+    j = 0..kl+ku; an entry whose column falls outside the grid is zero.  A
+    single operator has bands of shape (kl + ku + 1, n), a stack of per-path
+    operators (kl + ku + 1, n_paths, n).  The central-difference stencil is
+    kl = ku = 1; a nonlocal part adds diagonals.  An assembled operator has
+    zero boundary rows, so those of I - dt A are identity rows; Dirichlet
+    data is imposed by overwriting boundary nodes after each implicit solve.
     """
 
-    def __init__(self, lower, diag, upper, dense_part=None):
-        self.lower = lower  # coefficient of v[i-1] in row i
-        self.diag = diag
-        self.upper = upper  # coefficient of v[i+1] in row i
-        self.dense_part = dense_part
-        self.n = diag.shape[-1]
-
-    @property
-    def stacked(self) -> bool:
-        return self.diag.ndim == 2
+    def __init__(self, bands, kl):
+        self.bands = bands
+        self.kl = kl
+        self.ku = len(bands) - 1 - kl
 
     def apply(self, v):
         v = np.asarray(v, dtype=float)
-        out = self.diag * v
-        out[..., 1:] += self.lower[..., 1:] * v[..., :-1]
-        out[..., :-1] += self.upper[..., :-1] * v[..., 1:]
-        if self.dense_part is not None:
-            out = out + (self.dense_part @ v[..., None])[..., 0]
+        out = self.bands[self.kl] * v
+        for j, band in enumerate(self.bands):
+            if j != self.kl:
+                out += band * _shifted(v, self.kl - j)
         return out
 
     def dense(self):
-        n = self.n
-        i = np.arange(n)
-        mat = np.zeros(self.diag.shape + (n,))
-        mat[..., i, i] = self.diag
-        mat[..., i[1:], i[:-1]] = self.lower[..., 1:]
-        mat[..., i[:-1], i[1:]] = self.upper[..., :-1]
-        if self.dense_part is not None:
-            mat = mat + self.dense_part
+        n = self.bands.shape[-1]
+        mat = np.zeros(self.bands.shape[1:] + (n,))
+        for j, band in enumerate(self.bands):
+            o = j - self.kl
+            rows = np.arange(max(0, -o), min(n, n - o))
+            mat[..., rows, rows + o] = band[..., rows]
         return mat
 
-    def solve_implicit(self, dt, rhs):
-        """Solve (I - dt A) y = rhs.
+    def transposed(self) -> AssembledOperator:
+        """A^T, one or a stack: (A^T)[i, i + j - ku] = A[i + j - ku, i]."""
+        kl, ku = self.kl, self.ku
+        return AssembledOperator(
+            np.stack([_shifted(self.bands[kl + ku - j], ku - j) for j in range(kl + ku + 1)]), ku
+        )
 
-        For a single operator rhs is a vector or an (n_rhs, n) array of
-        right-hand sides, one per row.  For a stack of n_paths operators rhs
-        is (n_paths, n) and row p is solved with operator p.
+    def solve_implicit(self, dt, rhs):
+        """Solve (I - dt A) y = rhs: dgtsv for a tridiagonal A, else dgbsv.
+
+        For a single operator rhs is a vector or an (n_rhs, n) array, one
+        right-hand side per row, solved in one call.  For a stack of n_paths
+        operators rhs is (n_paths, n) and row p is solved with operator p;
+        the paths are laid end to end, _CHUNK_BYTES of band storage per call.
+        That is exact, as entries off the grid are zero and the boundary rows
+        of I - dt A are identity rows: LAPACK never pivots or eliminates
+        across paths, and each row is bit-identical to its path solved alone.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if self.stacked and rhs.shape != self.diag.shape:
-            raise ValueError(f"rhs of shape {rhs.shape} for operators of shape {self.diag.shape}")
-        try:
-            if self.dense_part is not None:
-                mat = np.eye(self.n) - dt * self.dense()
-                if self.stacked:
-                    y = np.linalg.solve(mat, rhs[..., None])[..., 0]
-                else:
-                    y = np.linalg.solve(mat, rhs.T).T
-            elif self.stacked:
-                y = _thomas(-dt * self.lower, 1.0 - dt * self.diag, -dt * self.upper, rhs)
-            else:
-                # the LAPACK routine solve_banded((1, 1), ...) calls, without
-                # that wrapper's per-call cost, which dominated one-path steps
-                *_, y, info = dgtsv(
-                    -dt * self.lower[1:], 1.0 - dt * self.diag, -dt * self.upper[:-1], rhs.T
-                )
-                if info:
-                    raise LinearSolveFailure(f"zero pivot in row {info} of a tridiagonal solve")
-                y = y.T
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveFailure(str(exc)) from exc
-        if not np.all(np.isfinite(y)):
-            raise LinearSolveFailure("implicit solve produced non-finite values")
+        n_diag, kl = len(self.bands), self.kl
+        if self.bands.ndim == 2:
+            return _band_solve(self.bands, kl, dt, rhs.T).T
+        n_paths, n = self.bands.shape[1:]
+        if rhs.shape != (n_paths, n):
+            raise ValueError(f"rhs of shape {rhs.shape} for operators of shape {(n_paths, n)}")
+        chunk = max(1, _CHUNK_BYTES // (8 * (n_diag + kl) * n))  # dgbsv stores n_diag + kl rows
+        y = np.empty_like(rhs)
+        for lo in range(0, n_paths, chunk):
+            part = self.bands[:, lo : lo + chunk].reshape(n_diag, -1)
+            y[lo : lo + chunk] = _band_solve(part, kl, dt, rhs[lo : lo + chunk].reshape(-1)).reshape(-1, n)
         return y
 
 
-def _thomas(sub, main, sup, rhs):
-    """Tridiagonal elimination without pivoting, vectorized over paths: row i
-    of system p reads
-    sub[p, i] y[p, i-1] + main[p, i] y[p, i] + sup[p, i] y[p, i+1] = rhs[p, i]."""
-    n = main.shape[1]
-    c = np.empty(main.shape)
-    d = np.empty(main.shape)
-    c_prev = d_prev = 0.0
-    for i in range(n):
-        piv = main[:, i] - sub[:, i] * c_prev
-        if np.any(piv == 0.0):
-            raise LinearSolveFailure(f"zero pivot in row {i} of a tridiagonal solve")
-        c[:, i] = c_prev = sup[:, i] / piv
-        d[:, i] = d_prev = (rhs[:, i] - sub[:, i] * d_prev) / piv
-    for i in range(n - 2, -1, -1):
-        d[:, i] -= c[:, i] * d[:, i + 1]
-    return d
+# band storage of the paths one LAPACK call solves.  Zero diagonals change no
+# column-by-column LU, but dgbsv's blocked one (ku > 64, kl >= 32) rounds by
+# the band's width; an assembled band has ku <= n - 2, so such a band takes
+# over half of this per path and is solved alone, cut to its own width
+_CHUNK_BYTES = 2**17
+
+
+def _band_solve(bands, kl, dt, b):
+    """Solve (I - dt M) y = b for M given by diagonals as in AssembledOperator
+    over len(b) rows; b is a vector or one column per right-hand side."""
+    if kl == 1 and len(bands) == 3:
+        *_, y, info = dgtsv(-dt * bands[0, 1:], 1.0 - dt * bands[1], -dt * bands[2, :-1], b)
+    else:
+        # outer diagonals zero on every row are dropped; I - dt M goes to the
+        # column-major ab[kl + ku + i - c, c] of dgbsv (kl rows of fill-in
+        # first) as buf[c + kl, 2 kl + ku - j] for entry (i, c = i + j - kl)
+        j = np.flatnonzero(np.any(bands != 0.0, axis=1) | (np.arange(len(bands)) == kl))
+        bands, kl = bands[j[0] : j[-1] + 1], kl - j[0]
+        ku, cols = len(bands) - 1 - kl, bands.shape[1]
+        buf = np.zeros((cols + kl + ku, 2 * kl + ku + 1))
+        diagonals = np.lib.stride_tricks.as_strided(
+            buf.reshape(-1)[2 * kl + ku :], bands.shape, (buf.strides[0] - 8, buf.strides[0])
+        )
+        np.multiply(bands, -dt, out=diagonals)
+        diagonals[kl] += 1.0
+        *_, y, info = dgbsv(kl, ku, buf[kl : kl + cols].T, b, overwrite_ab=1)
+    if info:
+        raise LinearSolveFailure(f"zero pivot in row {info} of a banded solve")
+    if not np.all(np.isfinite(y)):
+        raise LinearSolveFailure("implicit solve produced non-finite values")
+    return y
+
+
+def _shifted(band, o):
+    """band moved o places along its last axis, zero-filled:
+    _shifted(band, o)[..., i] = band[..., i - o]."""
+    out = np.zeros_like(band)
+    n = band.shape[-1]
+    out[..., max(o, 0) : n + min(o, 0)] = band[..., max(-o, 0) : n - max(o, 0)]
+    return out
 
 
 def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> AssembledOperator:
@@ -263,7 +278,9 @@ def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> Ass
 
     u_field is a scalar or per-node array of control values for one operator,
     or an (n_paths, 1) or (n_paths, n_nodes) control stack for one operator
-    per path (see AssembledOperator for the resulting shapes).
+    per path (see AssembledOperator for the resulting shapes).  The nonlocal
+    part lam [y(x + gamma) - y(x) - gamma y'(x)] interpolates y(x + gamma)
+    linearly; it adds the diagonals its interpolation nodes reach.
     """
     xs = grid.nodes()
     n = grid.n_nodes
@@ -275,36 +292,38 @@ def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> Ass
         raise NonParabolic(f"second-order coefficient has minimum {s.min():.3e} < 0")
     s = np.maximum(s, 0.0)
 
-    lower = np.zeros(shape)
-    diag = np.zeros(shape)
-    upper = np.zeros(shape)
-    lower[..., 1:-1] = s[..., 1:-1] / dx**2 - f[..., 1:-1] / (2.0 * dx)
-    diag[..., 1:-1] = -2.0 * s[..., 1:-1] / dx**2
-    upper[..., 1:-1] = s[..., 1:-1] / dx**2 + f[..., 1:-1] / (2.0 * dx)
-
-    dense_part = None
+    rows = np.arange(1, n - 1)
+    jumps = []  # per atom: rate, interpolation offset idx - i, weight, shift
     if op.jump_shift is not None and op.levy.atoms:
-        # lam * [y(x + gamma) - y(x) - gamma y'(x)] on interior rows.  Each
-        # update touches every (path, row) once, so fancy-index += is exact
-        # and gives the same sums as updating row by row.
-        dense_part = np.zeros(shape + (n,))
-        dense = dense_part.reshape(-1, n, n)
-        paths = np.arange(dense.shape[0])[:, None]
-        rows = np.arange(1, n - 1)
         for mark, lam in op.levy.atoms:
-            gam = np.broadcast_to(
-                np.asarray(op.jump_shift(t, xs, u_field, z, mark), dtype=float), shape
-            ).reshape(-1, n)
+            gam = np.broadcast_to(np.asarray(op.jump_shift(t, xs, u_field, z, mark), dtype=float), shape)
             shifted = np.clip(xs + gam, grid.x_left, grid.x_right)
             idx = np.clip(np.searchsorted(xs, shifted) - 1, 0, n - 2)
             w = (shifted - xs[idx]) / dx
-            idx, w, gam = idx[:, 1:-1], w[:, 1:-1], gam[:, 1:-1]
-            dense[paths, rows, idx] += lam * (1.0 - w)
-            dense[paths, rows, idx + 1] += lam * w
-            dense[paths, rows, rows] -= lam
-            dense[paths, rows, rows - 1] += lam * gam / (2.0 * dx)
-            dense[paths, rows, rows + 1] -= lam * gam / (2.0 * dx)
-    return AssembledOperator(lower, diag, upper, dense_part)
+            jumps.append((lam, idx[..., 1:-1] - rows, w[..., 1:-1], gam[..., 1:-1]))
+    kl = ku = 1
+    if jumps:
+        # a nonlocal part always takes dgbsv, even within one cell, so a path
+        # solved alone rounds as it does in a stack of wider operators
+        kl = max(2, -min(int(off.min()) for _, off, _, _ in jumps))
+        ku = max(2, max(int(off.max()) + 1 for _, off, _, _ in jumps))
+    bands = np.zeros((kl + ku + 1,) + shape)
+    # the nonlocal part on interior rows, atom by atom, in the update order
+    # of a row-by-row assembly; each update touches every (path, row) once,
+    # so fancy-index += is exact and gives the same sums
+    size = bands[0].size
+    cells = np.arange(0, size, n).reshape(shape[:-1] + (1,)) + rows  # flat index of (path, row)
+    for lam, off, w, gam in jumps:
+        near = (kl + off) * size + cells  # entry of interpolation node idx
+        bands.reshape(-1)[near] += lam * (1.0 - w)
+        bands.reshape(-1)[near + size] += lam * w
+        bands[kl][..., 1:-1] -= lam
+        bands[kl - 1][..., 1:-1] += lam * gam / (2.0 * dx)
+        bands[kl + 1][..., 1:-1] -= lam * gam / (2.0 * dx)
+    bands[kl - 1][..., 1:-1] += s[..., 1:-1] / dx**2 - f[..., 1:-1] / (2.0 * dx)
+    bands[kl][..., 1:-1] += -2.0 * s[..., 1:-1] / dx**2
+    bands[kl + 1][..., 1:-1] += s[..., 1:-1] / dx**2 + f[..., 1:-1] / (2.0 * dx)
+    return AssembledOperator(bands, kl)
 
 
 def _has_jumps(chaos) -> bool:

@@ -10,7 +10,7 @@ of the necessary conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,9 +58,9 @@ __all__ = [
 ]
 
 _EPS_VOL = 1e-12
-# memory of one block's (n_paths, n, n) stack of control-dependent jump
-# operators; larger blocks are split, which leaves results unchanged
-_JUMP_STACK_BYTES = 2**24
+# memory of a block's per-path diagonals at the widest band (2n per path, as a
+# jump may reach any node); larger blocks are split, leaving results unchanged
+_JUMP_BAND_BYTES = 2**25
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,6 @@ class EnsembleResult:
     h_integral: np.ndarray | None  # running weighted profit integral
     min_interior: np.ndarray  # running min over interior nodes and steps
     m_terminal: np.ndarray  # compensated insider mean at t_end
-    mean_mass: float  # MC mean of int_D Y(T,x) dx
 
 
 def _trapezoid_weights(grid: SpatialGrid) -> np.ndarray:
@@ -187,7 +186,6 @@ def _ensemble_block(
         h_integral=h_int,
         min_interior=min_int,
         m_terminal=m,
-        mean_mass=float(np.mean(Y @ wx)),
     )
 
 
@@ -213,10 +211,13 @@ def run_ensemble(
     bit-exactly, so results do not depend on blocking.  levy drives the
     state's jumps; when chaos has a jump part it must be chaos.levy, since
     the insider mean m is advanced with the same jump counts (advance_mean
-    raises ModelMismatch otherwise).
+    raises ModelMismatch otherwise).  A control-dependent operator is one
+    banded operator per path; the boundary rows of I - dt A are identity
+    rows, so each path is solved as if alone, bit for bit, whatever its band
+    (AssembledOperator.solve_implicit).
     """
     if op.control_dependent and op.jump_shift is not None and op.levy.atoms:
-        block_size = min(block_size, max(1, _JUMP_STACK_BYTES // (8 * grid.n_nodes**2)))
+        block_size = min(block_size, max(1, _JUMP_BAND_BYTES // (16 * grid.n_nodes**2)))
     parts = [
         _ensemble_block(
             coeffs, op, control, z, grid, tgrid, chaos, levy, seed,
@@ -227,16 +228,10 @@ def run_ensemble(
 
     if len(parts) == 1:
         return parts[0]
-    cat = lambda attr: np.concatenate([getattr(p, attr) for p in parts])
-    return EnsembleResult(
-        n_paths=n_paths,
-        y_terminal=cat("y_terminal"),
-        w_terminal=cat("w_terminal") if parts[0].w_terminal is not None else None,
-        h_integral=cat("h_integral") if parts[0].h_integral is not None else None,
-        min_interior=cat("min_interior"),
-        m_terminal=cat("m_terminal"),
-        mean_mass=float(np.mean([p.mean_mass * p.n_paths for p in parts]) * len(parts) / n_paths),
-    )
+    # every field but n_paths is path-indexed, or None in every block
+    cat = lambda vals: None if vals[0] is None else np.concatenate(vals)
+    per_path = [cat([getattr(p, f.name) for p in parts]) for f in fields(EnsembleResult)[1:]]
+    return EnsembleResult(n_paths, *per_path)
 
 
 def hamiltonian(

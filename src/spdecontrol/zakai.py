@@ -162,11 +162,12 @@ def _full(value, shape) -> np.ndarray:
 
 
 def sample_initial_states(
-    model: SignalModel, sgrid: SpatialGrid, n: int, seed: int, channel: int = 3
+    model: SignalModel, sgrid: SpatialGrid, n: int, seed: int, channel: int = 3, *, z
 ) -> np.ndarray:
-    """Draw initial signal states from F_init by inverse transform on the grid."""
+    """Draw n initial signal states from F_init(., z) by inverse transform on
+    the grid."""
     xs = sgrid.nodes()
-    f = _full(model.F_init(xs, 0.0), xs.shape)
+    f = _full(model.F_init(xs, z), xs.shape)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * sgrid.dx)))
     cdf /= cdf[-1]
     u = _rng(seed, 0, channel, 0).uniform(size=n)
@@ -174,10 +175,16 @@ def sample_initial_states(
 
 
 def _control_value(control, k, t, z):
+    """The control of step k.  The filtering routines carry no insider mean,
+    so the rule sees m = NaN; a rule that reads it raises ModelMismatch."""
     if control is None:
         return 0.0
-    u = control.values(k, t, None, z, PathHistory(t=t, m=np.zeros(1)))
-    return float(np.broadcast_to(u, (1,))[0])
+    u = control.values(k, t, None, z, PathHistory(t=t, m=np.full(1, np.nan)))
+    u = float(np.broadcast_to(u, (1,))[0])
+    if not math.isfinite(u):
+        raise ModelMismatch(f"control rule gave {u} at step {k}: the filtering routines "
+                            "carry no insider mean for it to read")
+    return u
 
 
 def _euler_maruyama(model: SignalModel, control, z, tgrid: TimeGrid, x0, dv, dw, counts):
@@ -236,37 +243,24 @@ def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath
     return GirsanovWeight(times=tgrid.times(), values=np.exp(expo))
 
 
-def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u):
-    """Tridiagonal bands (lower, diag, upper) of the signal generator L on the
-    grid; boundary rows are zero.  Interior row sums vanish exactly, so the
+def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u) -> AssembledOperator:
+    """The signal generator L on the grid as a tridiagonal AssembledOperator;
+    boundary rows are zero.  Interior row sums vanish exactly, so the
     transpose-transport conserves total mass to machine precision.
 
-    A scalar r gives bands of shape (n_nodes,); an (n_paths, 1) column of r
-    gives one set of bands per path, of shape (n_paths, n_nodes).
+    A scalar r gives one operator; an (n_paths, 1) column of r gives a stack
+    of one per path.
     """
     xs = sgrid.nodes()
     shape = np.broadcast_shapes(np.shape(r), xs.shape)
     dx = sgrid.dx
     adv = _full(model.alpha(xs, r, u), shape) / (2.0 * dx)
     dif = 0.5 * _full(model.beta(xs, r, u), shape) ** 2 / dx**2
-    lower = np.zeros(shape)
-    diag = np.zeros(shape)
-    upper = np.zeros(shape)
-    lower[..., 1:-1] = dif[..., 1:-1] - adv[..., 1:-1]
-    diag[..., 1:-1] = -2.0 * dif[..., 1:-1]
-    upper[..., 1:-1] = dif[..., 1:-1] + adv[..., 1:-1]
-    return lower, diag, upper
-
-
-def _transposed(bands) -> AssembledOperator:
-    """L^T as an operator (one or a stack), given the bands of L:
-    (L^T)[i, i-1] = L[i-1, i] = upper[i-1], (L^T)[i, i+1] = L[i+1, i] = lower[i+1]."""
-    lower, diag, upper = bands
-    lower_t = np.zeros_like(diag)
-    upper_t = np.zeros_like(diag)
-    lower_t[..., 1:] = upper[..., :-1]
-    upper_t[..., :-1] = lower[..., 1:]
-    return AssembledOperator(lower_t, diag, upper_t)
+    bands = np.zeros((3,) + shape)
+    bands[0][..., 1:-1] = dif[..., 1:-1] - adv[..., 1:-1]
+    bands[1][..., 1:-1] = -2.0 * dif[..., 1:-1]
+    bands[2][..., 1:-1] = dif[..., 1:-1] + adv[..., 1:-1]
+    return AssembledOperator(bands, 1)
 
 
 def _step(Y, transport: AssembledOperator, dx, dR, h_vals, dt):
@@ -281,24 +275,14 @@ def _step(Y, transport: AssembledOperator, dx, dR, h_vals, dt):
 
 
 def zakai_step(
-    density: UnnormalizedDensity,
-    model: SignalModel,
-    u,
-    r,
-    dR: float,
-    dt: float,
-    *,
-    bands=None,
-    h_vals=None,
+    density: UnnormalizedDensity, model: SignalModel, u, r, dR: float, dt: float
 ) -> tuple:
     """One splitting-up step: implicit transpose-transport, then the
     multiplicative observation update.  Returns (density, clamp defect)."""
     sgrid = density.grid
-    if bands is None:
-        bands = transport_bands(model, sgrid, r, u)
-    if h_vals is None:
-        h_vals = _full(model.h_obs(sgrid.nodes()), (sgrid.n_nodes,))
-    y, defect = _step(density.values, _transposed(bands), sgrid.dx, dR, h_vals, dt)
+    transport = transport_bands(model, sgrid, r, u).transposed()
+    h_vals = _full(model.h_obs(sgrid.nodes()), (sgrid.n_nodes,))
+    y, defect = _step(density.values, transport, sgrid.dx, dR, h_vals, dt)
     return UnnormalizedDensity(sgrid, y), float(defect)
 
 
@@ -310,7 +294,7 @@ def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGr
     densities and defect the mass clamped per path in the step to that time
     (zero at t_0).  With autonomous coefficients all paths share one banded
     operator; otherwise its bands depend on each path's r(t_k) and the stack
-    is solved path by path in one vectorized elimination.
+    is solved with the paths laid end to end.
     """
     n_paths = dR.shape[0]
     dt = tgrid.dt
@@ -319,13 +303,13 @@ def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGr
     Y = np.tile(np.maximum(_full(model.F_init(xs, z), xs.shape), 0.0), (n_paths, 1))
     yield Y, np.zeros(n_paths)
     if model.autonomous:
-        transport = _transposed(transport_bands(model, sgrid, 0.0, 0.0))
+        transport = transport_bands(model, sgrid, 0.0, 0.0).transposed()
     else:
         r = np.concatenate((np.zeros((n_paths, 1)), np.cumsum(dR, axis=1)), axis=1)
     for k in range(tgrid.n_steps):
         u = _control_value(control, k, tgrid.time(k), z)
         if not model.autonomous:
-            transport = _transposed(transport_bands(model, sgrid, r[:, k, None], u))
+            transport = transport_bands(model, sgrid, r[:, k, None], u).transposed()
         Y, defect = _step(Y, transport, sgrid.dx, dR[:, k, None], h_vals, dt)
         yield Y, defect
 
@@ -378,7 +362,7 @@ def particle_filter_oracle(
     tgrid = obs.grid
     dt = tgrid.dt
     rng = _rng(seed, 0, channel, 0)
-    x = sample_initial_states(model, sgrid, n_particles, seed, channel=channel + 1)
+    x = sample_initial_states(model, sgrid, n_particles, seed, channel=channel + 1, z=z)
     means = np.empty(tgrid.n_steps + 1)
     means[0] = float(np.mean(x))
     r = 0.0
@@ -474,7 +458,7 @@ def direct_performance(
 ) -> PerformanceEstimate:
     """Physical-measure Monte Carlo of the same performance functional,
     evaluated directly on simulated signal paths, all paths in one sweep."""
-    x0s = sample_initial_states(model, sgrid, n_paths, seed, channel=channel + 2)
+    x0s = sample_initial_states(model, sgrid, n_paths, seed, channel=channel + 2, z=z)
     paths = range(n_paths)
     dv = brownian_increment_matrix(tgrid, seed, paths, channel).T
     dw = brownian_increment_matrix(tgrid, seed, paths, channel + 1).T

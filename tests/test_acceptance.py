@@ -244,7 +244,7 @@ def test_criterion_09_girsanov_consistency():
     sg = SpatialGrid(-2.0, 2.0, 100)
     n = 10**4
     dbR = brownian_increment_matrix(tg, 13, range(n), channel=2)
-    x0s = zk.sample_initial_states(model, sg, n, 13, channel=6)
+    x0s = zk.sample_initial_states(model, sg, n, 13, channel=6, z=0.0)
     K = np.empty(n)
     fX = np.empty(n)
     for p in range(n):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, effective_mean
-from spdecontrol.errors import ModelMismatch, NonParabolic
+from spdecontrol.errors import LinearSolveFailure, ModelMismatch, NonParabolic
 from spdecontrol.forward import (
+    AssembledOperator,
     CoefficientSet,
     ControlPolicy,
     OperatorSpec,
@@ -123,10 +125,9 @@ def test_stacked_assembly_slices_match_single_operators(per_node):
     v = rng.standard_normal((5, grid.n_nodes))
     for p in range(5):
         single = assemble_operator(op, grid, 0.2, u[p], 0.3)
-        for band in ("lower", "diag", "upper", "dense_part"):
-            assert np.array_equal(getattr(stack, band)[p], getattr(single, band))
+        local = assemble_operator(replace(op, jump_shift=None), grid, 0.2, u[p], 0.3).dense()
         assert np.array_equal(stack.dense()[p], single.dense())
-        assert np.array_equal(single.dense_part, loop_jump_part(op, grid, 0.2, u[p], 0.3))
+        assert np.array_equal(single.dense(), local + loop_jump_part(op, grid, 0.2, u[p], 0.3))
         assert np.allclose(stack.apply(v)[p], single.apply(v[p]), rtol=1e-13, atol=1e-12)
 
 
@@ -142,7 +143,57 @@ def test_stacked_band_solve_matches_solve_banded():
     y = assemble_operator(op, grid, 0.0, u, 0.0).solve_implicit(0.01, rhs)
     for p in range(7):
         ref = assemble_operator(op, grid, 0.0, u[p], 0.0).solve_implicit(0.01, rhs[p])
-        assert np.max(np.abs(y[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(y[p], ref)
+
+
+@pytest.mark.parametrize("n_cells", [20, 300])
+def test_jump_operator_solves_match_dense_reference(n_cells):
+    # jump_op's shifts span several cells, so its operators are wider than
+    # tridiagonal and take the general banded solve; at 300 cells the stack's
+    # band is one LAPACK factors blocked, and its paths' widths differ
+    grid = SpatialGrid(0.0, 1.0, n_cells)
+    op = jump_op()
+    dt = 0.01
+    rng = np.random.default_rng(2)
+    u = rng.uniform(0.0, 1.0, (6, 1))
+    rhs = rng.standard_normal((6, grid.n_nodes))
+    eye = np.eye(grid.n_nodes)
+    shared = assemble_operator(op, grid, 0.2, 0.7, 0.3)
+    assert min(shared.kl, shared.ku) > 2
+    y = shared.solve_implicit(dt, rhs)
+    ref = np.linalg.solve(eye - dt * shared.dense(), rhs.T).T
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    stack = assemble_operator(op, grid, 0.2, u, 0.3)
+    assert n_cells < 300 or (stack.ku > 64 and stack.kl >= 32)
+    y = stack.solve_implicit(dt, rhs)
+    ref = np.linalg.solve(eye - dt * stack.dense(), rhs[..., None])[..., 0]
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for p in range(6):
+        alone = assemble_operator(op, grid, 0.2, u[p : p + 1], 0.3)
+        assert np.array_equal(alone.solve_implicit(dt, rhs[p : p + 1])[0], y[p])
+        single = assemble_operator(op, grid, 0.2, u[p], 0.3)
+        assert np.array_equal(single.solve_implicit(dt, rhs[p]), y[p])
+
+
+@pytest.mark.parametrize("u", [0.7, np.array([[0.2], [0.9], [0.5]])], ids=["one", "stack"])
+def test_transposed_and_apply_match_the_dense_matrix(u):
+    grid = SpatialGrid(0.0, 1.0, 15)
+    A = assemble_operator(jump_op(), grid, 0.1, u, 0.0)
+    mat = A.dense()
+    assert np.array_equal(A.transposed().dense(), np.swapaxes(mat, -1, -2))
+    v = np.random.default_rng(3).standard_normal((3, grid.n_nodes))
+    assert np.allclose(A.apply(v), (mat @ v[..., None])[..., 0], rtol=1e-13, atol=1e-12)
+
+
+@pytest.mark.parametrize("width, paths", [(1, None), (2, None), (1, 3), (2, 3)])
+def test_singular_implicit_system_raises(width, paths):
+    # row 3 of I - dt A vanishes, for one operator and for a stack of three
+    n, dt = 8, 0.5
+    bands = np.zeros((2 * width + 1, n) if paths is None else (2 * width + 1, paths, n))
+    bands[width][..., 3] = 1.0 / dt
+    A = AssembledOperator(bands, width)
+    with pytest.raises(LinearSolveFailure):
+        A.solve_implicit(dt, np.ones(bands.shape[1:]))
 
 
 def test_stacked_assembly_rejects_one_negative_diffusion():
@@ -177,7 +228,8 @@ def test_jump_part_annihilates_affine_functions(n_cells, x_left, length, n_paths
         jump_shift=lambda t, x, u, z, mark: mark * u,
         levy=LevySpec(atoms=((1.0, 2.0), (-0.5, 0.7))),
     )
-    dense = assemble_operator(op, grid, 0.0, gam, 0.0).dense_part
+    # without local terms the assembled operator is the jump part alone
+    dense = assemble_operator(op, grid, 0.0, gam, 0.0).dense()
     y = affine[0] + affine[1] * xs
     out = dense @ y
     scale = 2.7 * (1.0 + grid.n_nodes) * (abs(affine[0]) + abs(affine[1]) * (abs(x_left) + length))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spdecontrol.forward import (
     ControlPolicy,
     OperatorSpec,
     SpatialGrid,
+    assemble_operator,
     solve_forward,
 )
 from spdecontrol.maxprinciple import (
@@ -464,27 +466,39 @@ def test_ensemble_bitwise_independent_of_any_block_size(jumps, n_paths, block_si
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     mode=st.sampled_from(["x-independent", "x-dependent"]),
     jump=st.sampled_from([None, (0.5, 3.0), (-0.8, 1.5)]),
+    kind=st.sampled_from(["control-dependent", "time-varying", "time-invariant"]),
     n_paths=st.integers(1, 4),
     n_cells=st.integers(3, 10),
     n_steps=st.integers(1, 6),
     lin=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
     seed=st.integers(0, 2**16),
 )
-def test_ensemble_rows_equal_single_path_solves_bitwise(mode, jump, n_paths, n_cells, n_steps, lin, seed):
+def test_ensemble_rows_equal_single_path_solves_bitwise(
+    mode, jump, kind, n_paths, n_cells, n_steps, lin, seed
+):
     # a path of an ensemble and the same path solved alone run through the
-    # same block stepper, so they agree bit for bit for any coefficients
+    # same block stepper, so they agree bit for bit for any coefficients;
+    # jump shifts reach up to 0.8 of the unit interval, several cells
     a1, a2, b1, c1, f1, g1 = lin
     levy = LevySpec(atoms=(jump,)) if jump else LevySpec()
     chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, psi=lambda t, mark: mark, levy=levy, T0=1.0)
+    dependent = kind == "control-dependent"
+    speed = 0.0 if kind == "time-invariant" else 2.0
+
+    def shift(t, x, u, z, mark):
+        return g1 * mark * (u if dependent else (0.5 + 0.5 * x) / (1.0 + speed * t))
+
     op = OperatorSpec(
-        second_coeff=lambda t, x, u, z: 0.3 + 0.2 * u,
+        second_coeff=lambda t, x, u, z: 0.3 + 0.2 * u + 0.1 * speed * t,
         first_coeff=lambda t, x, u, z: f1 * u,
-        jump_shift=(lambda t, x, u, z, mark: 0.2 * g1 * mark * u) if jump else None,
+        jump_shift=shift if jump else None,
         levy=levy,
+        time_invariant=kind == "time-invariant",
+        control_dependent=dependent,
     )
     coeffs = CoefficientSet(
         a=lambda t, x, y, u, z: a1 * y + a2 * u,
@@ -523,20 +537,54 @@ def test_ensemble_rejects_control_of_the_wrong_shape(mode, shape):
                      levy=JUMP_LEVY, n_paths=5, seed=0)
 
 
-def test_control_dependent_jump_ensemble_memory_is_bounded():
-    # 1200 paths at 64 cells would hold 40 MB per (n_paths, n, n) stack in
-    # one block; blocks are split so that a stack stays near 16 MB
-    op, coeffs = jump_model()
+def _ensemble_peak_bytes(op, coeffs):
+    """Traced peak memory of 1200 paths at 64 cells, one step."""
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 0.0 * np.asarray(hist.m),
                         bounds=(0.0, 1.0))
     tracemalloc.start()
     try:
         run_ensemble(coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 64), TimeGrid(0.0, 0.1, 1),
                      levy=JUMP_LEVY, n_paths=1200, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+
+
+def test_control_dependent_jump_ensemble_memory_is_bounded():
+    # a dense (n_paths, n, n) stack would hold 40 MB, the per-path diagonals
+    # of this narrow shift a few MB
+    assert _ensemble_peak_bytes(*jump_model()) < 64 * 2**20
+
+
+def test_control_dependent_jump_ensemble_memory_is_bounded_at_wide_shifts():
+    # shifts across the whole interval from either end give about 2n
+    # diagonals per path, which for 1200 paths in one block would hold 80 MB
+    op, coeffs = jump_model()
+    op = replace(op, jump_shift=lambda t, x, u, z, mark: mark * u * (4.0 - 8.0 * x))
+    assert _ensemble_peak_bytes(op, coeffs) < 64 * 2**20
+
+
+def test_ensemble_rows_independent_of_block_size_at_blocked_band_widths():
+    # shifts both ways at 200 cells: the band has more than 64 diagonals above
+    # the main one and 32 below, which LAPACK factors in blocks, and each
+    # path's width follows its control, so a block is as wide as its widest path
+    levy = LevySpec(atoms=((0.5, 3.0), (-0.8, 1.5)))
+    op, coeffs = jump_model()
+    op = replace(op, jump_shift=lambda t, x, u, z, mark: mark * u * (0.3 + x), levy=levy)
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.clip(0.9 + 2.0 * np.asarray(hist.m), 0.1, 1.0),
+                        bounds=(0.0, 1.0))
+    grid = SpatialGrid(0.0, 1.0, 200)
+    widest = assemble_operator(op, grid, 0.0, np.array([[0.1], [1.0]]), 0.3)
+    assert widest.ku > 64 and widest.kl >= 32
+    chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0)
+    run = lambda bs: run_ensemble(
+        coeffs, op, pol, 0.3, grid, TimeGrid(0.0, 0.1, 3), chaos=chaos, levy=levy, n_paths=4,
+        seed=1, block_size=bs,
+    )
+    whole = run(4)
+    assert np.ptp(whole.m_terminal) > 0.1
+    for bs in (1, 3):
+        assert np.array_equal(run(bs).y_terminal, whole.y_terminal)
 
 
 @pytest.mark.parametrize("entry", ["run_ensemble", "estimate_j", "gateaux_derivative"])

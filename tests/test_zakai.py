@@ -12,7 +12,7 @@ from spdecontrol.errors import (
     MassCollapse,
     ModelMismatch,
 )
-from spdecontrol.forward import AssembledOperator, SpatialGrid
+from spdecontrol.forward import ControlPolicy, SpatialGrid
 from spdecontrol.maxprinciple import PerformanceEstimate
 from spdecontrol.noise import (
     LevySpec,
@@ -155,7 +155,7 @@ def test_signal_simulation_rejects_bundle_on_another_levy_spec(bundle_atoms):
 
 def direct_performance_loop(model, f, g, sgrid, tgrid, n_paths, seed, channel=11):
     """direct_performance one path at a time, as a reference for the sweep."""
-    x0s = zk.sample_initial_states(model, sgrid, n_paths, seed, channel=channel + 2)
+    x0s = zk.sample_initial_states(model, sgrid, n_paths, seed, channel=channel + 2, z=0.0)
     samples = np.empty(n_paths)
     for p in range(n_paths):
         bv = sample_bundle(tgrid, model.levy, seed, p, channel)
@@ -209,7 +209,7 @@ def test_girsanov_trivial_and_martingale():
     model2 = linear_model()
     n = 4000
     dbR = brownian_increment_matrix(tg, 7, range(n), channel=2)
-    x0s = zk.sample_initial_states(model2, SGRID, n, 7, channel=6)
+    x0s = zk.sample_initial_states(model2, SGRID, n, 7, channel=6, z=0.0)
     Ks = np.empty(n)
     for p in range(n):
         bv = sample_bundle(tg, LevySpec(), 7, p, channel=0)
@@ -224,7 +224,7 @@ def test_girsanov_trivial_and_martingale():
 
 def test_transport_adjoint_is_exact_transpose_and_conserves_mass():
     model = linear_model()
-    L = AssembledOperator(*zk.transport_bands(model, SGRID, 0.0, 0.0)).dense()
+    L = zk.transport_bands(model, SGRID, 0.0, 0.0).dense()
     # interior rows of L sum to zero, so the transpose transport conserves mass
     assert np.max(np.abs(L.sum(axis=1))) < 1e-12
 
@@ -324,7 +324,7 @@ def test_non_autonomous_sweep_matches_zakai_step_loop():
     r_vals = obs.values()
     for k in range(tg.n_steps):
         dens, _ = zk.zakai_step(dens, model, 0.0, r_vals[k], obs.increments[k], tg.dt)
-        assert np.max(np.abs(sol.values[k + 1] - dens.values)) <= 1e-12 * np.max(dens.values)
+        assert np.array_equal(sol.values[k + 1], dens.values)
 
 
 def test_non_autonomous_route_matches_autonomous_for_r_free_coefficients():
@@ -337,12 +337,11 @@ def test_non_autonomous_route_matches_autonomous_for_r_free_coefficients():
     obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 5, [0], 2)[0])
     a = zk.solve_zakai(auto, None, 0.0, obs, sg).values
     b = zk.solve_zakai(banded, None, 0.0, obs, sg).values
-    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    assert np.array_equal(a, b)
     f = lambda t, x: x * x
     ea = zk.transformed_performance(auto, None, f, lambda x: x, 0.0, sg, tg, 40, 3)
     eb = zk.transformed_performance(banded, None, f, lambda x: x, 0.0, sg, tg, 40, 3)
-    assert eb.mean == pytest.approx(ea.mean, rel=1e-12)
-    assert eb.stderr == pytest.approx(ea.stderr, rel=1e-12)
+    assert (eb.mean, eb.stderr) == (ea.mean, ea.stderr)
 
 
 def test_normalize_homogeneity_and_collapse():
@@ -377,7 +376,7 @@ def particle_filter_loop(model, obs, n_particles, seed, sgrid, channel=5):
     tgrid = obs.grid
     dt = tgrid.dt
     rng = _rng(seed, 0, channel, 0)
-    x = zk.sample_initial_states(model, sgrid, n_particles, seed, channel=channel + 1)
+    x = zk.sample_initial_states(model, sgrid, n_particles, seed, channel=channel + 1, z=0.0)
     means = [float(np.mean(x))]
     r = 0.0
     for k in range(tgrid.n_steps):
@@ -550,3 +549,46 @@ def test_snapshot_csv_header(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,unnormalized,normalized"
     assert len(lines) == 1 + 6 * 11
+
+
+def test_direct_and_transformed_agree_when_the_initial_law_depends_on_z():
+    # F_init = N(z, 0.04): both estimators must start from the law at the
+    # caller's z, here E[X_T] = z exp(-T / 2)
+    base = linear_model()
+    model = zk.SignalModel(
+        alpha=base.alpha, beta=base.beta, h_obs=base.h_obs,
+        F_init=lambda x, z: np.exp(-((x - z) ** 2) / 0.08) / math.sqrt(2 * math.pi * 0.04),
+    )
+    sg = SpatialGrid(-3.0, 3.0, 120)
+    tg = TimeGrid(0.0, 0.5, 25)
+    tr = zk.transformed_performance(model, None, None, lambda x: x, 0.5, sg, tg, 800, 21)
+    dr = zk.direct_performance(model, None, None, lambda x: x, 0.5, sg, tg, 2000, 23)
+    assert abs(tr.mean - dr.mean) <= 4 * math.hypot(tr.stderr, dr.stderr)
+    assert abs(dr.mean - 0.5 * math.exp(-0.25)) <= 4 * dr.stderr
+
+
+@pytest.mark.parametrize("routine", [
+    "simulate_signal_observation", "solve_zakai", "transformed_performance",
+    "direct_performance", "particle_filter_oracle",
+])
+def test_filtering_routines_reject_a_control_that_reads_the_insider_mean(routine):
+    # they carry no insider mean; a rule reading hist.m must not run at m = 0
+    model = linear_model()
+    tg = TimeGrid(0.0, 0.2, 20)
+    bv, bw = bundles(tg, 1)
+    obs = zk.ObservationPath(grid=tg, increments=bw.brownian_increments)
+    g = lambda x: x
+    calls = {
+        "simulate_signal_observation": lambda pol: zk.simulate_signal_observation(
+            model, pol, 0.0, bv, bw, 0.0),
+        "solve_zakai": lambda pol: zk.solve_zakai(model, pol, 0.0, obs, SGRID),
+        "transformed_performance": lambda pol: zk.transformed_performance(
+            model, pol, None, g, 0.0, SGRID, tg, 4, 1),
+        "direct_performance": lambda pol: zk.direct_performance(
+            model, pol, None, g, 0.0, SGRID, tg, 4, 1),
+        "particle_filter_oracle": lambda pol: zk.particle_filter_oracle(
+            model, obs, 100, 1, sgrid=SGRID, control=pol),
+    }
+    calls[routine](ControlPolicy(rule=lambda k, t, x, z, hist: 0.5))
+    with pytest.raises(ModelMismatch):
+        calls[routine](ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 10.0 * hist.m))
