@@ -14,9 +14,9 @@ from spdecontrol import (
     FirstOrderChaosSpec,
     HistorySnapshot,
     conditional_delta,
-    gaussian_weight,
     phi1,
 )
+from spdecontrol.donsker import delta_from_mean
 from spdecontrol.noise import TimeGrid, brownian_increment_matrix
 
 # Gaussian benchmark: Z = B(1), observed along its own filtration
@@ -37,7 +37,7 @@ hist = HistorySnapshot(t=t1, accumulated_b=0.1)
 d1 = conditional_delta(spec, z, hist)
 grid = TimeGrid(t1, t2, 16)
 db = brownian_increment_matrix(grid, 17, range(20000))
-d2 = gaussian_weight(spec, z, t2, 0.1 + db.sum(axis=1))
+d2 = delta_from_mean(spec, z, t2, 0.1 + db.sum(axis=1))
 se = np.std(d2, ddof=1) / math.sqrt(len(d2))
 print(f"\nmartingale check: weight({t1}) = {d1:.6f}, "
       f"MC mean of weight({t2}) = {np.mean(d2):.6f} +- {se:.6f}")

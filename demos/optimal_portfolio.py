@@ -30,7 +30,7 @@ print(f"initial proportion at z = {z}: "
       f"{pf.optimal_pi(market, utility, spec, z, HistorySnapshot(t=0.0, accumulated_b=0.0)):.4f}")
 
 results = pf.run_portfolio_experiment(
-    market, utility, spec, z, candidates, tgrid, n_paths=4000, seed=0, keep_samples=True
+    market, utility, spec, z, candidates, tgrid, n_paths=4000, seed=0
 )
 print(f"\n{'control':>12} {'j mean':>10} {'stderr':>9} {'rejected':>9}")
 for r in results:

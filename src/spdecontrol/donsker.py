@@ -41,7 +41,6 @@ __all__ = [
     "phi1",
     "phi1_from_mean",
     "phi_k",
-    "gaussian_weight",
     "gaussian_phi1",
     "effective_mean",
 ]
@@ -215,19 +214,15 @@ def delta_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):
     return out if np.ndim(m) else float(out)
 
 
-def conditional_malliavin_b(spec, z, hist, *, method="auto", tol=1e-10, at_time=None):
-    """Conditional Brownian stochastic derivative of the delta functional.
-
-    at_time picks where the beta factor is evaluated; it defaults to the
-    snapshot time (the usual diagonal case).
-    """
+def conditional_malliavin_b(spec, z, hist, *, method="auto", tol=1e-10):
+    """Conditional Brownian stochastic derivative of the delta functional at
+    the snapshot time (the diagonal case)."""
     sigma2 = _check_time(spec, hist.t)
     m = effective_mean(spec, hist)
-    s = hist.t if at_time is None else at_time
-    beta_s = spec.beta(s)
+    beta_t = spec.beta(hist.t)
     if _resolve_method(spec, method) == "closed_form":
-        return float(beta_s * (z - m) / sigma2 * _gaussian_pdf(z, m, sigma2))
-    return float(_fourier_moment(spec, z, hist.t, m, lambda x: 1j * x * beta_s, tol))
+        return float(beta_t * (z - m) / sigma2 * _gaussian_pdf(z, m, sigma2))
+    return float(_fourier_moment(spec, z, hist.t, m, lambda x: 1j * x * beta_t, tol))
 
 
 def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
@@ -266,16 +261,6 @@ def phi1_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):
         raise DivisionUnstable(f"conditional density below division floor at z={z}")
     out = np.asarray(num, dtype=float) / den
     return out if np.ndim(m) else float(out)
-
-
-# Vectorized Gaussian fast paths used by the Monte Carlo engines.
-
-def gaussian_weight(spec, z, t, m):
-    """Closed-form conditional density for Gaussian specs; m may be an array."""
-    if not spec.is_gaussian:
-        raise ValueError("gaussian_weight requires a purely Gaussian specification")
-    sigma2 = _check_time(spec, t)
-    return _gaussian_pdf(z, np.asarray(m, dtype=float), sigma2)
 
 
 def gaussian_phi1(spec, z, t, m):

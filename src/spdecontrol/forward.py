@@ -286,8 +286,8 @@ def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> Ass
     n = grid.n_nodes
     dx = grid.dx
     shape = (np.shape(u_field)[0], n) if np.ndim(u_field) == 2 else (n,)
-    s = np.broadcast_to(np.asarray(op.second_coeff(t, xs, u_field, z), dtype=float), shape).copy()
-    f = np.broadcast_to(np.asarray(op.first_coeff(t, xs, u_field, z), dtype=float), shape).copy()
+    s = np.broadcast_to(np.asarray(op.second_coeff(t, xs, u_field, z), dtype=float), shape)
+    f = np.broadcast_to(np.asarray(op.first_coeff(t, xs, u_field, z), dtype=float), shape)
     if np.any(s < -1e-12):
         raise NonParabolic(f"second-order coefficient has minimum {s.min():.3e} < 0")
     s = np.maximum(s, 0.0)
@@ -312,7 +312,8 @@ def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> Ass
     # of a row-by-row assembly; each update touches every (path, row) once,
     # so fancy-index += is exact and gives the same sums
     size = bands[0].size
-    cells = np.arange(0, size, n).reshape(shape[:-1] + (1,)) + rows  # flat index of (path, row)
+    if jumps:
+        cells = np.arange(0, size, n).reshape(shape[:-1] + (1,)) + rows  # flat index of (path, row)
     for lam, off, w, gam in jumps:
         near = (kl + off) * size + cells  # entry of interpolation node idx
         bands.reshape(-1)[near] += lam * (1.0 - w)
@@ -320,9 +321,11 @@ def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> Ass
         bands[kl][..., 1:-1] -= lam
         bands[kl - 1][..., 1:-1] += lam * gam / (2.0 * dx)
         bands[kl + 1][..., 1:-1] -= lam * gam / (2.0 * dx)
-    bands[kl - 1][..., 1:-1] += s[..., 1:-1] / dx**2 - f[..., 1:-1] / (2.0 * dx)
-    bands[kl][..., 1:-1] += -2.0 * s[..., 1:-1] / dx**2
-    bands[kl + 1][..., 1:-1] += s[..., 1:-1] / dx**2 + f[..., 1:-1] / (2.0 * dx)
+    s, f = s[..., 1:-1], f[..., 1:-1]
+    diffusion, advection = s / dx**2, f / (2.0 * dx)
+    bands[kl - 1][..., 1:-1] += diffusion - advection
+    bands[kl][..., 1:-1] += -2.0 * s / dx**2
+    bands[kl + 1][..., 1:-1] += diffusion + advection
     return AssembledOperator(bands, kl)
 
 

@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 _EPS_VOL = 1e-12
+# paths swept together by run_ensemble; results are bit-identical for every
+# block size, so this only bounds memory
+_BLOCK_PATHS = 4096
 # memory of a block's per-path diagonals at the widest band (2n per path, as a
 # jump may reach any node); larger blocks are split, leaving results unchanged
 _JUMP_BAND_BYTES = 2**25
@@ -158,15 +161,13 @@ def _weight_vec(chaos, z, t, m):
     return donsker.delta_from_mean(chaos, z, t, np.asarray(m, dtype=float))
 
 
-def _ensemble_block(
-    coeffs, op, control, z, grid, tgrid, chaos, levy, seed, path_indices, channel, perf
-):
+def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, levy, seed, path_indices, perf):
     xs = grid.nodes()
     dt = tgrid.dt
     nb = len(path_indices)
     wx = _trapezoid_weights(grid)
-    db = brownian_increment_matrix(tgrid, seed, path_indices, channel)
-    counts = jump_count_matrices(tgrid, levy, seed, path_indices, channel)
+    db = brownian_increment_matrix(tgrid, seed, path_indices)
+    counts = jump_count_matrices(tgrid, levy, seed, path_indices)
     h_int = np.zeros(nb) if perf is not None else None
     min_int = np.full(nb, np.inf)
 
@@ -201,27 +202,28 @@ def run_ensemble(
     levy: LevySpec = LevySpec(),
     n_paths: int = 1024,
     seed: int = 0,
-    channel: int = 0,
     perf: PerformanceSpec | None = None,
-    block_size: int = 4096,
 ) -> EnsembleResult:
     """Vectorized Monte Carlo sweep of the forward scheme over many paths.
 
-    Path p reproduces sample_bundle(..., path_index=p, channel=channel)
-    bit-exactly, so results do not depend on blocking.  levy drives the
-    state's jumps; when chaos has a jump part it must be chaos.levy, since
-    the insider mean m is advanced with the same jump counts (advance_mean
-    raises ModelMismatch otherwise).  A control-dependent operator is one
-    banded operator per path; the boundary rows of I - dt A are identity
-    rows, so each path is solved as if alone, bit for bit, whatever its band
-    (AssembledOperator.solve_implicit).
+    Path p reproduces sample_bundle(..., path_index=p) bit-exactly; paths are
+    swept in blocks of at most _BLOCK_PATHS, and results do not depend on the
+    blocking.  levy drives the state's jumps; when chaos has a jump part it
+    must be chaos.levy, since the insider mean m is advanced with the same
+    jump counts (advance_mean raises ModelMismatch otherwise).  A
+    control-dependent operator is one banded operator per path; the boundary
+    rows of I - dt A are identity rows, so each path is solved as if alone,
+    bit for bit, whatever its band (AssembledOperator.solve_implicit).
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    block_size = _BLOCK_PATHS
     if op.control_dependent and op.jump_shift is not None and op.levy.atoms:
         block_size = min(block_size, max(1, _JUMP_BAND_BYTES // (16 * grid.n_nodes**2)))
     parts = [
         _ensemble_block(
             coeffs, op, control, z, grid, tgrid, chaos, levy, seed,
-            list(range(lo, min(lo + block_size, n_paths))), channel, perf,
+            list(range(lo, min(lo + block_size, n_paths))), perf,
         )
         for lo in range(0, n_paths, block_size)
     ]
@@ -251,19 +253,22 @@ def hamiltonian(
 ):
     """Pointwise Hamiltonian value at node x_index.
 
-    weight is the conditional-density factor multiplying the profit rate.
+    u is a scalar or a per-node profile (n_nodes,); the operator is assembled
+    from the whole profile, whose row x_index reads only u[x_index], and the
+    pointwise terms take u[x_index].  weight is the conditional-density
+    factor multiplying the profit rate.
     """
-    xs = grid.nodes()
-    x = xs[x_index]
+    x = grid.nodes()[x_index]
     u_nodes = np.broadcast_to(np.asarray(u, dtype=float), (grid.n_nodes,))
+    u_x = u_nodes[x_index]
     A = assemble_operator(op, grid, t, u_nodes, z)
     a_phi = A.apply(np.asarray(phi_field, dtype=float))[x_index]
-    val = weight * perf.h(t, x, y, u, z)
-    val += (a_phi + coeffs.a(t, x, y, u, z)) * adjoint.p
-    val += coeffs.b(t, x, y, u, z) * adjoint.q
+    val = weight * perf.h(t, x, y, u_x, z)
+    val += (a_phi + coeffs.a(t, x, y, u_x, z)) * adjoint.p
+    val += coeffs.b(t, x, y, u_x, z) * adjoint.q
     if coeffs.c is not None:
         for mark, lam in op.levy.atoms:
-            val += coeffs.c(t, x, y, u, z, mark) * adjoint.r_at(mark) * lam
+            val += coeffs.c(t, x, y, u_x, z, mark) * adjoint.r_at(mark) * lam
     return float(val)
 
 
@@ -372,18 +377,14 @@ def state_sensitivity(
     *,
     a_step: float = 1e-3,
     chaos=None,
-    scheme: str = "central",
 ) -> np.ndarray:
-    """Finite-difference estimate of the derivative process of the state in
+    """Central-difference estimate of the derivative process of the state in
     the perturbation direction, on a single fixed noise path."""
     up = perturbed_policy(control, direction, a_step)
+    dn = perturbed_policy(control, direction, -a_step)
     f_up = solve_forward(coeffs, op, up, z, bundle, grid, chaos=chaos)
-    if scheme == "central":
-        dn = perturbed_policy(control, direction, -a_step)
-        f_dn = solve_forward(coeffs, op, dn, z, bundle, grid, chaos=chaos)
-        return (f_up.values - f_dn.values) / (2.0 * a_step)
-    f_0 = solve_forward(coeffs, op, control, z, bundle, grid, chaos=chaos)
-    return (f_up.values - f_0.values) / a_step
+    f_dn = solve_forward(coeffs, op, dn, z, bundle, grid, chaos=chaos)
+    return (f_up.values - f_dn.values) / (2.0 * a_step)
 
 
 def _partial(fn, args, index, eps=1e-6):

@@ -71,10 +71,6 @@ class LevySpec:
         return np.array([z for z, _ in self.atoms])
 
     @property
-    def rates(self) -> np.ndarray:
-        return np.array([lam for _, lam in self.atoms])
-
-    @property
     def total_rate(self) -> float:
         return float(sum(lam for _, lam in self.atoms))
 

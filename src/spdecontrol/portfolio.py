@@ -85,7 +85,7 @@ class PortfolioResult:
     estimate: PerformanceEstimate
     n_rejected: int
     n_paths: int
-    samples: np.ndarray | None = None  # per-path performance, nan where rejected
+    samples: np.ndarray  # per-path performance, nan where rejected
 
     @property
     def rejection_rate(self) -> float:
@@ -186,15 +186,14 @@ def run_portfolio_experiment(
     tgrid: TimeGrid,
     n_paths: int,
     seed: int,
-    *,
-    raise_on_all_rejected: bool = True,
-    keep_samples: bool = False,
 ) -> list:
     """Monte Carlo log-utility performance for each named candidate control.
 
     Every candidate sees the identical noise (same seed and path indices), so
-    differences between estimates are low-variance.  Paths whose wealth hits a
-    nonpositive interior value are rejected and counted.
+    differences between estimates are low-variance and the per-path samples
+    of two candidates can be paired.  Paths whose wealth hits a nonpositive
+    interior value are rejected and counted; a candidate with every path
+    rejected raises WealthNonpositive.
     """
     if tgrid.t_end > spec.T0 - tgrid.dt + 1e-12:
         raise ValueError("horizon must stay at least one step before T0")
@@ -215,21 +214,14 @@ def run_portfolio_experiment(
         accepted = res.min_interior > 0.0
         n_rej = int(n_paths - np.count_nonzero(accepted))
         if n_rej == n_paths:
-            if raise_on_all_rejected:
-                raise WealthNonpositive(f"every path rejected for control {name!r}")
-            results.append(
-                PortfolioResult(name, PerformanceEstimate(math.nan, math.nan, 2), n_rej, n_paths)
-            )
-            continue
+            raise WealthNonpositive(f"every path rejected for control {name!r}")
         yt = res.y_terminal[accepted]
         util = grid.dx * np.sum(kw[1:-1] * np.log(yt[:, 1:-1]), axis=1)
         samples = res.w_terminal[accepted] * util
         est = PerformanceEstimate.from_samples(samples) if len(samples) > 1 \
             else PerformanceEstimate(float(samples[0]), math.inf, 2)
-        full = None
-        if keep_samples:
-            full = np.full(n_paths, math.nan)
-            full[accepted] = samples
+        full = np.full(n_paths, math.nan)
+        full[accepted] = samples
         results.append(PortfolioResult(name, est, n_rej, n_paths, full))
     return results
 
@@ -271,8 +263,8 @@ def martingale_match_check(
     # summed step by step, as the adjoint's exact method sums it
     expo = np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1)[:, -1]
 
-    lhs = K_total * donsker.gaussian_weight(spec, z, tgrid.t_end, m)
-    rhs = K_total * donsker.gaussian_weight(spec, z, tgrid.t_start, 0.0) * np.exp(expo)
+    lhs = K_total * donsker.delta_from_mean(spec, z, tgrid.t_end, m)
+    rhs = K_total * donsker.delta_from_mean(spec, z, tgrid.t_start, 0.0) * np.exp(expo)
     return np.abs(lhs - rhs) / (np.abs(lhs) + 1e-300)
 
 

@@ -23,7 +23,15 @@ from .errors import (
     ModelMismatch,
     WeightDegeneracy,
 )
-from .forward import AssembledOperator, ControlPolicy, PathHistory, SpatialGrid, _write_node_csv
+from .forward import (
+    AssembledOperator,
+    ControlPolicy,
+    OperatorSpec,
+    PathHistory,
+    SpatialGrid,
+    _write_node_csv,
+    assemble_operator,
+)
 from .maxprinciple import PerformanceEstimate
 from .noise import (
     LevySpec,
@@ -58,6 +66,7 @@ __all__ = [
 
 _EPS_MASS = 1e-12
 _EPS_CURV = 1e-10
+_TOL_INIT_MASS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,17 +95,17 @@ class SignalModel:
     # coefficients ignore (r, u): transport bands can be assembled once
     autonomous: bool = True
 
-    def check_initial_mass(self, sgrid: SpatialGrid, z, tol: float = 1e-8) -> float:
+    def check_initial_mass(self, sgrid: SpatialGrid, z) -> float:
         """Mass of F_init on the grid by UnnormalizedDensity.mass, the rectangle
         rule dx * sum of all node values (both boundary nodes in full), which
-        the transpose transport conserves exactly; it must be 1 within tol."""
+        the transpose transport conserves exactly; it must be 1 within 1e-8."""
         xs = sgrid.nodes()
         f = _full(self.F_init(xs, z), xs.shape)
         if np.any(f < 0):
             raise ValueError("initial density must be nonnegative")
         mass = UnnormalizedDensity(sgrid, f).mass()
-        if abs(mass - 1.0) > tol:
-            raise ValueError(f"initial density mass {mass} differs from 1 beyond {tol}")
+        if abs(mass - 1.0) > _TOL_INIT_MASS:
+            raise ValueError(f"initial density mass {mass} differs from 1 beyond {_TOL_INIT_MASS}")
         return mass
 
 
@@ -131,9 +140,6 @@ class UnnormalizedDensity:
         nodes counted in full.  The transpose transport conserves it exactly,
         and normalize and check_initial_mass use it."""
         return float(self.grid.dx * np.sum(self.values))
-
-    def boundary_mass(self) -> float:
-        return float(self.grid.dx * (self.values[0] + self.values[-1]))
 
     def posterior_mean(self) -> float:
         m = self.mass()
@@ -244,23 +250,20 @@ def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath
 
 
 def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u) -> AssembledOperator:
-    """The signal generator L on the grid as a tridiagonal AssembledOperator;
-    boundary rows are zero.  Interior row sums vanish exactly, so the
-    transpose-transport conserves total mass to machine precision.
+    """The signal generator L on the grid: the operator of assemble_operator
+    with second coefficient half beta^2 and first coefficient alpha, r in its
+    control slot.  Boundary rows are zero and interior row sums vanish
+    exactly, so the transpose-transport conserves total mass to machine
+    precision.
 
     A scalar r gives one operator; an (n_paths, 1) column of r gives a stack
     of one per path.
     """
-    xs = sgrid.nodes()
-    shape = np.broadcast_shapes(np.shape(r), xs.shape)
-    dx = sgrid.dx
-    adv = _full(model.alpha(xs, r, u), shape) / (2.0 * dx)
-    dif = 0.5 * _full(model.beta(xs, r, u), shape) ** 2 / dx**2
-    bands = np.zeros((3,) + shape)
-    bands[0][..., 1:-1] = dif[..., 1:-1] - adv[..., 1:-1]
-    bands[1][..., 1:-1] = -2.0 * dif[..., 1:-1]
-    bands[2][..., 1:-1] = dif[..., 1:-1] + adv[..., 1:-1]
-    return AssembledOperator(bands, 1)
+    generator = OperatorSpec(
+        second_coeff=lambda t, x, r_, z: 0.5 * np.asarray(model.beta(x, r_, u), dtype=float) ** 2,
+        first_coeff=lambda t, x, r_, z: model.alpha(x, r_, u),
+    )
+    return assemble_operator(generator, sgrid, 0.0, r, None)
 
 
 def _step(Y, transport: AssembledOperator, dx, dR, h_vals, dt):
@@ -333,11 +336,11 @@ def solve_zakai(
     return ZakaiSolution(grid=sgrid, tgrid=tgrid, values=values, clamp_defect=clamp, boundary_mass=bmass)
 
 
-def normalize(density: UnnormalizedDensity, eps: float = _EPS_MASS) -> tuple:
+def normalize(density: UnnormalizedDensity) -> tuple:
     """Bayes normalization: (unit-mass density, normalizing mass)."""
     mass = density.mass()
-    if mass < eps:
-        raise MassCollapse(f"density mass {mass:.3e} below {eps}")
+    if mass < _EPS_MASS:
+        raise MassCollapse(f"density mass {mass:.3e} below {_EPS_MASS}")
     return UnnormalizedDensity(density.grid, density.values / mass), mass
 
 
@@ -350,19 +353,19 @@ def particle_filter_oracle(
     sgrid: SpatialGrid,
     control: ControlPolicy | None = None,
     z=0.0,
-    channel: int = 5,
 ) -> dict:
     """Bootstrap particle filter with systematic resampling every step.
 
-    Independent of the grid solver in both discretization and randomness;
-    serves as a cross-check oracle for the posterior mean path.
+    Independent of the grid solver in both discretization and randomness
+    (noise stream 5, initial states on stream 6); serves as a cross-check
+    oracle for the posterior mean path.
     """
     if n_particles < 100:
         raise ValueError("n_particles must be >= 100")
     tgrid = obs.grid
     dt = tgrid.dt
-    rng = _rng(seed, 0, channel, 0)
-    x = sample_initial_states(model, sgrid, n_particles, seed, channel=channel + 1, z=z)
+    rng = _rng(seed, 0, channel=5, sub=0)
+    x = sample_initial_states(model, sgrid, n_particles, seed, channel=6, z=z)
     means = np.empty(tgrid.n_steps + 1)
     means[0] = float(np.mean(x))
     r = 0.0
@@ -421,20 +424,18 @@ def transformed_performance(
     tgrid: TimeGrid,
     n_paths: int,
     seed: int,
-    *,
-    channel: int = 9,
 ) -> PerformanceEstimate:
     """Reference-measure performance: observations are simulated as Brownian
-    motion and the profit/bequest densities are integrated against the
-    unnormalized filter density.  All paths are swept together as one block;
-    only the current densities are kept.
+    motion (noise stream 9) and the profit/bequest densities are integrated
+    against the unnormalized filter density.  All paths are swept together as
+    one block; only the current densities are kept.
 
     f: (t, x) -> rate density; g: x -> terminal density.
     """
     xs = sgrid.nodes()
     wq = np.full(sgrid.n_nodes, sgrid.dx)
     g_vals = np.asarray(g(xs), dtype=float) * wq
-    db = brownian_increment_matrix(tgrid, seed, range(n_paths), channel)
+    db = brownian_increment_matrix(tgrid, seed, range(n_paths), channel=9)
     acc = np.zeros(n_paths)
     for k, (Y, _) in enumerate(_sweep(model, control, z, db, sgrid, tgrid)):
         if f is not None and k < tgrid.n_steps:
@@ -453,16 +454,16 @@ def direct_performance(
     tgrid: TimeGrid,
     n_paths: int,
     seed: int,
-    *,
-    channel: int = 11,
 ) -> PerformanceEstimate:
     """Physical-measure Monte Carlo of the same performance functional,
-    evaluated directly on simulated signal paths, all paths in one sweep."""
-    x0s = sample_initial_states(model, sgrid, n_paths, seed, channel=channel + 2, z=z)
+    evaluated directly on simulated signal paths, all paths in one sweep.
+    The signal noise is stream 11, the observation noise 12 and the initial
+    states 13."""
+    x0s = sample_initial_states(model, sgrid, n_paths, seed, channel=13, z=z)
     paths = range(n_paths)
-    dv = brownian_increment_matrix(tgrid, seed, paths, channel).T
-    dw = brownian_increment_matrix(tgrid, seed, paths, channel + 1).T
-    counts = [n.T for n in jump_count_matrices(tgrid, model.levy, seed, paths, channel)]
+    dv = brownian_increment_matrix(tgrid, seed, paths, channel=11).T
+    dw = brownian_increment_matrix(tgrid, seed, paths, channel=12).T
+    counts = [n.T for n in jump_count_matrices(tgrid, model.levy, seed, paths, channel=11)]
     X, _ = _euler_maruyama(model, control, z, tgrid, x0s, dv, dw, counts)
     acc = 0.0
     if f is not None:
@@ -505,7 +506,6 @@ def feedback_pi(
     *,
     alpha_drift: float,
     beta_vol: float,
-    eps: float = _EPS_CURV,
 ) -> float:
     """Feedback control from a supplied adjoint field: minus drift times the
     posterior mean of p' over volatility-squared times the posterior mean of
@@ -516,8 +516,8 @@ def feedback_pi(
     e_p1 = float(np.sum(np.asarray(p_prime(xs), dtype=float) * wq))
     e_p2 = float(np.sum(np.asarray(p_double_prime(xs), dtype=float) * wq))
     den = beta_vol**2 * e_p2
-    if abs(den) < eps:
-        raise DegenerateCurvature(f"curvature moment {den:.3e} below {eps}")
+    if abs(den) < _EPS_CURV:
+        raise DegenerateCurvature(f"curvature moment {den:.3e} below {_EPS_CURV}")
     return -alpha_drift * e_p1 / den
 
 

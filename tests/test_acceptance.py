@@ -18,7 +18,6 @@ from spdecontrol.donsker import (
     conditional_delta,
     delta_from_mean,
     effective_mean,
-    gaussian_weight,
 )
 from spdecontrol.errors import NumericalCheckFailure
 from spdecontrol.forward import ControlPolicy, SpatialGrid
@@ -77,7 +76,7 @@ def test_criterion_02_density_martingale():
         d1 = conditional_delta(spec, z, hist)
         db = brownian_increment_matrix(grid, 100 + i, range(10**4))
         m2 = 0.1 + db.sum(axis=1)
-        d2 = gaussian_weight(spec, z, t2, m2)
+        d2 = delta_from_mean(spec, z, t2, m2)
         se = float(np.std(d2, ddof=1) / math.sqrt(len(d2)))
         tstat = (float(np.mean(d2)) - d1) / se
         worst_t = max(worst_t, abs(tstat))
@@ -122,7 +121,7 @@ def test_criterion_05_optimality_of_closed_form_control():
         "minus": pf.shifted_policy(pol, -0.25),
     }
     res = pf.run_portfolio_experiment(
-        market, utility, spec, 0.5, candidates, tgrid, 10**4, 0, keep_samples=True
+        market, utility, spec, 0.5, candidates, tgrid, 10**4, 0
     )
     d = {r.name: r for r in res}
     tstats = {}

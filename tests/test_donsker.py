@@ -14,7 +14,6 @@ from spdecontrol.donsker import (
     delta_from_mean,
     effective_mean,
     gaussian_phi1,
-    gaussian_weight,
     phi1,
     phi1_from_mean,
     phi_k,
@@ -145,7 +144,7 @@ def test_density_martingale_under_continuation():
     grid = TimeGrid(t1, t2, 16)
     db = brownian_increment_matrix(grid, 17, range(4000))
     m2 = 0.1 + db.sum(axis=1)
-    d2 = gaussian_weight(spec, z, t2, m2)
+    d2 = delta_from_mean(spec, z, t2, m2)
     se = np.std(d2, ddof=1) / math.sqrt(len(d2))
     assert abs(np.mean(d2) - d1) <= 3 * se
 

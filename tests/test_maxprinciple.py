@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec
 from spdecontrol.errors import (
@@ -116,6 +118,22 @@ def test_hamiltonian_jump_term_uses_atom_rates():
     val = hamiltonian(0.1, 5, 1.0, phi, 0.0, 0.0, adj, 0.0,
                       coeffs=coeffs, op=op, perf=perf0, grid=GRID)
     assert val == pytest.approx(0.5 * 1.0 * 3.0 * 2.0, abs=1e-12)
+
+
+def test_hamiltonian_of_x_dependent_profile_is_pointwise():
+    # row i of the operator reads only u[i], and the pointwise terms take
+    # u[x_index], so a profile gives the constant control's value at each node
+    op, coeffs = jump_model()
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: -0.5 * u * u * y + x, k=lambda x, y, z: 0.0)
+    adj = AdjointTriple(p=1.3, q=-0.4, r=lambda mark: 2.0 * mark)
+    grid = SpatialGrid(0.0, 1.0, 8)
+    u = np.linspace(0.0, 1.0, grid.n_nodes)
+    phi = np.sin(math.pi * grid.nodes())
+    ham_at = lambda i, control: hamiltonian(
+        0.1, i, 1.5, phi, control, 0.3, adj, 0.7, coeffs=coeffs, op=op, perf=perf, grid=grid
+    )
+    for i in range(1, grid.n_cells):
+        assert ham_at(i, u) == ham_at(i, u[i])
 
 
 def bench():
@@ -368,14 +386,24 @@ def test_ensemble_paths_bitwise_match_single_solver():
     assert np.array_equal(res.y_terminal[5], f.values[-1])
 
 
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_ensemble_rejects_fewer_than_one_path(n_paths):
+    market, spec, coeffs, op, _ = bench()
+    pol = pf.optimal_policy(market, spec)
+    with mock.patch.object(mp, "brownian_increment_matrix") as draw:
+        with pytest.raises(ValueError, match="n_paths"):
+            run_ensemble(coeffs, op, pol, 0.5, market.D, TimeGrid(0.0, 0.5, 5), chaos=spec,
+                         n_paths=n_paths)
+    draw.assert_not_called()
+
+
 def test_ensemble_independent_of_blocking():
     market, spec, coeffs, op, _ = bench()
     pol = pf.optimal_policy(market, spec)
     tg = TimeGrid(0.0, 0.5, 20)
     a = run_ensemble(coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=10, seed=4)
-    b = run_ensemble(
-        coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=10, seed=4, block_size=3
-    )
+    with mock.patch.object(mp, "_BLOCK_PATHS", 3):
+        b = run_ensemble(coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=10, seed=4)
     assert np.array_equal(a.y_terminal, b.y_terminal)
     assert np.array_equal(a.m_terminal, b.m_terminal)
 
@@ -456,10 +484,15 @@ def test_ensemble_bitwise_independent_of_any_block_size(jumps, n_paths, block_si
     else:
         chaos, levy = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0), LevySpec()
     perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
-    run = lambda bs: run_ensemble(
-        coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 4), chaos=chaos,
-        levy=levy, n_paths=n_paths, seed=seed, perf=None if jumps else perf, block_size=bs,
-    )
+
+    def run(bs):
+        # patched per example: a function-scoped fixture would not reset between them
+        with mock.patch.object(mp, "_BLOCK_PATHS", bs):
+            return run_ensemble(
+                coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 4), chaos=chaos,
+                levy=levy, n_paths=n_paths, seed=seed, perf=None if jumps else perf,
+            )
+
     whole, split = run(n_paths), run(block_size)
     for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior", "m_terminal"):
         a, b = getattr(whole, attr), getattr(split, attr)
@@ -577,10 +610,14 @@ def test_ensemble_rows_independent_of_block_size_at_blocked_band_widths():
     widest = assemble_operator(op, grid, 0.0, np.array([[0.1], [1.0]]), 0.3)
     assert widest.ku > 64 and widest.kl >= 32
     chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0)
-    run = lambda bs: run_ensemble(
-        coeffs, op, pol, 0.3, grid, TimeGrid(0.0, 0.1, 3), chaos=chaos, levy=levy, n_paths=4,
-        seed=1, block_size=bs,
-    )
+
+    def run(bs):
+        with mock.patch.object(mp, "_BLOCK_PATHS", bs):
+            return run_ensemble(
+                coeffs, op, pol, 0.3, grid, TimeGrid(0.0, 0.1, 3), chaos=chaos, levy=levy,
+                n_paths=4, seed=1,
+            )
+
     whole = run(4)
     assert np.ptp(whole.m_terminal) > 0.1
     for bs in (1, 3):

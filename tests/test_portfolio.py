@@ -5,7 +5,7 @@ import pytest
 
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
-from spdecontrol.errors import DegenerateVolatility, ModelMismatch
+from spdecontrol.errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
 from spdecontrol.forward import SpatialGrid
 from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix
 
@@ -88,14 +88,22 @@ def test_positivity_no_rejections_on_benchmark():
     assert res[0].rejection_rate == 0.0
 
 
+def test_every_path_rejected_raises_wealth_nonpositive():
+    # pi = 1000 multiplies wealth by 1 + 100 dt + 300 dB each step, which
+    # turns some interior node negative on every path
+    market, utility, spec = pf.benchmark_market(16)
+    candidates = {"pi_hat": pf.optimal_policy(market, spec), "huge": pf.constant_policy(1000.0)}
+    with pytest.raises(WealthNonpositive, match="huge"):
+        pf.run_portfolio_experiment(market, utility, spec, 0.5, candidates, TimeGrid(0.0, 0.5, 20), 50, 0)
+
+
 def test_zero_control_matches_deterministic_pde_oracle():
     # pi = 0: wealth solves the noise-free diffusion, so each path's utility
     # integral is the same deterministic number weighted by the density
     market, utility, spec = pf.benchmark_market(32)
     tg = TimeGrid(0.0, 0.5, 200)
     res = pf.run_portfolio_experiment(
-        market, utility, spec, 0.5, {"zero": pf.constant_policy(0.0)}, tg, 400, 3,
-        keep_samples=True,
+        market, utility, spec, 0.5, {"zero": pf.constant_policy(0.0)}, tg, 400, 3
     )
     from spdecontrol.forward import CoefficientSet, ControlPolicy
     from spdecontrol.maxprinciple import run_ensemble
@@ -119,8 +127,7 @@ def test_insider_advantage_over_merton():
     pol = pf.optimal_policy(market, spec)
     merton = pf.constant_policy(0.1 / 0.09)
     res = pf.run_portfolio_experiment(
-        market, utility, spec, 0.5, {"pi_hat": pol, "merton": merton}, tg, 4000, 0,
-        keep_samples=True,
+        market, utility, spec, 0.5, {"pi_hat": pol, "merton": merton}, tg, 4000, 0
     )
     d = {r.name: r for r in res}
     diff = d["pi_hat"].samples - d["merton"].samples

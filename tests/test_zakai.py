@@ -238,6 +238,50 @@ def test_transport_adjoint_is_exact_transpose_and_conserves_mass():
     assert defect == 0.0
 
 
+def reference_transport_bands(model, sgrid, r, u):
+    """The three-point stencil of the signal generator written out: diagonals
+    (dif - adv, -2 dif, dif + adv) on interior rows, dif = beta^2 / (2 dx^2)
+    and adv = alpha / (2 dx); boundary rows zero."""
+    xs = sgrid.nodes()
+    shape = np.broadcast_shapes(np.shape(r), xs.shape)
+    dx = sgrid.dx
+    full = lambda v: np.broadcast_to(np.asarray(v, dtype=float), shape)
+    adv = full(model.alpha(xs, r, u)) / (2.0 * dx)
+    dif = 0.5 * full(model.beta(xs, r, u)) ** 2 / dx**2
+    bands = np.zeros((3,) + shape)
+    bands[0][..., 1:-1] = dif[..., 1:-1] - adv[..., 1:-1]
+    bands[1][..., 1:-1] = -2.0 * dif[..., 1:-1]
+    bands[2][..., 1:-1] = dif[..., 1:-1] + adv[..., 1:-1]
+    return bands
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(2, 199),
+    coef=st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.1, 2.0),
+                   st.floats(-1.0, 1.0)),
+    autonomous=st.booleans(),
+    n_col=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_transport_bands_equal_reference_stencil_bitwise(n_cells, coef, autonomous, n_col, seed):
+    a, c, b, u = coef
+    if autonomous:
+        model = zk.SignalModel(alpha=lambda x, r, u_: a * x, beta=lambda x, r, u_: b,
+                               h_obs=lambda x: x, F_init=lambda x, z: x)
+    else:
+        model = zk.SignalModel(alpha=lambda x, r, u_: a * x + c * r + u_,
+                               beta=lambda x, r, u_: b + 0.3 * np.sin(x + r) * u_,
+                               h_obs=lambda x: x, F_init=lambda x, z: x, autonomous=False)
+    sg = SpatialGrid(-1.5, 2.0, n_cells)
+    rng = np.random.default_rng(seed)
+    # n_col 0: one operator at a scalar r; else a stack at an (n_col, 1) column
+    r = float(rng.normal()) if n_col == 0 else rng.normal(size=(n_col, 1))
+    L = zk.transport_bands(model, sg, r, u)
+    assert L.kl == 1
+    assert np.array_equal(L.bands, reference_transport_bands(model, sg, r, u))
+
+
 def test_pure_observation_closed_form():
     # no transport: the splitting scheme multiplies the likelihood factors
     # exactly, density(x) = F(x) exp(x R_t - x^2 t / 2) for h(x) = x
