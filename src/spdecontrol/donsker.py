@@ -15,6 +15,7 @@ closed form; the quadrature route is kept available for cross-validation.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ NEG_CLAMP_REL = 1e-10
 # exp(-37) ~ 9e-17: transform truncated where Gaussian damping is below this
 _TAIL_EXPONENT = 37.0
 _TIME_QUAD_NODES = 64
+_FIRST_X_NODES = 257
 _MAX_X_NODES = 2**21 + 1
 
 
@@ -99,8 +101,15 @@ class HistorySnapshot:
         return cls(t=grid.time(k), accumulated_b=acc, jump_events=tuple(zip(times, marks)))
 
 
-def _gl_nodes(a: float, b: float, n: int = _TIME_QUAD_NODES):
-    x, w = np.polynomial.legendre.leggauss(n)
+@functools.cache
+def _gl_rule():
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use (Gaussian
+    specs never need them) and rescaled by _gl_nodes."""
+    return np.polynomial.legendre.leggauss(_TIME_QUAD_NODES)
+
+
+def _gl_nodes(a: float, b: float):
+    x, w = _gl_rule()
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -141,33 +150,35 @@ def _jump_exponent(spec: FirstOrderChaosSpec, t: float):
     wl = np.array(wl)
 
     def g(x):
-        xp = np.multiply.outer(x, psi_vals)
-        return (np.exp(1j * xp) - 1.0 - 1j * xp) @ wl
+        ixp = 1j * np.multiply.outer(x, psi_vals)
+        return (np.exp(ixp) - 1.0 - ixp) @ wl
 
     return g
 
 
-def _fourier_moment(spec, z, t, m, factor, tol):
-    """(1/2pi) int exp(i x m + g(x) - x^2 sigma^2/2 - i x z) factor(x) dx.
+def _fourier_moment(spec, z, t, m, factor, tol, sigma2):
+    """(1/2pi) int exp(i x m + g(x) - x^2 sigma^2/2 - i x z) factor(x) dx;
+    sigma2 is sigma^2(t), checked by the caller.
 
-    Evaluated on [0, X] using conjugate symmetry; adaptive Simpson doubling.
-    m may be a scalar or a 1-d array (shared x-nodes, one result per entry).
+    Evaluated on [0, X] using conjugate symmetry by composite Simpson on
+    _FIRST_X_NODES equispaced nodes, doubling the node count until a level
+    agrees with the Simpson estimate on its own even nodes (the previous
+    level) to within tol.  m may be a scalar or a 1-d array (shared x-nodes,
+    one result per entry).
     """
-    sigma2 = _check_time(spec, t)
     g = _jump_exponent(spec, t)
     x_max = math.sqrt(2.0 * _TAIL_EXPONENT / sigma2)
     m_arr = np.atleast_1d(np.asarray(m, dtype=float))
-    n = 129
-    prev = None
+    n = _FIRST_X_NODES
     while n <= _MAX_X_NODES:
         x = np.linspace(0.0, x_max, n)
         base = np.exp(g(x) - 0.5 * sigma2 * x * x) * factor(x)
         phase = np.exp(1j * np.multiply.outer(m_arr - z, x))
         vals = (phase * base).real
         est = simpson(vals, x=x, axis=-1) / math.pi
-        if prev is not None and np.max(np.abs(est - prev)) < tol:
+        coarse = simpson(vals[:, ::2], x=x[::2], axis=-1) / math.pi
+        if np.max(np.abs(est - coarse)) < tol:
             return est if np.ndim(m) else float(est[0])
-        prev = est
         n = 2 * n - 1
     raise QuadratureFailure(f"no convergence to tol={tol} with {_MAX_X_NODES} transform nodes")
 
@@ -209,7 +220,7 @@ def delta_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):
     sigma2 = _check_time(spec, t)
     if _resolve_method(spec, method) == "closed_form":
         return _gaussian_pdf(z, m, sigma2)
-    raw = _fourier_moment(spec, z, t, m, lambda x: 1.0, tol)
+    raw = _fourier_moment(spec, z, t, m, lambda x: 1.0, tol, sigma2)
     out = _clamp_density(raw, sigma2)
     return out if np.ndim(m) else float(out)
 
@@ -222,7 +233,7 @@ def conditional_malliavin_b(spec, z, hist, *, method="auto", tol=1e-10):
     beta_t = spec.beta(hist.t)
     if _resolve_method(spec, method) == "closed_form":
         return float(beta_t * (z - m) / sigma2 * _gaussian_pdf(z, m, sigma2))
-    return float(_fourier_moment(spec, z, hist.t, m, lambda x: 1j * x * beta_t, tol))
+    return float(_fourier_moment(spec, z, hist.t, m, lambda x: 1j * x * beta_t, tol, sigma2))
 
 
 def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
@@ -237,7 +248,9 @@ def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
     psi_tz = spec.psi(t, zeta)
     if psi_tz == 0.0:
         return 0.0
-    return float(_fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, tol))
+    sigma2 = _check_time(spec, t)
+    num = _fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, tol, sigma2)
+    return float(num)
 
 
 def phi1(spec, z, hist, *, method="auto", tol=1e-10):
@@ -253,9 +266,10 @@ def phi1_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):
     """phi1 evaluated from the compensated mean m(t); m may be an array."""
     if _resolve_method(spec, method) == "closed_form":
         return gaussian_phi1(spec, z, t, m)
-    den = _fourier_moment(spec, z, t, m, lambda x: 1.0, tol)
+    sigma2 = _check_time(spec, t)
     beta_t = spec.beta(t)
-    num = _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, tol)
+    den = _fourier_moment(spec, z, t, m, lambda x: 1.0, tol, sigma2)
+    num = _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, tol, sigma2)
     den = np.asarray(den, dtype=float)
     if np.any(den <= EPS_DIV):
         raise DivisionUnstable(f"conditional density below division floor at z={z}")

@@ -118,6 +118,8 @@ class PerformanceEstimate:
     def from_samples(cls, samples) -> PerformanceEstimate:
         """Sample mean and its standard error (ddof 1) of Monte Carlo samples."""
         n = len(samples)
+        if n < 2:
+            raise ValueError("need at least two paths for a standard error")
         return cls(
             mean=float(np.mean(samples)),
             stderr=float(np.std(samples, ddof=1) / math.sqrt(n)),

@@ -192,8 +192,8 @@ def run_portfolio_experiment(
     Every candidate sees the identical noise (same seed and path indices), so
     differences between estimates are low-variance and the per-path samples
     of two candidates can be paired.  Paths whose wealth hits a nonpositive
-    interior value are rejected and counted; a candidate with every path
-    rejected raises WealthNonpositive.
+    interior value are rejected and counted; a candidate with fewer than two
+    accepted paths raises WealthNonpositive.
     """
     if tgrid.t_end > spec.T0 - tgrid.dt + 1e-12:
         raise ValueError("horizon must stay at least one step before T0")
@@ -212,14 +212,17 @@ def run_portfolio_experiment(
             chaos=spec, n_paths=n_paths, seed=seed,
         )
         accepted = res.min_interior > 0.0
-        n_rej = int(n_paths - np.count_nonzero(accepted))
-        if n_rej == n_paths:
-            raise WealthNonpositive(f"every path rejected for control {name!r}")
+        n_acc = int(np.count_nonzero(accepted))
+        if n_acc < 2:
+            raise WealthNonpositive(
+                f"{n_acc} of {n_paths} paths accepted for control {name!r}; "
+                "a standard error needs two"
+            )
+        n_rej = n_paths - n_acc
         yt = res.y_terminal[accepted]
         util = grid.dx * np.sum(kw[1:-1] * np.log(yt[:, 1:-1]), axis=1)
         samples = res.w_terminal[accepted] * util
-        est = PerformanceEstimate.from_samples(samples) if len(samples) > 1 \
-            else PerformanceEstimate(float(samples[0]), math.inf, 2)
+        est = PerformanceEstimate.from_samples(samples)
         full = np.full(n_paths, math.nan)
         full[accepted] = samples
         results.append(PortfolioResult(name, est, n_rej, n_paths, full))

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.stats import poisson
 
 from spdecontrol.donsker import (
     EPS_VAR,
@@ -35,6 +38,85 @@ def jump_spec():
     return FirstOrderChaosSpec(
         beta=lambda s: 1.0, psi=lambda s, m: 0.4 * m, levy=levy, T0=1.0
     )
+
+
+def general_jump_spec():
+    levy = LevySpec(atoms=((0.5, 3.0),))
+    return FirstOrderChaosSpec(beta=lambda s: 1.0, psi=lambda s, m: m, levy=levy, T0=1.0)
+
+
+def reference_fourier_moment(spec, z, t, m, factor, tol):
+    """The transform integral of one factor as first written: the
+    Gauss-Legendre rule and sigma^2(t) rebuilt per call, and Simpson doubling
+    from 129 nodes until two successive levels agree to tol."""
+    sigma2 = spec.residual_variance(t)
+    gx, gw = np.polynomial.legendre.leggauss(64)
+    s_q = 0.5 * (spec.T0 - t) * gx + 0.5 * (t + spec.T0)
+    w_q = 0.5 * (spec.T0 - t) * gw
+    psi_vals = np.array([spec.psi(s, mark) for mark, _ in spec.levy.atoms for s in s_q])
+    wl = np.array([lam * w for _, lam in spec.levy.atoms for w in w_q])
+    x_max = math.sqrt(2.0 * 37.0 / sigma2)
+    m_arr = np.atleast_1d(np.asarray(m, dtype=float))
+    n = 129
+    prev = None
+    while True:
+        x = np.linspace(0.0, x_max, n)
+        xp = np.multiply.outer(x, psi_vals)
+        g = (np.exp(1j * xp) - 1.0 - 1j * xp) @ wl
+        base = np.exp(g - 0.5 * sigma2 * x * x) * factor(x)
+        vals = (np.exp(1j * np.multiply.outer(m_arr - z, x)) * base).real
+        est = simpson(vals, x=x, axis=-1) / math.pi
+        if prev is not None and np.max(np.abs(est - prev)) < tol:
+            return est if np.ndim(m) else float(est[0])
+        prev = est
+        n = 2 * n - 1
+
+
+@pytest.mark.parametrize("make_spec", [jump_spec, general_jump_spec])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.6, 0.95])
+@pytest.mark.parametrize("m", [0.2, np.linspace(-1.0, 1.0, 21)], ids=["scalar", "array"])
+def test_fourier_moments_equal_reference_doubling_bitwise(make_spec, t, m):
+    spec = make_spec()
+    z = 0.3
+    den = reference_fourier_moment(spec, z, t, m, lambda x: 1.0, 1e-10)
+    num = reference_fourier_moment(spec, z, t, m, lambda x: 1j * x * spec.beta(t), 1e-10)
+    density = delta_from_mean(spec, z, t, m)
+    drift = phi1_from_mean(spec, z, t, m)
+    assert np.array_equal(density, np.maximum(den, 0.0))
+    assert np.array_equal(drift, np.asarray(num) / den)
+    assert type(density) is type(drift) is (float if np.ndim(m) == 0 else np.ndarray)
+
+
+@pytest.mark.parametrize("routine", [delta_from_mean, phi1_from_mean])
+def test_quadrature_route_computes_residual_variance_once(routine):
+    spec = jump_spec()
+    with mock.patch.object(
+        FirstOrderChaosSpec, "residual_variance", autospec=True,
+        side_effect=FirstOrderChaosSpec.residual_variance,
+    ) as sigma2:
+        routine(spec, 0.3, 0.4, np.array([-0.5, 0.0, 0.5]))
+    assert sigma2.call_count == 1
+
+
+@pytest.mark.parametrize("atom", [(0.5, 3.0), (-0.8, 1.5)])
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.9])
+def test_jump_density_equals_poisson_mixture(atom, t):
+    # psi(s, mark) = mark: the remaining jump part is mark (K - Lambda) with
+    # K ~ Poisson(Lambda), Lambda = lam (T0 - t), so the density is a Poisson
+    # mixture of Gaussians (Merton 1976)
+    mark, lam = atom
+    spec = FirstOrderChaosSpec(
+        beta=lambda s: 1.0, psi=lambda s, mk: mk, levy=LevySpec(atoms=(atom,)), T0=1.0
+    )
+    z = 0.3
+    ms = np.linspace(-3.0, 3.0, 97)
+    sigma2 = spec.T0 - t
+    rate = lam * (spec.T0 - t)
+    k = np.arange(60)
+    centers = ms[:, None] + mark * (k - rate)
+    gauss = np.exp(-((z - centers) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)
+    oracle = gauss @ poisson.pmf(k, rate)
+    assert np.max(np.abs(delta_from_mean(spec, z, t, ms) - oracle)) <= 1e-10
 
 
 def test_gaussian_closed_form_matches_quadrature():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -678,4 +679,8 @@ def test_stationarity_report_is_json_friendly_and_passes_at_optimum():
 def test_performance_estimate_guards():
     with pytest.raises(ValueError):
         PerformanceEstimate(mean=0.0, stderr=0.0, n_paths=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="two paths"):
+            PerformanceEstimate.from_samples(np.array([1.5]))
     assert PerformanceEstimate(mean=0.0, stderr=0.0, n_paths=2).tstat() == 0.0

@@ -97,6 +97,17 @@ def test_every_path_rejected_raises_wealth_nonpositive():
         pf.run_portfolio_experiment(market, utility, spec, 0.5, candidates, TimeGrid(0.0, 0.5, 20), 50, 0)
 
 
+def test_one_accepted_path_raises_wealth_nonpositive():
+    # pi = 17 leaves exactly one of 20 paths positive: one sample has no
+    # standard error, so the candidate fails like an all-rejected one
+    market, utility, spec = pf.benchmark_market(16)
+    with pytest.raises(WealthNonpositive, match="1 of 20 paths accepted for control 'pi17'"):
+        pf.run_portfolio_experiment(
+            market, utility, spec, 0.5, {"pi17": pf.constant_policy(17.0)},
+            TimeGrid(0.0, 0.5, 20), 20, 0,
+        )
+
+
 def test_zero_control_matches_deterministic_pde_oracle():
     # pi = 0: wealth solves the noise-free diffusion, so each path's utility
     # integral is the same deterministic number weighted by the density
