@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -66,15 +66,20 @@ class FirstOrderChaosSpec:
     psi: object = None  # callable (s, mark) -> float, or None for no jump part
     levy: LevySpec = LevySpec()
     T0: float = 1.0
+    # sigma^2(t) by float(t); outside the spec's equality and hash
+    _sigma2: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_gaussian(self) -> bool:
         return self.psi is None or not self.levy.atoms
 
     def residual_variance(self, t: float) -> float:
-        """sigma^2(t) = int_t^{T0} beta^2 ds."""
-        val, _ = quad(lambda s: self.beta(s) ** 2, t, self.T0, epsabs=1e-13, epsrel=1e-12)
-        return val
+        """sigma^2(t) = int_t^{T0} beta^2 ds, integrated once per spec and time."""
+        key = float(t)
+        if key not in self._sigma2:
+            val, _ = quad(lambda s: self.beta(s) ** 2, t, self.T0, epsabs=1e-13, epsrel=1e-12)
+            self._sigma2[key] = val
+        return self._sigma2[key]
 
 
 @dataclass(frozen=True)
@@ -228,12 +233,16 @@ def delta_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):
 def conditional_malliavin_b(spec, z, hist, *, method="auto", tol=1e-10):
     """Conditional Brownian stochastic derivative of the delta functional at
     the snapshot time (the diagonal case)."""
-    sigma2 = _check_time(spec, hist.t)
-    m = effective_mean(spec, hist)
-    beta_t = spec.beta(hist.t)
+    return _malliavin_b_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method, tol=tol)
+
+
+def _malliavin_b_from_mean(spec, z, t, m, *, method, tol):
+    """conditional_malliavin_b from the scalar mean m(t)."""
+    sigma2 = _check_time(spec, t)
+    beta_t = spec.beta(t)
     if _resolve_method(spec, method) == "closed_form":
         return float(beta_t * (z - m) / sigma2 * _gaussian_pdf(z, m, sigma2))
-    return float(_fourier_moment(spec, z, hist.t, m, lambda x: 1j * x * beta_t, tol, sigma2))
+    return float(_fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, tol, sigma2))
 
 
 def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
@@ -255,11 +264,11 @@ def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
 
 def phi1(spec, z, hist, *, method="auto", tol=1e-10):
     """Information-drift ratio: Brownian derivative moment over the density."""
-    den = conditional_delta(spec, z, hist, method=method, tol=tol)
+    m = effective_mean(spec, hist)
+    den = delta_from_mean(spec, z, hist.t, m, method=method, tol=tol)
     if den <= EPS_DIV:
         raise DivisionUnstable(f"conditional density {den:.3e} at z={z} below division floor")
-    num = conditional_malliavin_b(spec, z, hist, method=method, tol=tol)
-    return num / den
+    return _malliavin_b_from_mean(spec, z, hist.t, m, method=method, tol=tol) / den
 
 
 def phi1_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):

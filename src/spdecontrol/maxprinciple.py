@@ -163,18 +163,19 @@ def _weight_vec(chaos, z, t, m):
     return donsker.delta_from_mean(chaos, z, t, np.asarray(m, dtype=float))
 
 
-def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, levy, seed, path_indices, perf):
+def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, levy, db, counts, perf):
+    """Sweep one control over the block of paths with Brownian increments db
+    (n_paths, n_steps) and event counts counts, one such matrix per atom."""
     xs = grid.nodes()
     dt = tgrid.dt
-    nb = len(path_indices)
+    nb = len(db)
     wx = _trapezoid_weights(grid)
-    db = brownian_increment_matrix(tgrid, seed, path_indices)
-    counts = jump_count_matrices(tgrid, levy, seed, path_indices)
     h_int = np.zeros(nb) if perf is not None else None
-    min_int = np.full(nb, np.inf)
+    # elementwise over interior nodes, reduced over them once at the end
+    run_min = np.full((nb, grid.n_nodes - 2), np.inf)
 
     for t, Y, u, m in _sweep(coeffs, op, control, z, grid, tgrid, db, counts, levy, chaos):
-        np.minimum(min_int, Y[:, 1:-1].min(axis=1), out=min_int)
+        np.minimum(run_min, Y[:, 1:-1], out=run_min)
         if perf is not None and u is not None:
             w = _weight_vec(chaos, z, t, m)
             hvals = np.broadcast_to(np.asarray(perf.h(t, xs, Y, u, z), dtype=float), Y.shape)
@@ -187,15 +188,25 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, levy, seed, path
         y_terminal=Y,
         w_terminal=_weight_vec(chaos, z, tgrid.t_end, m),
         h_integral=h_int,
-        min_interior=min_int,
+        min_interior=run_min.min(axis=1),
         m_terminal=m,
     )
+
+
+def _joined(parts) -> EnsembleResult:
+    """One result from the results of consecutive blocks."""
+    if len(parts) == 1:
+        return parts[0]
+    # every field but n_paths is path-indexed, or None in every block
+    cat = lambda vals: None if vals[0] is None else np.concatenate(vals)
+    per_path = [cat([getattr(p, f.name) for p in parts]) for f in fields(EnsembleResult)[1:]]
+    return EnsembleResult(sum(p.n_paths for p in parts), *per_path)
 
 
 def run_ensemble(
     coeffs: CoefficientSet,
     op: OperatorSpec,
-    control: ControlPolicy,
+    control: ControlPolicy | tuple,
     z,
     grid: SpatialGrid,
     tgrid: TimeGrid,
@@ -205,37 +216,40 @@ def run_ensemble(
     n_paths: int = 1024,
     seed: int = 0,
     perf: PerformanceSpec | None = None,
-) -> EnsembleResult:
+):
     """Vectorized Monte Carlo sweep of the forward scheme over many paths.
 
     Path p reproduces sample_bundle(..., path_index=p) bit-exactly; paths are
     swept in blocks of at most _BLOCK_PATHS, and results do not depend on the
-    blocking.  levy drives the state's jumps; when chaos has a jump part it
-    must be chaos.levy, since the insider mean m is advanced with the same
-    jump counts (advance_mean raises ModelMismatch otherwise).  A
-    control-dependent operator is one banded operator per path; the boundary
-    rows of I - dt A are identity rows, so each path is solved as if alone,
-    bit for bit, whatever its band (AssembledOperator.solve_implicit).
+    blocking.  control is one ControlPolicy, giving one EnsembleResult, or a
+    tuple of them, giving a tuple of results in the same order: each block's
+    noise is drawn once (read-only) and every control is swept on it, so the
+    controls share common random numbers and each result equals that of a
+    call with the control alone.  levy drives the state's jumps; when chaos
+    has a jump part it must be chaos.levy, since the insider mean m is
+    advanced with the same jump counts (advance_mean raises ModelMismatch
+    otherwise).  A control-dependent operator is one banded operator per
+    path; the boundary rows of I - dt A are identity rows, so each path is
+    solved as if alone, bit for bit, whatever its band
+    (AssembledOperator.solve_implicit).
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    controls = control if isinstance(control, tuple) else (control,)
     block_size = _BLOCK_PATHS
     if op.control_dependent and op.jump_shift is not None and op.levy.atoms:
         block_size = min(block_size, max(1, _JUMP_BAND_BYTES // (16 * grid.n_nodes**2)))
-    parts = [
-        _ensemble_block(
-            coeffs, op, control, z, grid, tgrid, chaos, levy, seed,
-            list(range(lo, min(lo + block_size, n_paths))), perf,
-        )
-        for lo in range(0, n_paths, block_size)
-    ]
-
-    if len(parts) == 1:
-        return parts[0]
-    # every field but n_paths is path-indexed, or None in every block
-    cat = lambda vals: None if vals[0] is None else np.concatenate(vals)
-    per_path = [cat([getattr(p, f.name) for p in parts]) for f in fields(EnsembleResult)[1:]]
-    return EnsembleResult(n_paths, *per_path)
+    parts = [[] for _ in controls]
+    for lo in range(0, n_paths, block_size):
+        path_indices = list(range(lo, min(lo + block_size, n_paths)))
+        db = brownian_increment_matrix(tgrid, seed, path_indices)
+        counts = jump_count_matrices(tgrid, levy, seed, path_indices)
+        for noise in (db, *counts):
+            noise.flags.writeable = False
+        for part, c in zip(parts, controls):
+            part.append(_ensemble_block(coeffs, op, c, z, grid, tgrid, chaos, levy, db, counts, perf))
+    results = tuple(_joined(part) for part in parts)
+    return results if isinstance(control, tuple) else results[0]
 
 
 def hamiltonian(
@@ -277,7 +291,7 @@ def hamiltonian(
 def estimate_j(
     coeffs: CoefficientSet,
     op: OperatorSpec,
-    control: ControlPolicy,
+    control: ControlPolicy | tuple,
     perf: PerformanceSpec,
     chaos: FirstOrderChaosSpec,
     z,
@@ -292,21 +306,26 @@ def estimate_j(
     """Monte Carlo estimate of the z-parametrized performance functional.
 
     The profit rate is weighted by the conditional density along each path
-    and the terminal payoff by its value at the horizon.
+    and the terminal payoff by its value at the horizon.  A tuple of controls
+    gives a tuple of estimates in the same order, all from one run_ensemble
+    call, so the controls share one noise draw per block.
     """
     if tgrid.t_end > chaos.T0 - tgrid.dt + 1e-12:
         raise ValueError("horizon must stay at least one step before T0")
-    res = run_ensemble(
-        coeffs, op, control, z, grid, tgrid,
+    results = run_ensemble(
+        coeffs, op, control if isinstance(control, tuple) else (control,), z, grid, tgrid,
         chaos=chaos, levy=levy, n_paths=n_paths, seed=seed, perf=perf,
     )
     wx = _trapezoid_weights(grid)
-    kvals = np.broadcast_to(
-        np.asarray(perf.k(grid.nodes(), res.y_terminal, z), dtype=float), res.y_terminal.shape
-    )
-    samples = res.h_integral + res.w_terminal * (kvals @ wx)
-    est = PerformanceEstimate.from_samples(samples)
-    return (est, samples) if return_samples else est
+    out = []
+    for res in results:
+        kvals = np.broadcast_to(
+            np.asarray(perf.k(grid.nodes(), res.y_terminal, z), dtype=float), res.y_terminal.shape
+        )
+        samples = res.h_integral + res.w_terminal * (kvals @ wx)
+        est = PerformanceEstimate.from_samples(samples)
+        out.append((est, samples) if return_samples else est)
+    return tuple(out) if isinstance(control, tuple) else out[0]
 
 
 def _clamp(u0, b0, bounds, K):
@@ -341,7 +360,7 @@ def gateaux_derivative(
     coeffs,
     op,
     control: ControlPolicy,
-    direction: PerturbationDirection,
+    direction: PerturbationDirection | tuple,
     perf,
     chaos,
     z,
@@ -352,20 +371,22 @@ def gateaux_derivative(
     n_paths: int = 4096,
     seed: int = 0,
     levy: LevySpec = LevySpec(),
-) -> PerformanceEstimate:
+):
     """Directional derivative of the performance by central differences with
-    common random numbers (same seed, hence same noise on both sides)."""
-    up = perturbed_policy(control, direction, a_step)
-    dn = perturbed_policy(control, direction, -a_step)
-    _, s_up = estimate_j(
-        coeffs, op, up, perf, chaos, z, grid, tgrid, n_paths, seed,
+    common random numbers: both sides are swept on the same noise draw.  A
+    tuple of directions gives a tuple of estimates in the same order, all
+    2 * len(direction) sides from one draw per block."""
+    directions = direction if isinstance(direction, tuple) else (direction,)
+    sides = tuple(perturbed_policy(control, d, a) for d in directions for a in (a_step, -a_step))
+    runs = estimate_j(
+        coeffs, op, sides, perf, chaos, z, grid, tgrid, n_paths, seed,
         levy=levy, return_samples=True,
     )
-    _, s_dn = estimate_j(
-        coeffs, op, dn, perf, chaos, z, grid, tgrid, n_paths, seed,
-        levy=levy, return_samples=True,
+    out = tuple(
+        PerformanceEstimate.from_samples((s_up - s_dn) / (2.0 * a_step))
+        for (_, s_up), (_, s_dn) in zip(runs[::2], runs[1::2])
     )
-    return PerformanceEstimate.from_samples((s_up - s_dn) / (2.0 * a_step))
+    return out if isinstance(direction, tuple) else out[0]
 
 
 def state_sensitivity(
@@ -529,31 +550,32 @@ def verify_x_independent_stationarity(
     if control.mode != "x-independent":
         raise ValueError("stationarity check applies to x-independent controls")
     edges = np.linspace(tgrid.t_start, tgrid.t_end, n_windows + 1)
-    entries = []
-    for w in range(n_windows):
-        t_lo, t_hi = float(edges[w]), float(edges[w + 1])
+    windows = [(float(edges[w]), float(edges[w + 1])) for w in range(n_windows)]
 
-        def bump(k, t, x, z_, hist, lo=t_lo, hi=t_hi):
-            return 1.0 if lo <= t < hi else 0.0
+    def bump(lo, hi):
+        return lambda k, t, x, z_, hist: 1.0 if lo <= t < hi else 0.0
 
-        direction = PerturbationDirection(
-            beta0=ControlPolicy(rule=bump, mode="x-independent", bounds=control.bounds),
+    directions = tuple(
+        PerturbationDirection(
+            beta0=ControlPolicy(rule=bump(lo, hi), mode="x-independent", bounds=control.bounds),
             K_bound=1.0,
         )
-        est = gateaux_derivative(
-            coeffs, op, control, direction, perf, chaos, z, grid, tgrid,
-            a_step=a_step, n_paths=n_paths, seed=seed, levy=levy,
-        )
-        width = t_hi - t_lo
-        entries.append(
-            {
-                "t_lo": t_lo,
-                "t_hi": t_hi,
-                "statistic": est.mean / width,
-                "stderr": est.stderr / width,
-                "tstat": est.tstat(),
-            }
-        )
+        for lo, hi in windows
+    )
+    ests = gateaux_derivative(
+        coeffs, op, control, directions, perf, chaos, z, grid, tgrid,
+        a_step=a_step, n_paths=n_paths, seed=seed, levy=levy,
+    )
+    entries = [
+        {
+            "t_lo": t_lo,
+            "t_hi": t_hi,
+            "statistic": est.mean / (t_hi - t_lo),
+            "stderr": est.stderr / (t_hi - t_lo),
+            "tstat": est.tstat(),
+        }
+        for (t_lo, t_hi), est in zip(windows, ests)
+    ]
     max_abs = max(abs(e["tstat"]) for e in entries)
     return {
         "windows": entries,

@@ -189,11 +189,12 @@ def run_portfolio_experiment(
 ) -> list:
     """Monte Carlo log-utility performance for each named candidate control.
 
-    Every candidate sees the identical noise (same seed and path indices), so
-    differences between estimates are low-variance and the per-path samples
-    of two candidates can be paired.  Paths whose wealth hits a nonpositive
-    interior value are rejected and counted; a candidate with fewer than two
-    accepted paths raises WealthNonpositive.
+    Every candidate is swept on the identical noise, drawn once per block by
+    one run_ensemble call over all candidates, so differences between
+    estimates are low-variance and the per-path samples of two candidates
+    can be paired.  Paths whose wealth hits a nonpositive interior value are
+    rejected and counted; a candidate with fewer than two accepted paths
+    raises WealthNonpositive.
     """
     if tgrid.t_end > spec.T0 - tgrid.dt + 1e-12:
         raise ValueError("horizon must stay at least one step before T0")
@@ -205,12 +206,12 @@ def run_portfolio_experiment(
     kw = np.broadcast_to(utility.weight(xs, z), (grid.n_nodes,))
     utility.k_total(grid, z)  # validates sign and mass
 
+    runs = run_ensemble(
+        coeffs, op, tuple(candidates.values()), z, grid, tgrid,
+        chaos=spec, n_paths=n_paths, seed=seed,
+    )
     results = []
-    for name, policy in candidates.items():
-        res = run_ensemble(
-            coeffs, op, policy, z, grid, tgrid,
-            chaos=spec, n_paths=n_paths, seed=seed,
-        )
+    for name, res in zip(candidates, runs):
         accepted = res.min_interior > 0.0
         n_acc = int(np.count_nonzero(accepted))
         if n_acc < 2:

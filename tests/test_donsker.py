@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.stats import poisson
 
+from spdecontrol import donsker
 from spdecontrol.donsker import (
     EPS_VAR,
     FirstOrderChaosSpec,
@@ -185,6 +187,31 @@ def test_phi1_gaussian_ratio():
     z = 1.25
     assert phi1(spec, z, hist) == pytest.approx((z - 0.25) / 0.5, abs=1e-10)
     assert gaussian_phi1(spec, z, 0.5, 0.25) == pytest.approx((z - 0.25) / 0.5)
+
+
+def test_residual_variance_integrates_once_per_time():
+    # a non-constant beta, so every time needs its own quad
+    make = lambda: FirstOrderChaosSpec(beta=lambda s: 1.0 + s, T0=1.0)
+    spec = make()
+    key = hash(spec)
+    ts = np.linspace(0.0, 0.95, 50)
+    with mock.patch.object(donsker, "quad", wraps=donsker.quad) as integrate:
+        first = [spec.residual_variance(t) for t in ts]
+        again = [spec.residual_variance(t) for t in ts]
+    assert integrate.call_count == 50
+    fresh = make()
+    assert first == again == [fresh.residual_variance(t) for t in ts]
+    assert hash(spec) == key and spec == replace(spec) and "sigma2" not in repr(spec)
+
+
+def test_phi1_computes_effective_mean_once():
+    spec = jump_spec()
+    hist = HistorySnapshot(t=0.4, accumulated_b=0.2, jump_events=((0.1, 1.0), (0.3, -0.5)))
+    old = conditional_malliavin_b(spec, 0.3, hist) / conditional_delta(spec, 0.3, hist)
+    with mock.patch.object(donsker, "effective_mean", wraps=effective_mean) as mean:
+        val = phi1(spec, 0.3, hist)
+    assert mean.call_count == 1
+    assert val == old
 
 
 def test_phi1_from_mean_vectorizes():

@@ -42,7 +42,13 @@ from spdecontrol.maxprinciple import (
     state_sensitivity,
     verify_x_independent_stationarity,
 )
-from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix, sample_bundle
+from spdecontrol.noise import (
+    LevySpec,
+    TimeGrid,
+    brownian_increment_matrix,
+    jump_count_matrices,
+    sample_bundle,
+)
 
 
 GRID = SpatialGrid(0.0, 1.0, 32)
@@ -684,3 +690,101 @@ def test_performance_estimate_guards():
         with pytest.raises(ValueError, match="two paths"):
             PerformanceEstimate.from_samples(np.array([1.5]))
     assert PerformanceEstimate(mean=0.0, stderr=0.0, n_paths=2).tstat() == 0.0
+
+
+def _count_rows_drawn():
+    """Patch the ensemble's noise draws to count the rows each draws."""
+    rows = {"B": 0, "P": 0}
+
+    def brownian(tgrid, seed, path_indices, *rest):
+        rows["B"] += len(path_indices)
+        return brownian_increment_matrix(tgrid, seed, path_indices, *rest)
+
+    def jumps(tgrid, levy, seed, path_indices, *rest):
+        rows["P"] += len(path_indices) if levy.atoms else 0
+        return jump_count_matrices(tgrid, levy, seed, path_indices, *rest)
+
+    patches = mock.patch.multiple(mp, brownian_increment_matrix=brownian, jump_count_matrices=jumps)
+    return patches, rows
+
+
+@pytest.mark.parametrize("jumps", [False, True], ids=["gaussian", "atom"])
+def test_tuple_of_controls_equals_separate_runs_bitwise(jumps):
+    op, coeffs = jump_model()
+    if jumps:
+        chaos, levy = JUMP_CHAOS, JUMP_LEVY
+    else:
+        chaos, levy = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0), LevySpec()
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
+    pols = tuple(
+        ControlPolicy(rule=lambda k, t, x, z, hist, c=c: np.clip(c + 0.3 * np.asarray(hist.m), 0.0, 1.0),
+                      bounds=(0.0, 1.0))
+        for c in (0.2, 0.5, 0.8)
+    )
+    kw = dict(chaos=chaos, levy=levy, n_paths=8, seed=5, perf=perf)
+    grid, tg = SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 4)
+    patches, rows = _count_rows_drawn()
+    with mock.patch.object(mp, "_BLOCK_PATHS", 3):
+        alone = [run_ensemble(coeffs, op, p, 0.3, grid, tg, **kw) for p in pols]
+        with patches:
+            shared = run_ensemble(coeffs, op, pols, 0.3, grid, tg, **kw)
+    assert rows == {"B": 8, "P": 8 if jumps else 0}
+    assert isinstance(shared, tuple) and len(shared) == 3
+    for a, b in zip(alone, shared):
+        assert a.n_paths == b.n_paths == 8
+        for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior", "m_terminal"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
+    assert not np.array_equal(shared[0].y_terminal, shared[2].y_terminal)
+
+
+@pytest.mark.parametrize("target", ["db", "counts"])
+def test_shared_noise_is_read_only(target):
+    op, coeffs = jump_model()
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 0.0 * np.asarray(hist.m),
+                        bounds=(0.0, 1.0))
+    sweep = mp._sweep
+
+    def writing_sweep(coeffs, op, control, z, grid, tgrid, db, counts, *rest):
+        (db if target == "db" else counts[0])[0, 0] = 0
+        return sweep(coeffs, op, control, z, grid, tgrid, db, counts, *rest)
+
+    with mock.patch.object(mp, "_sweep", writing_sweep), pytest.raises(ValueError, match="read-only"):
+        run_ensemble(coeffs, op, (pol, pol), 0.3, SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 3),
+                     levy=JUMP_LEVY, n_paths=4, seed=0)
+
+
+def test_gateaux_draws_each_path_once_for_all_directions():
+    market, spec, coeffs, op, perf = bench()
+    pol = pf.optimal_policy(market, spec)
+    tg = TimeGrid(0.0, 0.3, 12)
+    dirs = (direction(1.0), direction(-0.5), direction(0.25))
+    kw = dict(a_step=1e-3, n_paths=16, seed=2)
+    alone = [gateaux_derivative(coeffs, op, pol, d, perf, spec, 0.5, market.D, tg, **kw) for d in dirs]
+    patches, rows = _count_rows_drawn()
+    with patches:
+        one = gateaux_derivative(coeffs, op, pol, dirs[0], perf, spec, 0.5, market.D, tg, **kw)
+    assert rows["B"] == 16
+    with patches:
+        shared = gateaux_derivative(coeffs, op, pol, dirs, perf, spec, 0.5, market.D, tg, **kw)
+    assert rows["B"] == 32
+    assert one == alone[0] and shared == tuple(alone)
+
+
+def test_stationarity_draws_each_path_once_for_all_windows():
+    market, spec, coeffs, op, perf = bench()
+    pol = pf.optimal_policy(market, spec)
+    tg = TimeGrid(0.0, 0.3, 12)
+    patches, rows = _count_rows_drawn()
+    with patches:
+        report = verify_x_independent_stationarity(
+            coeffs, op, pol, perf, spec, 0.5, market.D, tg, n_windows=3, n_paths=20, seed=1,
+        )
+    assert rows["B"] == 20
+    for w in report["windows"]:
+        bump = lambda k, t, x, z, hist, lo=w["t_lo"], hi=w["t_hi"]: 1.0 if lo <= t < hi else 0.0
+        d = PerturbationDirection(beta0=ControlPolicy(rule=bump, bounds=pol.bounds), K_bound=1.0)
+        est = gateaux_derivative(coeffs, op, pol, d, perf, spec, 0.5, market.D, tg,
+                                 n_paths=20, seed=1)
+        width = w["t_hi"] - w["t_lo"]
+        assert (w["statistic"], w["stderr"], w["tstat"]) == (est.mean / width, est.stderr / width,
+                                                            est.tstat())

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
 from spdecontrol.errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
@@ -106,6 +108,28 @@ def test_one_accepted_path_raises_wealth_nonpositive():
             market, utility, spec, 0.5, {"pi17": pf.constant_policy(17.0)},
             TimeGrid(0.0, 0.5, 20), 20, 0,
         )
+
+
+def test_candidates_share_one_noise_draw():
+    market, utility, spec = pf.benchmark_market(8)
+    pol = pf.optimal_policy(market, spec)
+    candidates = {"pi_hat": pol, "down": pf.shifted_policy(pol, -0.25),
+                  "up": pf.shifted_policy(pol, 0.25)}
+    tg = TimeGrid(0.0, 0.3, 12)
+    rows = []
+
+    def draw(tgrid, seed, path_indices, *rest):
+        rows.append(len(path_indices))
+        return brownian_increment_matrix(tgrid, seed, path_indices, *rest)
+
+    with mock.patch.object(mp, "brownian_increment_matrix", draw):
+        shared = pf.run_portfolio_experiment(market, utility, spec, 0.5, candidates, tg, 30, 4)
+    assert rows == [30]
+    for r in shared:
+        alone, = pf.run_portfolio_experiment(market, utility, spec, 0.5, {r.name: candidates[r.name]},
+                                             tg, 30, 4)
+        assert r.estimate == alone.estimate and r.n_rejected == alone.n_rejected
+        assert np.array_equal(r.samples, alone.samples, equal_nan=True)
 
 
 def test_zero_control_matches_deterministic_pde_oracle():
