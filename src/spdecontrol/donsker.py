@@ -263,12 +263,9 @@ def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
 
 
 def phi1(spec, z, hist, *, method="auto", tol=1e-10):
-    """Information-drift ratio: Brownian derivative moment over the density."""
-    m = effective_mean(spec, hist)
-    den = delta_from_mean(spec, z, hist.t, m, method=method, tol=tol)
-    if den <= EPS_DIV:
-        raise DivisionUnstable(f"conditional density {den:.3e} at z={z} below division floor")
-    return _malliavin_b_from_mean(spec, z, hist.t, m, method=method, tol=tol) / den
+    """Information-drift ratio: Brownian derivative moment over the density,
+    phi1_from_mean at the history's effective mean."""
+    return phi1_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method, tol=tol)
 
 
 def phi1_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):

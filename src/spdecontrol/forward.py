@@ -276,31 +276,35 @@ def _shifted(band, o):
 def assemble_operator(op: OperatorSpec, grid: SpatialGrid, t, u_field, z) -> AssembledOperator:
     """Central-difference discretization of the operator at time t.
 
-    u_field is a scalar or per-node array of control values for one operator,
-    or an (n_paths, 1) or (n_paths, n_nodes) control stack for one operator
-    per path (see AssembledOperator for the resulting shapes).  The nonlocal
-    part lam [y(x + gamma) - y(x) - gamma y'(x)] interpolates y(x + gamma)
-    linearly; it adds the diagonals its interpolation nodes reach.
+    u_field is a scalar or per-node array of control values, or an (n_paths,
+    1) or (n_paths, n_nodes) control stack.  The output is sized by what the
+    coefficients return, broadcast against the nodes: one operator when no
+    coefficient value carries the paths' axis, whatever u_field is, else a
+    stack of one per path (see AssembledOperator for the resulting shapes).
+    The nonlocal part lam [y(x + gamma) - y(x) - gamma y'(x)] interpolates
+    y(x + gamma) linearly; it adds the diagonals its interpolation nodes reach.
     """
     xs = grid.nodes()
     n = grid.n_nodes
     dx = grid.dx
-    shape = (np.shape(u_field)[0], n) if np.ndim(u_field) == 2 else (n,)
-    s = np.broadcast_to(np.asarray(op.second_coeff(t, xs, u_field, z), dtype=float), shape)
-    f = np.broadcast_to(np.asarray(op.first_coeff(t, xs, u_field, z), dtype=float), shape)
+    s = np.asarray(op.second_coeff(t, xs, u_field, z), dtype=float)
+    f = np.asarray(op.first_coeff(t, xs, u_field, z), dtype=float)
+    atoms = op.levy.atoms if op.jump_shift is not None else ()
+    gams = [np.asarray(op.jump_shift(t, xs, u_field, z, mark), dtype=float) for mark, _ in atoms]
+    shape = np.broadcast_shapes(xs.shape, s.shape, f.shape, *(g.shape for g in gams))
+    s, f = np.broadcast_to(s, shape), np.broadcast_to(f, shape)
     if np.any(s < -1e-12):
         raise NonParabolic(f"second-order coefficient has minimum {s.min():.3e} < 0")
     s = np.maximum(s, 0.0)
 
     rows = np.arange(1, n - 1)
     jumps = []  # per atom: rate, interpolation offset idx - i, weight, shift
-    if op.jump_shift is not None and op.levy.atoms:
-        for mark, lam in op.levy.atoms:
-            gam = np.broadcast_to(np.asarray(op.jump_shift(t, xs, u_field, z, mark), dtype=float), shape)
-            shifted = np.clip(xs + gam, grid.x_left, grid.x_right)
-            idx = np.clip(np.searchsorted(xs, shifted) - 1, 0, n - 2)
-            w = (shifted - xs[idx]) / dx
-            jumps.append((lam, idx[..., 1:-1] - rows, w[..., 1:-1], gam[..., 1:-1]))
+    for (_, lam), gam in zip(atoms, gams):
+        gam = np.broadcast_to(gam, shape)
+        shifted = np.clip(xs + gam, grid.x_left, grid.x_right)
+        idx = np.clip(np.searchsorted(xs, shifted) - 1, 0, n - 2)
+        w = (shifted - xs[idx]) / dx
+        jumps.append((lam, idx[..., 1:-1] - rows, w[..., 1:-1], gam[..., 1:-1]))
     kl = ku = 1
     if jumps:
         # a nonlocal part always takes dgbsv, even within one cell, so a path
@@ -403,8 +407,9 @@ def _explicit_rhs(coeffs: CoefficientSet, t, xs, Y, u, z, dt, db_k, counts_k, le
 
 
 def _step_operator(op: OperatorSpec, grid: SpatialGrid, t, u, z, n_paths):
-    """The operator at t: one for all paths when it ignores the control,
-    else a stack of one per path."""
+    """The operator at t: one for all paths when it ignores the control
+    (declared so, or no coefficient value carries the paths' axis), else a
+    stack of one per path."""
     if not op.control_dependent:
         return assemble_operator(op, grid, t, 0.0, z)
     width = np.shape(u)[1] if np.ndim(u) == 2 else 1

@@ -434,11 +434,16 @@ def sensitivity_residual(
     """Max defect of chi against the discrete linearized state equation.
 
     Requires a control-independent operator (the linearization of the
-    operator in u is not formed here) and a Gaussian insider variable.
+    operator in u is not formed here), a Gaussian insider variable and no
+    jump term c on a bundle with jumps (its linearization is not formed
+    either; ModelMismatch).
     """
     if op.control_dependent:
         raise NotImplementedError("residual check needs a control-independent operator")
     _require_brownian(chaos, "sensitivity_residual")
+    if coeffs.c is not None and bundle.levy.atoms:
+        raise ModelMismatch("sensitivity_residual linearizes a dt + b dB only; "
+                            "it does not support a jump term c on a bundle with jumps")
     tgrid = bundle.grid
     xs = grid.nodes()
     dt = tgrid.dt

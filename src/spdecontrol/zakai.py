@@ -82,8 +82,15 @@ class SignalModel:
     callable may return a scalar where its value does not depend on x or r
     (constant volatility, say); results are broadcast to the full shape.
 
+    A callable that ignores r should return values without the paths' axis
+    (computed from x and u only): the grid filter then shares one operator
+    among all paths.  One whose value carries that axis takes the per-path
+    route, an operator per path and step, with the same results.
+
     The signal jumps by gamma(x, r, u, mark) at the events of each atom of
     levy, compensated by that atom's rate; without gamma it has no jumps.
+    The signal simulator, the particle filter and the grid filter's
+    generator all apply them.
     """
 
     alpha: object  # (x, r, u) -> real
@@ -92,8 +99,6 @@ class SignalModel:
     F_init: object  # (x, z) -> density value >= 0
     gamma: object = None  # (x, r, u, mark) -> real
     levy: LevySpec = field(default_factory=LevySpec)
-    # coefficients ignore (r, u): transport bands can be assembled once
-    autonomous: bool = True
 
     def check_initial_mass(self, sgrid: SpatialGrid, z) -> float:
         """Mass of F_init on the grid by UnnormalizedDensity.mass, the rectangle
@@ -193,12 +198,25 @@ def _control_value(control, k, t, z):
     return u
 
 
+def _signal_step(model: SignalModel, x, r, u, dt, dv, counts):
+    """One Euler-Maruyama step of the signal from x: x + (alpha dt + beta dv),
+    then, with a jump coefficient, + gamma(mark_a) (N_a - lam_a dt) added to
+    the increment atom by atom, counts[a] = N_a being the events of atom a of
+    model.levy.  Results depend on this order of the sums at round-off; keep
+    it."""
+    step = model.alpha(x, r, u) * dt + model.beta(x, r, u) * dv
+    if model.gamma is not None:
+        for (mark, lam), n in zip(model.levy.atoms, counts):
+            step = step + model.gamma(x, r, u, mark) * (n - dt * lam)
+    return x + step
+
+
 def _euler_maruyama(model: SignalModel, control, z, tgrid: TimeGrid, x0, dv, dw, counts):
     """Euler-Maruyama signal X (n_steps + 1, ...) and observation increments
     dR (n_steps, ...) from signal and observation Brownian increments dv, dw
     and counts[a], the events of atom a of model.levy, all time first:
     (n_steps,) for one path from a scalar x0, (n_steps, n_paths) for a block
-    from x0 (n_paths,).  Jumps add gamma(mark_a) (N_a - lam_a dt) per atom."""
+    from x0 (n_paths,)."""
     dt = tgrid.dt
     X = np.empty((tgrid.n_steps + 1,) + np.shape(dv)[1:])
     X[0] = x0
@@ -208,11 +226,7 @@ def _euler_maruyama(model: SignalModel, control, z, tgrid: TimeGrid, x0, dv, dw,
         u = _control_value(control, k, tgrid.time(k), z)
         x = X[k]
         dR[k] = model.h_obs(x) * dt + dw[k]
-        step = model.alpha(x, r, u) * dt + model.beta(x, r, u) * dv[k]
-        if model.gamma is not None:
-            for (mark, lam), n in zip(model.levy.atoms, counts):
-                step = step + model.gamma(x, r, u, mark) * (n[k] - dt * lam)
-        X[k + 1] = x + step
+        X[k + 1] = _signal_step(model, x, r, u, dt, dv[k], [n[k] for n in counts])
         r = r + dR[k]
     return X, dR
 
@@ -251,17 +265,24 @@ def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath
 
 def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u) -> AssembledOperator:
     """The signal generator L on the grid: the operator of assemble_operator
-    with second coefficient half beta^2 and first coefficient alpha, r in its
+    with second coefficient half beta^2, first coefficient alpha and, with a
+    jump coefficient, the compensated jumps gamma on model.levy, r in its
     control slot.  Boundary rows are zero and interior row sums vanish
-    exactly, so the transpose-transport conserves total mass to machine
-    precision.
+    exactly (jump rows too), so the transpose-transport conserves total mass
+    to machine precision.
 
-    A scalar r gives one operator; an (n_paths, 1) column of r gives a stack
-    of one per path.
+    A scalar r gives one operator.  An (n_paths, 1) column of r gives a stack
+    of one per path when a coefficient's value carries the paths' axis, and
+    one operator shared by all paths when none does.
     """
+    jump_shift = None
+    if model.gamma is not None:
+        jump_shift = lambda t, x, r_, z, mark: model.gamma(x, r_, u, mark)
     generator = OperatorSpec(
         second_coeff=lambda t, x, r_, z: 0.5 * np.asarray(model.beta(x, r_, u), dtype=float) ** 2,
         first_coeff=lambda t, x, r_, z: model.alpha(x, r_, u),
+        jump_shift=jump_shift,
+        levy=model.levy,
     )
     return assemble_operator(generator, sgrid, 0.0, r, None)
 
@@ -295,9 +316,12 @@ def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGr
     dR holds one path of observation increments per row, (n_paths, n_steps).
     Yields (Y, defect) at t_0, ..., t_N: Y is the (n_paths, n_nodes) block of
     densities and defect the mass clamped per path in the step to that time
-    (zero at t_0).  With autonomous coefficients all paths share one banded
-    operator; otherwise its bands depend on each path's r(t_k) and the stack
-    is solved with the paths laid end to end.
+    (zero at t_0).  The operator of step k is transport_bands at the
+    paths' column of r(t_k) and the step's control u.  When it comes back
+    as one operator (no coefficient value carries the paths' axis) all paths
+    share it, and it is reused while u is unchanged; otherwise it is a stack
+    of one per path, assembled every step and solved with the paths laid end
+    to end.
     """
     n_paths = dR.shape[0]
     dt = tgrid.dt
@@ -305,14 +329,13 @@ def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGr
     h_vals = _full(model.h_obs(xs), xs.shape)
     Y = np.tile(np.maximum(_full(model.F_init(xs, z), xs.shape), 0.0), (n_paths, 1))
     yield Y, np.zeros(n_paths)
-    if model.autonomous:
-        transport = transport_bands(model, sgrid, 0.0, 0.0).transposed()
-    else:
-        r = np.concatenate((np.zeros((n_paths, 1)), np.cumsum(dR, axis=1)), axis=1)
+    r = np.concatenate((np.zeros((n_paths, 1)), np.cumsum(dR, axis=1)), axis=1)
+    transport, u_assembled = None, None
     for k in range(tgrid.n_steps):
         u = _control_value(control, k, tgrid.time(k), z)
-        if not model.autonomous:
+        if transport is None or transport.bands.ndim == 3 or u != u_assembled:
             transport = transport_bands(model, sgrid, r[:, k, None], u).transposed()
+            u_assembled = u
         Y, defect = _step(Y, transport, sgrid.dx, dR[:, k, None], h_vals, dt)
         yield Y, defect
 
@@ -356,9 +379,13 @@ def particle_filter_oracle(
 ) -> dict:
     """Bootstrap particle filter with systematic resampling every step.
 
-    Independent of the grid solver in both discretization and randomness
-    (noise stream 5, initial states on stream 6); serves as a cross-check
-    oracle for the posterior mean path.
+    Each particle moves by the signal's Euler-Maruyama step, jumps included,
+    and is weighted by the observation likelihood.  Independent of the grid
+    solver in both discretization and randomness.  Initial states come from
+    stream 6.  Stream 5 gives, per step and in this order, the particles'
+    standard normals, then (only with a jump coefficient) their Poisson
+    event counts atom by atom on model.levy, then the resampling uniform.
+    Serves as a cross-check oracle for the posterior mean path.
     """
     if n_particles < 100:
         raise ValueError("n_particles must be >= 100")
@@ -370,11 +397,11 @@ def particle_filter_oracle(
     means[0] = float(np.mean(x))
     r = 0.0
     for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
-        u = _control_value(control, k, t, z)
-        drift = _full(model.alpha(x, r, u), x.shape)
-        vol = _full(model.beta(x, r, u), x.shape)
-        x = x + drift * dt + vol * math.sqrt(dt) * rng.standard_normal(n_particles)
+        u = _control_value(control, k, tgrid.time(k), z)
+        dv = math.sqrt(dt) * rng.standard_normal(n_particles)
+        atoms = model.levy.atoms if model.gamma is not None else ()
+        counts = [rng.poisson(lam * dt, n_particles) for _, lam in atoms]
+        x = _signal_step(model, x, r, u, dt, dv, counts)
         h = _full(model.h_obs(x), x.shape)
         logw = h * obs.increments[k] - 0.5 * h**2 * dt
         w = np.exp(logw - logw.max())

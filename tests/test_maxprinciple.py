@@ -293,6 +293,24 @@ def test_sensitivity_residual_shrinks_quadratically_in_step():
     assert 3.0 <= res[1] / res[2] <= 5.0
 
 
+def test_sensitivity_residual_rejects_a_jump_term():
+    # the linearization drops c (N - lam dt): with one event the defect
+    # stayed at 0.189 for every a_step instead of shrinking
+    coeffs = CoefficientSet(
+        a=lambda t, x, y, u, z: u * y,
+        b=lambda t, x, y, u, z: 0.1 * y,
+        c=lambda t, x, y, u, z, zeta: 0.5 * u * y,
+        xi=lambda x, z: np.sin(math.pi * x),
+    )
+    tg = TimeGrid(0.0, 0.2, 50)
+    b = sample_bundle(tg, LevySpec(atoms=((1.0, 5.0),)), 2, 0)
+    pol = const_policy(0.3)
+    base = solve_forward(coeffs, OP, pol, 0.0, b, GRID)
+    chi = np.zeros_like(base.values)
+    with pytest.raises(ModelMismatch):
+        sensitivity_residual(chi, base, coeffs, OP, pol, direction(1.0), 0.0, b, GRID)
+
+
 def test_sensitivity_residual_rejects_direction_beyond_its_bound():
     # the residual applies perturbed_policy's clamp, bound check included
     tg = TimeGrid(0.0, 0.1, 5)

@@ -260,26 +260,32 @@ def reference_transport_bands(model, sgrid, r, u):
     n_cells=st.integers(2, 199),
     coef=st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.1, 2.0),
                    st.floats(-1.0, 1.0)),
-    autonomous=st.booleans(),
+    reads_r=st.booleans(),
     n_col=st.integers(0, 5),
     seed=st.integers(0, 2**16),
 )
-def test_transport_bands_equal_reference_stencil_bitwise(n_cells, coef, autonomous, n_col, seed):
+def test_transport_bands_equal_reference_stencil_bitwise(n_cells, coef, reads_r, n_col, seed):
     a, c, b, u = coef
-    if autonomous:
-        model = zk.SignalModel(alpha=lambda x, r, u_: a * x, beta=lambda x, r, u_: b,
-                               h_obs=lambda x: x, F_init=lambda x, z: x)
-    else:
+    if reads_r:
         model = zk.SignalModel(alpha=lambda x, r, u_: a * x + c * r + u_,
                                beta=lambda x, r, u_: b + 0.3 * np.sin(x + r) * u_,
-                               h_obs=lambda x: x, F_init=lambda x, z: x, autonomous=False)
+                               h_obs=lambda x: x, F_init=lambda x, z: x)
+    else:
+        model = zk.SignalModel(alpha=lambda x, r, u_: a * x + u_, beta=lambda x, r, u_: b,
+                               h_obs=lambda x: x, F_init=lambda x, z: x)
     sg = SpatialGrid(-1.5, 2.0, n_cells)
     rng = np.random.default_rng(seed)
-    # n_col 0: one operator at a scalar r; else a stack at an (n_col, 1) column
+    # n_col 0: one operator at a scalar r; else an (n_col, 1) column of r,
+    # which gives a stack only to a model that reads r
     r = float(rng.normal()) if n_col == 0 else rng.normal(size=(n_col, 1))
     L = zk.transport_bands(model, sg, r, u)
+    ref = reference_transport_bands(model, sg, r, u)
     assert L.kl == 1
-    assert np.array_equal(L.bands, reference_transport_bands(model, sg, r, u))
+    if reads_r or n_col == 0:
+        assert np.array_equal(L.bands, ref)
+    else:
+        assert L.bands.shape == (3, sg.n_nodes)
+        assert np.array_equal(np.broadcast_to(L.bands[:, None], ref.shape), ref)
 
 
 def test_pure_observation_closed_form():
@@ -301,14 +307,14 @@ def test_pure_observation_closed_form():
     assert np.max(np.abs(sol.values[-1] - exact)) < 1e-10
 
 
-def r_dependent_model(autonomous):
-    # the drift depends on the observation value r only when not autonomous
+def r_dependent_model(reads_r):
+    # a drift that reads the observation value r, or the same one without it
     base = linear_model()
-    if autonomous:
+    if not reads_r:
         return base
     return zk.SignalModel(
         alpha=lambda x, r, u: -0.5 * x + 0.3 * r,
-        beta=base.beta, h_obs=base.h_obs, F_init=base.F_init, autonomous=False,
+        beta=base.beta, h_obs=base.h_obs, F_init=base.F_init,
     )
 
 
@@ -318,10 +324,10 @@ def r_dependent_model(autonomous):
     n_steps=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(0.0, 0.5),
-    autonomous=st.booleans(),
+    reads_r=st.booleans(),
 )
-def test_batched_sweep_rows_equal_single_path_solves(n_paths, n_steps, seed, scale, autonomous):
-    model = r_dependent_model(autonomous)
+def test_batched_sweep_rows_equal_single_path_solves(n_paths, n_steps, seed, scale, reads_r):
+    model = r_dependent_model(reads_r)
     sg = SpatialGrid(-2.0, 2.0, 40)
     tg = TimeGrid(0.0, 0.5, n_steps)
     dR = scale * np.random.default_rng(seed).standard_normal((n_paths, n_steps))
@@ -359,7 +365,7 @@ def test_transpose_transport_conserves_mass_without_observation(drift, vol, n_st
 def test_non_autonomous_sweep_matches_zakai_step_loop():
     # r(t_k) enters the bands of step k; the public one-step routine with a
     # scalar r is the reference
-    model = r_dependent_model(autonomous=False)
+    model = r_dependent_model(reads_r=True)
     sg = SpatialGrid(-2.0, 2.0, 60)
     tg = TimeGrid(0.0, 0.5, 20)
     obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 6, [0], 2)[0])
@@ -372,11 +378,14 @@ def test_non_autonomous_sweep_matches_zakai_step_loop():
 
 
 def test_non_autonomous_route_matches_autonomous_for_r_free_coefficients():
+    # + 0.0 * r leaves the drift's values as they are but gives them the
+    # paths' axis, which sends the sweep down the per-path route
     sg = SpatialGrid(-2.0, 2.0, 60)
     tg = TimeGrid(0.0, 0.5, 20)
     auto = linear_model()
     banded = zk.SignalModel(
-        alpha=auto.alpha, beta=auto.beta, h_obs=auto.h_obs, F_init=auto.F_init, autonomous=False
+        alpha=lambda x, r, u: auto.alpha(x, r, u) + 0.0 * r,
+        beta=auto.beta, h_obs=auto.h_obs, F_init=auto.F_init,
     )
     obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 5, [0], 2)[0])
     a = zk.solve_zakai(auto, None, 0.0, obs, sg).values
@@ -386,6 +395,45 @@ def test_non_autonomous_route_matches_autonomous_for_r_free_coefficients():
     ea = zk.transformed_performance(auto, None, f, lambda x: x, 0.0, sg, tg, 40, 3)
     eb = zk.transformed_performance(banded, None, f, lambda x: x, 0.0, sg, tg, 40, 3)
     assert (eb.mean, eb.stderr) == (ea.mean, ea.stderr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    drift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    vol=st.tuples(st.floats(0.3, 1.0), st.floats(-0.2, 0.2)),
+    reads_r=st.booleans(),
+    controlled=st.booleans(),
+    n_paths=st.integers(1, 5),
+    n_steps=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_rows_equal_zakai_step_loop(drift, vol, reads_r, controlled, n_paths, n_steps, seed):
+    # the sweep picks a shared operator (reused while u holds) or a per-path
+    # stack; either way each row is the public one-step routine's result
+    a0, a1, ar = drift
+    b0, br = vol
+    if reads_r:
+        alpha = lambda x, r, u: a0 + a1 * x + ar * r + u
+        beta = lambda x, r, u: b0 + br * r
+    else:
+        alpha = lambda x, r, u: a0 + a1 * x + u
+        beta = lambda x, r, u: b0
+    model = zk.SignalModel(alpha=alpha, beta=beta, h_obs=lambda x: x, F_init=linear_model().F_init)
+    control = None
+    if controlled:  # a constant that changes every other step
+        control = ControlPolicy(rule=lambda k, t, x, z, hist: 0.4 * (k // 2) - 0.3)
+    sg = SpatialGrid(-2.0, 2.0, 40)
+    tg = TimeGrid(0.0, 0.5, n_steps)
+    dR = 0.3 * np.random.default_rng(seed).standard_normal((n_paths, n_steps))
+    block = np.array([Y.copy() for Y, _ in zk._sweep(model, control, 0.0, dR, sg, tg)])
+    for p in range(n_paths):
+        dens = zk.UnnormalizedDensity(sg, np.asarray(model.F_init(sg.nodes(), 0.0)))
+        r = 0.0
+        for k in range(n_steps):
+            u = 0.0 if control is None else 0.4 * (k // 2) - 0.3
+            dens, _ = zk.zakai_step(dens, model, u, r, dR[p, k], tg.dt)
+            assert np.array_equal(block[k + 1, p], dens.values)
+            r += dR[p, k]
 
 
 def test_normalize_homogeneity_and_collapse():
@@ -416,7 +464,8 @@ def test_particle_filter_prior_mean_when_uninformative():
 
 def particle_filter_loop(model, obs, n_particles, seed, sgrid, channel=5):
     """Per-particle reference: the scalar-callable loop the vectorized
-    particle step replaced (no control)."""
+    particle step replaced (no control), with the signal step's order of
+    operations, x + (alpha dt + beta dv) plus each atom's compensated jump."""
     tgrid = obs.grid
     dt = tgrid.dt
     rng = _rng(seed, 0, channel, 0)
@@ -426,7 +475,13 @@ def particle_filter_loop(model, obs, n_particles, seed, sgrid, channel=5):
     for k in range(tgrid.n_steps):
         drift = np.array([model.alpha(xi, r, 0.0) for xi in x])
         vol = np.array([model.beta(xi, r, 0.0) for xi in x])
-        x = x + drift * dt + vol * math.sqrt(dt) * rng.standard_normal(n_particles)
+        dv = math.sqrt(dt) * rng.standard_normal(n_particles)
+        step = drift * dt + vol * dv
+        if model.gamma is not None:
+            counts = [rng.poisson(lam * dt, n_particles) for _, lam in model.levy.atoms]
+            for (mark, lam), n in zip(model.levy.atoms, counts):
+                step = step + np.array([model.gamma(xi, r, 0.0, mark) for xi in x]) * (n - dt * lam)
+        x = x + step
         h = np.array([model.h_obs(xi) for xi in x])
         logw = h * obs.increments[k] - 0.5 * h**2 * dt
         w = np.exp(logw - logw.max())
@@ -445,12 +500,16 @@ def test_particle_filter_matches_per_particle_loop():
         h_obs=lambda x: x - 0.1 * x * x * x,
         F_init=linear_model(m0=0.2).F_init,
     )
+    jumps = zk.SignalModel(model.alpha, model.beta, model.h_obs, model.F_init,
+                           gamma=lambda x, r, u, mark: mark * (0.5 - 0.1 * x),
+                           levy=LevySpec(atoms=((1.0, 2.0), (-0.5, 3.0))))
     tg = TimeGrid(0.0, 0.5, 20)
     obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 8, [0], 2)[0])
-    pf = zk.particle_filter_oracle(model, obs, 500, 8, sgrid=SGRID)
-    means, final = particle_filter_loop(model, obs, 500, 8, SGRID)
-    assert np.array_equal(pf["means"], means)
-    assert np.array_equal(pf["final_particles"], final)
+    for m in (model, jumps):
+        pf = zk.particle_filter_oracle(m, obs, 500, 8, sgrid=SGRID)
+        means, final = particle_filter_loop(m, obs, 500, 8, SGRID)
+        assert np.array_equal(pf["means"], means)
+        assert np.array_equal(pf["final_particles"], final)
 
 
 def test_particle_filter_minimum_size():
@@ -609,6 +668,74 @@ def test_direct_and_transformed_agree_when_the_initial_law_depends_on_z():
     dr = zk.direct_performance(model, None, None, lambda x: x, 0.5, sg, tg, 2000, 23)
     assert abs(tr.mean - dr.mean) <= 4 * math.hypot(tr.stderr, dr.stderr)
     assert abs(dr.mean - 0.5 * math.exp(-0.25)) <= 4 * dr.stderr
+
+
+def test_transformed_performance_reads_the_control():
+    # drift -x/2 + u with u = 1: E[X_1] = 2 (1 - e^{-1/2}) = 0.787
+    base = linear_model()
+    model = zk.SignalModel(alpha=lambda x, r, u: -0.5 * x + u, beta=base.beta,
+                           h_obs=base.h_obs, F_init=base.F_init)
+    one = ControlPolicy(rule=lambda k, t, x, z, hist: 1.0)
+    tg = TimeGrid(0.0, 1.0, 25)
+    tr = zk.transformed_performance(model, one, None, lambda x: x, 0.0, SGRID, tg, 200, 21)
+    dr = zk.direct_performance(model, one, None, lambda x: x, 0.0, SGRID, tg, 2000, 23)
+    assert abs(tr.mean - dr.mean) <= 3 * math.hypot(tr.stderr, dr.stderr)
+
+
+def jump_ou_model(h_obs=lambda x: x):
+    """OU signal -x/2 dt + 0.3 dv with jumps of 0.5 at rate 2, compensated,
+    from N(0, 0.04): Var X_1 = P0 e^{2aT} + (b^2 + lam gamma^2)(1 - e^{2aT})/(-2a)."""
+    return zk.SignalModel(
+        alpha=lambda x, r, u: -0.5 * x, beta=lambda x, r, u: 0.3, h_obs=h_obs,
+        F_init=linear_model().F_init, gamma=lambda x, r, u, mark: 0.5 * mark,
+        levy=LevySpec(atoms=((1.0, 2.0),)),
+    )
+
+
+JUMP_OU_VAR = 0.04 * math.exp(-1.0) + (0.09 + 2.0 * 0.25) * (1.0 - math.exp(-1.0))
+JUMP_OU_GRID = SpatialGrid(-4.0, 4.0, 400)
+
+
+def test_transformed_performance_includes_signal_jumps():
+    model = jump_ou_model()
+    sg = SpatialGrid(-4.0, 4.0, 200)
+    tg = TimeGrid(0.0, 1.0, 50)
+    g = lambda x: x**2
+    tr = zk.transformed_performance(model, None, None, g, 0.0, sg, tg, 1000, 21)
+    dr = zk.direct_performance(model, None, None, g, 0.0, sg, tg, 4000, 23)
+    assert abs(tr.mean - dr.mean) <= 3 * math.hypot(tr.stderr, dr.stderr)
+    assert abs(tr.mean - JUMP_OU_VAR) <= 3 * tr.stderr
+
+
+def test_zakai_on_the_jump_model_clamps_nothing():
+    tg = TimeGrid(0.0, 1.0, 100)
+    obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 3, [0], 2)[0])
+    assert zk.solve_zakai(jump_ou_model(), None, 0.0, obs, JUMP_OU_GRID).clamp_defect == 0.0
+
+
+def test_particle_filter_applies_signal_jumps():
+    # with h = 0 the weights are equal and the cloud is the prior at T
+    model = jump_ou_model(h_obs=lambda x: 0.0)
+    tg = TimeGrid(0.0, 1.0, 100)
+    n = 20000
+    obs = zk.ObservationPath(grid=tg, increments=np.zeros(tg.n_steps))
+    x = zk.particle_filter_oracle(model, obs, n, 0, sgrid=JUMP_OU_GRID)["final_particles"]
+    se = np.std((x - x.mean()) ** 2, ddof=1) / math.sqrt(n)
+    assert abs(np.var(x) - JUMP_OU_VAR) <= 3 * se
+
+
+def test_particle_and_grid_filters_agree_on_a_jump_signal():
+    # criterion 8's bound on the particle error of the posterior mean
+    model = jump_ou_model()
+    tg = TimeGrid(0.0, 1.0, 100)
+    bv = sample_bundle(tg, model.levy, 0, 0, channel=0)
+    bw = sample_bundle(tg, LevySpec(), 0, 0, channel=1)
+    _, obs = zk.simulate_signal_observation(model, None, 0.0, bv, bw, 0.0)
+    sol = zk.solve_zakai(model, None, 0.0, obs, JUMP_OU_GRID)
+    grid_mean = sol.density(tg.n_steps).posterior_mean()
+    n = 20000
+    pf = zk.particle_filter_oracle(model, obs, n, 0, sgrid=JUMP_OU_GRID)
+    assert abs(pf["means"][-1] - grid_mean) <= 3 * 0.25 / math.sqrt(n / 10)
 
 
 @pytest.mark.parametrize("routine", [
