@@ -41,8 +41,6 @@ coeffs = CoefficientSet(
 op = OperatorSpec(
     second_coeff=lambda t, x, u, z: 0.5,
     first_coeff=lambda t, x, u, z: 0.0,
-    time_invariant=True,
-    control_dependent=False,
 )
 control = ControlPolicy(rule=lambda k, t, x, z, hist: 0.0)
 bundle = sample_bundle(tgrid, levy, seed=7, path_index=0)

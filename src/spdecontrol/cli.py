@@ -237,8 +237,6 @@ def _heat_field(n_cells: int, n_steps: int, t_end: float):
     op = OperatorSpec(
         second_coeff=lambda t, x, u, z: 0.5,
         first_coeff=lambda t, x, u, z: 0.0,
-        time_invariant=True,
-        control_dependent=False,
     )
     control = ControlPolicy(rule=lambda k, t, x, z, hist: 0.0)
     field = solve_forward(coeffs, op, control, 0.0, _zero_bundle(tgrid), grid)

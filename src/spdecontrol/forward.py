@@ -77,13 +77,17 @@ class OperatorSpec:
     (n,) array for one operator, and an (n_paths, 1) or (n_paths, n) control
     stack when one operator per path is assembled.  It acts on interior nodes
     only, so the boundary rows of I - dt A are identity rows.
+
+    Whether the operator depends on t or u is read from the callables' values
+    (see _step_operator), never declared.  control_dependent is inert: no
+    routine reads it, and it is kept only so that existing calls that pass
+    it still construct.
     """
 
     second_coeff: object
     first_coeff: object
     jump_shift: object = None
     levy: LevySpec = field(default_factory=LevySpec)
-    time_invariant: bool = False
     control_dependent: bool = True
 
 
@@ -370,9 +374,10 @@ def advance_mean(chaos, m, t, dt, db_k, counts_k=(), levy: LevySpec = LevySpec()
 def _block_control(control: ControlPolicy, k, t, xs, z, m):
     """Control values at step k for the block of len(m) paths, shaped to
     broadcast against the (n_paths, n_nodes) state block: an x-dependent rule
-    gives one profile (n_nodes,) shared by all paths or one per path
-    (n_paths, n_nodes); an x-independent rule gives one value per path
-    (n_paths,).  Either may return a scalar."""
+    gives one profile (n_nodes,) shared by all paths, read as a read-only
+    (n_paths, n_nodes) view, or one per path (n_paths, n_nodes); an
+    x-independent rule gives one value per path (n_paths,), read as an
+    (n_paths, 1) column.  Either may return a scalar, kept 0-d."""
     u = control.values(k, t, xs, z, PathHistory(t=t, m=m))
     nb, n_nodes = len(m), len(xs)
     shape = u.shape
@@ -380,7 +385,7 @@ def _block_control(control: ControlPolicy, k, t, xs, z, m):
         return u
     if control.mode == "x-dependent":
         if shape == (n_nodes,):
-            return u[None, :]
+            return np.broadcast_to(u, (nb, n_nodes))
         if shape == (nb, n_nodes):
             return u
     elif shape == (nb,):
@@ -406,14 +411,28 @@ def _explicit_rhs(coeffs: CoefficientSet, t, xs, Y, u, z, dt, db_k, counts_k, le
     return rhs
 
 
-def _step_operator(op: OperatorSpec, grid: SpatialGrid, t, u, z, n_paths):
-    """The operator at t: one for all paths when it ignores the control
-    (declared so, or no coefficient value carries the paths' axis), else a
-    stack of one per path."""
-    if not op.control_dependent:
-        return assemble_operator(op, grid, t, 0.0, z)
-    width = np.shape(u)[1] if np.ndim(u) == 2 else 1
-    return assemble_operator(op, grid, t, np.broadcast_to(u, (n_paths, width)), z)
+def _step_operator(op: OperatorSpec, grid: SpatialGrid, xs, t, u, z, prev=None):
+    """The operator at (t, u) and the coefficient values it is built from.
+
+    assemble_operator gives one operator per path when a value carries the
+    paths' axis of the control block u and one shared operator when none
+    does.  prev is the previous step's (operator, values) pair: the operator
+    is a function of these values alone, so prev is handed back when every
+    value is the same object or equal elementwise, and an operator constant
+    in t and u is assembled once per sweep.
+    """
+    values = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
+    if op.jump_shift is not None:
+        values += tuple(op.jump_shift(t, xs, u, z, mark) for mark, _ in op.levy.atoms)
+    if prev and all(map(_same_value, values, prev[1])):
+        return prev
+    return assemble_operator(op, grid, t, u, z), values
+
+
+def _same_value(a, b):
+    """a is b, or a and b have one shape and are equal elementwise; checked
+    in that order, as the identity test is the cheap one."""
+    return a is b or (np.shape(a) == np.shape(b) and np.all(a == b))
 
 
 def step_forward(
@@ -435,16 +454,17 @@ def step_forward(
 
     Y is the (n_paths, n_nodes) state at t_k, u the step's control block (see
     _block_control), db_k the paths' Brownian increments (n_paths,) and
-    counts_k[a] their event counts (n_paths,) of atom a of levy.  The
-    operator is assembled at t_k, one per path when it depends on the
-    control, unless a time-invariant one is passed as assembled.  Returns the
-    state at t_{k+1} with the Dirichlet data imposed.
+    counts_k[a] their event counts (n_paths,) of atom a of levy.  assembled
+    is the operator at (t_k, u), as _sweep passes it from _step_operator;
+    when None it is built here by the same route, one per path when a
+    coefficient value carries the paths' axis.  Returns the state at t_{k+1}
+    with the Dirichlet data imposed.
     """
     t = tgrid.time(k)
     dt = tgrid.dt
     xs = grid.nodes()
     rhs = _explicit_rhs(coeffs, t, xs, Y, u, z, dt, db_k, counts_k, levy)
-    A = assembled if assembled is not None else _step_operator(op, grid, t, u, z, len(Y))
+    A = assembled if assembled is not None else _step_operator(op, grid, xs, t, u, z)[0]
     Y = A.solve_implicit(dt, rhs)
     t_next = tgrid.time(k + 1)
     Y[:, 0] = coeffs.boundary(t_next, xs[0])
@@ -459,6 +479,8 @@ def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, count
 
     Yields (t_k, Y, u, m) at every node k = 0..n_steps: the state block, the
     control of the step from t_k (None at the last node) and the insider mean.
+    Each step's operator comes from _step_operator at (t_k, u), which hands
+    back the previous one while the coefficient values stay the same.
     """
     xs = grid.nodes()
     dt = tgrid.dt
@@ -467,17 +489,16 @@ def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, count
     Y[:, 0] = coeffs.boundary(tgrid.t_start, xs[0])
     Y[:, -1] = coeffs.boundary(tgrid.t_start, xs[-1])
     m = np.zeros(len(db))
-    assembled = None
-    if op.time_invariant and not op.control_dependent:
-        assembled = assemble_operator(op, grid, tgrid.t_start, 0.0, z)
+    operator = None
     for k in range(tgrid.n_steps):
         t = tgrid.time(k)
         u = _block_control(control, k, t, xs, z, m)
         yield t, Y, u, m
         db_k, counts_k = db[:, k], [c[:, k] for c in counts]
+        operator = _step_operator(op, grid, xs, t, u, z, operator)
         Y = step_forward(
             Y, k, u, coeffs=coeffs, op=op, grid=grid, tgrid=tgrid, z=z,
-            db_k=db_k, counts_k=counts_k, levy=levy, assembled=assembled,
+            db_k=db_k, counts_k=counts_k, levy=levy, assembled=operator[0],
         )
         m = advance_mean(chaos, m, t, dt, db_k, counts_k, levy)
     yield tgrid.time(tgrid.n_steps), Y, None, m
@@ -540,7 +561,7 @@ def weak_residual(
         u = _block_control(control, k, t, xs, z, m)
         counts_k = [c[:, k] for c in counts]
         explicit = _explicit_rhs(coeffs, t, xs, Y, u, z, dt, db[:, k], counts_k, bundle.levy) - Y
-        A = _step_operator(op, grid, t, u, z, 1)
+        A = _step_operator(op, grid, xs, t, u, z)[0]
         acc -= grid.inner((dt * A.apply(Y) + explicit)[0], phi)
         m = advance_mean(chaos, m, t, dt, db[:, k], counts_k, bundle.levy)
     return abs(acc)

@@ -25,6 +25,7 @@ from .forward import (
     SpatialGrid,
     _has_jumps,
     _block_control,
+    _step_operator,
     _sweep,
     advance_mean,
     assemble_operator,
@@ -228,16 +229,17 @@ def run_ensemble(
     call with the control alone.  levy drives the state's jumps; when chaos
     has a jump part it must be chaos.levy, since the insider mean m is
     advanced with the same jump counts (advance_mean raises ModelMismatch
-    otherwise).  A control-dependent operator is one banded operator per
-    path; the boundary rows of I - dt A are identity rows, so each path is
-    solved as if alone, bit for bit, whatever its band
-    (AssembledOperator.solve_implicit).
+    otherwise).  An operator whose coefficient values carry the paths' axis
+    is one banded operator per path; the boundary rows of I - dt A are
+    identity rows, so each path is solved as if alone, bit for bit, whatever
+    its band (AssembledOperator.solve_implicit).  With a jump part, blocks
+    are cut to _JUMP_BAND_BYTES of diagonals at the widest band.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     controls = control if isinstance(control, tuple) else (control,)
     block_size = _BLOCK_PATHS
-    if op.control_dependent and op.jump_shift is not None and op.levy.atoms:
+    if op.jump_shift is not None and op.levy.atoms:
         block_size = min(block_size, max(1, _JUMP_BAND_BYTES // (16 * grid.n_nodes**2)))
     parts = [[] for _ in controls]
     for lo in range(0, n_paths, block_size):
@@ -433,13 +435,13 @@ def sensitivity_residual(
 ) -> float:
     """Max defect of chi against the discrete linearized state equation.
 
-    Requires a control-independent operator (the linearization of the
-    operator in u is not formed here), a Gaussian insider variable and no
-    jump term c on a bundle with jumps (its linearization is not formed
-    either; ModelMismatch).
+    The operator of each step is assembled at (t_k, u_k) by the forward
+    solver's route.  Requires one whose coefficient values ignore the control
+    (the linearization of the operator in u is not formed here;
+    NotImplementedError when a value carries the control's axis), a Gaussian
+    insider variable and no jump term c on a bundle with jumps (its
+    linearization is not formed either; ModelMismatch).
     """
-    if op.control_dependent:
-        raise NotImplementedError("residual check needs a control-independent operator")
     _require_brownian(chaos, "sensitivity_residual")
     if coeffs.c is not None and bundle.levy.atoms:
         raise ModelMismatch("sensitivity_residual linearizes a dt + b dB only; "
@@ -453,11 +455,14 @@ def sensitivity_residual(
     beta0 = ControlPolicy(rule=direction.beta0.rule, mode=control.mode)
     m = np.zeros(1)
     worst = 0.0
-    A = assemble_operator(op, grid, tgrid.t_start, 0.0, z)
     for k in range(tgrid.n_steps):
         t = tgrid.time(k)
         y = base_field.values[k][None]
         u0 = _block_control(control, k, t, xs, z, m)
+        # a (1, width) control: a value that reads it carries the paths' axis
+        A = _step_operator(op, grid, xs, t, np.reshape(u0, (1, -1)), z)[0]
+        if A.bands.ndim == 3:
+            raise NotImplementedError("residual check needs a control-independent operator")
         b0 = _block_control(beta0, k, t, xs, z, m)
         beta_eff = _clamp(u0, b0, control.bounds, direction.K_bound) * b0
 

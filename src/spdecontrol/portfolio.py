@@ -95,8 +95,9 @@ class PortfolioResult:
 def wealth_dynamics(market: MarketSpec):
     """Coefficient set and operator of the wealth equation.
 
-    The diffusion operator does not depend on the control, so implicit solves
-    can be shared across an ensemble.
+    The diffusion operator's coefficients are constants, so the forward
+    solver reads it as independent of the control and of time: it assembles
+    one operator per sweep and shares it across the ensemble.
     """
     coeffs = CoefficientSet(
         a=lambda t, x, y, u, z: u * market.a0(t, z) * y,
@@ -107,8 +108,6 @@ def wealth_dynamics(market: MarketSpec):
     op = OperatorSpec(
         second_coeff=lambda t, x, u, z: 0.5,
         first_coeff=lambda t, x, u, z: 0.0,
-        time_invariant=True,
-        control_dependent=False,
     )
     return coeffs, op
 

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdecontrol import forward
 from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, effective_mean
 from spdecontrol.errors import LinearSolveFailure, ModelMismatch, NonParabolic
 from spdecontrol.forward import (
@@ -20,7 +22,9 @@ from spdecontrol.forward import (
     solve_forward,
     weak_residual,
 )
+from spdecontrol.maxprinciple import run_ensemble
 from spdecontrol.noise import LevySpec, PathBundle, TimeGrid, jump_count_matrices, sample_bundle
+from spdecontrol.zakai import SignalModel, transport_bands
 
 
 def zero_bundle(tgrid):
@@ -37,8 +41,6 @@ def heat_op():
     return OperatorSpec(
         second_coeff=lambda t, x, u, z: 0.5,
         first_coeff=lambda t, x, u, z: 0.0,
-        time_invariant=True,
-        control_dependent=False,
     )
 
 
@@ -291,7 +293,6 @@ def test_control_dependent_operator_advection_shifts_mass():
     op = OperatorSpec(
         second_coeff=lambda t, x, u, z: 0.05,
         first_coeff=lambda t, x, u, z: u,
-        control_dependent=True,
     )
     coeffs = CoefficientSet(
         a=lambda t, x, y, u, z: 0.0,
@@ -306,6 +307,92 @@ def test_control_dependent_operator_advection_shifts_mass():
     com0 = float(np.sum(xs * f.values[0]) / np.sum(f.values[0]))
     com1 = float(np.sum(xs * f.values[-1]) / np.sum(f.values[-1]))
     assert com1 < com0 - 0.02
+
+
+READ_U = OperatorSpec(second_coeff=lambda t, x, u, z: 0.1 + 0.4 * u**2, first_coeff=lambda t, x, u, z: 0.0)
+READ_T = OperatorSpec(second_coeff=lambda t, x, u, z: 0.1 + 4.0 * t, first_coeff=lambda t, x, u, z: 0.0)
+
+
+@pytest.mark.parametrize("op, expected", [(READ_U, 0.3766), (READ_T, 0.3832)], ids=["u", "t"])
+def test_operator_read_from_coefficients_equals_hand_loop(op, expected):
+    # the operator is assembled at every (t_k, u_k) the coefficients read; a
+    # flag that declared it constant once made both read 0.8213
+    grid = SpatialGrid(0.0, 1.0, 32)
+    tgrid = TimeGrid(0.0, 0.2, 50)
+    coeffs = CoefficientSet(
+        a=lambda t, x, y, u, z: 0.0,
+        b=lambda t, x, y, u, z: 0.0,
+        xi=lambda x, z: np.sin(math.pi * x),
+    )
+    field = solve_forward(coeffs, op, ControlPolicy(rule=lambda k, t, x, z, hist: 1.0), 0.0,
+                          sample_bundle(tgrid, LevySpec(), 2, 0), grid)
+    assert field.values[-1, 16] == pytest.approx(expected, abs=5e-5)
+    y = np.sin(math.pi * grid.nodes())
+    y[0] = y[-1] = 0.0
+    for k in range(tgrid.n_steps):
+        y = assemble_operator(op, grid, tgrid.time(k), 1.0, 0.0).solve_implicit(tgrid.dt, y)
+        y[0] = y[-1] = 0.0
+    assert np.array_equal(field.values[-1], y)
+
+
+def _assembly_count(op, rule, n_paths=1):
+    """Calls of assemble_operator in one sweep of 10 steps over [0, 0.2]."""
+    coeffs = CoefficientSet(
+        a=lambda t, x, y, u, z: 0.0,
+        b=lambda t, x, y, u, z: 0.1 * y,
+        xi=lambda x, z: np.sin(math.pi * x),
+    )
+    grid, tgrid = SpatialGrid(0.0, 1.0, 8), TimeGrid(0.0, 0.2, 10)
+    with mock.patch.object(forward, "assemble_operator", wraps=forward.assemble_operator) as spy:
+        run_ensemble(coeffs, op, ControlPolicy(rule=rule), 0.0, grid, tgrid, n_paths=n_paths, seed=0)
+    return spy.call_count
+
+
+def test_operator_is_assembled_once_per_coefficient_change():
+    constant = lambda k, t, x, z, hist: 0.5
+    per_path = lambda k, t, x, z, hist: 0.5 + 0.1 * np.arange(len(hist.m))
+    per_step = lambda k, t, x, z, hist: 0.5 + 0.01 * k * np.arange(len(hist.m))
+    assert _assembly_count(heat_op(), constant) == 1
+    assert _assembly_count(heat_op(), per_step, n_paths=3) == 1
+    assert _assembly_count(READ_U, constant, n_paths=3) == 1
+    # one stack of per-path operators, the same at every step
+    assert _assembly_count(READ_U, per_path, n_paths=3) == 1
+    assert _assembly_count(READ_U, per_step, n_paths=3) == 10
+    # constant on [0, 0.065), [0.065, 0.13) and [0.13, 0.2): steps 0-3, 4-6, 7-9
+    pieces = OperatorSpec(
+        second_coeff=lambda t, x, u, z: 0.2 + 0.1 * math.floor(t / 0.065),
+        first_coeff=lambda t, x, u, z: 0.0,
+    )
+    assert _assembly_count(pieces, constant) == 3
+    assert _assembly_count(READ_T, constant) == 10
+
+
+@pytest.mark.parametrize("operator", ["forward", "transport"])
+def test_garding_identity_of_assembled_operators(operator):
+    # non-divergence form A y = s y'' + f y' with y = sin(pi x) vanishing at
+    # both ends: 2 <-A y, y> = 2 int s y'^2 - int (s'' - f') y^2, to second
+    # order in dx on the solver's own operators
+    if operator == "forward":
+        # s = 1 + x^2 / 2, f = 1/2 - x
+        op = OperatorSpec(second_coeff=lambda t, x, u, z: 1.0 + 0.5 * x**2,
+                          first_coeff=lambda t, x, u, z: 0.5 - x)
+        build = lambda grid: assemble_operator(op, grid, 0.0, 0.0, 0.0)
+        exact = 7.0 * math.pi**2 / 6.0 - 0.75
+    else:
+        # s = beta^2 / 2 with beta = 1 + x / 2, f = alpha = 1/2 - x
+        model = SignalModel(alpha=lambda x, r, u: 0.5 - x, beta=lambda x, r, u: 1.0 + 0.5 * x,
+                            h_obs=lambda x: x, F_init=lambda x, z: 1.0)
+        build = lambda grid: transport_bands(model, grid, 0.0, 0.0)
+        exact = 19.0 * math.pi**2 / 24.0 - 0.5625
+    errors = []
+    for n_cells in (16, 32, 64, 128, 256):
+        grid = SpatialGrid(0.0, 1.0, n_cells)
+        y = np.sin(math.pi * grid.nodes())
+        y[0] = y[-1] = 0.0
+        errors.append(abs(2.0 * grid.inner(-build(grid).apply(y), y) - exact))
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+    for o in orders:
+        assert 1.8 <= o <= 2.2
 
 
 def test_jump_coefficient_paths_stay_finite_and_compensated():

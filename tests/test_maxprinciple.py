@@ -55,8 +55,6 @@ GRID = SpatialGrid(0.0, 1.0, 32)
 OP = OperatorSpec(
     second_coeff=lambda t, x, u, z: 0.5,
     first_coeff=lambda t, x, u, z: 0.0,
-    time_invariant=True,
-    control_dependent=False,
 )
 COEFFS = CoefficientSet(
     a=lambda t, x, y, u, z: u * 0.1 * y,
@@ -283,14 +281,34 @@ def test_sensitivity_residual_shrinks_quadratically_in_step():
     b = sample_bundle(tg, LevySpec(), 2, 0)
     pol = const_policy(0.3)
     d = direction(1.0)
-    base = solve_forward(coeffs, OP, pol, 0.0, b, GRID)
-    res = []
-    for a in (4e-3, 2e-3, 1e-3):
-        chi = state_sensitivity(coeffs, OP, pol, d, 0.0, b, GRID, a_step=a)
-        res.append(sensitivity_residual(chi, base, coeffs, OP, pol, d, 0.0, b, GRID))
-    # central differences: defect drops by ~4x per halving of the step
-    assert 3.0 <= res[0] / res[1] <= 5.0
-    assert 3.0 <= res[1] / res[2] <= 5.0
+    # the residual assembles each step's operator at t_k: with one operator
+    # from t_0 the t-dependent defect stayed at 1.28e-3 for every step
+    t_dependent = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5 + 5.0 * t,
+                               first_coeff=lambda t, x, u, z: 0.0)
+    for op in (OP, t_dependent):
+        base = solve_forward(coeffs, op, pol, 0.0, b, GRID)
+        res = []
+        for a in (4e-3, 2e-3, 1e-3):
+            chi = state_sensitivity(coeffs, op, pol, d, 0.0, b, GRID, a_step=a)
+            res.append(sensitivity_residual(chi, base, coeffs, op, pol, d, 0.0, b, GRID))
+        # central differences: defect drops by ~4x per halving of the step
+        assert 3.0 <= res[0] / res[1] <= 5.0
+        assert 3.0 <= res[1] / res[2] <= 5.0
+
+
+@pytest.mark.parametrize("rule", [lambda k, t, x, z, hist: 0.3,
+                                  lambda k, t, x, z, hist: 0.3 + 0.0 * np.asarray(hist.m)],
+                         ids=["scalar", "per-path"])
+def test_sensitivity_residual_rejects_a_control_dependent_operator(rule):
+    # the linearization of the operator in u is not formed
+    op = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5 + 0.1 * u, first_coeff=lambda t, x, u, z: 0.0)
+    tg = TimeGrid(0.0, 0.1, 5)
+    b = sample_bundle(tg, LevySpec(), 2, 0)
+    pol = ControlPolicy(rule=rule)
+    base = solve_forward(COEFFS, op, pol, 0.0, b, GRID)
+    with pytest.raises(NotImplementedError):
+        sensitivity_residual(np.zeros_like(base.values), base, COEFFS, op, pol, direction(1.0),
+                             0.0, b, GRID)
 
 
 def test_sensitivity_residual_rejects_a_jump_term():
@@ -446,7 +464,6 @@ def jump_model():
         first_coeff=lambda t, x, u, z: 0.1 * u,
         jump_shift=lambda t, x, u, z, mark: 0.2 * mark * u,
         levy=JUMP_LEVY,
-        control_dependent=True,
     )
     coeffs = CoefficientSet(
         a=lambda t, x, y, u, z: 0.1 * u * y,
@@ -528,7 +545,7 @@ def test_ensemble_bitwise_independent_of_any_block_size(jumps, n_paths, block_si
 @given(
     mode=st.sampled_from(["x-independent", "x-dependent"]),
     jump=st.sampled_from([None, (0.5, 3.0), (-0.8, 1.5)]),
-    kind=st.sampled_from(["control-dependent", "time-varying", "time-invariant"]),
+    kind=st.sampled_from(["constant", "t-dependent", "u-dependent"]),
     n_paths=st.integers(1, 4),
     n_cells=st.integers(3, 10),
     n_steps=st.integers(1, 6),
@@ -540,23 +557,21 @@ def test_ensemble_rows_equal_single_path_solves_bitwise(
 ):
     # a path of an ensemble and the same path solved alone run through the
     # same block stepper, so they agree bit for bit for any coefficients;
-    # jump shifts reach up to 0.8 of the unit interval, several cells
+    # jump shifts reach up to 0.8 of the unit interval, several cells.  The
+    # operator's coefficients read nothing, t only, or the control only
     a1, a2, b1, c1, f1, g1 = lin
     levy = LevySpec(atoms=(jump,)) if jump else LevySpec()
     chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, psi=lambda t, mark: mark, levy=levy, T0=1.0)
-    dependent = kind == "control-dependent"
-    speed = 0.0 if kind == "time-invariant" else 2.0
+    speed = 2.0 if kind == "t-dependent" else 0.0
 
-    def shift(t, x, u, z, mark):
-        return g1 * mark * (u if dependent else (0.5 + 0.5 * x) / (1.0 + speed * t))
+    def coeff(t, x, u):
+        return u if kind == "u-dependent" else (0.5 + 0.5 * x) / (1.0 + speed * t)
 
     op = OperatorSpec(
-        second_coeff=lambda t, x, u, z: 0.3 + 0.2 * u + 0.1 * speed * t,
-        first_coeff=lambda t, x, u, z: f1 * u,
-        jump_shift=shift if jump else None,
+        second_coeff=lambda t, x, u, z: 0.3 + 0.2 * coeff(t, x, u),
+        first_coeff=lambda t, x, u, z: f1 * coeff(t, x, u),
+        jump_shift=(lambda t, x, u, z, mark: g1 * mark * coeff(t, x, u)) if jump else None,
         levy=levy,
-        time_invariant=kind == "time-invariant",
-        control_dependent=dependent,
     )
     coeffs = CoefficientSet(
         a=lambda t, x, y, u, z: a1 * y + a2 * u,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdecontrol import zakai as zk
@@ -360,6 +360,44 @@ def test_transpose_transport_conserves_mass_without_observation(drift, vol, n_st
     masses = sg.dx * sol.values.sum(axis=1)
     assert np.max(np.abs(masses - masses[0])) <= 1e-12
     assert sol.clamp_defect <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    vol=st.tuples(st.floats(0.3, 1.5), st.floats(0.0, 0.5)),
+    gain=st.floats(-2.0, 2.0),
+    n_cells=st.integers(4, 100),
+    n_steps=st.integers(1, 30),
+    T=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_zakai_clamps_nothing_at_cell_peclet_number_at_most_one(drift, vol, gain, n_cells, n_steps, T, seed):
+    # with the cell Peclet number Pe = |f| dx / (2 s) <= 1 at every interior
+    # node, I - dt L^T is a column-diagonally-dominant M-matrix: LAPACK does
+    # not pivot and every elimination and back-substitution step combines
+    # nonnegative terms, so the solution is nonnegative and the clamp idle
+    model = zk.SignalModel(
+        alpha=lambda x, r, u: drift[0] + drift[1] * x,
+        beta=lambda x, r, u: vol[0] + vol[1] * x * x,
+        h_obs=lambda x: gain * x,
+        F_init=linear_model().F_init,
+    )
+
+    def peclet(sg):
+        xs = sg.nodes()[1:-1]
+        f = np.broadcast_to(model.alpha(xs, 0.0, 0.0), xs.shape)
+        s = 0.5 * np.asarray(model.beta(xs, 0.0, 0.0), dtype=float) ** 2
+        return float(np.max(np.abs(f) * sg.dx / (2.0 * s)))
+
+    sg = SpatialGrid(-2.0, 2.0, n_cells)
+    if peclet(sg) > 1.0:
+        sg = SpatialGrid(-2.0, 2.0, math.ceil(n_cells * peclet(sg)) + 1)
+    assume(peclet(sg) <= 1.0)
+    tg = TimeGrid(0.0, T, n_steps)
+    dR = np.random.default_rng(seed).normal(0.0, math.sqrt(tg.dt), n_steps)
+    sol = zk.solve_zakai(model, None, 0.0, zk.ObservationPath(grid=tg, increments=dR), sg)
+    assert sol.clamp_defect == 0.0
 
 
 def test_non_autonomous_sweep_matches_zakai_step_loop():
