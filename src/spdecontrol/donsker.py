@@ -12,16 +12,22 @@ which is what makes vectorized evaluation over ensembles cheap.
 
 For purely Gaussian specifications (no jump component) every moment has a
 closed form; the quadrature route is kept available for cross-validation.
+
+The residual variance sigma^2(t) = int_t^{T0} beta^2 ds comes from a built-in
+globally adaptive nested Clenshaw-Curtis 8/16 rule, and the transform
+integrals from a composite Simpson rule that rounds as scipy's does.  Both are
+local so that importing the library does not load scipy's integration
+subpackage, which brings scipy's optimize and special subpackages with it.
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from .errors import (
     DegenerateVariance,
@@ -56,13 +62,76 @@ _TAIL_EXPONENT = 37.0
 _TIME_QUAD_NODES = 64
 _FIRST_X_NODES = 257
 _MAX_X_NODES = 2**21 + 1
+# sigma^2(t): stop once the summed panel error estimates are below
+# max(_SIGMA2_EPSABS, _SIGMA2_EPSREL * |integral|); fail beyond _MAX_PANELS panels
+_SIGMA2_EPSABS = 1e-13
+_SIGMA2_EPSREL = 1e-12
+_MAX_PANELS = 50
+
+
+@functools.cache
+def _cc_rule():
+    """Nested Clenshaw-Curtis rule on [-1, 1] without its midpoint: the 16
+    nodes cos(k pi/16), k != 8, taken as sin((8 - k) pi/16) so the ends are
+    exactly +-1, their 16-interval weights, and the differences from the
+    8-interval rule, whose nodes are the even k.  Weights from the closed
+    formula w_k = c_k/n (1 - sum_j b_j cos(2 j k pi/n) / (4 j^2 - 1))."""
+
+    def weights(n):
+        k = np.arange(n + 1)
+        j = np.arange(1, n // 2 + 1)
+        b = np.where(j == n // 2, 1.0, 2.0)
+        w = 1.0 - (b / (4.0 * j * j - 1.0)) @ np.cos(2.0 * np.pi * np.outer(j, k) / n)
+        return np.where((k == 0) | (k == n), 1.0, 2.0) / n * w
+
+    k = np.arange(17)
+    w16 = weights(16)
+    diff = w16.copy()
+    diff[::2] -= weights(8)
+    off = k != 8
+    return np.sin((8 - k[off]) * np.pi / 16).tolist(), w16[off].tolist(), diff[off].tolist()
+
+
+def _cc_panel(f, a, b):
+    """(error estimate, integral, a, b) of f on [a, b] by the 16-interval rule; the
+    error is its distance to the 8-interval rule.  Both weight sets sum to 2, so
+    the sums run over f minus its midpoint value: a constant f gives (b - a) f
+    and error 0 exactly."""
+    x, w, d = _cc_rule()
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    dev = [f(c + h * xk) - fc for xk in x]
+    err = abs(h * sum(map(operator.mul, d, dev)))
+    return err, h * (2.0 * fc + sum(map(operator.mul, w, dev))), a, b
+
+
+def _adaptive_quad(f, a, b):
+    """int_a^b f for a scalar callable f: globally adaptive, bisecting the panel
+    with the largest error estimate until the estimates sum to at most
+    max(_SIGMA2_EPSABS, _SIGMA2_EPSREL |integral|).  f is evaluated at both ends."""
+    panels = [_cc_panel(f, a, b)]
+    while True:
+        total = sum(p[1] for p in panels)
+        err = sum(p[0] for p in panels)
+        if not (math.isfinite(total) and math.isfinite(err)):
+            raise QuadratureFailure(f"non-finite integrand on [{a}, {b}]")
+        if err <= max(_SIGMA2_EPSABS, _SIGMA2_EPSREL * abs(total)):
+            return total
+        if len(panels) == _MAX_PANELS:
+            raise QuadratureFailure(f"error estimate {err:.3e} after {_MAX_PANELS} panels on [{a}, {b}]")
+        worst = max(panels)  # the panel with the largest error estimate
+        panels.remove(worst)
+        lo, hi = worst[2:]
+        mid = 0.5 * (lo + hi)
+        panels += [_cc_panel(f, lo, mid), _cc_panel(f, mid, hi)]
 
 
 @dataclass(frozen=True)
 class FirstOrderChaosSpec:
     """Coefficients (beta, psi, levy, T0) of the insider variable."""
 
-    beta: object  # callable s -> float, nonvanishing
+    beta: object  # callable s -> float, finite and nonvanishing on [0, T0]
     psi: object = None  # callable (s, mark) -> float, or None for no jump part
     levy: LevySpec = LevySpec()
     T0: float = 1.0
@@ -77,8 +146,7 @@ class FirstOrderChaosSpec:
         """sigma^2(t) = int_t^{T0} beta^2 ds, integrated once per spec and time."""
         key = float(t)
         if key not in self._sigma2:
-            val, _ = quad(lambda s: self.beta(s) ** 2, t, self.T0, epsabs=1e-13, epsrel=1e-12)
-            self._sigma2[key] = val
+            self._sigma2[key] = _adaptive_quad(lambda s: self.beta(s) ** 2, t, self.T0)
         return self._sigma2[key]
 
 
@@ -161,6 +229,26 @@ def _jump_exponent(spec: FirstOrderChaosSpec, t: float):
     return g
 
 
+def _simpson(y, x):
+    """Composite Simpson along the last axis of y on an odd number of nodes x.
+
+    The operations, and so the rounding, are those of the uneven-spacing branch
+    of scipy 1.17's simpson(y, x=x, axis=-1), including its guarded divisions."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    h1divh0 = np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
+    hsum2divhprod = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    tmp = hsum / 6.0 * (
+        y[..., 0:-2:2] * (2.0 - h1divh0)
+        + y[..., 1:-1:2] * (hsum * hsum2divhprod)
+        + y[..., 2::2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp, axis=-1)
+
+
 def _fourier_moment(spec, z, t, m, factor, tol, sigma2):
     """(1/2pi) int exp(i x m + g(x) - x^2 sigma^2/2 - i x z) factor(x) dx;
     sigma2 is sigma^2(t), checked by the caller.
@@ -180,8 +268,8 @@ def _fourier_moment(spec, z, t, m, factor, tol, sigma2):
         base = np.exp(g(x) - 0.5 * sigma2 * x * x) * factor(x)
         phase = np.exp(1j * np.multiply.outer(m_arr - z, x))
         vals = (phase * base).real
-        est = simpson(vals, x=x, axis=-1) / math.pi
-        coarse = simpson(vals[:, ::2], x=x[::2], axis=-1) / math.pi
+        est = _simpson(vals, x) / math.pi
+        coarse = _simpson(vals[:, ::2], x[::2]) / math.pi
         if np.max(np.abs(est - coarse)) < tol:
             return est if np.ndim(m) else float(est[0])
         n = 2 * n - 1

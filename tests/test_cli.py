@@ -27,6 +27,14 @@ params:
 """
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate pulls in scipy.optimize and scipy.special: about 0.3 s of every start-up
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    code = f"import sys, spdecontrol.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
+
+
 def test_list_enumerates_all_kinds():
     code, out, _ = run_cli(["list"])
     assert code == 0

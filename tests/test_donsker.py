@@ -26,6 +26,7 @@ from spdecontrol.donsker import (
 from spdecontrol.errors import (
     DegenerateVariance,
     MissingDerivativeCallback,
+    QuadratureFailure,
     UnknownMark,
 )
 from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix
@@ -190,18 +191,72 @@ def test_phi1_gaussian_ratio():
 
 
 def test_residual_variance_integrates_once_per_time():
-    # a non-constant beta, so every time needs its own quad
+    # a non-constant beta, so every time needs its own integration
     make = lambda: FirstOrderChaosSpec(beta=lambda s: 1.0 + s, T0=1.0)
     spec = make()
     key = hash(spec)
     ts = np.linspace(0.0, 0.95, 50)
-    with mock.patch.object(donsker, "quad", wraps=donsker.quad) as integrate:
+    with mock.patch.object(donsker, "_adaptive_quad", wraps=donsker._adaptive_quad) as integrate:
         first = [spec.residual_variance(t) for t in ts]
         again = [spec.residual_variance(t) for t in ts]
     assert integrate.call_count == 50
     fresh = make()
     assert first == again == [fresh.residual_variance(t) for t in ts]
     assert hash(spec) == key and spec == replace(spec) and "sigma2" not in repr(spec)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.3, 1.7])
+def test_residual_variance_of_constant_beta_is_exact(beta):
+    # the sums over deviations from the midpoint vanish, leaving one rounding
+    # each for beta^2, T0 - t and their product
+    ts = np.linspace(0.0, 0.95, 39)
+    spec = FirstOrderChaosSpec(beta=lambda s: beta, T0=1.0)
+    assert [spec.residual_variance(t) for t in ts] == [beta**2 * (1.0 - t) for t in ts]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.1])
+def test_residual_variance_of_polynomial_beta_squared_is_exact_to_rounding(t):
+    # beta^2 = (1 + s + s^2)^2 has degree 4; the 16-interval rule is exact to degree 17
+    spec = FirstOrderChaosSpec(beta=lambda s: 1.0 + s + s * s, T0=1.5)
+    antider = lambda s: s + s**2 + s**3 + s**4 / 2 + s**5 / 5
+    assert spec.residual_variance(t) == pytest.approx(antider(1.5) - antider(t), rel=1e-15)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.9])
+def test_residual_variance_of_exponential_beta(t):
+    spec = FirstOrderChaosSpec(beta=math.exp, T0=1.0)
+    assert spec.residual_variance(t) == pytest.approx((math.exp(2.0) - math.exp(2.0 * t)) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.2, 0.7])
+def test_residual_variance_of_step_beta_meets_tolerances(t):
+    spec = FirstOrderChaosSpec(beta=lambda s: 1.0 if s < 0.5 else 2.0, T0=1.0)
+    exact = max(0.5 - t, 0.0) + 4.0 * (1.0 - max(t, 0.5))
+    assert abs(spec.residual_variance(t) - exact) <= max(1e-13, 1e-12 * exact)
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [lambda s: math.nan, lambda s: math.nan if s > 0.7 else 1.0, lambda s: 1.0 + math.sin(1e4 * s)],
+    ids=["nan", "nan-tail", "needs-too-many-panels"],
+)
+def test_residual_variance_raises_instead_of_returning_garbage(beta):
+    spec = FirstOrderChaosSpec(beta=beta, T0=1.0)
+    with pytest.raises(QuadratureFailure):
+        spec.residual_variance(0.0)
+    assert spec._sigma2 == {}
+
+
+@pytest.mark.parametrize("n", [257, 513])
+@pytest.mark.parametrize("rows", [1, 96])
+@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+def test_simpson_equals_scipy_bitwise(n, rows, coarse):
+    rng = np.random.default_rng(n + rows)
+    x = np.linspace(0.0, rng.uniform(1.0, 40.0), n)
+    y = rng.standard_normal((rows, n)) * np.exp(-0.1 * x)
+    if coarse:
+        x, y = x[::2], y[:, ::2]
+    assert np.array_equal(donsker._simpson(y, x), simpson(y, x=x, axis=-1))
 
 
 def test_phi1_computes_effective_mean_once():
