@@ -38,9 +38,11 @@ coeffs = CoefficientSet(
     c=lambda t, x, y, u, z, mark: 0.05 * mark * y,
     xi=lambda x, z: np.sin(math.pi * x),
 )
+# op.levy is the model's measure: the bundle is drawn on it and c jumps on it
 op = OperatorSpec(
     second_coeff=lambda t, x, u, z: 0.5,
     first_coeff=lambda t, x, u, z: 0.0,
+    levy=levy,
 )
 control = ControlPolicy(rule=lambda k, t, x, z, hist: 0.0)
 bundle = sample_bundle(tgrid, levy, seed=7, path_index=0)

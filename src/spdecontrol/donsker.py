@@ -62,6 +62,8 @@ _TAIL_EXPONENT = 37.0
 _TIME_QUAD_NODES = 64
 _FIRST_X_NODES = 257
 _MAX_X_NODES = 2**21 + 1
+# Fourier quadrature: stop once two Simpson levels agree to within this
+_FOURIER_TOL = 1e-10
 # sigma^2(t): stop once the summed panel error estimates are below
 # max(_SIGMA2_EPSABS, _SIGMA2_EPSREL * |integral|); fail beyond _MAX_PANELS panels
 _SIGMA2_EPSABS = 1e-13
@@ -249,15 +251,15 @@ def _simpson(y, x):
     return np.sum(tmp, axis=-1)
 
 
-def _fourier_moment(spec, z, t, m, factor, tol, sigma2):
+def _fourier_moment(spec, z, t, m, factor, sigma2):
     """(1/2pi) int exp(i x m + g(x) - x^2 sigma^2/2 - i x z) factor(x) dx;
     sigma2 is sigma^2(t), checked by the caller.
 
     Evaluated on [0, X] using conjugate symmetry by composite Simpson on
     _FIRST_X_NODES equispaced nodes, doubling the node count until a level
     agrees with the Simpson estimate on its own even nodes (the previous
-    level) to within tol.  m may be a scalar or a 1-d array (shared x-nodes,
-    one result per entry).
+    level) to within _FOURIER_TOL.  m may be a scalar or a 1-d array
+    (shared x-nodes, one result per entry).
     """
     g = _jump_exponent(spec, t)
     x_max = math.sqrt(2.0 * _TAIL_EXPONENT / sigma2)
@@ -270,10 +272,12 @@ def _fourier_moment(spec, z, t, m, factor, tol, sigma2):
         vals = (phase * base).real
         est = _simpson(vals, x) / math.pi
         coarse = _simpson(vals[:, ::2], x[::2]) / math.pi
-        if np.max(np.abs(est - coarse)) < tol:
+        if np.max(np.abs(est - coarse)) < _FOURIER_TOL:
             return est if np.ndim(m) else float(est[0])
         n = 2 * n - 1
-    raise QuadratureFailure(f"no convergence to tol={tol} with {_MAX_X_NODES} transform nodes")
+    raise QuadratureFailure(
+        f"no convergence to tol={_FOURIER_TOL} with {_MAX_X_NODES} transform nodes"
+    )
 
 
 def _clamp_density(raw, sigma2):
@@ -302,38 +306,38 @@ def _gaussian_pdf(z, m, sigma2):
     return np.exp(-((z - m) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)
 
 
-def conditional_delta(spec, z, hist, *, method="auto", tol=1e-10):
+def conditional_delta(spec, z, hist, *, method="auto"):
     """Conditional density of Z at z given the history snapshot."""
     m = effective_mean(spec, hist)
-    return delta_from_mean(spec, z, hist.t, m, method=method, tol=tol)
+    return delta_from_mean(spec, z, hist.t, m, method=method)
 
 
-def delta_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):
+def delta_from_mean(spec, z, t, m, *, method="auto"):
     """Same as conditional_delta but from the scalar (or array) mean m(t)."""
     sigma2 = _check_time(spec, t)
     if _resolve_method(spec, method) == "closed_form":
         return _gaussian_pdf(z, m, sigma2)
-    raw = _fourier_moment(spec, z, t, m, lambda x: 1.0, tol, sigma2)
+    raw = _fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2)
     out = _clamp_density(raw, sigma2)
     return out if np.ndim(m) else float(out)
 
 
-def conditional_malliavin_b(spec, z, hist, *, method="auto", tol=1e-10):
+def conditional_malliavin_b(spec, z, hist, *, method="auto"):
     """Conditional Brownian stochastic derivative of the delta functional at
     the snapshot time (the diagonal case)."""
-    return _malliavin_b_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method, tol=tol)
+    return _malliavin_b_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method)
 
 
-def _malliavin_b_from_mean(spec, z, t, m, *, method, tol):
+def _malliavin_b_from_mean(spec, z, t, m, *, method):
     """conditional_malliavin_b from the scalar mean m(t)."""
     sigma2 = _check_time(spec, t)
     beta_t = spec.beta(t)
     if _resolve_method(spec, method) == "closed_form":
         return float(beta_t * (z - m) / sigma2 * _gaussian_pdf(z, m, sigma2))
-    return float(_fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, tol, sigma2))
+    return float(_fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2))
 
 
-def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
+def conditional_malliavin_n(spec, z, hist, zeta):
     """Conditional jump stochastic derivative at mark zeta."""
     marks = [mk for mk, _ in spec.levy.atoms]
     if not any(math.isclose(zeta, mk, rel_tol=1e-12, abs_tol=1e-12) for mk in marks):
@@ -346,24 +350,24 @@ def conditional_malliavin_n(spec, z, hist, zeta, *, tol=1e-10):
     if psi_tz == 0.0:
         return 0.0
     sigma2 = _check_time(spec, t)
-    num = _fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, tol, sigma2)
+    num = _fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, sigma2)
     return float(num)
 
 
-def phi1(spec, z, hist, *, method="auto", tol=1e-10):
+def phi1(spec, z, hist, *, method="auto"):
     """Information-drift ratio: Brownian derivative moment over the density,
     phi1_from_mean at the history's effective mean."""
-    return phi1_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method, tol=tol)
+    return phi1_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method)
 
 
-def phi1_from_mean(spec, z, t, m, *, method="auto", tol=1e-10):
+def phi1_from_mean(spec, z, t, m, *, method="auto"):
     """phi1 evaluated from the compensated mean m(t); m may be an array."""
     if _resolve_method(spec, method) == "closed_form":
         return gaussian_phi1(spec, z, t, m)
     sigma2 = _check_time(spec, t)
     beta_t = spec.beta(t)
-    den = _fourier_moment(spec, z, t, m, lambda x: 1.0, tol, sigma2)
-    num = _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, tol, sigma2)
+    den = _fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2)
+    num = _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2)
     den = np.asarray(den, dtype=float)
     if np.any(den <= EPS_DIV):
         raise DivisionUnstable(f"conditional density below division floor at z={z}")

@@ -6,9 +6,10 @@ explicit in drift, noise and jump terms, second-order central differences in
 space.  The left-endpoint rule is used for every stochastic sum.
 
 There is one stepper, step_forward, and it advances a block of paths held as
-an (n_paths, n_nodes) array; a single-path solve is an ensemble of one.  Jumps
-enter as per-atom event counts N_a over a step, compensated by lam_a dt, in
-the state and in the compensated insider mean m(t) (advance_mean) alike.
+an (n_paths, n_nodes) array; a single-path solve is an ensemble of one.  One
+Levy measure, OperatorSpec.levy, drives every jump of a run: jumps enter as
+per-atom event counts N_a over a step, compensated by lam_a dt, in the state
+and in the compensated insider mean m(t) (advance_mean) alike.
 """
 from __future__ import annotations
 
@@ -68,11 +69,16 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Linear integro-differential operator acting in x.
+    """Linear integro-differential operator acting in x, and the model's Levy
+    measure.
 
     second_coeff/first_coeff: callables (t, x, u, z) -> real.  jump_shift,
     when present, is a callable (t, x, u, z, zeta) -> shift amount for the
-    nonlocal part, with atom weights taken from levy.  Every callable must
+    nonlocal part, with atom weights taken from levy.  levy is the measure of
+    every jump of a forward run: the event counts a run draws, the state's
+    jump term c and, with jump_shift, the nonlocal part.  A jumping insider
+    variable or a PathBundle on another measure raises ModelMismatch
+    (_check_measure).  Every callable must
     broadcast u against the node array x of shape (n,): u is a scalar or an
     (n,) array for one operator, and an (n_paths, 1) or (n_paths, n) control
     stack when one operator per path is assembled.  It acts on interior nodes
@@ -341,6 +347,15 @@ def _has_jumps(chaos) -> bool:
     return chaos is not None and not chaos.is_gaussian
 
 
+def _check_measure(op: OperatorSpec, chaos, bundle: PathBundle | None = None):
+    """Raise ModelMismatch unless every jump of a run is on op.levy: those of
+    a jumping insider variable chaos and the bundle's event counts."""
+    if _has_jumps(chaos) and chaos.levy != op.levy:
+        raise ModelMismatch(f"insider variable jumps on {chaos.levy} but op.levy is {op.levy}")
+    if bundle is not None and bundle.levy != op.levy:
+        raise ModelMismatch(f"bundle is drawn on {bundle.levy} but op.levy is {op.levy}")
+
+
 def _bundle_noise(bundle: PathBundle):
     """A bundle's noise as an ensemble of one: Brownian increments (1,
     n_steps) and one (1, n_steps) array of event counts per atom of
@@ -348,25 +363,23 @@ def _bundle_noise(bundle: PathBundle):
     return bundle.brownian_increments[None], [n[None] for n in bundle.jump_counts]
 
 
-def advance_mean(chaos, m, t, dt, db_k, counts_k=(), levy: LevySpec = LevySpec()):
+def advance_mean(chaos, m, t, dt, db_k, counts_k=()):
     """Compensated insider mean m(t) advanced across the step [t, t + dt).
 
     m + beta(t) dB + sum_a psi(t, mark_a) (N_a - lam_a dt), where N_a =
-    counts_k[a] counts the events of atom a of levy in the step.  Every
+    counts_k[a] counts the events of atom a of chaos.levy in the step.  Every
     integrand is taken at the left endpoint t, the compensator's too, so the
     compensator int psi lam ds is the left-endpoint rule.  m, db_k and the
     counts are scalars or (n_paths,) arrays.  A Gaussian chaos reads no
-    counts; with a jump part, levy must be chaos.levy (else ModelMismatch).
+    counts; a jumping one reads the state's, drawn on op.levy, which the
+    forward routines check to be chaos.levy once per run (_check_measure).
     chaos None leaves m unchanged.
     """
     if chaos is None:
         return m
     m = m + chaos.beta(t) * db_k
     if _has_jumps(chaos):
-        # the counts are the state's; they drive m only on the same measure
-        if levy != chaos.levy:
-            raise ModelMismatch(f"insider variable jumps on {chaos.levy} but the noise is {levy}")
-        for a, (mark, lam) in enumerate(levy.atoms):
+        for a, (mark, lam) in enumerate(chaos.levy.atoms):
             m = m + chaos.psi(t, mark) * counts_k[a] - dt * lam * chaos.psi(t, mark)
     return m
 
@@ -395,9 +408,9 @@ def _block_control(control: ControlPolicy, k, t, xs, z, m):
     )
 
 
-def _explicit_rhs(coeffs: CoefficientSet, t, xs, Y, u, z, dt, db_k, counts_k, levy):
-    """Y + dt a + b dB, then + c(mark_a) (N_a - lam_a dt) atom by atom.
-    Results depend on this order of the sums at round-off; keep it."""
+def _explicit_rhs(coeffs: CoefficientSet, op: OperatorSpec, t, xs, Y, u, z, dt, db_k, counts_k):
+    """Y + dt a + b dB, then + c(mark_a) (N_a - lam_a dt) atom by atom of
+    op.levy.  Results depend on this order of the sums at round-off; keep it."""
     rhs = (
         Y
         + dt * np.broadcast_to(np.asarray(coeffs.a(t, xs, Y, u, z), dtype=float), Y.shape)
@@ -405,7 +418,7 @@ def _explicit_rhs(coeffs: CoefficientSet, t, xs, Y, u, z, dt, db_k, counts_k, le
         * db_k[:, None]
     )
     if coeffs.c is not None:
-        for a, (mark, lam) in enumerate(levy.atoms):
+        for a, (mark, lam) in enumerate(op.levy.atoms):
             cv = np.broadcast_to(np.asarray(coeffs.c(t, xs, Y, u, z, mark), dtype=float), Y.shape)
             rhs += cv * (counts_k[a] - dt * lam)[:, None]
     return rhs
@@ -442,40 +455,37 @@ def step_forward(
     *,
     coeffs: CoefficientSet,
     op: OperatorSpec,
-    grid: SpatialGrid,
+    xs,
     tgrid: TimeGrid,
     z,
     db_k,
     counts_k,
-    levy: LevySpec,
-    assembled: AssembledOperator | None = None,
+    assembled: AssembledOperator,
 ):
     """One semi-implicit step of a block of paths from node k to k+1.
 
-    Y is the (n_paths, n_nodes) state at t_k, u the step's control block (see
-    _block_control), db_k the paths' Brownian increments (n_paths,) and
-    counts_k[a] their event counts (n_paths,) of atom a of levy.  assembled
-    is the operator at (t_k, u), as _sweep passes it from _step_operator;
-    when None it is built here by the same route, one per path when a
-    coefficient value carries the paths' axis.  Returns the state at t_{k+1}
-    with the Dirichlet data imposed.
+    Y is the (n_paths, n_nodes) state at t_k on the grid nodes xs, u the
+    step's control block (see _block_control), db_k the paths' Brownian
+    increments (n_paths,) and counts_k[a] their event counts (n_paths,) of
+    atom a of op.levy.  assembled is the operator at (t_k, u), as _sweep
+    passes it from _step_operator.  Returns the state at t_{k+1} with the
+    Dirichlet data imposed.
     """
     t = tgrid.time(k)
     dt = tgrid.dt
-    xs = grid.nodes()
-    rhs = _explicit_rhs(coeffs, t, xs, Y, u, z, dt, db_k, counts_k, levy)
-    A = assembled if assembled is not None else _step_operator(op, grid, xs, t, u, z)[0]
-    Y = A.solve_implicit(dt, rhs)
+    rhs = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k)
+    Y = assembled.solve_implicit(dt, rhs)
     t_next = tgrid.time(k + 1)
     Y[:, 0] = coeffs.boundary(t_next, xs[0])
     Y[:, -1] = coeffs.boundary(t_next, xs[-1])
     return Y
 
 
-def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, counts, levy, chaos):
+def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, counts, chaos):
     """Drive step_forward over the time grid for the block of paths with
     Brownian increments db (n_paths, n_steps) and event counts counts[a]
-    (n_paths, n_steps) of atom a of levy.
+    (n_paths, n_steps) of atom a of op.levy; a jumping chaos must be on
+    op.levy (checked by the caller, _check_measure).
 
     Yields (t_k, Y, u, m) at every node k = 0..n_steps: the state block, the
     control of the step from t_k (None at the last node) and the insider mean.
@@ -497,10 +507,10 @@ def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, count
         db_k, counts_k = db[:, k], [c[:, k] for c in counts]
         operator = _step_operator(op, grid, xs, t, u, z, operator)
         Y = step_forward(
-            Y, k, u, coeffs=coeffs, op=op, grid=grid, tgrid=tgrid, z=z,
-            db_k=db_k, counts_k=counts_k, levy=levy, assembled=operator[0],
+            Y, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
+            db_k=db_k, counts_k=counts_k, assembled=operator[0],
         )
-        m = advance_mean(chaos, m, t, dt, db_k, counts_k, levy)
+        m = advance_mean(chaos, m, t, dt, db_k, counts_k)
     yield tgrid.time(tgrid.n_steps), Y, None, m
 
 
@@ -518,10 +528,12 @@ def solve_forward(
 
     The path is an ensemble of one: the sweep of step_forward over the
     bundle's Brownian increments and its per-atom event counts.  Raises
-    ModelMismatch when chaos jumps on another LevySpec than the bundle.
+    ModelMismatch when the bundle, or a jumping chaos, is on another
+    LevySpec than op.levy.
     """
+    _check_measure(op, chaos, bundle)
     db, counts = _bundle_noise(bundle)
-    sweep = _sweep(coeffs, op, control, z, grid, bundle.grid, db, counts, bundle.levy, chaos)
+    sweep = _sweep(coeffs, op, control, z, grid, bundle.grid, db, counts, chaos)
     values = np.empty((bundle.grid.n_steps + 1, grid.n_nodes))
     for k, (_, Y, _, _) in enumerate(sweep):
         values[k] = Y[0]
@@ -543,7 +555,9 @@ def weak_residual(
 
     Left-endpoint evaluation throughout, so the defect of the solver's own
     output (and of any injected exact solution) shrinks at first order in dt.
+    The bundle and a jumping chaos must be on op.levy (else ModelMismatch).
     """
+    _check_measure(op, chaos, bundle)
     grid = field.grid
     tgrid = field.tgrid
     phi = np.asarray(phi, dtype=float)
@@ -560,8 +574,8 @@ def weak_residual(
         Y = field.values[k][None]
         u = _block_control(control, k, t, xs, z, m)
         counts_k = [c[:, k] for c in counts]
-        explicit = _explicit_rhs(coeffs, t, xs, Y, u, z, dt, db[:, k], counts_k, bundle.levy) - Y
+        explicit = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db[:, k], counts_k) - Y
         A = _step_operator(op, grid, xs, t, u, z)[0]
         acc -= grid.inner((dt * A.apply(Y) + explicit)[0], phi)
-        m = advance_mean(chaos, m, t, dt, db[:, k], counts_k, bundle.levy)
+        m = advance_mean(chaos, m, t, dt, db[:, k], counts_k)
     return abs(acc)

@@ -23,8 +23,9 @@ from .forward import (
     OperatorSpec,
     PathHistory,
     SpatialGrid,
-    _has_jumps,
     _block_control,
+    _check_measure,
+    _has_jumps,
     _step_operator,
     _sweep,
     advance_mean,
@@ -164,9 +165,10 @@ def _weight_vec(chaos, z, t, m):
     return donsker.delta_from_mean(chaos, z, t, np.asarray(m, dtype=float))
 
 
-def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, levy, db, counts, perf):
+def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, db, counts, perf):
     """Sweep one control over the block of paths with Brownian increments db
-    (n_paths, n_steps) and event counts counts, one such matrix per atom."""
+    (n_paths, n_steps) and event counts counts, one such matrix per atom of
+    op.levy."""
     xs = grid.nodes()
     dt = tgrid.dt
     nb = len(db)
@@ -175,7 +177,7 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, levy, db, counts
     # elementwise over interior nodes, reduced over them once at the end
     run_min = np.full((nb, grid.n_nodes - 2), np.inf)
 
-    for t, Y, u, m in _sweep(coeffs, op, control, z, grid, tgrid, db, counts, levy, chaos):
+    for t, Y, u, m in _sweep(coeffs, op, control, z, grid, tgrid, db, counts, chaos):
         np.minimum(run_min, Y[:, 1:-1], out=run_min)
         if perf is not None and u is not None:
             w = _weight_vec(chaos, z, t, m)
@@ -213,7 +215,6 @@ def run_ensemble(
     tgrid: TimeGrid,
     *,
     chaos: FirstOrderChaosSpec | None = None,
-    levy: LevySpec = LevySpec(),
     n_paths: int = 1024,
     seed: int = 0,
     perf: PerformanceSpec | None = None,
@@ -226,10 +227,12 @@ def run_ensemble(
     tuple of them, giving a tuple of results in the same order: each block's
     noise is drawn once (read-only) and every control is swept on it, so the
     controls share common random numbers and each result equals that of a
-    call with the control alone.  levy drives the state's jumps; when chaos
-    has a jump part it must be chaos.levy, since the insider mean m is
-    advanced with the same jump counts (advance_mean raises ModelMismatch
-    otherwise).  An operator whose coefficient values carry the paths' axis
+    call with the control alone.  op.levy is the model's Levy measure: the
+    event counts are drawn on it and drive the state's jump term c, the
+    nonlocal part and, when chaos has a jump part, the insider mean m, so a
+    chaos that jumps on another measure raises ModelMismatch, as does perf
+    without chaos (the profit rate is weighted by chaos's conditional
+    density).  An operator whose coefficient values carry the paths' axis
     is one banded operator per path; the boundary rows of I - dt A are
     identity rows, so each path is solved as if alone, bit for bit, whatever
     its band (AssembledOperator.solve_implicit).  With a jump part, blocks
@@ -237,6 +240,10 @@ def run_ensemble(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _check_measure(op, chaos)
+    if perf is not None and chaos is None:
+        raise ModelMismatch("perf weights the profit rate by the conditional density of chaos; "
+                            "run_ensemble got perf without chaos")
     controls = control if isinstance(control, tuple) else (control,)
     block_size = _BLOCK_PATHS
     if op.jump_shift is not None and op.levy.atoms:
@@ -245,11 +252,11 @@ def run_ensemble(
     for lo in range(0, n_paths, block_size):
         path_indices = list(range(lo, min(lo + block_size, n_paths)))
         db = brownian_increment_matrix(tgrid, seed, path_indices)
-        counts = jump_count_matrices(tgrid, levy, seed, path_indices)
+        counts = jump_count_matrices(tgrid, op.levy, seed, path_indices)
         for noise in (db, *counts):
             noise.flags.writeable = False
         for part, c in zip(parts, controls):
-            part.append(_ensemble_block(coeffs, op, c, z, grid, tgrid, chaos, levy, db, counts, perf))
+            part.append(_ensemble_block(coeffs, op, c, z, grid, tgrid, chaos, db, counts, perf))
     results = tuple(_joined(part) for part in parts)
     return results if isinstance(control, tuple) else results[0]
 
@@ -302,7 +309,7 @@ def estimate_j(
     n_paths: int,
     seed: int,
     *,
-    levy: LevySpec = LevySpec(),
+    levy: LevySpec | None = None,
     return_samples: bool = False,
 ):
     """Monte Carlo estimate of the z-parametrized performance functional.
@@ -310,13 +317,17 @@ def estimate_j(
     The profit rate is weighted by the conditional density along each path
     and the terminal payoff by its value at the horizon.  A tuple of controls
     gives a tuple of estimates in the same order, all from one run_ensemble
-    call, so the controls share one noise draw per block.
+    call, so the controls share one noise draw per block.  The noise is
+    drawn on op.levy; levy changes no result and raises ModelMismatch unless
+    it is op.levy (kept for perfbench's general-jump workload, which passes it).
     """
+    if levy is not None and levy != op.levy:
+        raise ModelMismatch(f"levy={levy} is not the model's measure op.levy = {op.levy}")
     if tgrid.t_end > chaos.T0 - tgrid.dt + 1e-12:
         raise ValueError("horizon must stay at least one step before T0")
     results = run_ensemble(
         coeffs, op, control if isinstance(control, tuple) else (control,), z, grid, tgrid,
-        chaos=chaos, levy=levy, n_paths=n_paths, seed=seed, perf=perf,
+        chaos=chaos, n_paths=n_paths, seed=seed, perf=perf,
     )
     wx = _trapezoid_weights(grid)
     out = []
@@ -372,17 +383,15 @@ def gateaux_derivative(
     a_step: float = 1e-3,
     n_paths: int = 4096,
     seed: int = 0,
-    levy: LevySpec = LevySpec(),
 ):
     """Directional derivative of the performance by central differences with
-    common random numbers: both sides are swept on the same noise draw.  A
-    tuple of directions gives a tuple of estimates in the same order, all
-    2 * len(direction) sides from one draw per block."""
+    common random numbers: both sides are swept on the same noise draw, on
+    op.levy.  A tuple of directions gives a tuple of estimates in the same
+    order, all 2 * len(direction) sides from one draw per block."""
     directions = direction if isinstance(direction, tuple) else (direction,)
     sides = tuple(perturbed_policy(control, d, a) for d in directions for a in (a_step, -a_step))
     runs = estimate_j(
-        coeffs, op, sides, perf, chaos, z, grid, tgrid, n_paths, seed,
-        levy=levy, return_samples=True,
+        coeffs, op, sides, perf, chaos, z, grid, tgrid, n_paths, seed, return_samples=True,
     )
     out = tuple(
         PerformanceEstimate.from_samples((s_up - s_dn) / (2.0 * a_step))
@@ -439,11 +448,12 @@ def sensitivity_residual(
     solver's route.  Requires one whose coefficient values ignore the control
     (the linearization of the operator in u is not formed here;
     NotImplementedError when a value carries the control's axis), a Gaussian
-    insider variable and no jump term c on a bundle with jumps (its
-    linearization is not formed either; ModelMismatch).
+    insider variable, a bundle on op.levy and no jump term c on a measure
+    with atoms (its linearization is not formed either; ModelMismatch).
     """
     _require_brownian(chaos, "sensitivity_residual")
-    if coeffs.c is not None and bundle.levy.atoms:
+    _check_measure(op, chaos, bundle)
+    if coeffs.c is not None and op.levy.atoms:
         raise ModelMismatch("sensitivity_residual linearizes a dt + b dB only; "
                             "it does not support a jump term c on a bundle with jumps")
     tgrid = bundle.grid
@@ -505,30 +515,25 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
 
 
 def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *,
-                          chaos=None, method: str = "exact") -> ReducedAdjointPath:
+                          chaos=None) -> ReducedAdjointPath:
     """Scalar adjoint martingale along each path of a block: the stochastic
     exponential of (b0 pi - a0/b0) dB on the Brownian increments db (n_paths,
     n_steps) of brownian_increment_matrix, scaled to the supplied terminal
     value.  pi is an x-independent ControlPolicy or a plain callable
     (t, z) -> value.  The insider variable, if given, must be Gaussian.
     """
-    if method not in ("exact", "euler"):
-        raise ValueError(f"unknown method {method!r}")
     theta, _ = _adjoint_integrand(a0, b0, pi, tgrid, db, z, chaos)
     start = np.zeros((len(db), 1))
-    if method == "exact":
-        raw = np.exp(np.hstack((start, np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1))))
-    else:
-        raw = np.hstack((start + 1.0, np.cumprod(1.0 + theta * db, axis=1)))
+    raw = np.exp(np.hstack((start, np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1))))
     p0 = terminal / raw[:, -1]
     return ReducedAdjointPath(times=tgrid.times(), values=p0[:, None] * raw, p0=p0)
 
 
 def reduced_adjoint_solve(a0, b0, pi, terminal: float, bundle: PathBundle, z, *,
-                          chaos=None, method: str = "exact") -> ReducedAdjointPath:
+                          chaos=None) -> ReducedAdjointPath:
     """reduced_adjoint_block on one bundle's increments, a block of one."""
     block = reduced_adjoint_block(a0, b0, pi, terminal, bundle.grid, bundle.brownian_increments[None],
-                                  z, chaos=chaos, method=method)
+                                  z, chaos=chaos)
     return ReducedAdjointPath(times=block.times, values=block.values[0], p0=float(block.p0[0]))
 
 
@@ -546,7 +551,6 @@ def verify_x_independent_stationarity(
     n_paths: int = 4096,
     seed: int = 0,
     a_step: float = 1e-3,
-    levy: LevySpec = LevySpec(),
     tol_tstat: float = 3.0,
 ) -> dict:
     """Check the x-independent first-order condition by time-localized
@@ -574,7 +578,7 @@ def verify_x_independent_stationarity(
     )
     ests = gateaux_derivative(
         coeffs, op, control, directions, perf, chaos, z, grid, tgrid,
-        a_step=a_step, n_paths=n_paths, seed=seed, levy=levy,
+        a_step=a_step, n_paths=n_paths, seed=seed,
     )
     entries = [
         {

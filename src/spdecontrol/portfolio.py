@@ -42,19 +42,18 @@ _EPS_VOL = 1e-8
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """Drift a0(t,z), volatility b0(t,z) with |b0| >= eps_vol, positive initial
+    """Drift a0(t,z), volatility b0(t,z) with |b0| >= _EPS_VOL, positive initial
     wealth profile alpha_init(x), and the spatial domain D."""
 
     a0: object
     b0: object
     alpha_init: object
     D: SpatialGrid
-    eps_vol: float = _EPS_VOL
 
     def vol(self, t, z) -> float:
         v = self.b0(t, z)
-        if abs(v) < self.eps_vol:
-            raise DegenerateVolatility(f"|b0({t}, {z})| = {abs(v):.3e} below {self.eps_vol}")
+        if abs(v) < _EPS_VOL:
+            raise DegenerateVolatility(f"|b0({t}, {z})| = {abs(v):.3e} below {_EPS_VOL}")
         return v
 
 

@@ -192,14 +192,14 @@ def test_criterion_07_reduced_adjoint_martingale():
     n = 10**4
     db = brownian_increment_matrix(tgrid, 11, range(n))
     block = reduced_adjoint_block(
-        market.a0, market.b0, pol, 1.0, tgrid, db, 0.5, chaos=spec, method="exact"
+        market.a0, market.b0, pol, 1.0, tgrid, db, 0.5, chaos=spec
     )
     ratios = block.values[:, -1] / block.p0
     # a single-path solve is row p of the block, bit for bit
     for p in range(64):
         b = sample_bundle(tgrid, LevySpec(), 11, p)
         path = reduced_adjoint_solve(
-            market.a0, market.b0, pol, 1.0, b, 0.5, chaos=spec, method="exact"
+            market.a0, market.b0, pol, 1.0, b, 0.5, chaos=spec
         )
         assert path.p0 == block.p0[p]
         assert np.array_equal(path.values, block.values[p])

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdecontrol import forward
 from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec
@@ -25,6 +27,7 @@ from spdecontrol.forward import (
     SpatialGrid,
     assemble_operator,
     solve_forward,
+    weak_residual,
 )
 from spdecontrol.maxprinciple import (
     AdjointTriple,
@@ -322,11 +325,12 @@ def test_sensitivity_residual_rejects_a_jump_term():
     )
     tg = TimeGrid(0.0, 0.2, 50)
     b = sample_bundle(tg, LevySpec(atoms=((1.0, 5.0),)), 2, 0)
+    op = replace(OP, levy=b.levy)
     pol = const_policy(0.3)
-    base = solve_forward(coeffs, OP, pol, 0.0, b, GRID)
+    base = solve_forward(coeffs, op, pol, 0.0, b, GRID)
     chi = np.zeros_like(base.values)
     with pytest.raises(ModelMismatch):
-        sensitivity_residual(chi, base, coeffs, OP, pol, direction(1.0), 0.0, b, GRID)
+        sensitivity_residual(chi, base, coeffs, op, pol, direction(1.0), 0.0, b, GRID)
 
 
 def test_sensitivity_residual_rejects_direction_beyond_its_bound():
@@ -342,28 +346,25 @@ def test_sensitivity_residual_rejects_direction_beyond_its_bound():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    method=st.sampled_from(["exact", "euler"]),
     policy=st.booleans(),
     n_paths=st.integers(1, 6),
     n_steps=st.integers(1, 12),
     terminal=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),
     seed=st.integers(0, 2**16),
 )
-def test_reduced_adjoint_block_rows_equal_single_path_calls(method, policy, n_paths, n_steps,
-                                                            terminal, seed):
+def test_reduced_adjoint_block_rows_equal_single_path_calls(policy, n_paths, n_steps, terminal, seed):
     market, _, spec = pf.benchmark_market(8)
     pi = pf.optimal_policy(market, spec) if policy else (lambda t, z: 0.2 + t)
     tg = TimeGrid(0.0, 0.4, n_steps)
     block = reduced_adjoint_block(
         market.a0, market.b0, pi, terminal, tg, brownian_increment_matrix(tg, seed, range(n_paths)),
-        0.5, chaos=spec, method=method,
+        0.5, chaos=spec,
     )
     assert block.values.shape == (n_paths, n_steps + 1)
     assert block.p0.shape == (n_paths,)
     for p in range(n_paths):
         path = reduced_adjoint_solve(market.a0, market.b0, pi, terminal,
-                                     sample_bundle(tg, LevySpec(), seed, p), 0.5,
-                                     chaos=spec, method=method)
+                                     sample_bundle(tg, LevySpec(), seed, p), 0.5, chaos=spec)
         assert type(path.p0) is float
         assert path.p0 == block.p0[p]
         assert np.array_equal(path.values, block.values[p])
@@ -400,23 +401,6 @@ def test_reduced_adjoint_degenerate_volatility():
     b = sample_bundle(tg, LevySpec(), 1, 0)
     with pytest.raises(DegenerateVolatility):
         reduced_adjoint_solve(lambda t, z: 0.1, lambda t, z: 0.0, lambda t, z: 1.0, 1.0, b, 0.0)
-
-
-def test_reduced_adjoint_euler_gap_first_order():
-    gaps = []
-    for n_steps in (50, 100):
-        tg = TimeGrid(0.0, 0.5, n_steps)
-        worst = 0.0
-        for p in range(10):
-            b = sample_bundle(tg, LevySpec(), 7, p)
-            ex = reduced_adjoint_solve(lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.3, 1.0, b, 0.0)
-            eu = reduced_adjoint_solve(
-                lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.3, 1.0, b, 0.0, method="euler"
-            )
-            worst = max(worst, float(np.max(np.abs(eu.values / ex.values - 1.0))))
-        gaps.append(worst)
-    assert gaps[0] < 0.05
-    assert gaps[1] < gaps[0]
 
 
 def test_ensemble_paths_bitwise_match_single_solver():
@@ -488,7 +472,7 @@ def test_control_dependent_jump_ensemble_matches_single_path_solver(mode):
     grid = SpatialGrid(0.0, 1.0, 16)
     tg = TimeGrid(0.0, 0.5, 25)
     res = run_ensemble(
-        coeffs, op, pol, 0.3, grid, tg, chaos=JUMP_CHAOS, levy=JUMP_LEVY, n_paths=6, seed=2
+        coeffs, op, pol, 0.3, grid, tg, chaos=JUMP_CHAOS, n_paths=6, seed=2
     )
     for p in range(6):
         f = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 2, p), grid,
@@ -504,7 +488,7 @@ def test_shared_x_dependent_profile_ensemble_matches_single_path_solver(n_paths)
                         bounds=(0.0, 1.0))
     grid = SpatialGrid(0.0, 1.0, 8)
     tg = TimeGrid(0.0, 0.5, 10)
-    res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, levy=JUMP_LEVY, n_paths=n_paths, seed=1)
+    res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, n_paths=n_paths, seed=1)
     for p in range(n_paths):
         ref = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 1, p), grid).values[-1]
         assert np.array_equal(res.y_terminal[p], ref)
@@ -522,9 +506,10 @@ def test_ensemble_bitwise_independent_of_any_block_size(jumps, n_paths, block_si
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.clip(0.5 + 0.3 * np.asarray(hist.m), 0.0, 1.0),
                         bounds=(0.0, 1.0))
     if jumps:
-        chaos, levy = JUMP_CHAOS, JUMP_LEVY
+        chaos = JUMP_CHAOS
     else:
-        chaos, levy = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0), LevySpec()
+        chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0)
+        op = replace(op, jump_shift=None, levy=LevySpec())
     perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
 
     def run(bs):
@@ -532,7 +517,7 @@ def test_ensemble_bitwise_independent_of_any_block_size(jumps, n_paths, block_si
         with mock.patch.object(mp, "_BLOCK_PATHS", bs):
             return run_ensemble(
                 coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 4), chaos=chaos,
-                levy=levy, n_paths=n_paths, seed=seed, perf=None if jumps else perf,
+                n_paths=n_paths, seed=seed, perf=None if jumps else perf,
             )
 
     whole, split = run(n_paths), run(block_size)
@@ -589,8 +574,7 @@ def test_ensemble_rows_equal_single_path_solves_bitwise(
     pol = ControlPolicy(rule=rule, mode=mode, bounds=(0.0, 1.0))
     grid = SpatialGrid(0.0, 1.0, n_cells)
     tg = TimeGrid(0.0, 0.3, n_steps)
-    res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, chaos=chaos, levy=levy,
-                       n_paths=n_paths, seed=seed)
+    res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, chaos=chaos, n_paths=n_paths, seed=seed)
     for p in range(n_paths):
         f = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, levy, seed, p), grid, chaos=chaos)
         assert np.array_equal(res.y_terminal[p], f.values[-1])
@@ -607,7 +591,7 @@ def test_ensemble_rejects_control_of_the_wrong_shape(mode, shape):
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(shape, 0.5), mode=mode)
     with pytest.raises(ControlShapeMismatch):
         run_ensemble(coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 8), TimeGrid(0.0, 0.1, 2),
-                     levy=JUMP_LEVY, n_paths=5, seed=0)
+                     n_paths=5, seed=0)
 
 
 def _ensemble_peak_bytes(op, coeffs):
@@ -617,7 +601,7 @@ def _ensemble_peak_bytes(op, coeffs):
     tracemalloc.start()
     try:
         run_ensemble(coeffs, op, pol, 0.3, SpatialGrid(0.0, 1.0, 64), TimeGrid(0.0, 0.1, 1),
-                     levy=JUMP_LEVY, n_paths=1200, seed=0)
+                     n_paths=1200, seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -654,8 +638,7 @@ def test_ensemble_rows_independent_of_block_size_at_blocked_band_widths():
     def run(bs):
         with mock.patch.object(mp, "_BLOCK_PATHS", bs):
             return run_ensemble(
-                coeffs, op, pol, 0.3, grid, TimeGrid(0.0, 0.1, 3), chaos=chaos, levy=levy,
-                n_paths=4, seed=1,
+                coeffs, op, pol, 0.3, grid, TimeGrid(0.0, 0.1, 3), chaos=chaos, n_paths=4, seed=1,
             )
 
     whole = run(4)
@@ -664,25 +647,98 @@ def test_ensemble_rows_independent_of_block_size_at_blocked_band_widths():
         assert np.array_equal(run(bs).y_terminal, whole.y_terminal)
 
 
-@pytest.mark.parametrize("entry", ["run_ensemble", "estimate_j", "gateaux_derivative"])
-def test_levy_omitted_with_jump_insider_variable_raises(entry):
+OTHER_LEVY = LevySpec(atoms=((1.0, 1.0),))
+
+
+def _run_on(part, entry, levy):
+    """Run entry on jump_model(), whose op.levy is JUMP_LEVY, with the part
+    named (the insider variable chaos, the PathBundle, or estimate_j's levy)
+    on levy instead."""
     op, coeffs = jump_model()
+    chaos = replace(JUMP_CHAOS, levy=levy) if part == "chaos" else JUMP_CHAOS
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 0.0 * np.asarray(hist.m),
                         bounds=(0.0, 1.0))
     perf = PerformanceSpec(h=lambda t, x, y, u, z: 0.0, k=lambda x, y, z: y)
-    grid = SpatialGrid(0.0, 1.0, 8)
-    tg = TimeGrid(0.0, 0.2, 5)
-    calls = {
-        "run_ensemble": lambda: run_ensemble(
-            coeffs, op, pol, 0.3, grid, tg, chaos=JUMP_CHAOS, n_paths=4
-        ),
-        "estimate_j": lambda: estimate_j(coeffs, op, pol, perf, JUMP_CHAOS, 0.3, grid, tg, 4, 0),
-        "gateaux_derivative": lambda: gateaux_derivative(
-            coeffs, op, pol, direction(1.0), perf, JUMP_CHAOS, 0.3, grid, tg, n_paths=4
-        ),
-    }
-    with pytest.raises(ModelMismatch):
-        calls[entry]()
+    grid, tg = SpatialGrid(0.0, 1.0, 8), TimeGrid(0.0, 0.2, 5)
+    bundle = sample_bundle(tg, levy if part == "bundle" else JUMP_LEVY, 0, 0)
+    if entry == "run_ensemble":
+        return run_ensemble(coeffs, op, pol, 0.3, grid, tg, chaos=chaos, n_paths=4)
+    if entry == "estimate_j":
+        kw = {"levy": levy} if part == "levy" else {}
+        return estimate_j(coeffs, op, pol, perf, chaos, 0.3, grid, tg, 4, 0, **kw)
+    if entry == "gateaux_derivative":
+        return gateaux_derivative(coeffs, op, pol, direction(1.0), perf, chaos, 0.3, grid, tg,
+                                  n_paths=4)
+    if entry == "verify_x_independent_stationarity":
+        return verify_x_independent_stationarity(coeffs, op, pol, perf, chaos, 0.3, grid, tg,
+                                                 n_windows=2, n_paths=4)
+    if entry == "sensitivity_residual":
+        # a control-free operator without a jump term c, as the residual needs
+        op, coeffs = replace(OP, levy=JUMP_LEVY), COEFFS
+        base = solve_forward(coeffs, op, const_policy(0.3), 0.0, sample_bundle(tg, JUMP_LEVY, 0, 0),
+                             GRID)
+        return sensitivity_residual(np.zeros_like(base.values), base, coeffs, op, const_policy(0.3),
+                                    direction(1.0), 0.0, bundle, GRID)
+    field = solve_forward(coeffs, op, pol, 0.3, bundle, grid, chaos=chaos)
+    if entry == "weak_residual":
+        phi = np.sin(math.pi * grid.nodes())
+        phi[0] = phi[-1] = 0.0
+        return weak_residual(field, phi, coeffs, op, pol, bundle, 0.3, chaos=chaos)
+    return field
+
+
+@pytest.mark.parametrize("part, entry", [
+    ("chaos", "run_ensemble"),
+    ("chaos", "estimate_j"),
+    ("chaos", "gateaux_derivative"),
+    ("chaos", "verify_x_independent_stationarity"),
+    ("chaos", "solve_forward"),
+    ("chaos", "weak_residual"),
+    ("bundle", "solve_forward"),
+    ("bundle", "weak_residual"),
+    ("bundle", "sensitivity_residual"),
+    ("levy", "estimate_j"),
+])
+def test_model_on_two_measures_raises(part, entry):
+    # op.levy is the model's one measure: the same call runs with the part
+    # on op.levy and raises with it on another
+    _run_on(part, entry, JUMP_LEVY)
+    with pytest.raises(ModelMismatch, match="op.levy"):
+        _run_on(part, entry, OTHER_LEVY)
+
+
+def test_estimate_j_levy_equal_to_op_levy_changes_nothing():
+    op, coeffs = jump_model()
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.clip(0.5 + 0.3 * np.asarray(hist.m), 0.0, 1.0),
+                        bounds=(0.0, 1.0))
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
+    grid, tg = SpatialGrid(0.0, 1.0, 8), TimeGrid(0.0, 0.2, 5)
+    args = (coeffs, op, pol, perf, JUMP_CHAOS, 0.3, grid, tg, 6, 3)
+    (est, samples), (est_levy, samples_levy) = (
+        estimate_j(*args, return_samples=True, **kw) for kw in ({}, {"levy": op.levy})
+    )
+    assert est == est_levy
+    assert np.array_equal(samples, samples_levy)
+
+
+def test_ensemble_perf_without_chaos_raises():
+    # the profit rate is weighted by the conditional density of chaos
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
+    with pytest.raises(ModelMismatch, match="without chaos"):
+        run_ensemble(COEFFS, OP, const_policy(0.3), 0.0, GRID, TimeGrid(0.0, 0.1, 2),
+                     n_paths=2, perf=perf)
+
+
+def test_only_estimate_j_takes_levy():
+    # the model's measure is op.levy; estimate_j keeps a check-only levy
+    takes = sorted(
+        name
+        for module in (forward, mp)
+        for name in module.__all__
+        if callable(fn := getattr(module, name)) and not inspect.isclass(fn)
+        and "levy" in inspect.signature(fn).parameters
+    )
+    assert takes == ["estimate_j"]
 
 
 def test_brownian_only_routines_reject_jump_insider_variable():
@@ -692,11 +748,12 @@ def test_brownian_only_routines_reject_jump_insider_variable():
         reduced_adjoint_solve(
             lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.0, 1.0, b, 0.0, chaos=JUMP_CHAOS
         )
+    op = replace(OP, levy=JUMP_LEVY)
     pol = const_policy(0.3)
-    base = solve_forward(COEFFS, OP, pol, 0.0, b, GRID)
+    base = solve_forward(COEFFS, op, pol, 0.0, b, GRID)
     chi = np.zeros_like(base.values)
     with pytest.raises(ModelMismatch):
-        sensitivity_residual(chi, base, COEFFS, OP, pol, direction(1.0), 0.0, b, GRID,
+        sensitivity_residual(chi, base, COEFFS, op, pol, direction(1.0), 0.0, b, GRID,
                              chaos=JUMP_CHAOS)
 
 
@@ -745,16 +802,17 @@ def _count_rows_drawn():
 def test_tuple_of_controls_equals_separate_runs_bitwise(jumps):
     op, coeffs = jump_model()
     if jumps:
-        chaos, levy = JUMP_CHAOS, JUMP_LEVY
+        chaos = JUMP_CHAOS
     else:
-        chaos, levy = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0), LevySpec()
+        chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0)
+        op = replace(op, jump_shift=None, levy=LevySpec())
     perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
     pols = tuple(
         ControlPolicy(rule=lambda k, t, x, z, hist, c=c: np.clip(c + 0.3 * np.asarray(hist.m), 0.0, 1.0),
                       bounds=(0.0, 1.0))
         for c in (0.2, 0.5, 0.8)
     )
-    kw = dict(chaos=chaos, levy=levy, n_paths=8, seed=5, perf=perf)
+    kw = dict(chaos=chaos, n_paths=8, seed=5, perf=perf)
     grid, tg = SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 4)
     patches, rows = _count_rows_drawn()
     with mock.patch.object(mp, "_BLOCK_PATHS", 3):
@@ -783,7 +841,7 @@ def test_shared_noise_is_read_only(target):
 
     with mock.patch.object(mp, "_sweep", writing_sweep), pytest.raises(ValueError, match="read-only"):
         run_ensemble(coeffs, op, (pol, pol), 0.3, SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 3),
-                     levy=JUMP_LEVY, n_paths=4, seed=0)
+                     n_paths=4, seed=0)
 
 
 def test_gateaux_draws_each_path_once_for_all_directions():

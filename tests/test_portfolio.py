@@ -193,7 +193,7 @@ def test_martingale_match_degenerate_horizon():
 
 
 def test_martingale_match_keeps_the_market_volatility_floor():
-    # |b0| = 1e-10 passes the adjoint's own floor but not the market's eps_vol
+    # |b0| = 1e-10 passes the adjoint's own floor but not the market's _EPS_VOL
     market, utility, spec = pf.benchmark_market(8)
     market = pf.MarketSpec(a0=market.a0, b0=lambda t, z: 1e-10,
                            alpha_init=market.alpha_init, D=market.D)
