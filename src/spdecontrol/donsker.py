@@ -15,9 +15,12 @@ closed form; the quadrature route is kept available for cross-validation.
 
 The residual variance sigma^2(t) = int_t^{T0} beta^2 ds comes from a built-in
 globally adaptive nested Clenshaw-Curtis 8/16 rule, and the transform
-integrals from a composite Simpson rule that rounds as scipy's does.  Both are
-local so that importing the library does not load scipy's integration
-subpackage, which brings scipy's optimize and special subpackages with it.
+integrals from the weights of scipy's composite Simpson rule, summed over a
+phase split into baby and giant steps so that each value of m costs a few
+small products and rounds the same whatever the other values beside it.  Both
+rules are local so that importing the library does not load scipy's
+integration subpackage, which brings scipy's optimize and special subpackages
+with it.
 """
 from __future__ import annotations
 
@@ -211,31 +214,29 @@ def _check_time(spec: FirstOrderChaosSpec, t: float) -> float:
 
 
 def _jump_exponent(spec: FirstOrderChaosSpec, t: float):
-    """Callable x -> complex array: the remaining-jump part of the exponent."""
+    """Callable (x, nb, na) -> complex array: the remaining-jump part of the
+    exponent at the equispaced nodes x = k h, k = nb a + b < nb na."""
     if spec.is_gaussian:
-        return lambda x: 0.0
+        return lambda x, nb, na: 0.0
     s_q, w_q = _gl_nodes(t, spec.T0)
-    psi_vals = []  # rows: (weight*lambda, psi at node)
-    wl = []
-    for mark, lam in spec.levy.atoms:
-        for s, w in zip(s_q, w_q):
-            psi_vals.append(spec.psi(s, mark))
-            wl.append(lam * w)
-    psi_vals = np.array(psi_vals)
-    wl = np.array(wl)
+    psi = np.array([spec.psi(s, mark) for mark, _ in spec.levy.atoms for s in s_q])
+    wl = np.array([lam * w for _, lam in spec.levy.atoms for w in w_q])
+    wl_sum, wl_psi = wl.sum(), wl @ psi
 
-    def g(x):
-        ixp = 1j * np.multiply.outer(x, psi_vals)
-        return (np.exp(ixp) - 1.0 - ixp) @ wl
+    def g(x, nb, na):
+        # sum_j wl_j (e^{i x psi_j} - 1 - i x psi_j); the first sum is one
+        # (na x J)(J x nb) product of giant and baby steps
+        step = psi * x[1]
+        giant = _phase_powers(step * nb, na)
+        return ((giant.T * wl) @ _phase_powers(step, nb)).ravel()[: x.size] - wl_sum - 1j * x * wl_psi
 
     return g
 
 
-def _simpson(y, x):
-    """Composite Simpson along the last axis of y on an odd number of nodes x.
-
-    The operations, and so the rounding, are those of the uneven-spacing branch
-    of scipy 1.17's simpson(y, x=x, axis=-1), including its guarded divisions."""
+def _simpson_weights(x):
+    """Composite Simpson weights on an odd number of nodes x, so that y @ w is
+    the rule of scipy's simpson(y, x=x) (its uneven-spacing branch, guarded
+    divisions included) up to the order of summation."""
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1
@@ -243,12 +244,31 @@ def _simpson(y, x):
     h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
     h1divh0 = np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
     hsum2divhprod = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-    tmp = hsum / 6.0 * (
-        y[..., 0:-2:2] * (2.0 - h1divh0)
-        + y[..., 1:-1:2] * (hsum * hsum2divhprod)
-        + y[..., 2::2] * (2.0 - h0divh1)
-    )
-    return np.sum(tmp, axis=-1)
+    sixth = hsum / 6.0
+    w = np.zeros_like(x)
+    w[0:-2:2] += sixth * (2.0 - h1divh0)
+    w[1:-1:2] = sixth * (hsum * hsum2divhprod)
+    w[2::2] += sixth * (2.0 - h0divh1)
+    return w
+
+
+def _phase_powers(step, count):
+    """e^{i step k} for k < count, one row per entry of the 1-d array step.
+
+    cos and sin are taken at step 2^j only, which numpy evaluates faster than
+    its complex exp; every power is a product of at most log2(count) of them,
+    a few units of rounding.  The products run along the entries of step, so
+    a row rounds the same whatever the number of rows."""
+    ang = np.multiply.outer(2.0 ** np.arange(max(count - 1, 1).bit_length()), step)
+    unit = np.cos(ang) + 1j * np.sin(ang)
+    out = np.empty((count, step.size), dtype=complex)
+    out[0] = 1.0
+    k = 1
+    for u in unit:
+        r = min(k, count - k)
+        np.multiply(out[:r], u, out=out[k:k + r])
+        k += r
+    return out.T.copy()
 
 
 def _fourier_moment(spec, z, t, m, factor, sigma2):
@@ -256,24 +276,46 @@ def _fourier_moment(spec, z, t, m, factor, sigma2):
     sigma2 is sigma^2(t), checked by the caller.
 
     Evaluated on [0, X] using conjugate symmetry by composite Simpson on
-    _FIRST_X_NODES equispaced nodes, doubling the node count until a level
-    agrees with the Simpson estimate on its own even nodes (the previous
-    level) to within _FOURIER_TOL.  m may be a scalar or a 1-d array
-    (shared x-nodes, one result per entry).
+    _FIRST_X_NODES equispaced nodes x_k = k h, doubling the node count until
+    the estimate agrees with the Simpson estimate on its own even nodes (the
+    previous level) to within _FOURIER_TOL.  m may be a scalar or a 1-d array
+    (shared x-nodes, one result per entry); each entry stops at the first
+    level where it agrees, so its result does not depend on the other entries.
+
+    Both estimates are Re sum_k e^{i theta k h} c_k, with theta = m - z and c
+    the transform at x_k times the fine or the coarse Simpson weights.  With
+    k = nb a + b the phase splits into baby steps e^{i theta h b} and giant
+    steps e^{i theta h nb a} (_phase_powers).  The sum over b is one stacked
+    (1 x nb)(nb x 2 na) product per entry and the sum over a one
+    (2 x na)(na x 1) product, since a single matrix product over all entries
+    rounds an entry differently depending on their number.  The jump exponent
+    g is split the same way; it has no entry axis, so one plain product does.
+    No array is entries x n: those with an entry axis have at most 2 na
+    columns.
     """
     g = _jump_exponent(spec, t)
     x_max = math.sqrt(2.0 * _TAIL_EXPONENT / sigma2)
-    m_arr = np.atleast_1d(np.asarray(m, dtype=float))
+    theta = np.atleast_1d(np.asarray(m, dtype=float)) - z
+    out = np.empty(theta.size)
+    todo = np.arange(theta.size)  # entries whose two estimates do not agree yet
     n = _FIRST_X_NODES
     while n <= _MAX_X_NODES:
         x = np.linspace(0.0, x_max, n)
-        base = np.exp(g(x) - 0.5 * sigma2 * x * x) * factor(x)
-        phase = np.exp(1j * np.multiply.outer(m_arr - z, x))
-        vals = (phase * base).real
-        est = _simpson(vals, x) / math.pi
-        coarse = _simpson(vals[:, ::2], x[::2]) / math.pi
-        if np.max(np.abs(est - coarse)) < _FOURIER_TOL:
-            return est if np.ndim(m) else float(est[0])
+        nb = 1 << ((n - 1).bit_length() // 2)  # 2^ceil(log2(n - 1) / 2), about sqrt(n)
+        na = -(-n // nb)
+        base = np.exp(g(x, nb, na) - 0.5 * sigma2 * x * x) * factor(x)
+        c = np.zeros((2, na * nb), dtype=complex)
+        c[0, :n] = _simpson_weights(x) * base
+        c[1, :n:2] = _simpson_weights(x[::2]) * base[::2]
+        step = theta[todo] * x[1]
+        inner = np.matmul(_phase_powers(step, nb)[:, None, :], c.reshape(2 * na, nb).T.copy())
+        giant = _phase_powers(step * nb, na)
+        est, coarse = np.matmul(inner.reshape(-1, 2, na), giant[:, :, None]).real.T[0] / math.pi
+        done = np.abs(est - coarse) < _FOURIER_TOL
+        out[todo[done]] = est[done]
+        todo = todo[~done]
+        if not todo.size:
+            return out if np.ndim(m) else float(out[0])
         n = 2 * n - 1
     raise QuadratureFailure(
         f"no convergence to tol={_FOURIER_TOL} with {_MAX_X_NODES} transform nodes"

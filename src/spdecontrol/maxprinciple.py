@@ -323,6 +323,9 @@ def estimate_j(
     """
     if levy is not None and levy != op.levy:
         raise ModelMismatch(f"levy={levy} is not the model's measure op.levy = {op.levy}")
+    if chaos is None:
+        raise ModelMismatch("perf weights the profit rate by the conditional density of chaos; "
+                            "estimate_j got no chaos")
     if tgrid.t_end > chaos.T0 - tgrid.dt + 1e-12:
         raise ValueError("horizon must stay at least one step before T0")
     results = run_ensemble(

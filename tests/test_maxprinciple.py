@@ -729,6 +729,13 @@ def test_ensemble_perf_without_chaos_raises():
                      n_paths=2, perf=perf)
 
 
+def test_estimate_j_without_chaos_raises():
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
+    with pytest.raises(ModelMismatch, match="no chaos"):
+        estimate_j(COEFFS, OP, const_policy(0.3), perf, None, 0.0, SpatialGrid(0.0, 1.0, 8),
+                   TimeGrid(0.0, 0.1, 2), 4, 0)
+
+
 def test_only_estimate_j_takes_levy():
     # the model's measure is op.levy; estimate_j keeps a check-only levy
     takes = sorted(
