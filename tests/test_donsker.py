@@ -80,9 +80,11 @@ def reference_fourier_moment(spec, z, t, m, factor, tol):
 @pytest.mark.parametrize("make_spec", [jump_spec, general_jump_spec])
 @pytest.mark.parametrize("t", [0.0, 0.3, 0.6, 0.95])
 @pytest.mark.parametrize("m", [0.2, np.linspace(-1.0, 1.0, 21)], ids=["scalar", "array"])
-def test_fourier_moments_match_reference_doubling(make_spec, t, m):
-    # the library sums in another order, so the two agree to rounding: a
-    # bound 1000x below the quadrature tolerance.  The drift num/den is
+def test_fourier_moments_equal_reference_doubling_bitwise(make_spec, t, m):
+    # Bit for bit, the density and the drift are the library's own doubling
+    # run on each entry of m alone.  Against the oracle the library sums in
+    # another order, so the two agree to rounding: a bound 1000x below the
+    # quadrature tolerance.  The drift num/den is
     # checked as drift * den against num, because where the density is small
     # the ratio magnifies the rounding of both integrals: at t = 0.95, m = -1
     # (den 6e-5) the oracle's own ratio is 1.25e-12 off the same Simpson sum
@@ -95,6 +97,9 @@ def test_fourier_moments_match_reference_doubling(make_spec, t, m):
     drift = phi1_from_mean(spec, z, t, m)
     for lib, ref in ((density, np.maximum(den, 0.0)), (drift * np.asarray(den), num)):
         assert np.max(np.abs(lib - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    own_den, own_num = np.array([fourier_moments(spec, z, t, v) for v in np.atleast_1d(m)]).T
+    assert np.array_equal(density, np.maximum(own_den, 0.0).reshape(np.shape(m)))
+    assert np.array_equal(drift, (own_num.real / own_den).reshape(np.shape(m)))
     assert type(density) is type(drift) is (float if np.ndim(m) == 0 else np.ndarray)
 
 
@@ -299,14 +304,16 @@ def test_residual_variance_raises_instead_of_returning_garbage(beta):
 @pytest.mark.parametrize("n", [257, 513])
 @pytest.mark.parametrize("rows", [1, 96])
 @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
-def test_simpson_weights_match_scipy(n, rows, coarse):
+def test_simpson_equals_scipy_bitwise(n, rows, coarse):
     rng = np.random.default_rng(n + rows)
     x = np.linspace(0.0, rng.uniform(1.0, 40.0), n)
     y = rng.standard_normal((rows, n)) * np.exp(-0.1 * x)
     if coarse:
         x, y = x[::2], y[:, ::2]
     w = donsker._simpson_weights(x)
-    # relative to the rule applied to |y|: some rows integrate to about 1e-3
+    # each weight is scipy's rule applied to its unit vector, bit for bit
+    assert np.array_equal(w, simpson(np.eye(x.size), x=x, axis=-1))
+    # y @ w sums in another order than scipy; relative to the rule applied to |y|: some rows integrate to about 1e-3
     assert np.all(np.abs(y @ w - simpson(y, x=x, axis=-1)) <= 1e-14 * (np.abs(y) @ np.abs(w)))
 
 
