@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .donsker import (
     FirstOrderChaosSpec,
     HistorySnapshot,
-    KFunctional,
     conditional_delta,
     conditional_malliavin_b,
     conditional_malliavin_n,
@@ -15,7 +14,6 @@ from .donsker import (
     gaussian_phi1,
     phi1,
     phi1_from_mean,
-    phi_k,
 )
 from .errors import (
     BoundaryViolation,
@@ -27,7 +25,6 @@ from .errors import (
     DivisionUnstable,
     LinearSolveFailure,
     MassCollapse,
-    MissingDerivativeCallback,
     ModelMismatch,
     NonParabolic,
     NumericalCheckFailure,
@@ -72,9 +69,8 @@ from .noise import (
     LevySpec,
     PathBundle,
     TimeGrid,
-    brownian_value,
-    compensated_jump_sum,
-    ito_integral,
+    brownian_increment_matrix,
+    jump_count_matrices,
     sample_bundle,
 )
 from .portfolio import (
@@ -100,6 +96,5 @@ from .zakai import (
     simulate_signal_observation,
     solve_zakai,
     transformed_performance,
-    zakai_step,
 )
 

@@ -11,7 +11,8 @@ history only through the compensated scalar
 which is what makes vectorized evaluation over ensembles cheap.
 
 For purely Gaussian specifications (no jump component) every moment has a
-closed form; the quadrature route is kept available for cross-validation.
+closed form; conditional_delta, delta_from_mean and conditional_malliavin_b
+keep the quadrature route selectable (method=) for cross-validation.
 
 The residual variance sigma^2(t) = int_t^{T0} beta^2 ds comes from a built-in
 globally adaptive nested Clenshaw-Curtis 8/16 rule, and the transform
@@ -32,25 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    DivisionUnstable,
-    MissingDerivativeCallback,
-    QuadratureFailure,
-    UnknownMark,
-)
-from .noise import LevySpec, PathBundle, TimeGrid, brownian_increment_matrix
+from .errors import DegenerateVariance, DivisionUnstable, QuadratureFailure, UnknownMark
+from .noise import LevySpec, PathBundle
 
 __all__ = [
     "FirstOrderChaosSpec",
     "HistorySnapshot",
-    "KFunctional",
     "conditional_delta",
     "conditional_malliavin_b",
     "conditional_malliavin_n",
     "phi1",
     "phi1_from_mean",
-    "phi_k",
     "gaussian_phi1",
     "effective_mean",
 ]
@@ -367,11 +360,7 @@ def delta_from_mean(spec, z, t, m, *, method="auto"):
 def conditional_malliavin_b(spec, z, hist, *, method="auto"):
     """Conditional Brownian stochastic derivative of the delta functional at
     the snapshot time (the diagonal case)."""
-    return _malliavin_b_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method)
-
-
-def _malliavin_b_from_mean(spec, z, t, m, *, method):
-    """conditional_malliavin_b from the scalar mean m(t)."""
+    t, m = hist.t, effective_mean(spec, hist)
     sigma2 = _check_time(spec, t)
     beta_t = spec.beta(t)
     if _resolve_method(spec, method) == "closed_form":
@@ -396,15 +385,16 @@ def conditional_malliavin_n(spec, z, hist, zeta):
     return float(num)
 
 
-def phi1(spec, z, hist, *, method="auto"):
+def phi1(spec, z, hist):
     """Information-drift ratio: Brownian derivative moment over the density,
     phi1_from_mean at the history's effective mean."""
-    return phi1_from_mean(spec, z, hist.t, effective_mean(spec, hist), method=method)
+    return phi1_from_mean(spec, z, hist.t, effective_mean(spec, hist))
 
 
-def phi1_from_mean(spec, z, t, m, *, method="auto"):
-    """phi1 evaluated from the compensated mean m(t); m may be an array."""
-    if _resolve_method(spec, method) == "closed_form":
+def phi1_from_mean(spec, z, t, m):
+    """phi1 evaluated from the compensated mean m(t); m may be an array.
+    Closed form for a Gaussian spec, Fourier quadrature otherwise."""
+    if spec.is_gaussian:
         return gaussian_phi1(spec, z, t, m)
     sigma2 = _check_time(spec, t)
     beta_t = spec.beta(t)
@@ -424,78 +414,3 @@ def gaussian_phi1(spec, z, t, m):
     sigma2 = _check_time(spec, t)
     return spec.beta(t) * (z - np.asarray(m, dtype=float)) / sigma2
 
-
-@dataclass(frozen=True)
-class KFunctional:
-    """Terminal weight K(z) entering the generalized information-drift ratio.
-
-    Deterministic case: value(z) -> float; the ratio collapses and no
-    derivative is needed.  Stochastic case: value(z, hist, bundle) evaluates K
-    on a continuation bundle, derivative(z, hist, bundle, t) its stochastic
-    derivative at the conditioning time t.
-    """
-
-    value: object
-    derivative: object = None
-    deterministic: bool = True
-
-
-def phi_k(
-    spec,
-    k_model: KFunctional,
-    z,
-    hist,
-    *,
-    horizon=None,
-    n_steps=64,
-    n_paths=4096,
-    seed=0,
-    with_stderr=False,
-):
-    """Generalized drift ratio for a terminal weight K(z).
-
-    Deterministic K cancels exactly and the plain ratio is returned.  A
-    stochastic K is handled by Monte Carlo over Brownian continuations up to
-    the horizon, using the supplied derivative callback.
-    """
-    if k_model.deterministic:
-        val = phi1(spec, z, hist)
-        return (val, 0.0) if with_stderr else val
-    if k_model.derivative is None:
-        raise MissingDerivativeCallback("stochastic terminal weight needs a derivative callback")
-    if horizon is None or not (hist.t < horizon < spec.T0):
-        raise ValueError("stochastic phi_k needs hist.t < horizon < T0")
-    if spec.levy.atoms and spec.psi is not None:
-        raise NotImplementedError("stochastic terminal weights are supported for Brownian specs")
-
-    grid = TimeGrid(hist.t, horizon, n_steps)
-    ts = grid.times()[:-1]
-    beta_ts = np.array([spec.beta(t) for t in ts])
-    db = brownian_increment_matrix(grid, seed, range(n_paths))
-    m_T = effective_mean(spec, hist) + db @ beta_ts
-    sigma2_T = spec.residual_variance(horizon)
-    dens_T = _gaussian_pdf(z, m_T, sigma2_T)
-    ddens_T = (z - m_T) / sigma2_T * dens_T  # d/dm of the terminal density
-    beta_t = spec.beta(hist.t)
-
-    num = np.empty(n_paths)
-    den = np.empty(n_paths)
-    no_jumps = np.zeros((0, n_steps), dtype=np.int64)
-    for p in range(n_paths):
-        cont = PathBundle(
-            grid=grid, brownian_increments=db[p], jump_counts=no_jumps, seed=seed, path_index=p
-        )
-        K = k_model.value(z, hist, cont)
-        dK = k_model.derivative(z, hist, cont, hist.t)
-        num[p] = dK * dens_T[p] + K * beta_t * ddens_T[p]
-        den[p] = K * dens_T[p]
-    den_mean = float(np.mean(den))
-    if abs(den_mean) <= EPS_DIV:
-        raise DivisionUnstable("Monte Carlo denominator vanished in phi_k")
-    ratio = float(np.mean(num)) / den_mean
-    if not with_stderr:
-        return ratio
-    # delta-method standard error of the ratio estimator
-    resid = (num - ratio * den) / den_mean
-    stderr = float(np.std(resid, ddof=1) / math.sqrt(n_paths))
-    return ratio, stderr

@@ -21,10 +21,6 @@ class DivisionUnstable(SpdeControlError):
     """Conditional-density denominator below the safe division floor."""
 
 
-class MissingDerivativeCallback(SpdeControlError):
-    """A stochastic terminal-weight model was supplied without its derivative."""
-
-
 class NonParabolic(SpdeControlError):
     """Second-order coefficient negative somewhere on the grid."""
 

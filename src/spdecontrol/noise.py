@@ -1,5 +1,7 @@
-"""Driving-noise generation: Brownian increments, finite-atom Poisson random
-measures, and elementary Ito integrals on a shared uniform time grid.
+"""Driving-noise generation: Brownian increments and finite-atom Poisson
+event counts on a shared uniform time grid, drawn for a block of paths at
+once (brownian_increment_matrix, jump_count_matrices) or for one path as a
+PathBundle.
 
 Streams are counter-based: every (seed, path_index, channel) triple owns an
 independent substream, so paths can be generated in any order, or in parallel,
@@ -18,9 +20,8 @@ __all__ = [
     "LevySpec",
     "PathBundle",
     "sample_bundle",
-    "brownian_value",
-    "ito_integral",
-    "compensated_jump_sum",
+    "brownian_increment_matrix",
+    "jump_count_matrices",
 ]
 
 # substream roles within a channel pair
@@ -156,37 +157,3 @@ def sample_bundle(
         path_index=path_index,
         levy=levy,
     )
-
-
-def brownian_value(bundle: PathBundle, k: int) -> float:
-    """B(t_k) = sum of the first k increments; B(t_0) = 0."""
-    n = bundle.grid.n_steps
-    if not 0 <= k <= n:
-        raise IndexError(f"step index {k} outside [0, {n}]")
-    return float(np.sum(bundle.brownian_increments[:k]))
-
-
-def ito_integral(integrand, bundle: PathBundle) -> float:
-    """Left-endpoint (Ito) integral sum_k f_k dB_k for a per-step integrand."""
-    f = np.asarray(integrand, dtype=float)
-    if f.shape != (bundle.grid.n_steps,):
-        raise ValueError(
-            f"integrand length {f.shape} does not match n_steps={bundle.grid.n_steps}"
-        )
-    return float(f @ bundle.brownian_increments)
-
-
-def compensated_jump_sum(bundle: PathBundle, psi=None) -> float:
-    """Compensated jump integral of psi(t, zeta) over the whole bundle, the
-    sum of psi(t_k, mark_a) (N_ak - lam_a dt) over atoms a and steps k: events
-    and compensator alike at the left endpoint of their step.  psi defaults
-    to psi(t, z) = z and must act elementwise on an array of times t.
-    """
-    if psi is None:
-        psi = lambda t, z: z
-    grid = bundle.grid
-    ts = grid.times()[:-1]
-    total = 0.0
-    for (mark, lam), n in zip(bundle.levy.atoms, bundle.jump_counts):
-        total += float(np.sum(np.broadcast_to(psi(ts, mark), ts.shape) * (n - grid.dt * lam)))
-    return total

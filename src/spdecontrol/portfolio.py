@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import donsker
-from .donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
+from .donsker import FirstOrderChaosSpec, HistorySnapshot
 from .errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
 from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid
 from .maxprinciple import PerformanceEstimate, PerformanceSpec, _adjoint_integrand, run_ensemble
@@ -134,21 +134,15 @@ def optimal_pi(
     spec: FirstOrderChaosSpec,
     z,
     hist: HistorySnapshot,
-    *,
-    k_model: KFunctional | None = None,
-    horizon=None,
 ) -> float:
     """Closed-form optimal insider proportion at the snapshot time.
 
-    With a deterministic utility weight the generalized drift ratio collapses
-    to the plain information drift and the weight cancels entirely.
+    The utility weight k(x, z) is deterministic given z, so it cancels from
+    the drift ratio entirely and the proportion reads only the information
+    drift phi1.
     """
     vol = market.vol(hist.t, z)
-    if k_model is None or k_model.deterministic:
-        drift_ratio = donsker.phi1(spec, z, hist)
-    else:
-        drift_ratio = donsker.phi_k(spec, k_model, z, hist, horizon=horizon)
-    return drift_ratio / vol + market.a0(hist.t, z) / vol**2
+    return donsker.phi1(spec, z, hist) / vol + market.a0(hist.t, z) / vol**2
 
 
 def optimal_policy(market: MarketSpec, spec: FirstOrderChaosSpec) -> ControlPolicy:

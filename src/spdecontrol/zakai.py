@@ -52,7 +52,6 @@ __all__ = [
     "simulate_signal_observation",
     "girsanov_weight",
     "transport_bands",
-    "zakai_step",
     "solve_zakai",
     "normalize",
     "particle_filter_oracle",
@@ -296,18 +295,6 @@ def _step(Y, transport: AssembledOperator, dx, dR, h_vals, dt):
     defect = -dx * np.sum(np.minimum(y, 0.0), axis=-1)
     y = np.maximum(y, 0.0)
     return y * np.exp(h_vals * dR - 0.5 * h_vals**2 * dt), defect
-
-
-def zakai_step(
-    density: UnnormalizedDensity, model: SignalModel, u, r, dR: float, dt: float
-) -> tuple:
-    """One splitting-up step: implicit transpose-transport, then the
-    multiplicative observation update.  Returns (density, clamp defect)."""
-    sgrid = density.grid
-    transport = transport_bands(model, sgrid, r, u).transposed()
-    h_vals = _full(model.h_obs(sgrid.nodes()), (sgrid.n_nodes,))
-    y, defect = _step(density.values, transport, sgrid.dx, dR, h_vals, dt)
-    return UnnormalizedDensity(sgrid, y), float(defect)
 
 
 def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGrid):

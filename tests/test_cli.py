@@ -1,6 +1,10 @@
+import ast
+import importlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,56 @@ def test_cli_import_leaves_out_scipy_integrate():
     code = f"import sys, spdecontrol.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY_MODULES = ("donsker", "forward", "maxprinciple", "noise", "portfolio", "zakai")
+
+
+def _referenced_names(path, own):
+    """Names a file refers to as an ast Name, Attribute or import alias; a
+    reference to a name in own does not count inside that name's definition."""
+    refs = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name):
+            refs.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            refs.append((node.name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return {name for name, inside in refs if name not in inside & own}
+
+
+def _readme_paper_objects():
+    text = (ROOT / "README.md").read_text()
+    heading = "## Paper objects without a library caller\n"
+    section = re.search(f"^{heading}(.*?)(?=^## |\\Z)", text, re.M | re.S)
+    return set(re.findall(r"`(\w+)`", section.group(1))) if section else set()
+
+
+def test_every_public_name_has_a_caller():
+    # a public name has a caller in the library, a demo, the benchmark or an
+    # acceptance criterion, or README names it as an object of the paper
+    lib = ROOT / "src" / "spdecontrol"
+    files = [p for p in lib.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    paper = _readme_paper_objects()
+    orphans = []
+    for mod in LIBRARY_MODULES:
+        public = importlib.import_module(f"spdecontrol.{mod}").__all__
+        used = set()
+        for path in files:
+            used |= _referenced_names(path, set(public) if path == lib / f"{mod}.py" else set())
+        orphans += [f"{mod}.{name}" for name in public if name not in used | paper]
+    assert orphans == [], orphans
 
 
 def test_list_enumerates_all_kinds():

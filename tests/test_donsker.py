@@ -14,7 +14,6 @@ from spdecontrol.donsker import (
     EPS_VAR,
     FirstOrderChaosSpec,
     HistorySnapshot,
-    KFunctional,
     conditional_delta,
     conditional_malliavin_b,
     conditional_malliavin_n,
@@ -23,11 +22,9 @@ from spdecontrol.donsker import (
     gaussian_phi1,
     phi1,
     phi1_from_mean,
-    phi_k,
 )
 from spdecontrol.errors import (
     DegenerateVariance,
-    MissingDerivativeCallback,
     QuadratureFailure,
     UnknownMark,
 )
@@ -370,38 +367,3 @@ def test_density_martingale_under_continuation():
     se = np.std(d2, ddof=1) / math.sqrt(len(d2))
     assert abs(np.mean(d2) - d1) <= 3 * se
 
-
-def test_phi_k_deterministic_collapses_to_phi1():
-    spec = gaussian_spec()
-    hist = HistorySnapshot(t=0.3, accumulated_b=-0.1)
-    km = KFunctional(value=lambda z: 7.0, deterministic=True)
-    assert phi_k(spec, km, 0.5, hist) == pytest.approx(phi1(spec, 0.5, hist), abs=1e-14)
-    scaled = KFunctional(value=lambda z: 70.0, deterministic=True)
-    assert phi_k(spec, scaled, 0.5, hist) == pytest.approx(
-        phi_k(spec, km, 0.5, hist), abs=1e-14
-    )
-
-
-def test_phi_k_requires_derivative_callback():
-    spec = gaussian_spec()
-    hist = HistorySnapshot(t=0.3, accumulated_b=0.0)
-    km = KFunctional(value=lambda z, h, cont: 1.0, deterministic=False)
-    with pytest.raises(MissingDerivativeCallback):
-        phi_k(spec, km, 0.0, hist, horizon=0.7)
-
-
-def test_phi_k_stochastic_exponential_weight():
-    # K = exp(B(T) - T/2): the generalized ratio has the closed form
-    # 1 + phi1(t) - (T - t)/(T0 - t), derivable from the Gaussian posterior
-    spec = gaussian_spec()
-    T = 0.7
-    t, bt, z = 0.3, 0.4, 0.6
-    hist = HistorySnapshot(t=t, accumulated_b=bt)
-
-    def kval(z_, h, cont):
-        return math.exp(h.accumulated_b + float(np.sum(cont.brownian_increments)) - T / 2)
-
-    km = KFunctional(value=kval, derivative=lambda z_, h, c, s: kval(z_, h, c), deterministic=False)
-    mc, se = phi_k(spec, km, z, hist, horizon=T, n_paths=20000, seed=0, with_stderr=True)
-    closed = 1.0 + phi1(spec, z, hist) - (T - t) / (1.0 - t)
-    assert abs(mc - closed) <= 3 * se

@@ -9,9 +9,6 @@ from spdecontrol.noise import (
     PathBundle,
     TimeGrid,
     brownian_increment_matrix,
-    brownian_value,
-    compensated_jump_sum,
-    ito_integral,
     jump_count_matrices,
     sample_bundle,
 )
@@ -90,49 +87,14 @@ def test_brownian_increment_moments():
     assert np.var(bt) == pytest.approx(1.0, rel=0.1)
 
 
-def test_brownian_value_bounds():
-    grid = TimeGrid(0.0, 1.0, 8)
-    b = sample_bundle(grid, LevySpec(), seed=0, path_index=0)
-    assert brownian_value(b, 0) == 0.0
-    assert brownian_value(b, 8) == pytest.approx(float(np.sum(b.brownian_increments)))
-    with pytest.raises(IndexError):
-        brownian_value(b, 9)
-
-
-def test_ito_integral_shape_check():
-    grid = TimeGrid(0.0, 1.0, 8)
-    b = sample_bundle(grid, LevySpec(), seed=0, path_index=0)
-    assert ito_integral(np.ones(8), b) == pytest.approx(brownian_value(b, 8))
-    with pytest.raises(ValueError):
-        ito_integral(np.ones(7), b)
-
-
 def test_compensated_jump_sum_is_centered():
+    # sum over steps of mark * (N_k - lam dt) has mean zero when the counts
+    # have the atom's Poisson rate; the rows are sample_bundle's counts
     grid = TimeGrid(0.0, 1.0, 50)
-    levy = LevySpec(atoms=((2.0, 3.0),))
-    vals = [
-        compensated_jump_sum(sample_bundle(grid, levy, seed=13, path_index=p))
-        for p in range(3000)
-    ]
+    mark, lam = 2.0, 3.0
+    (counts,) = jump_count_matrices(grid, LevySpec(atoms=((mark, lam),)), seed=13,
+                                    path_indices=range(3000))
+    vals = np.sum(mark * (counts - grid.dt * lam), axis=1)
     m = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(m) <= 3 * se
-
-
-def test_compensated_jump_sum_counts_each_event_at_its_step():
-    grid = TimeGrid(0.0, 1.0, 4)
-    levy = LevySpec(atoms=((2.0, 3.0), (-1.0, 0.5)))
-    counts = np.array([[1, 0, 2, 0], [0, 1, 0, 0]])
-    b = PathBundle(grid=grid, brownian_increments=np.zeros(4), jump_counts=counts,
-                   seed=0, path_index=0, levy=levy)
-    # events 3 * 2.0 - 1.0, compensator (2.0 * 3.0 - 1.0 * 0.5) * T
-    assert compensated_jump_sum(b) == pytest.approx(5.0 - 5.5)
-    # psi(t, z) = t z: events at t = 0, 0.5, 0.5 (mark 2) and 0.25 (mark -1)
-    comp = (2.0 * 3.0 - 1.0 * 0.5) * 0.25 * (0.0 + 0.25 + 0.5 + 0.75)
-    assert compensated_jump_sum(b, lambda t, z: t * z) == pytest.approx(2.0 - 0.25 - comp)
-
-
-def test_compensated_jump_sum_no_atoms_is_zero():
-    grid = TimeGrid(0.0, 1.0, 10)
-    b = sample_bundle(grid, LevySpec(), seed=1, path_index=0)
-    assert compensated_jump_sum(b) == 0.0

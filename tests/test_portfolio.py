@@ -6,7 +6,7 @@ import pytest
 
 from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
-from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, KFunctional
+from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot
 from spdecontrol.errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
 from spdecontrol.forward import SpatialGrid
 from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix
@@ -47,15 +47,6 @@ def test_optimal_pi_independent_of_deterministic_weight_scale():
     v1 = pf.optimal_pi(market, u1, spec, 0.9, hist)
     v10 = pf.optimal_pi(market, u10, spec, 0.9, hist)
     assert v1 == pytest.approx(v10, abs=1e-12)
-
-
-def test_optimal_pi_routes_agree_for_deterministic_weight():
-    market, utility, spec = pf.benchmark_market(8)
-    hist = HistorySnapshot(t=0.4, accumulated_b=0.2)
-    km = KFunctional(value=lambda z: 3.0, deterministic=True)
-    via_phi1 = pf.optimal_pi(market, utility, spec, 0.9, hist)
-    via_phik = pf.optimal_pi(market, utility, spec, 0.9, hist, k_model=km)
-    assert via_phi1 == pytest.approx(via_phik, abs=1e-12)
 
 
 def test_degenerate_volatility_raises():

@@ -222,6 +222,17 @@ def test_girsanov_trivial_and_martingale():
     assert abs(Ks.mean() - 1.0) <= 3 * se
 
 
+def zakai_step(density, model, u, r, dR, dt):
+    """Reference splitting-up step for one density: implicit transpose-transport,
+    then the multiplicative observation update.  Returns (density, clamp
+    defect).  The block sweep zk._sweep must reproduce it bit for bit."""
+    sgrid = density.grid
+    transport = zk.transport_bands(model, sgrid, r, u).transposed()
+    h_vals = zk._full(model.h_obs(sgrid.nodes()), (sgrid.n_nodes,))
+    y, defect = zk._step(density.values, transport, sgrid.dx, dR, h_vals, dt)
+    return zk.UnnormalizedDensity(sgrid, y), float(defect)
+
+
 def test_transport_adjoint_is_exact_transpose_and_conserves_mass():
     model = linear_model()
     L = zk.transport_bands(model, SGRID, 0.0, 0.0).dense()
@@ -233,7 +244,7 @@ def test_transport_adjoint_is_exact_transpose_and_conserves_mass():
         alpha=model.alpha, beta=model.beta, h_obs=lambda x: 0.0, F_init=model.F_init
     )
     before = dens.mass()
-    stepped, defect = zk.zakai_step(dens, h0, 0.0, 0.0, 0.1, 0.01)
+    stepped, defect = zakai_step(dens, h0, 0.0, 0.0, 0.1, 0.01)
     assert abs(stepped.mass() - before) < 1e-10
     assert defect == 0.0
 
@@ -401,8 +412,8 @@ def test_zakai_clamps_nothing_at_cell_peclet_number_at_most_one(drift, vol, gain
 
 
 def test_non_autonomous_sweep_matches_zakai_step_loop():
-    # r(t_k) enters the bands of step k; the public one-step routine with a
-    # scalar r is the reference
+    # r(t_k) enters the bands of step k; the one-step reference with a
+    # scalar r is the oracle
     model = r_dependent_model(reads_r=True)
     sg = SpatialGrid(-2.0, 2.0, 60)
     tg = TimeGrid(0.0, 0.5, 20)
@@ -411,7 +422,7 @@ def test_non_autonomous_sweep_matches_zakai_step_loop():
     dens = zk.UnnormalizedDensity(sg, np.asarray(model.F_init(sg.nodes(), 0.0)))
     r_vals = obs.values()
     for k in range(tg.n_steps):
-        dens, _ = zk.zakai_step(dens, model, 0.0, r_vals[k], obs.increments[k], tg.dt)
+        dens, _ = zakai_step(dens, model, 0.0, r_vals[k], obs.increments[k], tg.dt)
         assert np.array_equal(sol.values[k + 1], dens.values)
 
 
@@ -447,7 +458,7 @@ def test_non_autonomous_route_matches_autonomous_for_r_free_coefficients():
 )
 def test_sweep_rows_equal_zakai_step_loop(drift, vol, reads_r, controlled, n_paths, n_steps, seed):
     # the sweep picks a shared operator (reused while u holds) or a per-path
-    # stack; either way each row is the public one-step routine's result
+    # stack; either way each row is the one-step reference's result
     a0, a1, ar = drift
     b0, br = vol
     if reads_r:
@@ -469,7 +480,7 @@ def test_sweep_rows_equal_zakai_step_loop(drift, vol, reads_r, controlled, n_pat
         r = 0.0
         for k in range(n_steps):
             u = 0.0 if control is None else 0.4 * (k // 2) - 0.3
-            dens, _ = zk.zakai_step(dens, model, u, r, dR[p, k], tg.dt)
+            dens, _ = zakai_step(dens, model, u, r, dR[p, k], tg.dt)
             assert np.array_equal(block[k + 1, p], dens.values)
             r += dR[p, k]
 
