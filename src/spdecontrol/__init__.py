@@ -10,6 +10,7 @@ from .donsker import (
     conditional_delta,
     conditional_malliavin_b,
     conditional_malliavin_n,
+    delta_from_mean,
     effective_mean,
     gaussian_phi1,
     phi1,
@@ -17,6 +18,7 @@ from .donsker import (
 )
 from .errors import (
     BoundaryViolation,
+    CoefficientShapeMismatch,
     ConfigError,
     ControlShapeMismatch,
     DegenerateCurvature,

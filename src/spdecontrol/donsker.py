@@ -40,6 +40,7 @@ __all__ = [
     "FirstOrderChaosSpec",
     "HistorySnapshot",
     "conditional_delta",
+    "delta_from_mean",
     "conditional_malliavin_b",
     "conditional_malliavin_n",
     "phi1",

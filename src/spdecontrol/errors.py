@@ -39,6 +39,11 @@ class ControlShapeMismatch(SpdeControlError, ValueError):
     the block of paths and nodes it was evaluated on."""
 
 
+class CoefficientShapeMismatch(SpdeControlError, ValueError):
+    """A coefficient of the forward equation returned values that do not fit
+    the block of paths and nodes it was evaluated on, or would widen it."""
+
+
 class StepTooLarge(SpdeControlError):
     """A perturbation step would push the control outside the admissible set."""
 

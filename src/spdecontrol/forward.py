@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dgtsv
 
-from .errors import ControlShapeMismatch, LinearSolveFailure, ModelMismatch, NonParabolic
+from .errors import (
+    CoefficientShapeMismatch,
+    ControlShapeMismatch,
+    LinearSolveFailure,
+    ModelMismatch,
+    NonParabolic,
+)
 from .noise import LevySpec, PathBundle, TimeGrid
 
 __all__ = [
@@ -187,9 +193,12 @@ class AssembledOperator:
     """
 
     def __init__(self, bands, kl):
+        # read-only, so the system solve_implicit forms from them cannot go stale
+        bands.flags.writeable = False
         self.bands = bands
         self.kl = kl
         self.ku = len(bands) - 1 - kl
+        self._system = None  # (dt, _implicit_system at dt) of a single operator
 
     def apply(self, v):
         v = np.asarray(v, dtype=float)
@@ -225,11 +234,15 @@ class AssembledOperator:
         That is exact, as entries off the grid are zero and the boundary rows
         of I - dt A are identity rows: LAPACK never pivots or eliminates
         across paths, and each row is bit-identical to its path solved alone.
+        A single operator forms I - dt A once per dt and reuses it while dt
+        stays the same; a stack is formed afresh on every call.
         """
         rhs = np.asarray(rhs, dtype=float)
         n_diag, kl = len(self.bands), self.kl
         if self.bands.ndim == 2:
-            return _band_solve(self.bands, kl, dt, rhs.T).T
+            if self._system is None or self._system[0] != dt:
+                self._system = dt, _implicit_system(self.bands, kl, dt)
+            return _solve_system(self._system[1], rhs.T).T
         n_paths, n = self.bands.shape[1:]
         if rhs.shape != (n_paths, n):
             raise ValueError(f"rhs of shape {rhs.shape} for operators of shape {(n_paths, n)}")
@@ -251,25 +264,40 @@ _CHUNK_BYTES = 2**17
 def _band_solve(bands, kl, dt, b):
     """Solve (I - dt M) y = b for M given by diagonals as in AssembledOperator
     over len(b) rows; b is a vector or one column per right-hand side."""
+    return _solve_system(_implicit_system(bands, kl, dt), b)
+
+
+def _implicit_system(bands, kl, dt):
+    """I - dt M, for M given by diagonals as in AssembledOperator, as the
+    LAPACK routine that solves it and that routine's leading arguments:
+    dgtsv with (dl, d, du) for a tridiagonal M, else dgbsv with (kl, ku, ab).
+    Both routines copy these inputs before they factor, so one system can be
+    solved any number of times."""
     if kl == 1 and len(bands) == 3:
-        *_, y, info = dgtsv(-dt * bands[0, 1:], 1.0 - dt * bands[1], -dt * bands[2, :-1], b)
-    else:
-        # outer diagonals zero on every row are dropped; I - dt M goes to the
-        # column-major ab[kl + ku + i - c, c] of dgbsv (kl rows of fill-in
-        # first) as buf[c + kl, 2 kl + ku - j] for entry (i, c = i + j - kl)
-        j = np.flatnonzero(np.any(bands != 0.0, axis=1) | (np.arange(len(bands)) == kl))
-        bands, kl = bands[j[0] : j[-1] + 1], kl - j[0]
-        ku, cols = len(bands) - 1 - kl, bands.shape[1]
-        buf = np.zeros((cols + kl + ku, 2 * kl + ku + 1))
-        diagonals = np.lib.stride_tricks.as_strided(
-            buf.reshape(-1)[2 * kl + ku :], bands.shape, (buf.strides[0] - 8, buf.strides[0])
-        )
-        np.multiply(bands, -dt, out=diagonals)
-        diagonals[kl] += 1.0
-        *_, y, info = dgbsv(kl, ku, buf[kl : kl + cols].T, b, overwrite_ab=1)
+        return dgtsv, (-dt * bands[0, 1:], 1.0 - dt * bands[1], -dt * bands[2, :-1])
+    # outer diagonals zero on every row are dropped; I - dt M goes to the
+    # column-major ab[kl + ku + i - c, c] of dgbsv (kl rows of fill-in
+    # first) as buf[c + kl, 2 kl + ku - j] for entry (i, c = i + j - kl)
+    j = np.flatnonzero(np.any(bands != 0.0, axis=1) | (np.arange(len(bands)) == kl))
+    bands, kl = bands[j[0] : j[-1] + 1], kl - j[0]
+    ku, cols = len(bands) - 1 - kl, bands.shape[1]
+    buf = np.zeros((cols + kl + ku, 2 * kl + ku + 1))
+    diagonals = np.lib.stride_tricks.as_strided(
+        buf.reshape(-1)[2 * kl + ku :], bands.shape, (buf.strides[0] - 8, buf.strides[0])
+    )
+    np.multiply(bands, -dt, out=diagonals)
+    diagonals[kl] += 1.0
+    return dgbsv, (kl, ku, buf[kl : kl + cols].T)
+
+
+def _solve_system(system, b):
+    """Solve a system from _implicit_system for b, a vector or one column per
+    right-hand side; the system is left as it was."""
+    routine, args = system
+    *_, y, info = routine(*args, b)
     if info:
         raise LinearSolveFailure(f"zero pivot in row {info} of a banded solve")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise LinearSolveFailure("implicit solve produced non-finite values")
     return y
 
@@ -410,17 +438,26 @@ def _block_control(control: ControlPolicy, k, t, xs, z, m):
 
 def _explicit_rhs(coeffs: CoefficientSet, op: OperatorSpec, t, xs, Y, u, z, dt, db_k, counts_k):
     """Y + dt a + b dB, then + c(mark_a) (N_a - lam_a dt) atom by atom of
-    op.levy.  Results depend on this order of the sums at round-off; keep it."""
-    rhs = (
-        Y
-        + dt * np.broadcast_to(np.asarray(coeffs.a(t, xs, Y, u, z), dtype=float), Y.shape)
-        + np.broadcast_to(np.asarray(coeffs.b(t, xs, Y, u, z), dtype=float), Y.shape)
-        * db_k[:, None]
-    )
-    if coeffs.c is not None:
-        for a, (mark, lam) in enumerate(op.levy.atoms):
-            cv = np.broadcast_to(np.asarray(coeffs.c(t, xs, Y, u, z, mark), dtype=float), Y.shape)
-            rhs += cv * (counts_k[a] - dt * lam)[:, None]
+    op.levy.  Results depend on this order of the sums at round-off; keep it.
+    The sums are taken in place on a copy of the state block Y, so a
+    coefficient value that does not broadcast to Y's shape, or would widen
+    it, raises CoefficientShapeMismatch."""
+    # the callables run outside the try: an error of their own is not renamed
+    a = np.asarray(coeffs.a(t, xs, Y, u, z), dtype=float)
+    b = np.asarray(coeffs.b(t, xs, Y, u, z), dtype=float)
+    c = [] if coeffs.c is None else [
+        np.asarray(coeffs.c(t, xs, Y, u, z, mark), dtype=float) for mark, _ in op.levy.atoms
+    ]
+    rhs = Y.copy()
+    try:
+        rhs += dt * a
+        rhs += b * db_k[:, None]
+        for i, (cv, (_, lam)) in enumerate(zip(c, op.levy.atoms)):
+            rhs += cv * (counts_k[i] - dt * lam)[:, None]
+    except ValueError as exc:
+        raise CoefficientShapeMismatch(
+            f"a coefficient value does not fit the state block of shape {Y.shape}: {exc}"
+        ) from None
     return rhs
 
 
@@ -471,11 +508,10 @@ def step_forward(
     passes it from _step_operator.  Returns the state at t_{k+1} with the
     Dirichlet data imposed.
     """
-    t = tgrid.time(k)
+    t, t_next = tgrid.nodes[k : k + 2]
     dt = tgrid.dt
     rhs = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k)
     Y = assembled.solve_implicit(dt, rhs)
-    t_next = tgrid.time(k + 1)
     Y[:, 0] = coeffs.boundary(t_next, xs[0])
     Y[:, -1] = coeffs.boundary(t_next, xs[-1])
     return Y
@@ -500,8 +536,7 @@ def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, count
     Y[:, -1] = coeffs.boundary(tgrid.t_start, xs[-1])
     m = np.zeros(len(db))
     operator = None
-    for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
+    for k, t in enumerate(tgrid.nodes[:-1]):
         u = _block_control(control, k, t, xs, z, m)
         yield t, Y, u, m
         db_k, counts_k = db[:, k], [c[:, k] for c in counts]
@@ -511,7 +546,7 @@ def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, count
             db_k=db_k, counts_k=counts_k, assembled=operator[0],
         )
         m = advance_mean(chaos, m, t, dt, db_k, counts_k)
-    yield tgrid.time(tgrid.n_steps), Y, None, m
+    yield tgrid.nodes[-1], Y, None, m
 
 
 def solve_forward(
@@ -569,8 +604,7 @@ def weak_residual(
     m = np.zeros(1)
 
     acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
-    for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
+    for k, t in enumerate(tgrid.nodes[:-1]):
         Y = field.values[k][None]
         u = _block_control(control, k, t, xs, z, m)
         counts_k = [c[:, k] for c in counts]

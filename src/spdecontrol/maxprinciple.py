@@ -496,24 +496,25 @@ def sensitivity_residual(
 def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     """The reduced adjoint's one step loop: theta = b0 pi - a0/b0 (n_paths,
     n_steps) on the block with Brownian increments db, and the insider mean
-    at the horizon.  pi is evaluated once per step for the whole block."""
+    at the horizon.  b0 and a0/b0 are evaluated over the nodes before the
+    loop; pi is evaluated once per step for the whole block."""
     _require_brownian(chaos, "the reduced adjoint")
     db = np.asarray(db, dtype=float)
     if db.ndim != 2 or db.shape[1] != tgrid.n_steps:
         raise ModelMismatch(f"Brownian increments of shape {db.shape} for a {tgrid.n_steps}-step grid")
     if callable(pi):
         pi = ControlPolicy(rule=lambda k, t, x, z_, hist, f=pi: f(t, z_))
-    vol, shift = [], []
+    times, dt = tgrid.nodes[:-1], tgrid.dt
+    vol = [b0(t, z) for t in times]
+    for t, v in zip(times, vol):
+        if abs(v) < _EPS_VOL:
+            raise DegenerateVolatility(f"|b0({t}, {z})| below {_EPS_VOL}")
+    shift = [a0(t, z) / v for t, v in zip(times, vol)]
     u = np.empty((tgrid.n_steps, len(db)))
     m = np.zeros(len(db))
-    for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
-        vol.append(b0(t, z))
-        if abs(vol[k]) < _EPS_VOL:
-            raise DegenerateVolatility(f"|b0({t}, {z})| below {_EPS_VOL}")
-        shift.append(a0(t, z) / vol[k])
+    for k, t in enumerate(times):
         u[k] = pi.values(k, t, None, z, PathHistory(t=t, m=m))
-        m = advance_mean(chaos, m, t, tgrid.dt, db[:, k])
+        m = advance_mean(chaos, m, t, dt, db[:, k])
     return (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T, m
 
 

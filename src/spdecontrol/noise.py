@@ -9,6 +9,7 @@ with bit-identical results.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,12 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.t_start + np.arange(self.n_steps + 1) * self.dt
+
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        """times() as a tuple of floats, the values time(k) gives, computed
+        once per grid for the step loops."""
+        return tuple(self.times().tolist())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spdecontrol import forward
 from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, effective_mean
-from spdecontrol.errors import LinearSolveFailure, ModelMismatch, NonParabolic
+from spdecontrol.errors import CoefficientShapeMismatch, LinearSolveFailure, ModelMismatch, NonParabolic
 from spdecontrol.forward import (
     AssembledOperator,
     CoefficientSet,
@@ -175,6 +175,27 @@ def test_jump_operator_solves_match_dense_reference(n_cells):
         assert np.array_equal(alone.solve_implicit(dt, rhs[p : p + 1])[0], y[p])
         single = assemble_operator(op, grid, 0.2, u[p], 0.3)
         assert np.array_equal(single.solve_implicit(dt, rhs[p]), y[p])
+
+
+@pytest.mark.parametrize("jumps", [False, True], ids=["dgtsv", "dgbsv"])
+def test_reused_implicit_system_matches_a_fresh_band_solve(jumps):
+    # a single operator forms I - dt A once per dt; every call, whatever the
+    # order of the step sizes and the number of right-hand sides, must equal
+    # the system formed afresh, bit for bit
+    grid = SpatialGrid(0.0, 1.0, 20)
+    n = grid.n_nodes
+    op = jump_op() if jumps else heat_op()
+    A = assemble_operator(op, grid, 0.2, 0.7, 0.3)
+    assert (A.kl > 1) == jumps  # the jump operator takes dgbsv
+    rng = np.random.default_rng(5)
+    for dt in (0.01, 0.01, 0.025, 0.01, 0.025, 0.025):
+        for rhs in (rng.standard_normal(n), rng.standard_normal((1, n)),
+                    rng.standard_normal((4, n)), rng.standard_normal((n, 3)).T):
+            fresh = forward._band_solve(A.bands.copy(), A.kl, dt, rhs.T).T
+            assert np.array_equal(A.solve_implicit(dt, rhs), fresh)
+    for bands in (A.bands, A.transposed().bands):
+        with pytest.raises(ValueError, match="read-only"):
+            bands[A.kl, 3] = 0.0
 
 
 @pytest.mark.parametrize("u", [0.7, np.array([[0.2], [0.9], [0.5]])], ids=["one", "stack"])
@@ -465,6 +486,26 @@ def test_advance_mean_matches_effective_mean_of_snapshot(atoms, beta, psi, n_ste
         if k < n_steps:
             m = advance_mean(spec, m, tgrid.time(k), tgrid.dt, bundle.brownian_increments[k],
                              [c[0, k] for c in counts])
+
+
+@pytest.mark.parametrize("coeff", ["a", "b", "c"])
+@pytest.mark.parametrize("n_paths", [1, 3])
+def test_coefficient_that_widens_the_state_block_raises(coeff, n_paths):
+    # a value of shape (n_paths + 1, n_nodes) would widen a block of one and
+    # does not broadcast against a block of more rows; both raise by name
+    grid = SpatialGrid(0.0, 1.0, 8)
+    tgrid = TimeGrid(0.0, 0.1, 4)
+    levy = LevySpec(atoms=((0.2, 2.0),))
+    op = replace(heat_op(), levy=levy)
+    fields = {"a": lambda t, x, y, u, z: 0.1, "b": lambda t, x, y, u, z: 0.2,
+              "c": lambda t, x, y, u, z, zeta: 0.05 * zeta}
+    fields[coeff] = lambda *args: np.ones((n_paths + 1, grid.n_nodes))
+    coeffs = CoefficientSet(**fields, xi=lambda x, z: np.sin(np.pi * x))
+    with pytest.raises(CoefficientShapeMismatch):
+        if n_paths == 1:
+            solve_forward(coeffs, op, null_control(), 0.0, sample_bundle(tgrid, levy, 0, 0), grid)
+        else:
+            run_ensemble(coeffs, op, null_control(), 0.0, grid, tgrid, n_paths=n_paths)
 
 
 def test_weak_residual_small_and_first_order():
