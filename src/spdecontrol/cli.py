@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import difflib
 import hashlib
 import json
@@ -23,7 +22,7 @@ import yaml
 from . import __version__, donsker, portfolio, zakai
 from .donsker import FirstOrderChaosSpec, HistorySnapshot
 from .errors import ConfigError, NumericalCheckFailure
-from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, solve_forward
+from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, _write_csv, solve_forward
 from .maxprinciple import verify_x_independent_stationarity
 from .noise import LevySpec, PathBundle, TimeGrid, sample_bundle
 from .zakai import ObservationPath, SignalModel
@@ -152,12 +151,13 @@ def _check_constraints(kind: str, p: dict):
         need(p["t_end"] > 0, "t_end > 0")
         need(all(s >= 1 for s in p["time_steps"]), "every entry of time_steps >= 1")
     if kind in ("portfolio", "stationarity"):
-        T = p["T"]
-        need(T < 1.0, f"T < T0 (T={T}, T0=1.0)")
+        # both kinds run benchmark_market's model, whose insider variable sets T0
+        T, T0 = p["T"], portfolio.benchmark_market()[2].T0
+        need(T < T0, f"T < T0 (T={T}, T0={T0})")
         need(T > 0, "T > 0")
         # the conditional density needs the horizon one step before T0
-        need(T * (1.0 + 1.0 / p["n_steps"]) <= 1.0 + 1e-12,
-             f"T + T/n_steps <= T0 (T={T}, n_steps={p['n_steps']}, T0=1.0)")
+        need(T * (1.0 + 1.0 / p["n_steps"]) <= T0 + 1e-12,
+             f"T + T/n_steps <= T0 (T={T}, n_steps={p['n_steps']}, T0={T0})")
         need(p["n_paths"] >= 2, f"n_paths >= 2 (n_paths={p['n_paths']})")
     if kind == "stationarity":
         need(0 < p["a_step"] < 1, f"0 < a_step < 1 (a_step={p['a_step']})")
@@ -208,21 +208,11 @@ def _jsonify(obj):
     return obj
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
 def _zero_bundle(tgrid: TimeGrid) -> PathBundle:
     return PathBundle(
         grid=tgrid,
         brownian_increments=np.zeros(tgrid.n_steps),
         jump_counts=np.zeros((0, tgrid.n_steps), dtype=np.int64),
-        seed=0,
-        path_index=0,
     )
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVariance, DivisionUnstable, QuadratureFailure, UnknownMark
+from .errors import DegenerateVariance, DivisionUnstable, ModelMismatch, QuadratureFailure, UnknownMark
 from .noise import LevySpec, PathBundle
 
 __all__ = [
@@ -162,15 +162,15 @@ class HistorySnapshot:
     def from_bundle(cls, spec: FirstOrderChaosSpec, bundle: PathBundle, k: int):
         """Snapshot at node k built from the bundle prefix [t_0, t_k)."""
         grid = bundle.grid
-        ts = grid.times()[:k]
-        acc = float(np.sum([spec.beta(t) for t in ts] * bundle.brownian_increments[:k])) if k else 0.0
+        ts = grid.times()
+        acc = float(np.sum([spec.beta(t) for t in ts[:k]] * bundle.brownian_increments[:k])) if k else 0.0
         # events in time order, in atom order within a step
         counts = bundle.jump_counts[:, :k].T
         steps, atoms = np.nonzero(counts)
         n = counts[steps, atoms]
-        times = np.repeat(grid.time(steps), n).tolist()
+        times = np.repeat(ts[steps], n).tolist()
         marks = np.repeat(bundle.levy.marks[atoms], n).tolist()
-        return cls(t=grid.time(k), accumulated_b=acc, jump_events=tuple(zip(times, marks)))
+        return cls(t=grid.nodes[k], accumulated_b=acc, jump_events=tuple(zip(times, marks)))
 
 
 @functools.cache
@@ -334,7 +334,7 @@ def _resolve_method(spec, method):
     if method == "auto":
         return "closed_form" if spec.is_gaussian else "quadrature"
     if method == "closed_form" and not spec.is_gaussian:
-        raise ValueError("closed form requires a purely Gaussian specification")
+        raise ModelMismatch("closed form requires a purely Gaussian specification")
     return method
 
 
@@ -411,7 +411,7 @@ def phi1_from_mean(spec, z, t, m):
 def gaussian_phi1(spec, z, t, m):
     """Closed-form information drift beta(t)(z - m)/sigma^2(t); m may be an array."""
     if not spec.is_gaussian:
-        raise ValueError("gaussian_phi1 requires a purely Gaussian specification")
+        raise ModelMismatch("gaussian_phi1 requires a purely Gaussian specification")
     sigma2 = _check_time(spec, t)
     return spec.beta(t) * (z - np.asarray(m, dtype=float)) / sigma2
 

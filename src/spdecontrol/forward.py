@@ -13,6 +13,7 @@ and in the compensated insider mean m(t) (advance_mean) alike.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,13 +120,13 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class PathHistory:
-    """What a control rule may look at: time and the compensated insider mean.
+    """What a control rule may look at besides its step, time, nodes and z:
+    the compensated insider mean.
 
     m is an (n_paths,) array, one entry per path of the block the rule is
     evaluated for; a single path is a block of one.
     """
 
-    t: float
     m: np.ndarray
 
 
@@ -160,11 +161,17 @@ class StateField:
 
     grid: SpatialGrid
     tgrid: TimeGrid
-    z: float
     values: np.ndarray  # (n_steps + 1, n_nodes)
 
-    def to_csv(self, path):
-        _write_node_csv(path, ["t", "x", "value"], self.tgrid.times(), self.grid.nodes(), self.values)
+
+def _write_csv(path, header, rows):
+    """A table CSV in csv.writer's format, one line per row of rows, every
+    float as its repr."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_node_csv(path, header, times, xs, *fields):
@@ -419,7 +426,7 @@ def _block_control(control: ControlPolicy, k, t, xs, z, m):
     (n_paths, n_nodes) view, or one per path (n_paths, n_nodes); an
     x-independent rule gives one value per path (n_paths,), read as an
     (n_paths, 1) column.  Either may return a scalar, kept 0-d."""
-    u = control.values(k, t, xs, z, PathHistory(t=t, m=m))
+    u = control.values(k, t, xs, z, PathHistory(m=m))
     nb, n_nodes = len(m), len(xs)
     shape = u.shape
     if shape == ():
@@ -572,7 +579,7 @@ def solve_forward(
     values = np.empty((bundle.grid.n_steps + 1, grid.n_nodes))
     for k, (_, Y, _, _) in enumerate(sweep):
         values[k] = Y[0]
-    return StateField(grid=grid, tgrid=bundle.grid, z=z, values=values)
+    return StateField(grid=grid, tgrid=bundle.grid, values=values)
 
 
 def weak_residual(

@@ -90,10 +90,10 @@ class AdjointTriple:
 
 @dataclass(frozen=True)
 class ReducedAdjointPath:
-    """The scalar adjoint martingale at every grid time: values (n_steps + 1,)
-    and a float p0 for one path, (n_paths, n_steps + 1) and (n_paths,) for a block."""
+    """The scalar adjoint martingale at every node of the time grid: values
+    (n_steps + 1,) and a float p0 for one path, (n_paths, n_steps + 1) and
+    (n_paths,) for a block."""
 
-    times: np.ndarray
     values: np.ndarray
     p0: object
 
@@ -143,7 +143,6 @@ class EnsembleResult:
     w_terminal: np.ndarray | None  # conditional-density weight at t_end
     h_integral: np.ndarray | None  # running weighted profit integral
     min_interior: np.ndarray  # running min over interior nodes and steps
-    m_terminal: np.ndarray  # compensated insider mean at t_end
 
 
 def _trapezoid_weights(grid: SpatialGrid) -> np.ndarray:
@@ -192,7 +191,6 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, db, counts, perf
         w_terminal=_weight_vec(chaos, z, tgrid.t_end, m),
         h_integral=h_int,
         min_interior=run_min.min(axis=1),
-        m_terminal=m,
     )
 
 
@@ -468,8 +466,7 @@ def sensitivity_residual(
     beta0 = ControlPolicy(rule=direction.beta0.rule, mode=control.mode)
     m = np.zeros(1)
     worst = 0.0
-    for k in range(tgrid.n_steps):
-        t = tgrid.time(k)
+    for k, t in enumerate(tgrid.nodes[:-1]):
         y = base_field.values[k][None]
         u0 = _block_control(control, k, t, xs, z, m)
         # a (1, width) control: a value that reads it carries the paths' axis
@@ -513,7 +510,7 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     u = np.empty((tgrid.n_steps, len(db)))
     m = np.zeros(len(db))
     for k, t in enumerate(times):
-        u[k] = pi.values(k, t, None, z, PathHistory(t=t, m=m))
+        u[k] = pi.values(k, t, None, z, PathHistory(m=m))
         m = advance_mean(chaos, m, t, dt, db[:, k])
     return (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T, m
 
@@ -530,7 +527,7 @@ def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *
     start = np.zeros((len(db), 1))
     raw = np.exp(np.hstack((start, np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1))))
     p0 = terminal / raw[:, -1]
-    return ReducedAdjointPath(times=tgrid.times(), values=p0[:, None] * raw, p0=p0)
+    return ReducedAdjointPath(values=p0[:, None] * raw, p0=p0)
 
 
 def reduced_adjoint_solve(a0, b0, pi, terminal: float, bundle: PathBundle, z, *,
@@ -538,7 +535,7 @@ def reduced_adjoint_solve(a0, b0, pi, terminal: float, bundle: PathBundle, z, *,
     """reduced_adjoint_block on one bundle's increments, a block of one."""
     block = reduced_adjoint_block(a0, b0, pi, terminal, bundle.grid, bundle.brownian_increments[None],
                                   z, chaos=chaos)
-    return ReducedAdjointPath(times=block.times, values=block.values[0], p0=float(block.p0[0]))
+    return ReducedAdjointPath(values=block.values[0], p0=float(block.p0[0]))
 
 
 def verify_x_independent_stationarity(

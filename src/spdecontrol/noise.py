@@ -48,17 +48,14 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.n_steps
 
-    def time(self, k: int) -> float:
-        # node k computed directly from k, never by accumulation
-        return self.t_start + k * self.dt
-
     def times(self) -> np.ndarray:
+        # node k computed directly from k, never by accumulation
         return self.t_start + np.arange(self.n_steps + 1) * self.dt
 
     @functools.cached_property
     def nodes(self) -> tuple:
-        """times() as a tuple of floats, the values time(k) gives, computed
-        once per grid for the step loops."""
+        """times() as a tuple of floats, computed once per grid for the step
+        loops."""
         return tuple(self.times().tolist())
 
 
@@ -78,10 +75,6 @@ class LevySpec:
     def marks(self) -> np.ndarray:
         return np.array([z for z, _ in self.atoms])
 
-    @property
-    def total_rate(self) -> float:
-        return float(sum(lam for _, lam in self.atoms))
-
 
 @dataclass(frozen=True)
 class PathBundle:
@@ -96,8 +89,6 @@ class PathBundle:
     grid: TimeGrid
     brownian_increments: np.ndarray
     jump_counts: np.ndarray
-    seed: int
-    path_index: int
     levy: LevySpec = field(default_factory=LevySpec)
 
     def __post_init__(self):
@@ -160,7 +151,5 @@ def sample_bundle(
         grid=grid,
         brownian_increments=db,
         jump_counts=np.array([c[0] for c in counts], dtype=np.int64).reshape(-1, grid.n_steps),
-        seed=seed,
-        path_index=path_index,
         levy=levy,
     )

@@ -8,7 +8,6 @@ is pi_hat = Phi1/b0 + a0/b0^2 when the utility weight is deterministic.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from . import donsker
 from .donsker import FirstOrderChaosSpec, HistorySnapshot
-from .errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
-from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid
+from .errors import DegenerateVolatility, WealthNonpositive
+from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, _write_csv
 from .maxprinciple import PerformanceEstimate, PerformanceSpec, _adjoint_integrand, run_ensemble
 from .noise import TimeGrid
 
@@ -223,14 +222,8 @@ def run_portfolio_experiment(
 
 
 def portfolio_table_csv(results, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["control-name", "j-mean", "stderr", "n_paths", "rejection-rate"])
-        for r in results:
-            w.writerow(
-                [r.name, repr(float(r.estimate.mean)), repr(float(r.estimate.stderr)),
-                 r.n_paths, repr(float(r.rejection_rate))]
-            )
+    _write_csv(path, ["control-name", "j-mean", "stderr", "n_paths", "rejection-rate"],
+               [[r.name, r.estimate.mean, r.estimate.stderr, r.n_paths, r.rejection_rate] for r in results])
 
 
 def martingale_match_check(
@@ -248,12 +241,10 @@ def martingale_match_check(
     Left side: total utility weight times the conditional density at the
     horizon.  Right side: the same quantity at time zero propagated by the
     stochastic exponential of (b0 pi - a0/b0) dB, whose integrand comes from
-    the reduced adjoint's step loop.  The two sides are computed from
-    independent discretizations; at the optimal control the defect is
-    O(sqrt(dt)).
+    the reduced adjoint's step loop, which raises ModelMismatch for a jump
+    insider variable.  The two sides are computed from independent
+    discretizations; at the optimal control the defect is O(sqrt(dt)).
     """
-    if not spec.is_gaussian:
-        raise ModelMismatch("martingale check requires a Gaussian specification")
     K_total = utility.k_total(market.D, z)
     theta, m = _adjoint_integrand(market.a0, market.vol, control, tgrid, db, z, spec)
     # summed step by step, as the adjoint's exact method sums it

@@ -115,20 +115,17 @@ class SignalModel:
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """Observation increments on a time grid; values() gives R(t_k), R(0)=0."""
+    """Observation increments dR on a time grid, one per step."""
 
     grid: TimeGrid
     increments: np.ndarray
 
-    def values(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.increments)))
-
 
 @dataclass(frozen=True)
 class GirsanovWeight:
-    """Change-of-measure weights K(t_k) along one path; K(0)=1, K>0."""
+    """Change-of-measure weights K(t_k) at the nodes of the observation's
+    time grid along one path; K(0)=1, K>0."""
 
-    times: np.ndarray
     values: np.ndarray
 
 
@@ -189,7 +186,7 @@ def _control_value(control, k, t, z):
     so the rule sees m = NaN; a rule that reads it raises ModelMismatch."""
     if control is None:
         return 0.0
-    u = control.values(k, t, None, z, PathHistory(t=t, m=np.full(1, np.nan)))
+    u = control.values(k, t, None, z, PathHistory(m=np.full(1, np.nan)))
     u = float(np.broadcast_to(u, (1,))[0])
     if not math.isfinite(u):
         raise ModelMismatch(f"control rule gave {u} at step {k}: the filtering routines "
@@ -221,8 +218,8 @@ def _euler_maruyama(model: SignalModel, control, z, tgrid: TimeGrid, x0, dv, dw,
     X[0] = x0
     dR = np.empty(np.shape(dv))
     r = 0.0
-    for k in range(tgrid.n_steps):
-        u = _control_value(control, k, tgrid.time(k), z)
+    for k, t in enumerate(tgrid.nodes[:-1]):
+        u = _control_value(control, k, t, z)
         x = X[k]
         dR[k] = model.h_obs(x) * dt + dw[k]
         X[k + 1] = _signal_step(model, x, r, u, dt, dv[k], [n[k] for n in counts])
@@ -259,7 +256,7 @@ def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath
     tgrid = obs.grid
     h = _full(model.h_obs(signal[:-1]), signal[:-1].shape)
     expo = np.concatenate(([0.0], np.cumsum(h * obs.increments - 0.5 * h**2 * tgrid.dt)))
-    return GirsanovWeight(times=tgrid.times(), values=np.exp(expo))
+    return GirsanovWeight(values=np.exp(expo))
 
 
 def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u) -> AssembledOperator:
@@ -318,8 +315,8 @@ def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGr
     yield Y, np.zeros(n_paths)
     r = np.concatenate((np.zeros((n_paths, 1)), np.cumsum(dR, axis=1)), axis=1)
     transport, u_assembled = None, None
-    for k in range(tgrid.n_steps):
-        u = _control_value(control, k, tgrid.time(k), z)
+    for k, t in enumerate(tgrid.nodes[:-1]):
+        u = _control_value(control, k, t, z)
         if transport is None or transport.bands.ndim == 3 or u != u_assembled:
             transport = transport_bands(model, sgrid, r[:, k, None], u).transposed()
             u_assembled = u
@@ -383,8 +380,8 @@ def particle_filter_oracle(
     means = np.empty(tgrid.n_steps + 1)
     means[0] = float(np.mean(x))
     r = 0.0
-    for k in range(tgrid.n_steps):
-        u = _control_value(control, k, tgrid.time(k), z)
+    for k, t in enumerate(tgrid.nodes[:-1]):
+        u = _control_value(control, k, t, z)
         dv = math.sqrt(dt) * rng.standard_normal(n_particles)
         atoms = model.levy.atoms if model.gamma is not None else ()
         counts = [rng.poisson(lam * dt, n_particles) for _, lam in atoms]
@@ -401,7 +398,7 @@ def particle_filter_oracle(
         x = x[np.searchsorted(np.cumsum(w), positions)]
         means[k + 1] = float(np.mean(x))
         r += obs.increments[k]
-    return {"times": tgrid.times(), "means": means, "final_particles": x}
+    return {"means": means, "final_particles": x}
 
 
 def kalman_bucy_oracle(a: float, b: float, c: float, m0: float, P0: float, obs: ObservationPath) -> tuple:
@@ -444,8 +441,11 @@ def transformed_performance(
     against the unnormalized filter density.  All paths are swept together as
     one block; only the current densities are kept.
 
-    f: (t, x) -> rate density; g: x -> terminal density.
+    f: (t, x) -> rate density; g: x -> terminal density.  F_init must have
+    unit mass on the grid (SignalModel.check_initial_mass, else ValueError),
+    as the initial law the physical-measure route samples is normalized.
     """
+    model.check_initial_mass(sgrid, z)
     xs = sgrid.nodes()
     wq = np.full(sgrid.n_nodes, sgrid.dx)
     g_vals = np.asarray(g(xs), dtype=float) * wq
@@ -453,7 +453,7 @@ def transformed_performance(
     acc = np.zeros(n_paths)
     for k, (Y, _) in enumerate(_sweep(model, control, z, db, sgrid, tgrid)):
         if f is not None and k < tgrid.n_steps:
-            fv = np.asarray(f(tgrid.time(k), xs), dtype=float)
+            fv = np.asarray(f(tgrid.nodes[k], xs), dtype=float)
             acc += tgrid.dt * np.sum(fv * wq * Y, axis=1)
     return PerformanceEstimate.from_samples(acc + np.sum(g_vals * Y, axis=1))
 
@@ -481,8 +481,8 @@ def direct_performance(
     X, _ = _euler_maruyama(model, control, z, tgrid, x0s, dv, dw, counts)
     acc = 0.0
     if f is not None:
-        for k in range(tgrid.n_steps):
-            acc = acc + tgrid.dt * f(tgrid.time(k), X[k])
+        for k, t in enumerate(tgrid.nodes[:-1]):
+            acc = acc + tgrid.dt * f(t, X[k])
     return PerformanceEstimate.from_samples(acc + _full(g(X[-1]), (n_paths,)))
 
 

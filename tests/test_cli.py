@@ -89,6 +89,81 @@ def test_every_public_name_has_a_caller():
     assert orphans == [], orphans
 
 
+# members whose only readers are tests or the benchmark, kept on purpose
+MEMBER_EXEMPTIONS = {
+    "AssembledOperator.dense": "the dense matrix the banded solves are tested against",
+    "HistorySnapshot.from_bundle": "the reference snapshot that m(t) updates are tested against",
+    "OperatorSpec.control_dependent": "inert, but perfbench's general-jump workload still passes it",
+}
+
+
+def _class_members(cls_node):
+    """Names a class defines: its fields, class attributes and methods, and
+    the attributes its __init__ sets on self; dunder names are left out."""
+    names = []
+    for node in cls_node.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+            if node.name == "__init__":
+                names += [
+                    t.attr for sub in ast.walk(node) if isinstance(sub, ast.Assign)
+                    for t in sub.targets
+                    if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+                ]
+    return [n for n in dict.fromkeys(names) if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _attribute_reads(path):
+    """(attribute name, enclosing class, enclosing member of that class) of
+    every attribute a file loads; class and member are None outside a class."""
+    reads = []
+
+    def visit(node, cls, member):
+        if isinstance(node, ast.ClassDef):
+            cls, member = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cls is not None and member is None:
+            member = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, cls, member))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, member)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None, None)
+    return reads
+
+
+def test_every_public_member_has_a_reader():
+    # a field or method of a public class is read as an attribute by the
+    # library, a demo, the benchmark or an acceptance criterion, or by
+    # another member of its own class; a read inside the member itself does
+    # not count, and the construction of a value is not a read
+    lib = ROOT / "src" / "spdecontrol"
+    files = [*lib.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    reads = {path: _attribute_reads(path) for path in files}
+    unread, members = [], set()
+    for mod in LIBRARY_MODULES:
+        path = lib / f"{mod}.py"
+        public = set(importlib.import_module(f"spdecontrol.{mod}").__all__)
+        classes = [n for n in ast.parse(path.read_text()).body if isinstance(n, ast.ClassDef) and n.name in public]
+        for cls in classes:
+            for name in _class_members(cls):
+                members.add(f"{cls.name}.{name}")
+                read = any(
+                    attr == name and not (f == path and c == cls.name and m == name)
+                    for f, rs in reads.items() for attr, c, m in rs
+                )
+                if not read and f"{cls.name}.{name}" not in MEMBER_EXEMPTIONS:
+                    unread.append(f"{mod}.{cls.name}.{name}")
+    assert unread == [], unread
+    # every exemption still names a member
+    assert set(MEMBER_EXEMPTIONS) <= members, set(MEMBER_EXEMPTIONS) - members
+
+
 def test_list_enumerates_all_kinds():
     code, out, _ = run_cli(["list"])
     assert code == 0

@@ -25,6 +25,7 @@ from spdecontrol.donsker import (
 )
 from spdecontrol.errors import (
     DegenerateVariance,
+    ModelMismatch,
     QuadratureFailure,
     UnknownMark,
 )
@@ -239,6 +240,18 @@ def test_phi1_gaussian_ratio():
     z = 1.25
     assert phi1(spec, z, hist) == pytest.approx((z - 0.25) / 0.5, abs=1e-10)
     assert gaussian_phi1(spec, z, 0.5, 0.25) == pytest.approx((z - 0.25) / 0.5)
+
+
+def test_gaussian_only_rules_raise_model_mismatch_on_jump_spec():
+    # a jump spec asked for a Gaussian closed form names the mismatch instead
+    # of evaluating the Gaussian part of the model alone
+    spec, hist = jump_spec(), HistorySnapshot(t=0.4, accumulated_b=0.2)
+    with pytest.raises(ModelMismatch):
+        gaussian_phi1(spec, 0.5, 0.4, 0.2)
+    with pytest.raises(ModelMismatch):
+        delta_from_mean(spec, 0.5, 0.4, 0.2, method="closed_form")
+    with pytest.raises(ModelMismatch):
+        conditional_malliavin_b(spec, 0.5, hist, method="closed_form")
 
 
 def test_residual_variance_integrates_once_per_time():

@@ -32,8 +32,6 @@ def zero_bundle(tgrid):
         grid=tgrid,
         brownian_increments=np.zeros(tgrid.n_steps),
         jump_counts=np.zeros((0, tgrid.n_steps), dtype=np.int64),
-        seed=0,
-        path_index=0,
     )
 
 
@@ -356,7 +354,7 @@ def test_operator_read_from_coefficients_equals_hand_loop(op, expected):
     y = np.sin(math.pi * grid.nodes())
     y[0] = y[-1] = 0.0
     for k in range(tgrid.n_steps):
-        y = assemble_operator(op, grid, tgrid.time(k), 1.0, 0.0).solve_implicit(tgrid.dt, y)
+        y = assemble_operator(op, grid, tgrid.nodes[k], 1.0, 0.0).solve_implicit(tgrid.dt, y)
         y[0] = y[-1] = 0.0
     assert np.array_equal(field.values[-1], y)
 
@@ -457,7 +455,7 @@ def test_single_path_solve_rejects_mixed_noise_models(case):
             # counts of the atoms 0.5 and 0.7 for a bundle on the one atom 0.5
             b = PathBundle(grid=tgrid, brownian_increments=np.zeros(tgrid.n_steps),
                            jump_counts=np.zeros((2, tgrid.n_steps), dtype=np.int64),
-                           seed=0, path_index=0, levy=chaos_levy)
+                           levy=chaos_levy)
         op = replace(heat_op(), levy=b.levy)
         solve_forward(coeffs, op, null_control(), 0.0, b, grid, chaos=chaos)
 
@@ -484,7 +482,7 @@ def test_advance_mean_matches_effective_mean_of_snapshot(atoms, beta, psi, n_ste
         ref = effective_mean(spec, HistorySnapshot.from_bundle(spec, bundle, k))
         assert abs(m - ref) <= 1e-12
         if k < n_steps:
-            m = advance_mean(spec, m, tgrid.time(k), tgrid.dt, bundle.brownian_increments[k],
+            m = advance_mean(spec, m, tgrid.nodes[k], tgrid.dt, bundle.brownian_increments[k],
                              [c[0, k] for c in counts])
 
 
@@ -540,20 +538,5 @@ def test_weak_residual_requires_vanishing_test_function():
 def test_control_policy_bounds_enforced():
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: 2.0, bounds=(-1.0, 1.0))
     with pytest.raises(ValueError):
-        pol.values(0, 0.0, None, 0.0, PathHistory(t=0.0, m=np.zeros(1)))
+        pol.values(0, 0.0, None, 0.0, PathHistory(m=np.zeros(1)))
 
-
-def test_state_field_csv_roundtrip(tmp_path):
-    grid = SpatialGrid(0.0, 1.0, 4)
-    tgrid = TimeGrid(0.0, 0.1, 2)
-    coeffs = CoefficientSet(
-        a=lambda t, x, y, u, z: 0.0,
-        b=lambda t, x, y, u, z: 0.0,
-        xi=lambda x, z: x,
-    )
-    f = solve_forward(coeffs, heat_op(), null_control(), 0.0, zero_bundle(tgrid), grid)
-    out = tmp_path / "field.csv"
-    f.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,x,value"
-    assert len(lines) == 1 + 3 * 5

@@ -432,7 +432,7 @@ def test_ensemble_independent_of_blocking():
     with mock.patch.object(mp, "_BLOCK_PATHS", 3):
         b = run_ensemble(coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=10, seed=4)
     assert np.array_equal(a.y_terminal, b.y_terminal)
-    assert np.array_equal(a.m_terminal, b.m_terminal)
+    assert np.array_equal(a.w_terminal, b.w_terminal)
 
 
 JUMP_LEVY = LevySpec(atoms=((0.5, 3.0),))
@@ -521,7 +521,7 @@ def test_ensemble_bitwise_independent_of_any_block_size(jumps, n_paths, block_si
             )
 
     whole, split = run(n_paths), run(block_size)
-    for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior", "m_terminal"):
+    for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior"):
         a, b = getattr(whole, attr), getattr(split, attr)
         assert (a is None and b is None) or np.array_equal(a, b)
 
@@ -642,7 +642,8 @@ def test_ensemble_rows_independent_of_block_size_at_blocked_band_widths():
             )
 
     whole = run(4)
-    assert np.ptp(whole.m_terminal) > 0.1
+    # the paths' insider means, and so their controls and band widths, differ
+    assert np.ptp(whole.w_terminal) > 0
     for bs in (1, 3):
         assert np.array_equal(run(bs).y_terminal, whole.y_terminal)
 
@@ -830,7 +831,7 @@ def test_tuple_of_controls_equals_separate_runs_bitwise(jumps):
     assert isinstance(shared, tuple) and len(shared) == 3
     for a, b in zip(alone, shared):
         assert a.n_paths == b.n_paths == 8
-        for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior", "m_terminal"):
+        for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
     assert not np.array_equal(shared[0].y_terminal, shared[2].y_terminal)
 

@@ -16,13 +16,13 @@ from spdecontrol.noise import (
 
 def test_time_grid_nodes_have_no_accumulation_drift():
     grid = TimeGrid(0.0, 1.0, 3)
-    assert grid.time(3) == pytest.approx(1.0, abs=0)
+    assert grid.nodes[3] == pytest.approx(1.0, abs=0)
     ts = grid.times()
     assert len(ts) == 4
     assert ts[-1] == pytest.approx(1.0, abs=1e-15)
-    # the step loops read nodes; they are time(k), bit for bit
+    # the step loops read nodes; node k is t_start + k dt, bit for bit
     for grid in (grid, TimeGrid(0, 0.5, 50), TimeGrid(0.1, 0.97, 333), TimeGrid(-0.3, 0.77, 1024)):
-        assert grid.nodes == tuple(grid.time(k) for k in range(grid.n_steps + 1))
+        assert grid.nodes == tuple(grid.t_start + k * grid.dt for k in range(grid.n_steps + 1))
         assert grid.nodes == tuple(grid.times().tolist())
 
 
@@ -36,8 +36,8 @@ def test_time_grid_validation():
 def test_levy_spec_rejects_negative_rates():
     with pytest.raises(ValueError):
         LevySpec(atoms=((1.0, -0.5),))
-    levy = LevySpec(atoms=((1.0, 0.5), (-2.0, 0.25)))
-    assert levy.total_rate == pytest.approx(0.75)
+    levy = LevySpec(atoms=((1, 0.5), (-2.0, 0)))
+    assert levy.atoms == ((1.0, 0.5), (-2.0, 0.0))
 
 
 def test_bundle_reproducible_and_channel_independent():
@@ -79,8 +79,7 @@ def test_bundle_rejects_noise_that_does_not_fit_grid_and_levy(db_shape, counts_s
     levy = LevySpec(atoms=((0.5, 2.0), (-1.0, 1.0)))
     with pytest.raises(ModelMismatch):
         PathBundle(grid=grid, brownian_increments=np.zeros(db_shape),
-                   jump_counts=np.zeros(counts_shape, dtype=np.int64), seed=0, path_index=0,
-                   levy=levy)
+                   jump_counts=np.zeros(counts_shape, dtype=np.int64), levy=levy)
 
 
 def test_brownian_increment_moments():

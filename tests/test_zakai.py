@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def direct_performance_loop(model, f, g, sgrid, tgrid, n_paths, seed, channel=11
         acc = 0.0
         if f is not None:
             for k in range(tgrid.n_steps):
-                acc += tgrid.dt * float(f(tgrid.time(k), X[k]))
+                acc += tgrid.dt * float(f(tgrid.nodes[k], X[k]))
         samples[p] = acc + float(g(X[-1]))
     return samples
 
@@ -420,7 +421,7 @@ def test_non_autonomous_sweep_matches_zakai_step_loop():
     obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 6, [0], 2)[0])
     sol = zk.solve_zakai(model, None, 0.0, obs, sg)
     dens = zk.UnnormalizedDensity(sg, np.asarray(model.F_init(sg.nodes(), 0.0)))
-    r_vals = obs.values()
+    r_vals = np.concatenate(([0.0], np.cumsum(obs.increments)))
     for k in range(tg.n_steps):
         dens, _ = zakai_step(dens, model, 0.0, r_vals[k], obs.increments[k], tg.dt)
         assert np.array_equal(sol.values[k + 1], dens.values)
@@ -605,6 +606,17 @@ def test_transformed_performance_mass_identities():
         sg, tg, 300, 11,
     )
     assert abs(est_f.mean - 0.5) <= 3 * est_f.stderr
+
+
+def test_transformed_performance_rejects_initial_law_without_unit_mass():
+    # the direct route normalizes F_init when it samples initial states, so
+    # an F_init of mass 2 would double the reference-measure estimate alone
+    base = linear_model()
+    model = replace(base, F_init=lambda x, z: 2.0 * base.F_init(x, z))
+    tg = TimeGrid(0.0, 0.5, 5)
+    with pytest.raises(ValueError, match="mass"):
+        zk.transformed_performance(model, None, None, lambda x: x, 0.0, SGRID, tg, 10, 0)
+    zk.transformed_performance(base, None, None, lambda x: x, 0.0, SGRID, tg, 10, 0)
 
 
 def test_transformed_matches_direct_performance():
