@@ -12,6 +12,7 @@ import difflib
 import hashlib
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -29,90 +30,117 @@ from .zakai import ObservationPath, SignalModel
 
 __all__ = ["main", "validate_config", "run_experiment", "SCHEMAS"]
 
-def _floats(value):
-    return [float(v) for v in value]
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "!=": operator.ne}
 
 
-def _ints(value):
-    return [int(v) for v in value]
+def _reader(cast, *bounds, many=False, size=None):
+    """The reader of one parameter, the one home of its type and range.  It
+    reads a value with cast (float or int), or a YAML sequence of them when
+    many (of exactly size entries if size is given), and refuses an entry
+    outside bounds, (operator, limit) pairs such as (">=", 2).  It refuses a
+    bool, and a count refuses a float with a fraction, rather than misread
+    them.  Its range attribute is the text `spdecontrol list` shows."""
+    kind = cast.__name__
+    if many:
+        kind = f"list of {f'{size} ' if size else ''}{kind}s"
+
+    def one(value):
+        if isinstance(value, bool) or (cast is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"expected {cast.__name__}")
+        x = cast(value)
+        for op, limit in bounds:
+            if not _COMPARE[op](x, limit):
+                raise ValueError(f"{x} is not {op} {limit}")
+        return x
+
+    def read(value):
+        if not many:
+            return one(value)
+        if not isinstance(value, (list, tuple)) or (size and len(value) != size):
+            raise ValueError(f"expected {kind}")
+        return [one(v) for v in value]
+
+    limits = " and ".join(f"{op} {limit}" for op, limit in bounds)
+    read.range = f"{kind} {limits}".rstrip()
+    return read
 
 
-def _interval(value):
-    lo, hi = _floats(value)
-    return [lo, hi]
-
+_real = _reader(float)
+_positive = _reader(float, (">", 0))
+_at_least_2 = _reader(int, (">=", 2))
+_at_least_1 = _reader(int, (">=", 1))
+_interval = _reader(float, many=True, size=2)
+# T0 of the model that portfolio and stationarity run
+_BENCHMARK_T0 = portfolio.benchmark_market()[2].T0
+_HORIZON = f"with T + T/n_steps <= T0 = {_BENCHMARK_T0}"
 
 # kind -> parameter -> (reader, default, description).  validate_config reads
 # every parameter with its reader and fills in the defaults, so a run gets
 # values it can use or the config is refused.
 _PARAMS = {
     "donsker-table": {
-        "T0": (float, 1.0, "terminal information time, float > 0"),
-        "beta_const": (float, 1.0, "constant integrand of the information variable, nonzero"),
-        "t_values": (_floats, [0.0, 0.25, 0.5, 0.75], "list of evaluation times, each in [0, T0)"),
-        "z_values": (_floats, [-1.0, -0.5, 0.0, 0.5, 1.0], "list of density evaluation points"),
-        "history_mean": (float, 0.0, "realized conditioning mean m(t)"),
-        "tol_abs": (float, 1e-8, "max |quadrature - closed form| allowed"),
+        "T0": (_positive, 1.0, "terminal information time"),
+        "beta_const": (_reader(float, ("!=", 0)), 1.0, "constant integrand of the information variable"),
+        "t_values": (_reader(float, (">=", 0), many=True), [0.0, 0.25, 0.5, 0.75], "evaluation times, each < T0"),
+        "z_values": (_reader(float, many=True), [-1.0, -0.5, 0.0, 0.5, 1.0], "density evaluation points"),
+        "history_mean": (_real, 0.0, "realized conditioning mean m(t)"),
+        "tol_abs": (_real, 1e-8, "max |quadrature - closed form| allowed"),
     },
     "forward-convergence": {
-        "t_end": (float, 0.1, "horizon of the diffusion oracle, > 0"),
-        "space_cells": (_ints, [8, 16, 32], "list of cell counts for the space study, each >= 2"),
-        "space_steps": (int, 4096, "fine step count shared by the space study, >= 1"),
-        "time_steps": (_ints, [16, 32, 64], "list of step counts for the time study, each >= 1"),
-        "time_cells": (int, 16, "cell count shared by the time study, >= 2"),
+        "t_end": (_positive, 0.1, "horizon of the diffusion oracle"),
+        "space_cells": (_reader(int, (">=", 2), many=True), [8, 16, 32], "cell counts of the space study"),
+        "space_steps": (_at_least_1, 4096, "fine step count shared by the space study"),
+        "time_steps": (_reader(int, (">=", 1), many=True), [16, 32, 64], "step counts of the time study"),
+        "time_cells": (_at_least_2, 16, "cell count shared by the time study"),
         "dx_order_range": (_interval, [1.8, 2.2], "accepted empirical order interval"),
         "dt_order_range": (_interval, [0.8, 1.2], "accepted empirical order interval"),
     },
     "portfolio": {
-        "T": (float, 0.5, "trading horizon, must satisfy T + T/n_steps <= T0 = 1"),
-        "z": (float, 0.5, "conditioning value of the insider variable"),
-        "n_cells": (int, 16, "spatial cells of the wealth grid, >= 2"),
-        "n_steps": (int, 200, "time steps, >= 1"),
-        "n_paths": (int, 2000, "Monte Carlo paths, >= 2"),
-        "shifts": (_floats, [-0.25, 0.25], "constant control offsets compared against the optimum"),
+        "T": (_positive, 0.5, f"trading horizon, {_HORIZON}"),
+        "z": (_real, 0.5, "conditioning value of the insider variable"),
+        "n_cells": (_at_least_2, 16, "spatial cells of the wealth grid"),
+        "n_steps": (_at_least_1, 200, "time steps"),
+        "n_paths": (_at_least_2, 2000, "Monte Carlo paths"),
+        "shifts": (_reader(float, many=True), [-0.25, 0.25], "constant control offsets compared against the optimum"),
     },
     "stationarity": {
-        "T": (float, 0.5, "horizon, must satisfy T + T/n_steps <= T0 = 1"),
-        "z": (float, 0.5, "conditioning value"),
-        "n_cells": (int, 16, "spatial cells, >= 2"),
-        "n_steps": (int, 100, "time steps, >= 1"),
-        "n_paths": (int, 2000, "Monte Carlo paths, >= 2"),
-        "n_windows": (int, 3, "time windows for localized directions, >= 1"),
-        "a_step": (float, 1e-3, "central difference step, in (0, 1)"),
-        "tol_tstat": (float, 3.0, "verdict threshold on |t|"),
+        "T": (_positive, 0.5, f"horizon, {_HORIZON}"),
+        "z": (_real, 0.5, "conditioning value"),
+        "n_cells": (_at_least_2, 16, "spatial cells"),
+        "n_steps": (_at_least_1, 100, "time steps"),
+        "n_paths": (_at_least_2, 2000, "Monte Carlo paths"),
+        "n_windows": (_at_least_1, 3, "time windows for localized directions"),
+        "a_step": (_reader(float, (">", 0), ("<", 1)), 1e-3, "central difference step"),
+        "tol_tstat": (_real, 3.0, "verdict threshold on |t|"),
     },
     "zakai-benchmark": {
-        "a": (float, -0.5, "signal drift rate dX = aX dt + b dv"),
-        "b": (float, 0.4, "signal volatility"),
-        "c": (float, 1.0, "observation gain dR = cX dt + dw"),
-        "m0": (float, 0.0, "initial state mean"),
-        "P0": (float, 0.04, "initial state variance, > 0"),
-        "x_lo": (float, -2.0, "state-space truncation, lower edge"),
-        "x_hi": (float, 2.0, "state-space truncation, upper edge, > x_lo"),
-        "n_cells": (int, 400, "spatial cells at the base resolution, >= 2"),
-        "n_steps": (int, 100, "time steps at the base resolution, >= 1"),
-        "T": (float, 1.0, "horizon, > 0"),
-        "n_particles": (int, 10000, "particle-filter oracle size, >= 100"),
-        "tol_grid": (float, 5e-2, "allowed |grid mean - Kalman mean|"),
-        "refine_levels": (int, 2, "number of halvings of dx and dt measured, >= 1"),
+        "a": (_real, -0.5, "signal drift rate dX = aX dt + b dv"),
+        "b": (_real, 0.4, "signal volatility"),
+        "c": (_real, 1.0, "observation gain dR = cX dt + dw"),
+        "m0": (_real, 0.0, "initial state mean"),
+        "P0": (_positive, 0.04, "initial state variance"),
+        "x_lo": (_real, -2.0, "state-space truncation, lower edge"),
+        "x_hi": (_real, 2.0, "state-space truncation, upper edge, > x_lo"),
+        "n_cells": (_at_least_2, 400, "spatial cells at the base resolution"),
+        "n_steps": (_at_least_1, 100, "time steps at the base resolution"),
+        "T": (_positive, 1.0, "horizon"),
+        "n_particles": (_reader(int, (">=", 100)), 10000, "particle-filter oracle size"),
+        "tol_grid": (_real, 5e-2, "allowed |grid mean - Kalman mean|"),
+        "refine_levels": (_at_least_1, 2, "number of halvings of dx and dt measured"),
         "factor_range": (_interval, [1.6, 2.6], "accepted per-halving error-reduction interval"),
     },
     "coercivity": {
-        "pi": (float, 1.0, "control value scaling the generator"),
-        "beta_slope": (float, 0.5, "volatility profile beta(x) = 1 + slope*x"),
-        "cells": (_ints, [16, 32, 64], "list of cell counts, each >= 2"),
-        "C_max": (float, 5.0, "allowed constant in |ratio - 1| <= C dx"),
+        "pi": (_real, 1.0, "control value scaling the generator"),
+        "beta_slope": (_real, 0.5, "volatility profile beta(x) = 1 + slope*x"),
+        "cells": (_reader(int, (">=", 2), many=True), [16, 32, 64], "cell counts"),
+        "C_max": (_real, 5.0, "allowed constant in |ratio - 1| <= C dx"),
     },
 }
 
 SCHEMAS = {
-    kind: {key: f"{desc} (default {default})" for key, (_, default, desc) in params.items()}
+    kind: {key: f"{reader.range}, {desc} (default {default})" for key, (reader, default, desc) in params.items()}
     for kind, params in _PARAMS.items()
 }
-
-
-def _fail_config(msg: str):
-    raise ConfigError(msg)
 
 
 def _read_params(kind: str, params: dict) -> dict:
@@ -122,50 +150,36 @@ def _read_params(kind: str, params: dict) -> dict:
         value = params.get(key, default)
         try:
             p[key] = reader(value)
-        except (TypeError, ValueError) as exc:
-            _fail_config(f"parameter {key} = {value!r} of kind {kind} is unreadable: {exc}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"parameter {key} = {value!r} of kind {kind} is unusable: {exc}")
     return p
 
 
 def _check_constraints(kind: str, p: dict):
+    """The rules that tie parameters together; each reader checks the range
+    of its own parameter."""
     def need(ok, what):
         if not ok:
-            _fail_config(f"constraint violated: {what}")
+            raise ConfigError(f"constraint violated: {what}")
 
-    for key in ("n_cells", "time_cells"):
-        if key in p:
-            need(p[key] >= 2, f"{key} >= 2 ({key}={p[key]})")
-    for key in ("space_cells", "cells"):
-        if key in p:
-            need(all(c >= 2 for c in p[key]), f"every entry of {key} >= 2 ({key}={p[key]})")
-    for key in ("n_steps", "space_steps", "n_windows", "refine_levels"):
-        if key in p:
-            need(p[key] >= 1, f"{key} >= 1 ({key}={p[key]})")
     if kind == "donsker-table":
-        T0 = p["T0"]
-        need(T0 > 0, "T0 > 0")
-        need(p["beta_const"] != 0, "beta_const != 0")
         for t in p["t_values"]:
-            need(0 <= t < T0, f"t < T0 (t={t}, T0={T0})")
-    if kind == "forward-convergence":
-        need(p["t_end"] > 0, "t_end > 0")
-        need(all(s >= 1 for s in p["time_steps"]), "every entry of time_steps >= 1")
+            need(t < p["T0"], f"t < T0 (t={t}, T0={p['T0']})")
     if kind in ("portfolio", "stationarity"):
-        # both kinds run benchmark_market's model, whose insider variable sets T0
-        T, T0 = p["T"], portfolio.benchmark_market()[2].T0
+        T, T0 = p["T"], _BENCHMARK_T0
         need(T < T0, f"T < T0 (T={T}, T0={T0})")
-        need(T > 0, "T > 0")
         # the conditional density needs the horizon one step before T0
         need(T * (1.0 + 1.0 / p["n_steps"]) <= T0 + 1e-12,
              f"T + T/n_steps <= T0 (T={T}, n_steps={p['n_steps']}, T0={T0})")
-        need(p["n_paths"] >= 2, f"n_paths >= 2 (n_paths={p['n_paths']})")
-    if kind == "stationarity":
-        need(0 < p["a_step"] < 1, f"0 < a_step < 1 (a_step={p['a_step']})")
     if kind == "zakai-benchmark":
         need(p["x_hi"] > p["x_lo"], "x_hi > x_lo")
-        need(p["n_particles"] >= 100, "n_particles >= 100")
-        need(p["T"] > 0, "T > 0")
-        need(p["P0"] > 0, "P0 > 0")
+
+
+def _read_seed(seed):
+    """The seed rule of a config, of --seed and of run_experiment's seed_override."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, not {seed!r}")
+    return seed
 
 
 def validate_config(cfg: dict) -> dict:
@@ -173,22 +187,31 @@ def validate_config(cfg: dict) -> dict:
     config with every parameter read and defaults filled in.  A value the
     run could not use raises ConfigError."""
     if not isinstance(cfg, dict):
-        _fail_config("config root must be a mapping")
+        raise ConfigError("config root must be a mapping")
     kind = cfg.get("kind")
-    if kind not in SCHEMAS:
-        _fail_config(f"unknown kind {kind!r}; expected one of {sorted(SCHEMAS)}")
+    if not isinstance(kind, str) or kind not in SCHEMAS:
+        raise ConfigError(f"unknown kind {kind!r}; expected one of {sorted(SCHEMAS)}")
     params = cfg.get("params", {}) or {}
     if not isinstance(params, dict):
-        _fail_config("params must be a mapping")
+        raise ConfigError("params must be a mapping")
     unknown = set(params) - set(SCHEMAS[kind])
     if unknown:
-        _fail_config(f"unknown parameter(s) {sorted(unknown)} for kind {kind}")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        _fail_config("seed must be a nonnegative integer")
+        raise ConfigError(f"unknown parameter(s) {sorted(unknown, key=str)} for kind {kind}")
+    seed = _read_seed(cfg.get("seed", 0))
     p = _read_params(kind, params)
     _check_constraints(kind, p)
     return {"kind": kind, "seed": seed, "params": p}
+
+
+def _load_config(config_path) -> tuple:
+    """The bytes of a config file and its validated config: the one loader
+    of validate and run."""
+    raw = Path(config_path).read_bytes()
+    try:
+        cfg = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config parse failure: {exc}") from exc
+    return raw, validate_config(cfg)
 
 
 def _jsonify(obj):
@@ -467,13 +490,8 @@ _RUNNERS = {
 def run_experiment(config_path: Path, out_dir: Path, seed_override=None) -> dict:
     """Validate, run, and write artifacts plus a manifest.  Returns the
     manifest dict; raises ConfigError / NumericalCheckFailure."""
-    raw = Path(config_path).read_bytes()
-    try:
-        cfg = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse failure: {exc}") from exc
-    cfg = validate_config(cfg)
-    seed = int(seed_override) if seed_override is not None else cfg["seed"]
+    raw, cfg = _load_config(config_path)
+    seed = cfg["seed"] if seed_override is None else _read_seed(seed_override)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     verdicts, artifacts = _RUNNERS[cfg["kind"]](cfg["params"], seed, out_dir)
@@ -541,27 +559,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list(args)
-    if args.command == "validate":
-        try:
-            raw = Path(args.config).read_bytes()
-            validate_config(yaml.safe_load(raw))
-        except (ConfigError, OSError, yaml.YAMLError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        print("ok")
-        return 0
     try:
-        manifest = run_experiment(args.config, args.out, args.seed)
-    except ConfigError as exc:
+        if args.command == "validate":
+            _load_config(args.config)
+            print("ok")
+        else:
+            manifest = run_experiment(args.config, args.out, args.seed)
+            print(json.dumps({"kind": manifest["kind"], "verdicts": manifest["verdicts"]}, sort_keys=True))
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalCheckFailure as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps({"kind": manifest["kind"], "verdicts": manifest["verdicts"]}, sort_keys=True))
     return 0
 
 

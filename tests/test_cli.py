@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import spdecontrol
-from spdecontrol.cli import SCHEMAS, main, validate_config
+from spdecontrol import errors, portfolio
+from spdecontrol.cli import SCHEMAS, main, run_experiment, validate_config
 from spdecontrol.errors import ConfigError
 
 
@@ -87,6 +88,20 @@ def test_every_public_name_has_a_caller():
             used |= _referenced_names(path, set(public) if path == lib / f"{mod}.py" else set())
         orphans += [f"{mod}.{name}" for name in public if name not in used | paper]
     assert orphans == [], orphans
+
+
+def test_package_namespace_is_the_modules_api():
+    # every public name of the six library modules and every exception of
+    # errors is importable from the package as the same object
+    missing = []
+    for mod in LIBRARY_MODULES:
+        module = importlib.import_module(f"spdecontrol.{mod}")
+        missing += [f"{mod}.{name}" for name in module.__all__ if getattr(spdecontrol, name, None) is not getattr(module, name)]
+    missing += [
+        f"errors.{name}" for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception) and getattr(spdecontrol, name, None) is not value
+    ]
+    assert missing == [], missing
 
 
 # members whose only readers are tests or the benchmark, kept on purpose
@@ -219,6 +234,13 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         ("donsker-table", "{t_values: abc}"),
         ("zakai-benchmark", "{P0: 0.0}"),
         ("zakai-benchmark", "{n_cells: [400]}"),
+        ("coercivity", "{1: 2, foo: 3}"),
+        # each of these was misread and run with another value
+        ("coercivity", '{cells: "32"}'),
+        ("forward-convergence", '{dx_order_range: "12"}'),
+        ("stationarity", "{n_steps: 200.9}"),
+        ("stationarity", "{n_paths: 2.5}"),
+        ("stationarity", "{n_windows: true}"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -231,6 +253,46 @@ def test_unusable_parameter_exits_2(tmp_path, capsys, kind, params, command):
     assert main([command, *args]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, seed_args, command",
+    [
+        ("kind: portfolio\nseed: 0\n", ["--seed", "-1"], "run"),
+        ("kind: coercivity\nseed: 0\n", ["--seed", "-1"], "run"),
+        ("kind: [portfolio]\nseed: 0\n", [], "run"),
+        ("kind: [portfolio]\nseed: 0\n", [], "validate"),
+    ],
+)
+def test_bad_seed_override_or_kind_exits_2(tmp_path, capsys, config, seed_args, command):
+    # a negative --seed crashed the portfolio run with exit 1 and wrote
+    # "seed": -1 into the coercivity manifest; a list kind raised TypeError
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(config)
+    args = ["--config", str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main([command, *args, *seed_args]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_override_follows_the_config_seed_rule(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("kind: coercivity\nseed: 0\n")
+    for seed in (-1, True, 1.5, "7"):
+        with pytest.raises(ConfigError, match="seed"):
+            run_experiment(cfg, tmp_path / "out", seed_override=seed)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["portfolio", "stationarity"])
+def test_list_shows_the_checked_T0(capsys, kind):
+    # the horizon rule printed by list names the T0 that validate checks
+    T0 = portfolio.benchmark_market()[2].T0
+    assert main(["list", kind]) == 0
+    horizon = next(line for line in capsys.readouterr().out.splitlines() if line.strip().startswith("T:"))
+    assert f"T0 = {T0} " in horizon
+    with pytest.raises(ConfigError, match=f"T0={T0}"):
+        validate_config({"kind": kind, "params": {"T": T0}})
 
 
 def test_validate_fills_in_read_defaults():
