@@ -39,7 +39,8 @@ def _reader(cast, *bounds, many=False, size=None):
     many (of exactly size entries if size is given), and refuses an entry
     outside bounds, (operator, limit) pairs such as (">=", 2).  It refuses a
     bool, and a count refuses a float with a fraction, rather than misread
-    them.  Its range attribute is the text `spdecontrol list` shows."""
+    them; a float must be finite, since no run can use NaN or an infinity.
+    Its range attribute is the text `spdecontrol list` shows."""
     kind = cast.__name__
     if many:
         kind = f"list of {f'{size} ' if size else ''}{kind}s"
@@ -48,6 +49,8 @@ def _reader(cast, *bounds, many=False, size=None):
         if isinstance(value, bool) or (cast is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"expected {cast.__name__}")
         x = cast(value)
+        if cast is float and not math.isfinite(x):
+            raise ValueError(f"{x} is not finite")
         for op, limit in bounds:
             if not _COMPARE[op](x, limit):
                 raise ValueError(f"{x} is not {op} {limit}")
@@ -84,7 +87,7 @@ _PARAMS = {
         "t_values": (_reader(float, (">=", 0), many=True), [0.0, 0.25, 0.5, 0.75], "evaluation times, each < T0"),
         "z_values": (_reader(float, many=True), [-1.0, -0.5, 0.0, 0.5, 1.0], "density evaluation points"),
         "history_mean": (_real, 0.0, "realized conditioning mean m(t)"),
-        "tol_abs": (_real, 1e-8, "max |quadrature - closed form| allowed"),
+        "tol_abs": (_real, 1e-8, "max |quadrature - closed form| allowed; a large finite value switches the verdict off"),
     },
     "forward-convergence": {
         "t_end": (_positive, 0.1, "horizon of the diffusion oracle"),
@@ -111,7 +114,7 @@ _PARAMS = {
         "n_paths": (_at_least_2, 2000, "Monte Carlo paths"),
         "n_windows": (_at_least_1, 3, "time windows for localized directions"),
         "a_step": (_reader(float, (">", 0), ("<", 1)), 1e-3, "central difference step"),
-        "tol_tstat": (_real, 3.0, "verdict threshold on |t|"),
+        "tol_tstat": (_real, 3.0, "verdict threshold on |t|; a large finite value switches the verdict off"),
     },
     "zakai-benchmark": {
         "a": (_real, -0.5, "signal drift rate dX = aX dt + b dv"),
@@ -125,7 +128,7 @@ _PARAMS = {
         "n_steps": (_at_least_1, 100, "time steps at the base resolution"),
         "T": (_positive, 1.0, "horizon"),
         "n_particles": (_reader(int, (">=", 100)), 10000, "particle-filter oracle size"),
-        "tol_grid": (_real, 5e-2, "allowed |grid mean - Kalman mean|"),
+        "tol_grid": (_real, 5e-2, "allowed |grid mean - Kalman mean|; a large finite value switches the verdict off"),
         "refine_levels": (_at_least_1, 2, "number of halvings of dx and dt measured"),
         "factor_range": (_interval, [1.6, 2.6], "accepted per-halving error-reduction interval"),
     },

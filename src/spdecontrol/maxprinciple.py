@@ -180,10 +180,12 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, db, counts, perf
         np.minimum(run_min, Y[:, 1:-1], out=run_min)
         if perf is not None and u is not None:
             w = _weight_vec(chaos, z, t, m)
-            hvals = np.broadcast_to(np.asarray(perf.h(t, xs, Y, u, z), dtype=float), Y.shape)
-            # a row sum, not hvals @ wx: a BLAS product rounds each row
-            # differently for different block sizes
-            h_int += dt * w * np.sum(hvals * wx, axis=1)
+            h = np.asarray(perf.h(t, xs, Y, u, z), dtype=float)
+            # a row sum, not h @ wx: a BLAS product rounds each row
+            # differently for different block sizes.  An h without the
+            # paths' axis is one row, summed once for every path.
+            rows = np.broadcast_to(h, xs.shape if h.ndim < 2 else Y.shape)
+            h_int += dt * w * np.sum(rows * wx, axis=-1)
 
     return EnsembleResult(
         n_paths=nb,

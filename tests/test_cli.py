@@ -241,6 +241,11 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         ("stationarity", "{n_steps: 200.9}"),
         ("stationarity", "{n_paths: 2.5}"),
         ("stationarity", "{n_windows: true}"),
+        # non-finite floats: a NaN z and an infinite T crashed the run in
+        # the implicit solve; a large finite tolerance switches a verdict off
+        ("portfolio", "{z: .nan}"),
+        ("zakai-benchmark", "{T: .inf}"),
+        ("donsker-table", "{tol_abs: .inf}"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -435,6 +435,24 @@ def test_ensemble_independent_of_blocking():
     assert np.array_equal(a.w_terminal, b.w_terminal)
 
 
+@pytest.mark.parametrize("h", [0.0, 0.37, -1.25, "profile"])
+def test_profit_integral_of_h_without_paths_axis_equals_its_broadcast(h):
+    # an h without the paths' axis (a scalar or an (n_nodes,) profile) is
+    # summed over the nodes once per step for all paths; the integral equals
+    # that of the same h broadcast to (n_paths, n_nodes), bit for bit
+    market, spec, coeffs, op, _ = bench()
+    pol = pf.optimal_policy(market, spec)
+    tg = TimeGrid(0.0, 0.5, 20)
+    row = (lambda x: np.sin(3.0 * x) - 0.2) if h == "profile" else (lambda x: h)
+    by_row = PerformanceSpec(h=lambda t, x, y, u, z: row(x), k=lambda x, y, z: 0.0)
+    by_path = PerformanceSpec(h=lambda t, x, y, u, z: np.broadcast_to(row(x), y.shape).copy(),
+                              k=lambda x, y, z: 0.0)
+    a, b = (run_ensemble(coeffs, op, pol, 0.5, market.D, tg, chaos=spec, n_paths=37, seed=4,
+                         perf=perf).h_integral for perf in (by_row, by_path))
+    assert np.array_equal(a, b)
+    assert np.all(a == 0.0) == (h == 0.0)
+
+
 JUMP_LEVY = LevySpec(atoms=((0.5, 3.0),))
 JUMP_CHAOS = FirstOrderChaosSpec(
     beta=lambda t: 1.0, psi=lambda t, mark: mark, levy=JUMP_LEVY, T0=1.0

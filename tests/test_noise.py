@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdecontrol.errors import ModelMismatch
 from spdecontrol.noise import (
@@ -101,3 +103,77 @@ def test_compensated_jump_sum_is_centered():
     m = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(m) <= 3 * se
+
+
+# seeds of one to six uint32 words: SeedSequence pads fewer than four with
+# zeros and hashes the words beyond four into the pool one by one
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32, 2**64, 2**128]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**128 - 1),
+    st.integers(2**128, 2**192 - 1),
+)
+# a path index of two or more words moves the channel key's hash position
+PATHS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**80),
+)
+
+
+@st.composite
+def blocks(draw):
+    """A block of path indices: a range, or an unsorted list or int64 array
+    with repeated indices, mixing indices of one and of more words."""
+    kind = draw(st.sampled_from(["range", "list", "array"]))
+    if kind == "range":
+        start = draw(PATHS)
+        return range(start, start + draw(st.integers(1, 4)))
+    paths = draw(st.lists(PATHS, min_size=1, max_size=5))
+    paths = draw(st.permutations(paths + draw(st.lists(st.sampled_from(paths), max_size=2))))
+    if kind == "array":
+        return np.array([p % 2**63 for p in paths], dtype=np.int64)
+    return paths
+
+
+def numpy_stream(seed, path_index, key):
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(int(path_index), key))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, block=blocks(), channel=st.sampled_from([0, 9, 13]))
+def test_every_row_is_numpys_own_keyed_stream(seed, block, channel):
+    # the oracle is numpy's SeedSequence -> PCG64 -> Generator for the key
+    # (seed, path, 2 * channel + sub), sub 0 for increments, 1 for counts
+    grid = TimeGrid(0.0, 1.0, 6)
+    levy = LevySpec(atoms=((0.5, 2.0), (-1.0, 0.7)))
+    db = brownian_increment_matrix(grid, seed, block, channel)
+    counts = jump_count_matrices(grid, levy, seed, block, channel)
+    assert db.shape == (len(block), grid.n_steps)
+    for i, p in enumerate(block):
+        want = numpy_stream(seed, p, 2 * channel).standard_normal(grid.n_steps) * np.sqrt(grid.dt)
+        assert np.array_equal(db[i], want)
+        rng = numpy_stream(seed, p, 2 * channel + 1)
+        for a, (_, lam) in enumerate(levy.atoms):
+            assert np.array_equal(counts[a][i], rng.poisson(lam * grid.dt, grid.n_steps))
+
+
+@pytest.mark.parametrize(
+    "seed, paths, channel",
+    [(-1, [0], 0), (3, [-1], 0), (3, [0, 2**40, -2**40], 0), (3, np.array([5, -1]), 0), (3, [0], -1)],
+)
+def test_negative_seed_index_or_channel_raises_value_error(seed, paths, channel):
+    # as SeedSequence does; a cast to uint32 would wrap it to another stream
+    grid = TimeGrid(0.0, 1.0, 4)
+    levy = LevySpec(atoms=((0.5, 2.0),))
+    for sub in (0, 1):
+        with pytest.raises(ValueError):
+            numpy_stream(seed, paths[-1], 2 * channel + sub)
+    with pytest.raises(ValueError):
+        brownian_increment_matrix(grid, seed, paths, channel)
+    with pytest.raises(ValueError):
+        jump_count_matrices(grid, levy, seed, paths, channel)
+    with pytest.raises(ValueError):
+        sample_bundle(grid, levy, seed, paths[-1], channel)
