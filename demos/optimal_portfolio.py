@@ -27,7 +27,7 @@ candidates = {
 }
 
 print(f"initial proportion at z = {z}: "
-      f"{pf.optimal_pi(market, utility, spec, z, HistorySnapshot(t=0.0, accumulated_b=0.0)):.4f}")
+      f"{pf.optimal_pi(market, spec, z, HistorySnapshot(t=0.0, accumulated_b=0.0)):.4f}")
 
 results = pf.run_portfolio_experiment(
     market, utility, spec, z, candidates, tgrid, n_paths=4000, seed=0

@@ -73,9 +73,9 @@ _positive = _reader(float, (">", 0))
 _at_least_2 = _reader(int, (">=", 2))
 _at_least_1 = _reader(int, (">=", 1))
 _interval = _reader(float, many=True, size=2)
-# T0 of the model that portfolio and stationarity run
-_BENCHMARK_T0 = portfolio.benchmark_market()[2].T0
-_HORIZON = f"with T + T/n_steps <= T0 = {_BENCHMARK_T0}"
+# the insider variable of the model that portfolio and stationarity run
+_BENCHMARK_SPEC = portfolio.benchmark_market()[2]
+_HORIZON = f"with T + T/n_steps <= T0 = {_BENCHMARK_SPEC.T0}"
 
 # kind -> parameter -> (reader, default, description).  validate_config reads
 # every parameter with its reader and fills in the defaults, so a run gets
@@ -169,11 +169,10 @@ def _check_constraints(kind: str, p: dict):
         for t in p["t_values"]:
             need(t < p["T0"], f"t < T0 (t={t}, T0={p['T0']})")
     if kind in ("portfolio", "stationarity"):
-        T, T0 = p["T"], _BENCHMARK_T0
-        need(T < T0, f"T < T0 (T={T}, T0={T0})")
-        # the conditional density needs the horizon one step before T0
-        need(T * (1.0 + 1.0 / p["n_steps"]) <= T0 + 1e-12,
-             f"T + T/n_steps <= T0 (T={T}, n_steps={p['n_steps']}, T0={T0})")
+        try:
+            donsker._check_horizon(_BENCHMARK_SPEC, TimeGrid(0.0, p["T"], p["n_steps"]))
+        except ValueError as exc:
+            raise ConfigError(f"constraint violated: T < T0 with T + T/n_steps <= T0: {exc}") from None
     if kind == "zakai-benchmark":
         need(p["x_hi"] > p["x_lo"], "x_hi > x_lo")
 

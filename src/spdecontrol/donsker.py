@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVariance, DivisionUnstable, ModelMismatch, QuadratureFailure, UnknownMark
-from .noise import LevySpec, PathBundle
+from .noise import LevySpec, PathBundle, TimeGrid
 
 __all__ = [
     "FirstOrderChaosSpec",
@@ -205,6 +205,13 @@ def _check_time(spec: FirstOrderChaosSpec, t: float) -> float:
     if sigma2 < EPS_VAR:
         raise DegenerateVariance(f"residual variance {sigma2:.3e} below floor {EPS_VAR}")
     return sigma2
+
+
+def _check_horizon(spec: FirstOrderChaosSpec, tgrid: TimeGrid) -> None:
+    """t_end + dt <= T0 (to 1e-12): a weighted run keeps a step of residual variance at t_end."""
+    if tgrid.t_end > spec.T0 - tgrid.dt + 1e-12:
+        raise ValueError(f"horizon must stay at least one step before T0 "
+                         f"(t_end={tgrid.t_end}, dt={tgrid.dt}, T0={spec.T0})")
 
 
 def _jump_exponent(spec: FirstOrderChaosSpec, t: float):

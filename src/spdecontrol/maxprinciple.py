@@ -59,7 +59,7 @@ __all__ = [
     "verify_x_independent_stationarity",
 ]
 
-_EPS_VOL = 1e-12
+_EPS_VOL = 1e-8
 # paths swept together by run_ensemble; results are bit-identical for every
 # block size, so this only bounds memory
 _BLOCK_PATHS = 4096
@@ -152,6 +152,14 @@ def _trapezoid_weights(grid: SpatialGrid) -> np.ndarray:
     return w
 
 
+def _volatility(b0, t, z) -> float:
+    """b0(t, z), checked against the one volatility floor of a0/b0 and pi_hat."""
+    v = b0(t, z)
+    if abs(v) < _EPS_VOL:
+        raise DegenerateVolatility(f"|b0({t}, {z})| = {abs(v):.3e} below {_EPS_VOL}")
+    return v
+
+
 def _require_brownian(chaos, routine: str):
     if _has_jumps(chaos):
         raise ModelMismatch(f"{routine} advances the insider mean by beta dB only; "
@@ -232,16 +240,19 @@ def run_ensemble(
     nonlocal part and, when chaos has a jump part, the insider mean m, so a
     chaos that jumps on another measure raises ModelMismatch, as does perf
     without chaos (the profit rate is weighted by chaos's conditional
-    density).  An operator whose coefficient values carry the paths' axis
-    is one banded operator per path; the boundary rows of I - dt A are
-    identity rows, so each path is solved as if alone, bit for bit, whatever
-    its band (AssembledOperator.solve_implicit).  With a jump part, blocks
-    are cut to _JUMP_BAND_BYTES of diagonals at the widest band.
+    density), and a chaos with T0 < t_end + dt raises ValueError
+    (donsker._check_horizon).  An operator whose coefficient values carry
+    the paths' axis is one banded operator per path; the boundary rows of
+    I - dt A are identity rows, so each path is solved as if alone, bit for
+    bit, whatever its band (AssembledOperator.solve_implicit).  With a jump
+    part, blocks are cut to _JUMP_BAND_BYTES of diagonals at the widest band.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     _check_measure(op, chaos)
-    if perf is not None and chaos is None:
+    if chaos is not None:
+        donsker._check_horizon(chaos, tgrid)
+    elif perf is not None:
         raise ModelMismatch("perf weights the profit rate by the conditional density of chaos; "
                             "run_ensemble got perf without chaos")
     controls = control if isinstance(control, tuple) else (control,)
@@ -323,11 +334,6 @@ def estimate_j(
     """
     if levy is not None and levy != op.levy:
         raise ModelMismatch(f"levy={levy} is not the model's measure op.levy = {op.levy}")
-    if chaos is None:
-        raise ModelMismatch("perf weights the profit rate by the conditional density of chaos; "
-                            "estimate_j got no chaos")
-    if tgrid.t_end > chaos.T0 - tgrid.dt + 1e-12:
-        raise ValueError("horizon must stay at least one step before T0")
     results = run_ensemble(
         coeffs, op, control if isinstance(control, tuple) else (control,), z, grid, tgrid,
         chaos=chaos, n_paths=n_paths, seed=seed, perf=perf,
@@ -501,13 +507,8 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     db = np.asarray(db, dtype=float)
     if db.ndim != 2 or db.shape[1] != tgrid.n_steps:
         raise ModelMismatch(f"Brownian increments of shape {db.shape} for a {tgrid.n_steps}-step grid")
-    if callable(pi):
-        pi = ControlPolicy(rule=lambda k, t, x, z_, hist, f=pi: f(t, z_))
     times, dt = tgrid.nodes[:-1], tgrid.dt
-    vol = [b0(t, z) for t in times]
-    for t, v in zip(times, vol):
-        if abs(v) < _EPS_VOL:
-            raise DegenerateVolatility(f"|b0({t}, {z})| below {_EPS_VOL}")
+    vol = [_volatility(b0, t, z) for t in times]
     shift = [a0(t, z) / v for t, v in zip(times, vol)]
     u = np.empty((tgrid.n_steps, len(db)))
     m = np.zeros(len(db))
@@ -522,8 +523,8 @@ def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *
     """Scalar adjoint martingale along each path of a block: the stochastic
     exponential of (b0 pi - a0/b0) dB on the Brownian increments db (n_paths,
     n_steps) of brownian_increment_matrix, scaled to the supplied terminal
-    value.  pi is an x-independent ControlPolicy or a plain callable
-    (t, z) -> value.  The insider variable, if given, must be Gaussian.
+    value.  pi is an x-independent ControlPolicy.  The insider variable, if
+    given, must be Gaussian.
     """
     theta, _ = _adjoint_integrand(a0, b0, pi, tgrid, db, z, chaos)
     start = np.zeros((len(db), 1))

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import donsker
 from .donsker import FirstOrderChaosSpec, HistorySnapshot
-from .errors import DegenerateVolatility, WealthNonpositive
+from .errors import WealthNonpositive
 from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, _write_csv
-from .maxprinciple import PerformanceEstimate, PerformanceSpec, _adjoint_integrand, run_ensemble
+from .maxprinciple import PerformanceEstimate, PerformanceSpec, _adjoint_integrand, _volatility, run_ensemble
 from .noise import TimeGrid
 
 __all__ = [
@@ -36,13 +36,11 @@ __all__ = [
     "benchmark_market",
 ]
 
-_EPS_VOL = 1e-8
-
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """Drift a0(t,z), volatility b0(t,z) with |b0| >= _EPS_VOL, positive initial
-    wealth profile alpha_init(x), and the spatial domain D."""
+    """Drift a0(t,z), volatility b0(t,z) with |b0| >= maxprinciple._EPS_VOL,
+    positive initial wealth profile alpha_init(x), and the spatial domain D."""
 
     a0: object
     b0: object
@@ -50,10 +48,7 @@ class MarketSpec:
     D: SpatialGrid
 
     def vol(self, t, z) -> float:
-        v = self.b0(t, z)
-        if abs(v) < _EPS_VOL:
-            raise DegenerateVolatility(f"|b0({t}, {z})| = {abs(v):.3e} below {_EPS_VOL}")
-        return v
+        return _volatility(self.b0, t, z)
 
 
 @dataclass(frozen=True)
@@ -127,33 +122,27 @@ def log_utility_performance(market: MarketSpec, utility: UtilitySpec) -> Perform
     return PerformanceSpec(h=lambda t, x, y, u, z: 0.0, k=k)
 
 
-def optimal_pi(
-    market: MarketSpec,
-    utility: UtilitySpec,
-    spec: FirstOrderChaosSpec,
-    z,
-    hist: HistorySnapshot,
-) -> float:
+def _pi_hat(market: MarketSpec, spec: FirstOrderChaosSpec, z, t, m) -> float | np.ndarray:
+    """pi_hat = phi1/b0 + a0/b0^2 at time t from the compensated mean m, a scalar or per path."""
+    vol = market.vol(t, z)
+    return donsker.phi1_from_mean(spec, z, t, m) / vol + market.a0(t, z) / vol**2
+
+
+def optimal_pi(market: MarketSpec, spec: FirstOrderChaosSpec, z, hist: HistorySnapshot) -> float:
     """Closed-form optimal insider proportion at the snapshot time.
 
     The utility weight k(x, z) is deterministic given z, so it cancels from
     the drift ratio entirely and the proportion reads only the information
     drift phi1.
     """
-    vol = market.vol(hist.t, z)
-    return donsker.phi1(spec, z, hist) / vol + market.a0(hist.t, z) / vol**2
+    return _pi_hat(market, spec, z, hist.t, donsker.effective_mean(spec, hist))
 
 
 def optimal_policy(market: MarketSpec, spec: FirstOrderChaosSpec) -> ControlPolicy:
     """x-independent policy evaluating the optimal proportion from the running
     compensated mean; vectorizes over ensemble paths."""
-
-    def rule(k, t, x, z, hist):
-        vol = market.vol(t, z)
-        phi = donsker.phi1_from_mean(spec, z, t, hist.m)
-        return phi / vol + market.a0(t, z) / vol**2
-
-    return ControlPolicy(rule=rule, mode="x-independent")
+    return ControlPolicy(rule=lambda k, t, x, z, hist: _pi_hat(market, spec, z, t, hist.m),
+                         mode="x-independent")
 
 
 def constant_policy(value: float) -> ControlPolicy:
@@ -187,8 +176,6 @@ def run_portfolio_experiment(
     rejected and counted; a candidate with fewer than two accepted paths
     raises WealthNonpositive.
     """
-    if tgrid.t_end > spec.T0 - tgrid.dt + 1e-12:
-        raise ValueError("horizon must stay at least one step before T0")
     coeffs, op = wealth_dynamics(market)
     grid = market.D
     xs = grid.nodes()
@@ -246,7 +233,7 @@ def martingale_match_check(
     discretizations; at the optimal control the defect is O(sqrt(dt)).
     """
     K_total = utility.k_total(market.D, z)
-    theta, m = _adjoint_integrand(market.a0, market.vol, control, tgrid, db, z, spec)
+    theta, m = _adjoint_integrand(market.a0, market.b0, control, tgrid, db, z, spec)
     # summed step by step, as the adjoint's exact method sums it
     expo = np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1)[:, -1]
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BoundaryViolation,
+    ControlShapeMismatch,
     DegenerateCurvature,
     MassCollapse,
     ModelMismatch,
@@ -172,22 +173,26 @@ def sample_initial_states(
     model: SignalModel, sgrid: SpatialGrid, n: int, seed: int, channel: int = 3, *, z
 ) -> np.ndarray:
     """Draw n initial signal states from F_init(., z) by inverse transform on
-    the grid."""
+    the grid; MassCollapse if F_init has no mass there."""
     xs = sgrid.nodes()
     f = _full(model.F_init(xs, z), xs.shape)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * sgrid.dx)))
+    if not cdf[-1] > 0:
+        raise MassCollapse(f"initial density has mass {cdf[-1]:.3e} on the grid")
     cdf /= cdf[-1]
     u = _rng(seed, 0, channel, 0).uniform(size=n)
     return np.interp(u, cdf, xs)
 
 
 def _control_value(control, k, t, z):
-    """The control of step k.  The filtering routines carry no insider mean,
-    so the rule sees m = NaN; a rule that reads it raises ModelMismatch."""
+    """The control of step k, a single value.  The filtering routines carry no
+    insider mean, so the rule sees m = NaN; a rule that reads it raises ModelMismatch."""
     if control is None:
         return 0.0
     u = control.values(k, t, None, z, PathHistory(m=np.full(1, np.nan)))
-    u = float(np.broadcast_to(u, (1,))[0])
+    if u.shape not in ((), (1,)):
+        raise ControlShapeMismatch(f"control rule returned shape {u.shape}, not one value per step")
+    u = u.item()
     if not math.isfinite(u):
         raise ModelMismatch(f"control rule gave {u} at step {k}: the filtering routines "
                             "carry no insider mean for it to read")

@@ -25,6 +25,7 @@ from spdecontrol.donsker import (
 )
 from spdecontrol.errors import (
     DegenerateVariance,
+    DivisionUnstable,
     ModelMismatch,
     QuadratureFailure,
     UnknownMark,
@@ -343,6 +344,15 @@ def test_phi1_from_mean_vectorizes():
     out = phi1_from_mean(spec, 0.3, 0.25, ms)
     singles = [phi1_from_mean(spec, 0.3, 0.25, float(m)) for m in ms]
     assert np.allclose(out, singles, atol=1e-10)
+
+
+def test_phi1_from_mean_refuses_a_density_at_the_division_floor():
+    # far in the tail the quadrature's density is rounding noise of either
+    # sign; a zero moment stands for it
+    zero = lambda spec, z, t, m, factor, sigma2: np.zeros(np.shape(m))
+    with mock.patch.object(donsker, "_fourier_moment", zero):
+        with pytest.raises(DivisionUnstable, match="z=0.3"):
+            phi1_from_mean(jump_spec(), 0.3, 0.25, np.array([-0.2, 0.0]))
 
 
 def test_malliavin_n_unknown_mark():

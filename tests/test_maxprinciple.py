@@ -179,6 +179,15 @@ def test_estimate_j_rejects_horizon_at_t0():
         estimate_j(coeffs, op, const_policy(0.0), perf, spec, 0.5, market.D, tg, 10, 0)
 
 
+def test_run_ensemble_rejects_horizon_within_a_step_of_t0():
+    # every weighted run goes through run_ensemble, which keeps t_end + dt <= T0
+    market, spec, coeffs, op, _ = bench()
+    tg = TimeGrid(0.0, 0.95, 10)
+    with pytest.raises(ValueError, match="one step before T0"):
+        run_ensemble(coeffs, op, const_policy(0.3), 0.5, market.D, tg, chaos=spec, n_paths=2)
+    run_ensemble(coeffs, op, const_policy(0.3), 0.5, market.D, TimeGrid(0.0, 0.9, 10), chaos=spec, n_paths=2)
+
+
 def test_perturbed_policy_clamp_and_step_guard():
     base = const_policy(0.9, bounds=(-1.0, 1.0))
     d = direction(1.0, K=1.0)
@@ -354,7 +363,7 @@ def test_sensitivity_residual_rejects_direction_beyond_its_bound():
 )
 def test_reduced_adjoint_block_rows_equal_single_path_calls(policy, n_paths, n_steps, terminal, seed):
     market, _, spec = pf.benchmark_market(8)
-    pi = pf.optimal_policy(market, spec) if policy else (lambda t, z: 0.2 + t)
+    pi = pf.optimal_policy(market, spec) if policy else ControlPolicy(rule=lambda k, t, x, z, hist: 0.2 + t)
     tg = TimeGrid(0.0, 0.4, n_steps)
     block = reduced_adjoint_block(
         market.a0, market.b0, pi, terminal, tg, brownian_increment_matrix(tg, seed, range(n_paths)),
@@ -374,7 +383,7 @@ def test_reduced_adjoint_block_rows_equal_single_path_calls(policy, n_paths, n_s
 def test_reduced_adjoint_block_rejects_increments_off_the_grid(shape):
     tg = TimeGrid(0.0, 0.5, 10)
     with pytest.raises(ModelMismatch):
-        reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.3, 1.0, tg,
+        reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 0.3, const_policy(1.3), 1.0, tg,
                               np.zeros(shape), 0.0)
 
 
@@ -383,7 +392,7 @@ def test_reduced_adjoint_constant_when_integrand_vanishes():
     b = sample_bundle(tg, LevySpec(), 3, 0)
     a0 = lambda t, z: 0.1
     b0 = lambda t, z: 0.3
-    path = reduced_adjoint_solve(a0, b0, lambda t, z: 0.1 / 0.09, 2.5, b, 0.0)
+    path = reduced_adjoint_solve(a0, b0, const_policy(0.1 / 0.09), 2.5, b, 0.0)
     assert np.ptp(path.values) == 0.0
     assert path.values[0] == pytest.approx(2.5)
 
@@ -391,7 +400,7 @@ def test_reduced_adjoint_constant_when_integrand_vanishes():
 def test_reduced_adjoint_sign_constant_and_terminal_match():
     tg = TimeGrid(0.0, 0.5, 100)
     b = sample_bundle(tg, LevySpec(), 5, 1)
-    path = reduced_adjoint_solve(lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.3, -2.0, b, 0.0)
+    path = reduced_adjoint_solve(lambda t, z: 0.1, lambda t, z: 0.3, const_policy(1.3), -2.0, b, 0.0)
     assert np.all(path.values < 0)
     assert path.values[-1] == pytest.approx(-2.0, abs=1e-12)
 
@@ -400,7 +409,15 @@ def test_reduced_adjoint_degenerate_volatility():
     tg = TimeGrid(0.0, 0.5, 10)
     b = sample_bundle(tg, LevySpec(), 1, 0)
     with pytest.raises(DegenerateVolatility):
-        reduced_adjoint_solve(lambda t, z: 0.1, lambda t, z: 0.0, lambda t, z: 1.0, 1.0, b, 0.0)
+        reduced_adjoint_solve(lambda t, z: 0.1, lambda t, z: 0.0, const_policy(1.0), 1.0, b, 0.0)
+
+
+def test_reduced_adjoint_block_keeps_the_market_volatility_floor():
+    # one floor for the adjoint and for MarketSpec.vol: 1e-10 is below it
+    tg = TimeGrid(0.0, 0.5, 10)
+    with pytest.raises(DegenerateVolatility):
+        reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 1e-10, const_policy(1.0), 1.0, tg,
+                              brownian_increment_matrix(tg, 1, range(3)), 0.0)
 
 
 def test_ensemble_paths_bitwise_match_single_solver():
@@ -750,7 +767,7 @@ def test_ensemble_perf_without_chaos_raises():
 
 def test_estimate_j_without_chaos_raises():
     perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
-    with pytest.raises(ModelMismatch, match="no chaos"):
+    with pytest.raises(ModelMismatch, match="without chaos"):
         estimate_j(COEFFS, OP, const_policy(0.3), perf, None, 0.0, SpatialGrid(0.0, 1.0, 8),
                    TimeGrid(0.0, 0.1, 2), 4, 0)
 
@@ -772,7 +789,7 @@ def test_brownian_only_routines_reject_jump_insider_variable():
     b = sample_bundle(tg, JUMP_LEVY, 1, 0)
     with pytest.raises(ModelMismatch):
         reduced_adjoint_solve(
-            lambda t, z: 0.1, lambda t, z: 0.3, lambda t, z: 1.0, 1.0, b, 0.0, chaos=JUMP_CHAOS
+            lambda t, z: 0.1, lambda t, z: 0.3, const_policy(1.0), 1.0, b, 0.0, chaos=JUMP_CHAOS
         )
     op = replace(OP, levy=JUMP_LEVY)
     pol = const_policy(0.3)

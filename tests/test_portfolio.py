@@ -22,7 +22,7 @@ def test_optimal_pi_pure_information_term():
     )
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, T0=1.0)
     hist = HistorySnapshot(t=0.5, accumulated_b=0.0)
-    val = pf.optimal_pi(market, pf.UtilitySpec(), spec, 1.0, hist)
+    val = pf.optimal_pi(market, spec, 1.0, hist)
     assert val == pytest.approx(2.0, abs=1e-10)
 
 
@@ -35,18 +35,8 @@ def test_optimal_pi_merton_term_only_at_mean():
     )
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, T0=1.0)
     hist = HistorySnapshot(t=0.3, accumulated_b=0.7)
-    val = pf.optimal_pi(market, pf.UtilitySpec(), spec, 0.7, hist)
+    val = pf.optimal_pi(market, spec, 0.7, hist)
     assert val == pytest.approx(0.1 / 0.25, abs=1e-10)
-
-
-def test_optimal_pi_independent_of_deterministic_weight_scale():
-    market, _, spec = pf.benchmark_market(8)
-    hist = HistorySnapshot(t=0.4, accumulated_b=0.2)
-    u1 = pf.UtilitySpec(k_weight=lambda x, z: 1.0 + 0.0 * np.asarray(x))
-    u10 = pf.UtilitySpec(k_weight=lambda x, z: 10.0 + 0.0 * np.asarray(x))
-    v1 = pf.optimal_pi(market, u1, spec, 0.9, hist)
-    v10 = pf.optimal_pi(market, u10, spec, 0.9, hist)
-    assert v1 == pytest.approx(v10, abs=1e-12)
 
 
 def test_degenerate_volatility_raises():
@@ -58,7 +48,7 @@ def test_degenerate_volatility_raises():
     )
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, T0=1.0)
     with pytest.raises(DegenerateVolatility):
-        pf.optimal_pi(market, pf.UtilitySpec(), spec, 0.5, HistorySnapshot(t=0.2, accumulated_b=0.0))
+        pf.optimal_pi(market, spec, 0.5, HistorySnapshot(t=0.2, accumulated_b=0.0))
 
 
 def test_zero_weight_gives_zero_performance():
@@ -184,7 +174,8 @@ def test_martingale_match_degenerate_horizon():
 
 
 def test_martingale_match_keeps_the_market_volatility_floor():
-    # |b0| = 1e-10 passes the adjoint's own floor but not the market's _EPS_VOL
+    # |b0| = 1e-10 is below the one volatility floor, which the adjoint's
+    # step loop applies to the market's b0 as MarketSpec.vol does
     market, utility, spec = pf.benchmark_market(8)
     market = pf.MarketSpec(a0=market.a0, b0=lambda t, z: 1e-10,
                            alpha_init=market.alpha_init, D=market.D)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from spdecontrol import zakai as zk
 from spdecontrol.errors import (
     BoundaryViolation,
+    ControlShapeMismatch,
     DegenerateCurvature,
     MassCollapse,
     ModelMismatch,
+    WeightDegeneracy,
 )
 from spdecontrol.forward import ControlPolicy, SpatialGrid
 from spdecontrol.maxprinciple import PerformanceEstimate
@@ -54,6 +56,13 @@ def test_initial_mass_validation():
     )
     with pytest.raises(ValueError):
         bad.check_initial_mass(SGRID, 0.0)
+
+
+def test_sample_initial_states_rejects_an_initial_law_without_mass():
+    # the inverse transform would divide by the zero total and draw NaN states
+    model = replace(linear_model(), F_init=lambda x, z: np.zeros_like(np.asarray(x)))
+    with pytest.raises(MassCollapse):
+        zk.sample_initial_states(model, SGRID, 5, 0, z=0.0)
 
 
 def test_zero_observation_function_gives_brownian_observations():
@@ -569,6 +578,14 @@ def test_particle_filter_minimum_size():
         zk.particle_filter_oracle(linear_model(), obs, 50, 0, sgrid=SGRID)
 
 
+def test_particle_filter_raises_on_weight_degeneracy():
+    # one huge observation increment leaves all the weight on one particle
+    tg = TimeGrid(0.0, 0.1, 2)
+    obs = zk.ObservationPath(grid=tg, increments=np.full(2, 1e3))
+    with pytest.raises(WeightDegeneracy):
+        zk.particle_filter_oracle(linear_model(), obs, 100, 0, sgrid=SGRID)
+
+
 def test_kalman_bucy_trivial_cases():
     tg = TimeGrid(0.0, 1.0, 100)
     obs = zk.ObservationPath(grid=tg, increments=np.zeros(100))
@@ -824,3 +841,20 @@ def test_filtering_routines_reject_a_control_that_reads_the_insider_mean(routine
     calls[routine](ControlPolicy(rule=lambda k, t, x, z, hist: 0.5))
     with pytest.raises(ModelMismatch):
         calls[routine](ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 10.0 * hist.m))
+
+
+@pytest.mark.parametrize("routine", ["solve_zakai", "particle_filter_oracle"])
+@pytest.mark.parametrize("n_values", [41, 3])
+def test_filtering_routines_reject_a_control_with_more_than_one_value(routine, n_values):
+    # the filtering routines take one control value per step
+    model = linear_model()
+    tg = TimeGrid(0.0, 0.2, 4)
+    obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 1, [0], 1)[0])
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(n_values, 0.5))
+    calls = {
+        "solve_zakai": lambda: zk.solve_zakai(model, pol, 0.0, obs, SGRID),
+        "particle_filter_oracle": lambda: zk.particle_filter_oracle(
+            model, obs, 100, 1, sgrid=SGRID, control=pol),
+    }
+    with pytest.raises(ControlShapeMismatch, match=rf"\({n_values},\)"):
+        calls[routine]()
