@@ -10,9 +10,7 @@ import math
 import numpy as np
 
 from spdecontrol import portfolio as pf
-from spdecontrol.forward import ControlPolicy
 from spdecontrol.maxprinciple import (
-    PerturbationDirection,
     gateaux_derivative,
     reduced_adjoint_block,
     verify_x_independent_stationarity,
@@ -27,9 +25,7 @@ z = 0.5
 tgrid = TimeGrid(0.0, 0.5, 100)
 
 print("Gateaux derivative in a constant direction (common random numbers):")
-direction = PerturbationDirection(
-    beta0=ControlPolicy(rule=lambda k, t, x, z_, hist: 1.0), K_bound=1.0
-)
+direction = lambda k, t, x, z_, hist: 1.0
 for name, policy in (("at optimum", pol), ("shifted +0.5", pf.shifted_policy(pol, 0.5))):
     est = gateaux_derivative(
         coeffs, op, policy, direction, perf, spec, z, market.D, tgrid,

@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__, donsker, portfolio, zakai
 from .donsker import FirstOrderChaosSpec, HistorySnapshot
-from .errors import ConfigError, NumericalCheckFailure
+from .errors import ConfigError, DegenerateVariance, NumericalCheckFailure
 from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, _write_csv, solve_forward
 from .maxprinciple import verify_x_independent_stationarity
 from .noise import LevySpec, PathBundle, TimeGrid, sample_bundle
@@ -166,8 +166,12 @@ def _check_constraints(kind: str, p: dict):
             raise ConfigError(f"constraint violated: {what}")
 
     if kind == "donsker-table":
+        spec = _donsker_spec(p)
         for t in p["t_values"]:
-            need(t < p["T0"], f"t < T0 (t={t}, T0={p['T0']})")
+            try:
+                donsker._check_time(spec, t)
+            except DegenerateVariance as exc:
+                raise ConfigError(f"constraint violated: t_values: {exc}") from None
     if kind in ("portfolio", "stationarity"):
         try:
             donsker._check_horizon(_BENCHMARK_SPEC, TimeGrid(0.0, p["T"], p["n_steps"]))
@@ -280,14 +284,18 @@ def _orders(errors):
     return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
 
 
-def _run_donsker_table(p, seed, out: Path):
-    T0 = p["T0"]
+def _donsker_spec(p) -> FirstOrderChaosSpec:
+    """The insider variable of a donsker-table config: beta = beta_const on [0, T0]."""
     beta_const = p["beta_const"]
+    return FirstOrderChaosSpec(beta=lambda s: beta_const, T0=p["T0"])
+
+
+def _run_donsker_table(p, seed, out: Path):
     t_values = p["t_values"]
     z_values = p["z_values"]
     m0 = p["history_mean"]
     tol = p["tol_abs"]
-    spec = FirstOrderChaosSpec(beta=lambda s: beta_const, T0=T0)
+    spec = _donsker_spec(p)
     rows = []
     worst = 0.0
     for t in t_values:

@@ -52,7 +52,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 EPS_VAR = 1e-12
-EPS_DIV = 1e-300
 NEG_CLAMP_REL = 1e-10
 # exp(-37) ~ 9e-17: transform truncated where Gaussian damping is below this
 _TAIL_EXPONENT = 37.0
@@ -401,7 +400,10 @@ def phi1(spec, z, hist):
 
 def phi1_from_mean(spec, z, t, m):
     """phi1 evaluated from the compensated mean m(t); m may be an array.
-    Closed form for a Gaussian spec, Fourier quadrature otherwise."""
+    Closed form for a Gaussian spec, Fourier quadrature otherwise.  A
+    quadrature density at or below _FOURIER_TOL, the tolerance the quadrature
+    is resolved to, is rounding noise, and so would be the ratio: it raises
+    DivisionUnstable."""
     if spec.is_gaussian:
         return gaussian_phi1(spec, z, t, m)
     sigma2 = _check_time(spec, t)
@@ -409,8 +411,9 @@ def phi1_from_mean(spec, z, t, m):
     den = _fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2)
     num = _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2)
     den = np.asarray(den, dtype=float)
-    if np.any(den <= EPS_DIV):
-        raise DivisionUnstable(f"conditional density below division floor at z={z}")
+    if np.any(den <= _FOURIER_TOL):
+        raise DivisionUnstable(f"conditional density at or below the quadrature tolerance "
+                               f"{_FOURIER_TOL} at z={z}")
     out = np.asarray(num, dtype=float) / den
     return out if np.ndim(m) else float(out)
 

@@ -9,7 +9,7 @@ There is one stepper, step_forward, and it advances a block of paths held as
 an (n_paths, n_nodes) array; a single-path solve is an ensemble of one.  One
 Levy measure, OperatorSpec.levy, drives every jump of a run: jumps enter as
 per-atom event counts N_a over a step, compensated by lam_a dt, in the state
-and in the compensated insider mean m(t) (advance_mean) alike.
+and in the compensated insider mean m(t) (insider_means) alike.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ __all__ = [
     "StateField",
     "AssembledOperator",
     "assemble_operator",
-    "advance_mean",
+    "insider_means",
     "step_forward",
     "solve_forward",
     "weak_residual",
@@ -123,8 +123,9 @@ class PathHistory:
     """What a control rule may look at besides its step, time, nodes and z:
     the compensated insider mean.
 
-    m is an (n_paths,) array, one entry per path of the block the rule is
-    evaluated for; a single path is a block of one.
+    m is a read-only (n_paths,) array, one entry per path of the block the
+    rule is evaluated for (a single path is a block of one): a row of the
+    block's insider_means, which every control swept on the block shares.
     """
 
     m: np.ndarray
@@ -398,29 +399,36 @@ def _bundle_noise(bundle: PathBundle):
     return bundle.brownian_increments[None], [n[None] for n in bundle.jump_counts]
 
 
-def advance_mean(chaos, m, t, dt, db_k, counts_k=()):
-    """Compensated insider mean m(t) advanced across the step [t, t + dt).
+def insider_means(chaos, tgrid: TimeGrid, db, counts=()) -> np.ndarray:
+    """Compensated insider mean m(t_k) at every node k = 0..n_steps of the
+    block of paths with Brownian increments db (n_paths, n_steps) and event
+    counts counts[a] (n_paths, n_steps) of atom a of chaos.levy, as one
+    read-only (n_steps + 1, n_paths) array.
 
-    m + beta(t) dB + sum_a psi(t, mark_a) (N_a - lam_a dt), where N_a =
-    counts_k[a] counts the events of atom a of chaos.levy in the step.  Every
-    integrand is taken at the left endpoint t, the compensator's too, so the
-    compensator int psi lam ds is the left-endpoint rule.  m, db_k and the
-    counts are scalars or (n_paths,) arrays.  A Gaussian chaos reads no
-    counts; a jumping one reads the state's, drawn on op.levy, which the
-    forward routines check to be chaos.levy once per run (_check_measure).
-    chaos None leaves m unchanged.
+    m(t_0) = 0, and the step [t, t + dt) adds beta(t) dB + sum_a psi(t,
+    mark_a) (N_a - lam_a dt).  Every integrand is taken at the left endpoint
+    t, the compensator's too, so the compensator int psi lam ds is the
+    left-endpoint rule.  A Gaussian chaos reads no counts; a jumping one reads
+    the state's, drawn on op.levy, which the forward routines check to be
+    chaos.levy once per run (_check_measure).  chaos None gives zeros.  m
+    depends on the noise only, never on a control, so it is computed once
+    per block and shared by every control swept on it.
     """
-    if chaos is None:
-        return m
-    m = m + chaos.beta(t) * db_k
-    if _has_jumps(chaos):
-        for a, (mark, lam) in enumerate(chaos.levy.atoms):
-            m = m + chaos.psi(t, mark) * counts_k[a] - dt * lam * chaos.psi(t, mark)
+    m = np.zeros((tgrid.n_steps + 1, len(db)))
+    if chaos is not None:
+        for k, t in enumerate(tgrid.nodes[:-1]):
+            m_k = m[k] + chaos.beta(t) * db[:, k]
+            if _has_jumps(chaos):
+                for a, (mark, lam) in enumerate(chaos.levy.atoms):
+                    m_k = m_k + chaos.psi(t, mark) * counts[a][:, k] - tgrid.dt * lam * chaos.psi(t, mark)
+            m[k + 1] = m_k
+    m.flags.writeable = False
     return m
 
 
 def _block_control(control: ControlPolicy, k, t, xs, z, m):
-    """Control values at step k for the block of len(m) paths, shaped to
+    """Control values at step k for the block of len(m) paths, whose insider
+    mean at t is m (a row of insider_means), shaped to
     broadcast against the (n_paths, n_nodes) state block: an x-dependent rule
     gives one profile (n_nodes,) shared by all paths, read as a read-only
     (n_paths, n_nodes) view, or one per path (n_paths, n_nodes); an
@@ -524,36 +532,33 @@ def step_forward(
     return Y
 
 
-def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, counts, chaos):
+def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, counts, means):
     """Drive step_forward over the time grid for the block of paths with
     Brownian increments db (n_paths, n_steps) and event counts counts[a]
-    (n_paths, n_steps) of atom a of op.levy; a jumping chaos must be on
-    op.levy (checked by the caller, _check_measure).
+    (n_paths, n_steps) of atom a of op.levy.  means is the block's
+    insider_means, computed once per block by the caller and read-only, so
+    every control swept on the block sees the same m(t_k) in PathHistory.m.
 
-    Yields (t_k, Y, u, m) at every node k = 0..n_steps: the state block, the
-    control of the step from t_k (None at the last node) and the insider mean.
-    Each step's operator comes from _step_operator at (t_k, u), which hands
-    back the previous one while the coefficient values stay the same.
+    Yields (t_k, Y, u) at every node k = 0..n_steps: the state block and the
+    control of the step from t_k (None at the last node).  Each step's
+    operator comes from _step_operator at (t_k, u), which hands back the
+    previous one while the coefficient values stay the same.
     """
     xs = grid.nodes()
-    dt = tgrid.dt
     y0 = np.asarray(coeffs.xi(xs, z), dtype=float) if coeffs.xi is not None else np.zeros_like(xs)
     Y = np.tile(np.broadcast_to(y0, (grid.n_nodes,)), (len(db), 1))
     Y[:, 0] = coeffs.boundary(tgrid.t_start, xs[0])
     Y[:, -1] = coeffs.boundary(tgrid.t_start, xs[-1])
-    m = np.zeros(len(db))
     operator = None
     for k, t in enumerate(tgrid.nodes[:-1]):
-        u = _block_control(control, k, t, xs, z, m)
-        yield t, Y, u, m
-        db_k, counts_k = db[:, k], [c[:, k] for c in counts]
+        u = _block_control(control, k, t, xs, z, means[k])
+        yield t, Y, u
         operator = _step_operator(op, grid, xs, t, u, z, operator)
         Y = step_forward(
             Y, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
-            db_k=db_k, counts_k=counts_k, assembled=operator[0],
+            db_k=db[:, k], counts_k=[c[:, k] for c in counts], assembled=operator[0],
         )
-        m = advance_mean(chaos, m, t, dt, db_k, counts_k)
-    yield tgrid.nodes[-1], Y, None, m
+    yield tgrid.nodes[-1], Y, None
 
 
 def solve_forward(
@@ -575,9 +580,10 @@ def solve_forward(
     """
     _check_measure(op, chaos, bundle)
     db, counts = _bundle_noise(bundle)
-    sweep = _sweep(coeffs, op, control, z, grid, bundle.grid, db, counts, chaos)
+    means = insider_means(chaos, bundle.grid, db, counts)
+    sweep = _sweep(coeffs, op, control, z, grid, bundle.grid, db, counts, means)
     values = np.empty((bundle.grid.n_steps + 1, grid.n_nodes))
-    for k, (_, Y, _, _) in enumerate(sweep):
+    for k, (_, Y, _) in enumerate(sweep):
         values[k] = Y[0]
     return StateField(grid=grid, tgrid=bundle.grid, values=values)
 
@@ -608,15 +614,14 @@ def weak_residual(
     xs = grid.nodes()
     dt = tgrid.dt
     db, counts = _bundle_noise(bundle)
-    m = np.zeros(1)
+    means = insider_means(chaos, tgrid, db, counts)
 
     acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
     for k, t in enumerate(tgrid.nodes[:-1]):
         Y = field.values[k][None]
-        u = _block_control(control, k, t, xs, z, m)
+        u = _block_control(control, k, t, xs, z, means[k])
         counts_k = [c[:, k] for c in counts]
         explicit = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db[:, k], counts_k) - Y
         A = _step_operator(op, grid, xs, t, u, z)[0]
         acc -= grid.inner((dt * A.apply(Y) + explicit)[0], phi)
-        m = advance_mean(chaos, m, t, dt, db[:, k], counts_k)
     return abs(acc)

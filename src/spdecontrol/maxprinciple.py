@@ -1,5 +1,5 @@
-"""Hamiltonian evaluation, Monte Carlo performance estimators, perturbation
-directions, the sensitivity process, the reduced adjoint equation, and
+"""Hamiltonian evaluation, Monte Carlo performance estimators, perturbed
+policies, the sensitivity process, the reduced adjoint equation, and
 simulation-based verification of the first-order optimality conditions.
 
 The general backward adjoint equation is deliberately not solved here;
@@ -28,8 +28,8 @@ from .forward import (
     _has_jumps,
     _step_operator,
     _sweep,
-    advance_mean,
     assemble_operator,
+    insider_means,
     solve_forward,
 )
 from .noise import (
@@ -44,7 +44,6 @@ __all__ = [
     "PerformanceSpec",
     "AdjointTriple",
     "ReducedAdjointPath",
-    "PerturbationDirection",
     "PerformanceEstimate",
     "EnsembleResult",
     "run_ensemble",
@@ -96,14 +95,6 @@ class ReducedAdjointPath:
 
     values: np.ndarray
     p0: object
-
-
-@dataclass(frozen=True)
-class PerturbationDirection:
-    """Bounded base direction with the admissibility clamp built in."""
-
-    beta0: ControlPolicy
-    K_bound: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -166,16 +157,25 @@ def _require_brownian(chaos, routine: str):
                             "it does not support a jump insider variable")
 
 
-def _weight_vec(chaos, z, t, m):
+def _density_weights(chaos, z, tgrid: TimeGrid, means, perf):
+    """The conditional density of chaos at z along each path of a block whose
+    insider_means are means, one read-only row per time: at t_0..t_{n-1},
+    where perf's profit rate is weighted, when perf is given, and last at
+    the horizon tgrid.t_end.  None without chaos."""
     if chaos is None:
         return None
-    return donsker.delta_from_mean(chaos, z, t, np.asarray(m, dtype=float))
+    times = [*tgrid.nodes[:-1], tgrid.t_end] if perf is not None else [tgrid.t_end]
+    weights = np.array([donsker.delta_from_mean(chaos, z, t, m) for t, m in zip(times, means[-len(times):])])
+    weights.flags.writeable = False
+    return weights
 
 
-def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, db, counts, perf):
+def _ensemble_block(coeffs, op, control, z, grid, tgrid, means, weights, db, counts, perf):
     """Sweep one control over the block of paths with Brownian increments db
     (n_paths, n_steps) and event counts counts, one such matrix per atom of
-    op.levy."""
+    op.levy.  means and weights are the block's insider_means and
+    _density_weights: computed once per block, read-only and shared by every
+    control swept on it."""
     xs = grid.nodes()
     dt = tgrid.dt
     nb = len(db)
@@ -184,21 +184,20 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, chaos, db, counts, perf
     # elementwise over interior nodes, reduced over them once at the end
     run_min = np.full((nb, grid.n_nodes - 2), np.inf)
 
-    for t, Y, u, m in _sweep(coeffs, op, control, z, grid, tgrid, db, counts, chaos):
+    for k, (t, Y, u) in enumerate(_sweep(coeffs, op, control, z, grid, tgrid, db, counts, means)):
         np.minimum(run_min, Y[:, 1:-1], out=run_min)
         if perf is not None and u is not None:
-            w = _weight_vec(chaos, z, t, m)
             h = np.asarray(perf.h(t, xs, Y, u, z), dtype=float)
             # a row sum, not h @ wx: a BLAS product rounds each row
             # differently for different block sizes.  An h without the
             # paths' axis is one row, summed once for every path.
             rows = np.broadcast_to(h, xs.shape if h.ndim < 2 else Y.shape)
-            h_int += dt * w * np.sum(rows * wx, axis=-1)
+            h_int += dt * weights[k] * np.sum(rows * wx, axis=-1)
 
     return EnsembleResult(
         n_paths=nb,
         y_terminal=Y,
-        w_terminal=_weight_vec(chaos, z, tgrid.t_end, m),
+        w_terminal=None if weights is None else weights[-1],
         h_integral=h_int,
         min_interior=run_min.min(axis=1),
     )
@@ -235,7 +234,12 @@ def run_ensemble(
     tuple of them, giving a tuple of results in the same order: each block's
     noise is drawn once (read-only) and every control is swept on it, so the
     controls share common random numbers and each result equals that of a
-    call with the control alone.  op.levy is the model's Levy measure: the
+    call with the control alone.  The insider mean m(t) and the density
+    weights depend on the noise alone, so they too are computed once per
+    block (insider_means, _density_weights), read-only, and shared by the
+    controls: a rule that writes into PathHistory.m raises ValueError.
+    The weights are taken at every node when perf is given and at the
+    horizon t_end only otherwise.  op.levy is the model's Levy measure: the
     event counts are drawn on it and drive the state's jump term c, the
     nonlocal part and, when chaos has a jump part, the insider mean m, so a
     chaos that jumps on another measure raises ModelMismatch, as does perf
@@ -266,8 +270,10 @@ def run_ensemble(
         counts = jump_count_matrices(tgrid, op.levy, seed, path_indices)
         for noise in (db, *counts):
             noise.flags.writeable = False
+        means = insider_means(chaos, tgrid, db, counts)
+        weights = _density_weights(chaos, z, tgrid, means, perf)
         for part, c in zip(parts, controls):
-            part.append(_ensemble_block(coeffs, op, c, z, grid, tgrid, chaos, db, counts, perf))
+            part.append(_ensemble_block(coeffs, op, c, z, grid, tgrid, means, weights, db, counts, perf))
     results = tuple(_joined(part) for part in parts)
     return results if isinstance(control, tuple) else results[0]
 
@@ -350,29 +356,31 @@ def estimate_j(
     return tuple(out) if isinstance(control, tuple) else out[0]
 
 
-def _clamp(u0, b0, bounds, K):
-    """Distance-to-boundary clamp delta of a direction b0 bounded by K at the
-    control u0, so that u0 + a * delta * b0 stays in U for every |a| < 1."""
-    if np.any(np.abs(b0) > K + 1e-12):
-        raise StepTooLarge("direction exceeds its stated bound")
+def _clamp(u0, b0, bounds):
+    """Distance-to-boundary clamp delta of a direction value b0, |b0| <= 1, at
+    the control u0, so that u0 + a * delta * b0 stays in U for every |a| < 1."""
+    if np.any(np.abs(b0) > 1.0 + 1e-12):
+        raise StepTooLarge("direction exceeds its bound 1")
     lo, hi = bounds
     dist = np.minimum(u0 - lo, hi - u0)
-    return np.minimum(dist / (2.0 * K), 1.0)
+    return np.minimum(dist / 2.0, 1.0)
 
 
-def perturbed_policy(base: ControlPolicy, direction: PerturbationDirection, a: float) -> ControlPolicy:
+def perturbed_policy(base: ControlPolicy, direction, a: float) -> ControlPolicy:
     """Admissible perturbation u + a * delta * beta0 of a base policy.
 
-    delta is the pointwise distance-to-boundary clamp, so the result stays in
-    U for every |a| < 1.
+    direction is the base direction beta0, a rule (k, t, x, z, hist) ->
+    value(s) of the base policy's shape with |beta0| <= 1 (else
+    StepTooLarge).  delta is the pointwise distance-to-boundary clamp, so
+    the result stays in U for every |a| < 1.
     """
     if abs(a) >= 1.0:
         raise StepTooLarge(f"perturbation size {a} outside (-1, 1)")
 
     def rule(k, t, x, z, hist):
         u0 = np.asarray(base.rule(k, t, x, z, hist), dtype=float)
-        b0 = np.asarray(direction.beta0.rule(k, t, x, z, hist), dtype=float)
-        delta = _clamp(u0, b0, base.bounds, direction.K_bound)
+        b0 = np.asarray(direction(k, t, x, z, hist), dtype=float)
+        delta = _clamp(u0, b0, base.bounds)
         return u0 + a * delta * b0
 
     return ControlPolicy(rule=rule, mode=base.mode, bounds=base.bounds)
@@ -382,7 +390,7 @@ def gateaux_derivative(
     coeffs,
     op,
     control: ControlPolicy,
-    direction: PerturbationDirection | tuple,
+    direction,
     perf,
     chaos,
     z,
@@ -395,8 +403,9 @@ def gateaux_derivative(
 ):
     """Directional derivative of the performance by central differences with
     common random numbers: both sides are swept on the same noise draw, on
-    op.levy.  A tuple of directions gives a tuple of estimates in the same
-    order, all 2 * len(direction) sides from one draw per block."""
+    op.levy.  direction is a rule as perturbed_policy takes it; a tuple of
+    them gives a tuple of estimates in the same order, all 2 * len(direction)
+    sides from one draw per block."""
     directions = direction if isinstance(direction, tuple) else (direction,)
     sides = tuple(perturbed_policy(control, d, a) for d in directions for a in (a_step, -a_step))
     runs = estimate_j(
@@ -413,7 +422,7 @@ def state_sensitivity(
     coeffs,
     op,
     control: ControlPolicy,
-    direction: PerturbationDirection,
+    direction,
     z,
     bundle: PathBundle,
     grid: SpatialGrid,
@@ -444,7 +453,7 @@ def sensitivity_residual(
     coeffs,
     op,
     control: ControlPolicy,
-    direction: PerturbationDirection,
+    direction,
     z,
     bundle: PathBundle,
     grid: SpatialGrid,
@@ -471,18 +480,18 @@ def sensitivity_residual(
     db = bundle.brownian_increments[None]
     # the direction's rule sees the x the base control's rule sees, unchecked
     # against U, as in perturbed_policy
-    beta0 = ControlPolicy(rule=direction.beta0.rule, mode=control.mode)
-    m = np.zeros(1)
+    beta0 = ControlPolicy(rule=direction, mode=control.mode)
+    means = insider_means(chaos, tgrid, db)
     worst = 0.0
     for k, t in enumerate(tgrid.nodes[:-1]):
         y = base_field.values[k][None]
-        u0 = _block_control(control, k, t, xs, z, m)
+        u0 = _block_control(control, k, t, xs, z, means[k])
         # a (1, width) control: a value that reads it carries the paths' axis
         A = _step_operator(op, grid, xs, t, np.reshape(u0, (1, -1)), z)[0]
         if A.bands.ndim == 3:
             raise NotImplementedError("residual check needs a control-independent operator")
-        b0 = _block_control(beta0, k, t, xs, z, m)
-        beta_eff = _clamp(u0, b0, control.bounds, direction.K_bound) * b0
+        b0 = _block_control(beta0, k, t, xs, z, means[k])
+        beta_eff = _clamp(u0, b0, control.bounds) * b0
 
         a_y = _partial(lambda *g: coeffs.a(*g), (t, xs, y, u0, z), 2)
         a_u = _partial(lambda *g: coeffs.a(*g), (t, xs, y, u0, z), 3)
@@ -494,7 +503,6 @@ def sensitivity_residual(
         lhs = chi[k + 1] - dt * A.apply(chi[k + 1])
         defect = lhs - pred
         worst = max(worst, float(np.max(np.abs(defect[:, 1:-1]))))
-        m = advance_mean(chaos, m, t, dt, db[:, k])
     return worst
 
 
@@ -507,15 +515,14 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     db = np.asarray(db, dtype=float)
     if db.ndim != 2 or db.shape[1] != tgrid.n_steps:
         raise ModelMismatch(f"Brownian increments of shape {db.shape} for a {tgrid.n_steps}-step grid")
-    times, dt = tgrid.nodes[:-1], tgrid.dt
+    times = tgrid.nodes[:-1]
     vol = [_volatility(b0, t, z) for t in times]
     shift = [a0(t, z) / v for t, v in zip(times, vol)]
+    means = insider_means(chaos, tgrid, db)
     u = np.empty((tgrid.n_steps, len(db)))
-    m = np.zeros(len(db))
     for k, t in enumerate(times):
-        u[k] = pi.values(k, t, None, z, PathHistory(m=m))
-        m = advance_mean(chaos, m, t, dt, db[:, k])
-    return (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T, m
+        u[k] = pi.values(k, t, None, z, PathHistory(m=means[k]))
+    return (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T, means[-1]
 
 
 def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *,
@@ -573,13 +580,7 @@ def verify_x_independent_stationarity(
     def bump(lo, hi):
         return lambda k, t, x, z_, hist: 1.0 if lo <= t < hi else 0.0
 
-    directions = tuple(
-        PerturbationDirection(
-            beta0=ControlPolicy(rule=bump(lo, hi), mode="x-independent", bounds=control.bounds),
-            K_bound=1.0,
-        )
-        for lo, hi in windows
-    )
+    directions = tuple(bump(lo, hi) for lo, hi in windows)
     ests = gateaux_derivative(
         coeffs, op, control, directions, perf, chaos, z, grid, tgrid,
         a_step=a_step, n_paths=n_paths, seed=seed,

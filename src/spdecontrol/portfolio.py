@@ -181,8 +181,8 @@ def run_portfolio_experiment(
     xs = grid.nodes()
     if np.any(np.asarray(market.alpha_init(xs[1:-1]), dtype=float) <= 0):
         raise ValueError("initial wealth profile must be positive on interior nodes")
-    kw = np.broadcast_to(utility.weight(xs, z), (grid.n_nodes,))
     utility.k_total(grid, z)  # validates sign and mass
+    perf = log_utility_performance(market, utility)
 
     runs = run_ensemble(
         coeffs, op, tuple(candidates.values()), z, grid, tgrid,
@@ -198,8 +198,7 @@ def run_portfolio_experiment(
                 "a standard error needs two"
             )
         n_rej = n_paths - n_acc
-        yt = res.y_terminal[accepted]
-        util = grid.dx * np.sum(kw[1:-1] * np.log(yt[:, 1:-1]), axis=1)
+        util = grid.dx * np.sum(perf.k(xs, res.y_terminal[accepted], z)[:, 1:-1], axis=1)
         samples = res.w_terminal[accepted] * util
         est = PerformanceEstimate.from_samples(samples)
         full = np.full(n_paths, math.nan)

@@ -20,9 +20,8 @@ from spdecontrol.donsker import (
     effective_mean,
 )
 from spdecontrol.errors import NumericalCheckFailure
-from spdecontrol.forward import ControlPolicy, SpatialGrid
+from spdecontrol.forward import SpatialGrid
 from spdecontrol.maxprinciple import (
-    PerturbationDirection,
     gateaux_derivative,
     reduced_adjoint_block,
     reduced_adjoint_solve,
@@ -143,11 +142,8 @@ def test_criterion_05_optimality_of_closed_form_control():
         def bump(k, t, x, z, hist, v=vals):
             return float(v[min(int(t / 0.125), 3)])
 
-        direction = PerturbationDirection(
-            beta0=ControlPolicy(rule=bump, mode="x-independent"), K_bound=1.0
-        )
         est = gateaux_derivative(
-            coeffs, op, pol, direction, perf, spec, 0.5, market.D, tg2,
+            coeffs, op, pol, bump, perf, spec, 0.5, market.D, tg2,
             n_paths=2000, seed=40 + j,
         )
         gt.append(est.tstat())

@@ -246,6 +246,8 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         ("portfolio", "{z: .nan}"),
         ("zakai-benchmark", "{T: .inf}"),
         ("donsker-table", "{tol_abs: .inf}"),
+        # t < T0, but the residual variance T0 - t is below its floor
+        ("donsker-table", "{t_values: [0.0, 0.9999999999999]}"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -355,6 +355,18 @@ def test_phi1_from_mean_refuses_a_density_at_the_division_floor():
             phi1_from_mean(jump_spec(), 0.3, 0.25, np.array([-0.2, 0.0]))
 
 
+@pytest.mark.parametrize("z", [10.0, 30.0, 60.0])
+def test_phi1_from_mean_refuses_a_density_within_the_quadrature_tolerance(z):
+    # densities of 3.6e-12 (z = 10) and below are noise of the quadrature,
+    # whose levels agree to 1e-10; their ratio came back as a drift of
+    # 3.56, 8.64 and 1.67, and at z = 20 and 40 it raised
+    levy = LevySpec(atoms=((1.0, 0.5), (-0.5, 1.0)))
+    spec = FirstOrderChaosSpec(beta=lambda s: 1.0, psi=lambda s, mark: mark, levy=levy, T0=1.0)
+    assert delta_from_mean(spec, z, 0.5, 0.0) <= donsker._FOURIER_TOL
+    with pytest.raises(DivisionUnstable, match=f"z={z}"):
+        phi1_from_mean(spec, z, 0.5, 0.0)
+
+
 def test_malliavin_n_unknown_mark():
     spec = jump_spec()
     hist = HistorySnapshot(t=0.2, accumulated_b=0.0)

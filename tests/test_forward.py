@@ -17,7 +17,7 @@ from spdecontrol.forward import (
     OperatorSpec,
     PathHistory,
     SpatialGrid,
-    advance_mean,
+    insider_means,
     assemble_operator,
     solve_forward,
     weak_residual,
@@ -471,19 +471,17 @@ def test_single_path_solve_rejects_mixed_noise_models(case):
 )
 def test_advance_mean_matches_effective_mean_of_snapshot(atoms, beta, psi, n_steps, T, seed):
     # for time-constant beta and psi the left-endpoint compensator equals the
-    # continuous one, so the step-wise update reproduces the snapshot oracle
+    # continuous one, so every node's mean reproduces the snapshot oracle
     levy = LevySpec(atoms=tuple(atoms))
     spec = FirstOrderChaosSpec(beta=lambda s: beta, psi=lambda s, mark: psi * mark, levy=levy, T0=1.0)
     tgrid = TimeGrid(0.0, T, n_steps)
     bundle = sample_bundle(tgrid, levy, seed, 0)
     counts = jump_count_matrices(tgrid, levy, seed, [0])
-    m = 0.0
-    for k in range(n_steps + 1):
+    means = insider_means(spec, tgrid, bundle.brownian_increments[None], counts)
+    assert means.shape == (n_steps + 1, 1)
+    for k, (m,) in enumerate(means):
         ref = effective_mean(spec, HistorySnapshot.from_bundle(spec, bundle, k))
         assert abs(m - ref) <= 1e-12
-        if k < n_steps:
-            m = advance_mean(spec, m, tgrid.nodes[k], tgrid.dt, bundle.brownian_increments[k],
-                             [c[0, k] for c in counts])
 
 
 @pytest.mark.parametrize("coeff", ["a", "b", "c"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdecontrol import forward
+from spdecontrol import donsker, forward
 from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec
@@ -33,7 +33,6 @@ from spdecontrol.maxprinciple import (
     AdjointTriple,
     PerformanceEstimate,
     PerformanceSpec,
-    PerturbationDirection,
     estimate_j,
     gateaux_derivative,
     hamiltonian,
@@ -69,8 +68,8 @@ def const_policy(v, bounds=(-np.inf, np.inf)):
     return ControlPolicy(rule=lambda k, t, x, z, hist: v, bounds=bounds)
 
 
-def direction(v=1.0, K=1.0):
-    return PerturbationDirection(beta0=const_policy(v), K_bound=K)
+def direction(v=1.0):
+    return lambda k, t, x, z, hist: v
 
 
 def ham(u, adjoint, weight=2.0, perf=None):
@@ -190,14 +189,14 @@ def test_run_ensemble_rejects_horizon_within_a_step_of_t0():
 
 def test_perturbed_policy_clamp_and_step_guard():
     base = const_policy(0.9, bounds=(-1.0, 1.0))
-    d = direction(1.0, K=1.0)
+    d = direction(1.0)
     with pytest.raises(StepTooLarge):
         perturbed_policy(base, d, 1.0)
     pol = perturbed_policy(base, d, 0.5)
     # dist to boundary is 0.1, clamp delta = 0.05, step = 0.5 * 0.05
     val = pol.rule(0, 0.0, None, 0.0, None)
     assert val == pytest.approx(0.9 + 0.5 * 0.05, abs=1e-12)
-    big = PerturbationDirection(beta0=const_policy(5.0), K_bound=1.0)
+    big = direction(5.0)
     with pytest.raises(StepTooLarge):
         perturbed_policy(base, big, 0.5).rule(0, 0.0, None, 0.0, None)
 
@@ -229,8 +228,7 @@ def test_gateaux_antisymmetric_in_direction(b0, window, shift, a_step, seed):
     lo, hi = sorted(window)
 
     def along(sign):
-        rule = lambda k, t, x, z, hist: sign * b0 * (lo <= t < hi)
-        return PerturbationDirection(beta0=ControlPolicy(rule=rule), K_bound=1.0)
+        return lambda k, t, x, z, hist: sign * b0 * (lo <= t < hi)
 
     est = [
         gateaux_derivative(coeffs, op, pol, along(sign), perf, spec, 0.5, market.D, tg,
@@ -350,7 +348,7 @@ def test_sensitivity_residual_rejects_direction_beyond_its_bound():
     base = solve_forward(COEFFS, OP, pol, 0.0, b, GRID)
     chi = np.zeros_like(base.values)
     with pytest.raises(StepTooLarge):
-        sensitivity_residual(chi, base, COEFFS, OP, pol, direction(2.0, K=1.0), 0.0, b, GRID)
+        sensitivity_residual(chi, base, COEFFS, OP, pol, direction(2.0), 0.0, b, GRID)
 
 
 @settings(max_examples=25, deadline=None)
@@ -887,6 +885,57 @@ def test_shared_noise_is_read_only(target):
                      n_paths=4, seed=0)
 
 
+def _zeroing_rule(k, t, x, z, hist):
+    hist.m[:] = 0.0
+    return 0.5
+
+
+@pytest.mark.parametrize("chaos", [FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0), None],
+                         ids=["gaussian", "none"])
+def test_shared_insider_mean_is_read_only(chaos):
+    # a rule that zeroed hist.m ran, and changed the density weights of its
+    # run: w_terminal [0.390, 0.376, 0.421] against [0.439, 0.430, 0.309]
+    market, _, coeffs, op, _ = bench()
+    pol = ControlPolicy(rule=_zeroing_rule)
+    tg = TimeGrid(0.0, 0.2, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        run_ensemble(coeffs, op, pol, 0.5, market.D, tg, chaos=chaos, n_paths=3, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        solve_forward(coeffs, op, pol, 0.5, sample_bundle(tg, LevySpec(), 0, 0), market.D, chaos=chaos)
+
+
+@pytest.mark.parametrize("jumps", [False, True], ids=["gaussian", "atom"])
+def test_density_weights_are_computed_once_per_block_for_every_control(jumps):
+    op, coeffs = jump_model()
+    if jumps:
+        chaos = JUMP_CHAOS
+    else:
+        chaos = FirstOrderChaosSpec(beta=lambda t: 1.0, T0=1.0)
+        op = replace(op, jump_shift=None, levy=LevySpec())
+    perf = PerformanceSpec(h=lambda t, x, y, u, z: u * y, k=lambda x, y, z: y)
+    pols = tuple(ControlPolicy(rule=lambda k, t, x, z, hist, c=c: c, bounds=(0.0, 1.0))
+                 for c in (0.2, 0.5, 0.8))
+    grid, tg = SpatialGrid(0.0, 1.0, 6), TimeGrid(0.0, 0.2, 4)
+    delta = donsker.delta_from_mean
+    calls = []
+
+    def counting(spec, z, t, m, **kw):
+        calls.append(len(m))
+        return delta(spec, z, t, m, **kw)
+
+    def count(control, perf):
+        calls.clear()
+        run_ensemble(coeffs, op, control, 0.3, grid, tg, chaos=chaos, n_paths=8, seed=5, perf=perf)
+        return list(calls)
+
+    # blocks of 3, 3 and 2 paths: n_steps + 1 weights per block with perf,
+    # the horizon's alone without, whatever the number of controls
+    per_block = lambda n: [b for b in (3, 3, 2) for _ in range(n)]
+    with mock.patch.object(mp, "_BLOCK_PATHS", 3), mock.patch.object(donsker, "delta_from_mean", counting):
+        assert count(pols[0], perf) == count(pols, perf) == per_block(tg.n_steps + 1)
+        assert count(pols[0], None) == count(pols, None) == per_block(1)
+
+
 def test_gateaux_draws_each_path_once_for_all_directions():
     market, spec, coeffs, op, perf = bench()
     pol = pf.optimal_policy(market, spec)
@@ -916,8 +965,7 @@ def test_stationarity_draws_each_path_once_for_all_windows():
     assert rows["B"] == 20
     for w in report["windows"]:
         bump = lambda k, t, x, z, hist, lo=w["t_lo"], hi=w["t_hi"]: 1.0 if lo <= t < hi else 0.0
-        d = PerturbationDirection(beta0=ControlPolicy(rule=bump, bounds=pol.bounds), K_bound=1.0)
-        est = gateaux_derivative(coeffs, op, pol, d, perf, spec, 0.5, market.D, tg,
+        est = gateaux_derivative(coeffs, op, pol, bump, perf, spec, 0.5, market.D, tg,
                                  n_paths=20, seed=1)
         width = w["t_hi"] - w["t_lo"]
         assert (w["statistic"], w["stderr"], w["tstat"]) == (est.mean / width, est.stderr / width,
