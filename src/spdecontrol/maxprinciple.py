@@ -5,7 +5,9 @@ simulation-based verification of the first-order optimality conditions.
 The general backward adjoint equation is deliberately not solved here;
 optimality is checked through directional derivatives of the performance
 functional with common random numbers, which is the directly testable content
-of the necessary conditions.
+of the necessary conditions.  The sensitivity process is checked against the
+tangent of forward.step_forward, its central difference in the state and the
+control, so the time scheme is written once, in the forward module.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .forward import (
     PathHistory,
     SpatialGrid,
     _block_control,
+    _bundle_noise,
     _check_measure,
     _has_jumps,
     _step_operator,
@@ -31,6 +34,7 @@ from .forward import (
     assemble_operator,
     insider_means,
     solve_forward,
+    step_forward,
 )
 from .noise import (
     LevySpec,
@@ -65,6 +69,10 @@ _BLOCK_PATHS = 4096
 # memory of a block's per-path diagonals at the widest band (2n per path, as a
 # jump may reach any node); larger blocks are split, leaving results unchanged
 _JUMP_BAND_BYTES = 2**25
+# half-width of the central difference that linearizes step_forward in
+# sensitivity_residual: at 1e-6 round-off leaves a defect floor near 1e-10,
+# at 1e-3 the eps^2 term of a control-dependent operator shows
+_TANGENT_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -149,12 +157,6 @@ def _volatility(b0, t, z) -> float:
     if abs(v) < _EPS_VOL:
         raise DegenerateVolatility(f"|b0({t}, {z})| = {abs(v):.3e} below {_EPS_VOL}")
     return v
-
-
-def _require_brownian(chaos, routine: str):
-    if _has_jumps(chaos):
-        raise ModelMismatch(f"{routine} advances the insider mean by beta dB only; "
-                            "it does not support a jump insider variable")
 
 
 def _density_weights(chaos, z, tgrid: TimeGrid, means, perf):
@@ -439,14 +441,6 @@ def state_sensitivity(
     return (f_up.values - f_dn.values) / (2.0 * a_step)
 
 
-def _partial(fn, args, index, eps=1e-6):
-    args_hi = list(args)
-    args_lo = list(args)
-    args_hi[index] = args[index] + eps
-    args_lo[index] = args[index] - eps
-    return (np.asarray(fn(*args_hi), dtype=float) - np.asarray(fn(*args_lo), dtype=float)) / (2 * eps)
-
-
 def sensitivity_residual(
     chi: np.ndarray,
     base_field,
@@ -460,58 +454,57 @@ def sensitivity_residual(
     *,
     chaos=None,
 ) -> float:
-    """Max defect of chi against the discrete linearized state equation.
+    """Max interior defect of chi against the tangent of the forward step.
 
-    The operator of each step is assembled at (t_k, u_k) by the forward
-    solver's route.  Requires one whose coefficient values ignore the control
-    (the linearization of the operator in u is not formed here;
-    NotImplementedError when a value carries the control's axis), a Gaussian
-    insider variable, a bundle on op.levy and no jump term c on a measure
-    with atoms (its linearization is not formed either; ModelMismatch).
+    At each step k the tangent is the central difference
+    [S(y_k + eps chi_k, u_k + eps beta_k) - S(y_k - eps chi_k, u_k - eps
+    beta_k)] / (2 eps) of step_forward S, each side with its operator
+    assembled at its own control, where beta_k is the direction clamped as
+    perturbed_policy clamps it (StepTooLarge beyond its bound).  Whatever
+    the step runs, a control-dependent operator, a jump term c or a jumping
+    chaos, is linearized with it.  The bundle and a jumping chaos must be on
+    op.levy (else ModelMismatch).
     """
-    _require_brownian(chaos, "sensitivity_residual")
     _check_measure(op, chaos, bundle)
-    if coeffs.c is not None and op.levy.atoms:
-        raise ModelMismatch("sensitivity_residual linearizes a dt + b dB only; "
-                            "it does not support a jump term c on a bundle with jumps")
     tgrid = bundle.grid
     xs = grid.nodes()
-    dt = tgrid.dt
-    db = bundle.brownian_increments[None]
+    db, counts = _bundle_noise(bundle)
     # the direction's rule sees the x the base control's rule sees, unchecked
     # against U, as in perturbed_policy
     beta0 = ControlPolicy(rule=direction, mode=control.mode)
-    means = insider_means(chaos, tgrid, db)
+    means = insider_means(chaos, tgrid, db, counts)
     worst = 0.0
     for k, t in enumerate(tgrid.nodes[:-1]):
-        y = base_field.values[k][None]
         u0 = _block_control(control, k, t, xs, z, means[k])
-        # a (1, width) control: a value that reads it carries the paths' axis
-        A = _step_operator(op, grid, xs, t, np.reshape(u0, (1, -1)), z)[0]
-        if A.bands.ndim == 3:
-            raise NotImplementedError("residual check needs a control-independent operator")
         b0 = _block_control(beta0, k, t, xs, z, means[k])
-        beta_eff = _clamp(u0, b0, control.bounds) * b0
-
-        a_y = _partial(lambda *g: coeffs.a(*g), (t, xs, y, u0, z), 2)
-        a_u = _partial(lambda *g: coeffs.a(*g), (t, xs, y, u0, z), 3)
-        b_y = _partial(lambda *g: coeffs.b(*g), (t, xs, y, u0, z), 2)
-        b_u = _partial(lambda *g: coeffs.b(*g), (t, xs, y, u0, z), 3)
-
-        pred = chi[k] + dt * (a_y * chi[k] + a_u * beta_eff) \
-            + (b_y * chi[k] + b_u * beta_eff) * db[:, k, None]
-        lhs = chi[k + 1] - dt * A.apply(chi[k + 1])
-        defect = lhs - pred
-        worst = max(worst, float(np.max(np.abs(defect[:, 1:-1]))))
+        beta = _clamp(u0, b0, control.bounds) * b0
+        y, dy = base_field.values[k][None], chi[k][None]
+        sides = []
+        for s in (_TANGENT_EPS, -_TANGENT_EPS):
+            u = u0 + s * beta
+            sides.append(step_forward(
+                y + s * dy, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
+                db_k=db[:, k], counts_k=[c[:, k] for c in counts],
+                assembled=_step_operator(op, grid, xs, t, u, z)[0],
+            ))
+        tangent = (sides[0] - sides[1]) / (2.0 * _TANGENT_EPS)
+        worst = max(worst, float(np.max(np.abs(chi[k + 1] - tangent[0])[1:-1])))
     return worst
 
 
 def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
-    """The reduced adjoint's one step loop: theta = b0 pi - a0/b0 (n_paths,
-    n_steps) on the block with Brownian increments db, and the insider mean
-    at the horizon.  b0 and a0/b0 are evaluated over the nodes before the
-    loop; pi is evaluated once per step for the whole block."""
-    _require_brownian(chaos, "the reduced adjoint")
+    """The reduced adjoint's one step loop on the block with Brownian
+    increments db (n_paths, n_steps): the exponent of its stochastic
+    exponential at t_1..t_n, the running sum of theta dB - theta^2 dt / 2
+    with theta = b0 pi - a0/b0 (n_paths, n_steps), and the insider mean at
+    the horizon.  b0 and a0/b0 are evaluated over the nodes before the loop;
+    pi, an x-independent ControlPolicy (else ValueError), is evaluated once
+    per step for the whole block."""
+    if _has_jumps(chaos):
+        raise ModelMismatch("the reduced adjoint advances the insider mean by beta dB only; "
+                            "it does not support a jump insider variable")
+    if pi.mode != "x-independent":
+        raise ValueError("the reduced adjoint applies to x-independent controls")
     db = np.asarray(db, dtype=float)
     if db.ndim != 2 or db.shape[1] != tgrid.n_steps:
         raise ModelMismatch(f"Brownian increments of shape {db.shape} for a {tgrid.n_steps}-step grid")
@@ -522,7 +515,8 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     u = np.empty((tgrid.n_steps, len(db)))
     for k, t in enumerate(times):
         u[k] = pi.values(k, t, None, z, PathHistory(m=means[k]))
-    return (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T, means[-1]
+    theta = (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T
+    return np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1), means[-1]
 
 
 def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *,
@@ -530,12 +524,12 @@ def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *
     """Scalar adjoint martingale along each path of a block: the stochastic
     exponential of (b0 pi - a0/b0) dB on the Brownian increments db (n_paths,
     n_steps) of brownian_increment_matrix, scaled to the supplied terminal
-    value.  pi is an x-independent ControlPolicy.  The insider variable, if
-    given, must be Gaussian.
+    value.  pi is an x-independent ControlPolicy (else ValueError).  The
+    insider variable, if given, must be Gaussian.
     """
-    theta, _ = _adjoint_integrand(a0, b0, pi, tgrid, db, z, chaos)
+    expo, _ = _adjoint_integrand(a0, b0, pi, tgrid, db, z, chaos)
     start = np.zeros((len(db), 1))
-    raw = np.exp(np.hstack((start, np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1))))
+    raw = np.exp(np.hstack((start, expo)))
     p0 = terminal / raw[:, -1]
     return ReducedAdjointPath(values=p0[:, None] * raw, p0=p0)
 

@@ -226,18 +226,17 @@ def martingale_match_check(
 
     Left side: total utility weight times the conditional density at the
     horizon.  Right side: the same quantity at time zero propagated by the
-    stochastic exponential of (b0 pi - a0/b0) dB, whose integrand comes from
+    stochastic exponential of (b0 pi - a0/b0) dB, whose exponent comes from
     the reduced adjoint's step loop, which raises ModelMismatch for a jump
-    insider variable.  The two sides are computed from independent
-    discretizations; at the optimal control the defect is O(sqrt(dt)).
+    insider variable and ValueError for an x-dependent control.  The two
+    sides are computed from independent discretizations; at the optimal
+    control the defect is O(sqrt(dt)).
     """
     K_total = utility.k_total(market.D, z)
-    theta, m = _adjoint_integrand(market.a0, market.b0, control, tgrid, db, z, spec)
-    # summed step by step, as the adjoint's exact method sums it
-    expo = np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1)[:, -1]
+    expo, m = _adjoint_integrand(market.a0, market.b0, control, tgrid, db, z, spec)
 
     lhs = K_total * donsker.delta_from_mean(spec, z, tgrid.t_end, m)
-    rhs = K_total * donsker.delta_from_mean(spec, z, tgrid.t_start, 0.0) * np.exp(expo)
+    rhs = K_total * donsker.delta_from_mean(spec, z, tgrid.t_start, 0.0) * np.exp(expo[:, -1])
     return np.abs(lhs - rhs) / (np.abs(lhs) + 1e-300)
 
 

@@ -288,56 +288,53 @@ def test_sensitivity_residual_shrinks_quadratically_in_step():
         xi=lambda x, z: np.sin(math.pi * x),
     )
     tg = TimeGrid(0.0, 0.2, 50)
-    b = sample_bundle(tg, LevySpec(), 2, 0)
     pol = const_policy(0.3)
     d = direction(1.0)
     # the residual assembles each step's operator at t_k: with one operator
     # from t_0 the t-dependent defect stayed at 1.28e-3 for every step
     t_dependent = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5 + 5.0 * t,
                                first_coeff=lambda t, x, u, z: 0.0)
-    for op in (OP, t_dependent):
-        base = solve_forward(coeffs, op, pol, 0.0, b, GRID)
+    # the tangent of the step also linearizes an operator that reads the
+    # control, a jump term c and a jumping insider variable that the control
+    # reads; the bundles of the last two hold one event each
+    u_dependent = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5 + 0.1 * u * u,
+                               first_coeff=lambda t, x, u, z: 0.1 * u)
+    jump_term = replace(coeffs, c=lambda t, x, y, u, z, zeta: 0.5 * u * y)
+    jump_shift = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5, first_coeff=lambda t, x, u, z: 0.0,
+                              jump_shift=lambda t, x, u, z, mark: 0.2 * mark * u, levy=JUMP_LEVY)
+    reads_m = ControlPolicy(rule=lambda k, t, x, z, hist: 0.3 + 0.1 * np.asarray(hist.m))
+    for model, op, policy, chaos in (
+        (coeffs, OP, pol, None),
+        (coeffs, t_dependent, pol, None),
+        (coeffs, u_dependent, pol, None),
+        (jump_term, replace(OP, levy=LevySpec(atoms=((1.0, 5.0),))), pol, None),
+        (coeffs, jump_shift, reads_m, JUMP_CHAOS),
+    ):
+        b = sample_bundle(tg, op.levy, 2, 0)
+        base = solve_forward(model, op, policy, 0.0, b, GRID, chaos=chaos)
         res = []
         for a in (4e-3, 2e-3, 1e-3):
-            chi = state_sensitivity(coeffs, op, pol, d, 0.0, b, GRID, a_step=a)
-            res.append(sensitivity_residual(chi, base, coeffs, op, pol, d, 0.0, b, GRID))
+            chi = state_sensitivity(model, op, policy, d, 0.0, b, GRID, a_step=a, chaos=chaos)
+            res.append(sensitivity_residual(chi, base, model, op, policy, d, 0.0, b, GRID, chaos=chaos))
         # central differences: defect drops by ~4x per halving of the step
         assert 3.0 <= res[0] / res[1] <= 5.0
         assert 3.0 <= res[1] / res[2] <= 5.0
 
 
-@pytest.mark.parametrize("rule", [lambda k, t, x, z, hist: 0.3,
-                                  lambda k, t, x, z, hist: 0.3 + 0.0 * np.asarray(hist.m)],
-                         ids=["scalar", "per-path"])
-def test_sensitivity_residual_rejects_a_control_dependent_operator(rule):
-    # the linearization of the operator in u is not formed
-    op = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5 + 0.1 * u, first_coeff=lambda t, x, u, z: 0.0)
-    tg = TimeGrid(0.0, 0.1, 5)
-    b = sample_bundle(tg, LevySpec(), 2, 0)
-    pol = ControlPolicy(rule=rule)
-    base = solve_forward(COEFFS, op, pol, 0.0, b, GRID)
-    with pytest.raises(NotImplementedError):
-        sensitivity_residual(np.zeros_like(base.values), base, COEFFS, op, pol, direction(1.0),
-                             0.0, b, GRID)
-
-
-def test_sensitivity_residual_rejects_a_jump_term():
-    # the linearization drops c (N - lam dt): with one event the defect
-    # stayed at 0.189 for every a_step instead of shrinking
+def test_sensitivity_residual_catches_a_wrong_sensitivity():
+    # the tangent is linear in (chi, beta), so 2 chi misses by the step's
+    # response to beta alone, about dt * y here
     coeffs = CoefficientSet(
-        a=lambda t, x, y, u, z: u * y,
+        a=lambda t, x, y, u, z: u * y + 0.05 * y**2,
         b=lambda t, x, y, u, z: 0.1 * y,
-        c=lambda t, x, y, u, z, zeta: 0.5 * u * y,
         xi=lambda x, z: np.sin(math.pi * x),
     )
-    tg = TimeGrid(0.0, 0.2, 50)
-    b = sample_bundle(tg, LevySpec(atoms=((1.0, 5.0),)), 2, 0)
-    op = replace(OP, levy=b.levy)
-    pol = const_policy(0.3)
-    base = solve_forward(coeffs, op, pol, 0.0, b, GRID)
-    chi = np.zeros_like(base.values)
-    with pytest.raises(ModelMismatch):
-        sensitivity_residual(chi, base, coeffs, op, pol, direction(1.0), 0.0, b, GRID)
+    b = sample_bundle(TimeGrid(0.0, 0.2, 50), LevySpec(), 2, 0)
+    pol, d = const_policy(0.3), direction(1.0)
+    base = solve_forward(coeffs, OP, pol, 0.0, b, GRID)
+    chi = state_sensitivity(coeffs, OP, pol, d, 0.0, b, GRID)
+    assert sensitivity_residual(chi, base, coeffs, OP, pol, d, 0.0, b, GRID) < 1e-9
+    assert sensitivity_residual(2 * chi, base, coeffs, OP, pol, d, 0.0, b, GRID) > 1e-3
 
 
 def test_sensitivity_residual_rejects_direction_beyond_its_bound():
@@ -383,6 +380,22 @@ def test_reduced_adjoint_block_rejects_increments_off_the_grid(shape):
     with pytest.raises(ModelMismatch):
         reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 0.3, const_policy(1.3), 1.0, tg,
                               np.zeros(shape), 0.0)
+
+
+@pytest.mark.parametrize("rule", [lambda k, t, x, z, hist: 0.5 + 0.0 * np.asarray(hist.m),
+                                  lambda k, t, x, z, hist: 0.5 + 0.1 * x],
+                         ids=["ignores-x", "reads-x"])
+def test_reduced_adjoint_rejects_an_x_dependent_control(rule):
+    # the adjoint's control is evaluated without nodes: a rule that ignored x
+    # ran silently, and one that read x died with TypeError inside the rule
+    market, utility, spec = pf.benchmark_market(8)
+    pi = ControlPolicy(rule=rule, mode="x-dependent")
+    tg = TimeGrid(0.0, 0.4, 4)
+    db = brownian_increment_matrix(tg, 0, range(3))
+    with pytest.raises(ValueError, match="x-independent"):
+        reduced_adjoint_block(market.a0, market.b0, pi, 1.0, tg, db, 0.5, chaos=spec)
+    with pytest.raises(ValueError, match="x-independent"):
+        pf.martingale_match_check(market, utility, spec, 0.5, pi, tg, db)
 
 
 def test_reduced_adjoint_constant_when_integrand_vanishes():
@@ -707,12 +720,10 @@ def _run_on(part, entry, levy):
         return verify_x_independent_stationarity(coeffs, op, pol, perf, chaos, 0.3, grid, tg,
                                                  n_windows=2, n_paths=4)
     if entry == "sensitivity_residual":
-        # a control-free operator without a jump term c, as the residual needs
-        op, coeffs = replace(OP, levy=JUMP_LEVY), COEFFS
-        base = solve_forward(coeffs, op, const_policy(0.3), 0.0, sample_bundle(tg, JUMP_LEVY, 0, 0),
-                             GRID)
-        return sensitivity_residual(np.zeros_like(base.values), base, coeffs, op, const_policy(0.3),
-                                    direction(1.0), 0.0, bundle, GRID)
+        base = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 0, 0), grid,
+                             chaos=JUMP_CHAOS)
+        return sensitivity_residual(np.zeros_like(base.values), base, coeffs, op, pol, direction(1.0),
+                                    0.3, bundle, grid, chaos=chaos)
     field = solve_forward(coeffs, op, pol, 0.3, bundle, grid, chaos=chaos)
     if entry == "weak_residual":
         phi = np.sin(math.pi * grid.nodes())
@@ -730,6 +741,7 @@ def _run_on(part, entry, levy):
     ("chaos", "weak_residual"),
     ("bundle", "solve_forward"),
     ("bundle", "weak_residual"),
+    ("chaos", "sensitivity_residual"),
     ("bundle", "sensitivity_residual"),
     ("levy", "estimate_j"),
 ])
@@ -789,13 +801,6 @@ def test_brownian_only_routines_reject_jump_insider_variable():
         reduced_adjoint_solve(
             lambda t, z: 0.1, lambda t, z: 0.3, const_policy(1.0), 1.0, b, 0.0, chaos=JUMP_CHAOS
         )
-    op = replace(OP, levy=JUMP_LEVY)
-    pol = const_policy(0.3)
-    base = solve_forward(COEFFS, op, pol, 0.0, b, GRID)
-    chi = np.zeros_like(base.values)
-    with pytest.raises(ModelMismatch):
-        sensitivity_residual(chi, base, COEFFS, op, pol, direction(1.0), 0.0, b, GRID,
-                             chaos=JUMP_CHAOS)
 
 
 def test_stationarity_report_is_json_friendly_and_passes_at_optimum():
