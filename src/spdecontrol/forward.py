@@ -10,6 +10,11 @@ an (n_paths, n_nodes) array; a single-path solve is an ensemble of one.  One
 Levy measure, OperatorSpec.levy, drives every jump of a run: jumps enter as
 per-atom event counts N_a over a step, compensated by lam_a dt, in the state
 and in the compensated insider mean m(t) (insider_means) alike.
+
+A routine that reads one PathBundle (solve_forward, weak_residual and
+maxprinciple.sensitivity_residual) takes its noise and insider mean from
+_path_noise, which raises ModelMismatch for a bundle on another measure or
+off the time grid of the run.
 """
 from __future__ import annotations
 
@@ -392,13 +397,6 @@ def _check_measure(op: OperatorSpec, chaos, bundle: PathBundle | None = None):
         raise ModelMismatch(f"bundle is drawn on {bundle.levy} but op.levy is {op.levy}")
 
 
-def _bundle_noise(bundle: PathBundle):
-    """A bundle's noise as an ensemble of one: Brownian increments (1,
-    n_steps) and one (1, n_steps) array of event counts per atom of
-    bundle.levy, as brownian_increment_matrix and jump_count_matrices give."""
-    return bundle.brownian_increments[None], [n[None] for n in bundle.jump_counts]
-
-
 def insider_means(chaos, tgrid: TimeGrid, db, counts=()) -> np.ndarray:
     """Compensated insider mean m(t_k) at every node k = 0..n_steps of the
     block of paths with Brownian increments db (n_paths, n_steps) and event
@@ -424,6 +422,20 @@ def insider_means(chaos, tgrid: TimeGrid, db, counts=()) -> np.ndarray:
             m[k + 1] = m_k
     m.flags.writeable = False
     return m
+
+
+def _path_noise(op: OperatorSpec, chaos, bundle: PathBundle, tgrid: TimeGrid):
+    """One path's noise as a block of one, for a run on tgrid: Brownian
+    increments (1, n_steps), one (1, n_steps) array of event counts per atom
+    of op.levy, as brownian_increment_matrix and jump_count_matrices give,
+    and the path's insider_means.  Raises ModelMismatch when the bundle or a
+    jumping chaos is on another measure than op.levy (_check_measure) or the
+    bundle is not on tgrid."""
+    _check_measure(op, chaos, bundle)
+    if bundle.grid != tgrid:
+        raise ModelMismatch(f"bundle is on {bundle.grid} but the run is on {tgrid}")
+    db, counts = bundle.brownian_increments[None], [n[None] for n in bundle.jump_counts]
+    return db, counts, insider_means(chaos, tgrid, db, counts)
 
 
 def _block_control(control: ControlPolicy, k, t, xs, z, m):
@@ -574,13 +586,11 @@ def solve_forward(
     """Forward solve on one noise path, recording every time slice.
 
     The path is an ensemble of one: the sweep of step_forward over the
-    bundle's Brownian increments and its per-atom event counts.  Raises
-    ModelMismatch when the bundle, or a jumping chaos, is on another
-    LevySpec than op.levy.
+    bundle's Brownian increments and its per-atom event counts, on the
+    bundle's time grid.  Raises ModelMismatch when the bundle, or a jumping
+    chaos, is on another LevySpec than op.levy.
     """
-    _check_measure(op, chaos, bundle)
-    db, counts = _bundle_noise(bundle)
-    means = insider_means(chaos, bundle.grid, db, counts)
+    db, counts, means = _path_noise(op, chaos, bundle, bundle.grid)
     sweep = _sweep(coeffs, op, control, z, grid, bundle.grid, db, counts, means)
     values = np.empty((bundle.grid.n_steps + 1, grid.n_nodes))
     for k, (_, Y, _) in enumerate(sweep):
@@ -603,18 +613,17 @@ def weak_residual(
 
     Left-endpoint evaluation throughout, so the defect of the solver's own
     output (and of any injected exact solution) shrinks at first order in dt.
-    The bundle and a jumping chaos must be on op.levy (else ModelMismatch).
+    The bundle must be on field.tgrid, and it and a jumping chaos on op.levy
+    (else ModelMismatch, _path_noise).
     """
-    _check_measure(op, chaos, bundle)
     grid = field.grid
     tgrid = field.tgrid
+    db, counts, means = _path_noise(op, chaos, bundle, tgrid)
     phi = np.asarray(phi, dtype=float)
     if phi[0] != 0.0 or phi[-1] != 0.0:
         raise ValueError("test function must vanish at the boundary nodes")
     xs = grid.nodes()
     dt = tgrid.dt
-    db, counts = _bundle_noise(bundle)
-    means = insider_means(chaos, tgrid, db, counts)
 
     acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
     for k, t in enumerate(tgrid.nodes[:-1]):

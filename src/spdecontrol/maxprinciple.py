@@ -7,7 +7,11 @@ optimality is checked through directional derivatives of the performance
 functional with common random numbers, which is the directly testable content
 of the necessary conditions.  The sensitivity process is checked against the
 tangent of forward.step_forward, its central difference in the state and the
-control, so the time scheme is written once, in the forward module.
+control, so the time scheme is written once, in the forward module; the two
+sides of the control are perturbed_policy's, so its clamp is written once
+too.  sensitivity_residual reads its grids from the base field and refuses a
+chi of another shape (ValueError) and a bundle off the field's time grid
+(ModelMismatch).
 """
 from __future__ import annotations
 
@@ -26,9 +30,9 @@ from .forward import (
     PathHistory,
     SpatialGrid,
     _block_control,
-    _bundle_noise,
     _check_measure,
     _has_jumps,
+    _path_noise,
     _step_operator,
     _sweep,
     assemble_operator,
@@ -358,31 +362,25 @@ def estimate_j(
     return tuple(out) if isinstance(control, tuple) else out[0]
 
 
-def _clamp(u0, b0, bounds):
-    """Distance-to-boundary clamp delta of a direction value b0, |b0| <= 1, at
-    the control u0, so that u0 + a * delta * b0 stays in U for every |a| < 1."""
-    if np.any(np.abs(b0) > 1.0 + 1e-12):
-        raise StepTooLarge("direction exceeds its bound 1")
-    lo, hi = bounds
-    dist = np.minimum(u0 - lo, hi - u0)
-    return np.minimum(dist / 2.0, 1.0)
-
-
 def perturbed_policy(base: ControlPolicy, direction, a: float) -> ControlPolicy:
     """Admissible perturbation u + a * delta * beta0 of a base policy.
 
     direction is the base direction beta0, a rule (k, t, x, z, hist) ->
     value(s) of the base policy's shape with |beta0| <= 1 (else
-    StepTooLarge).  delta is the pointwise distance-to-boundary clamp, so
-    the result stays in U for every |a| < 1.
+    StepTooLarge).  delta = min(dist(u, boundary of U) / 2, 1) is the
+    pointwise distance-to-boundary clamp, so the result stays in U for every
+    |a| < 1.
     """
     if abs(a) >= 1.0:
         raise StepTooLarge(f"perturbation size {a} outside (-1, 1)")
+    lo, hi = base.bounds
 
     def rule(k, t, x, z, hist):
         u0 = np.asarray(base.rule(k, t, x, z, hist), dtype=float)
         b0 = np.asarray(direction(k, t, x, z, hist), dtype=float)
-        delta = _clamp(u0, b0, base.bounds)
+        if np.any(np.abs(b0) > 1.0 + 1e-12):
+            raise StepTooLarge("direction exceeds its bound 1")
+        delta = np.minimum(np.minimum(u0 - lo, hi - u0) / 2.0, 1.0)
         return u0 + a * delta * b0
 
     return ControlPolicy(rule=rule, mode=base.mode, bounds=base.bounds)
@@ -450,44 +448,41 @@ def sensitivity_residual(
     direction,
     z,
     bundle: PathBundle,
-    grid: SpatialGrid,
     *,
     chaos=None,
 ) -> float:
     """Max interior defect of chi against the tangent of the forward step.
 
     At each step k the tangent is the central difference
-    [S(y_k + eps chi_k, u_k + eps beta_k) - S(y_k - eps chi_k, u_k - eps
-    beta_k)] / (2 eps) of step_forward S, each side with its operator
-    assembled at its own control, where beta_k is the direction clamped as
-    perturbed_policy clamps it (StepTooLarge beyond its bound).  Whatever
-    the step runs, a control-dependent operator, a jump term c or a jumping
-    chaos, is linearized with it.  The bundle and a jumping chaos must be on
-    op.levy (else ModelMismatch).
+    [S(y_k + eps chi_k, u_k^+) - S(y_k - eps chi_k, u_k^-)] / (2 eps) of
+    step_forward S, where u^+ and u^- are perturbed_policy(control,
+    direction, +-eps) and each side's operator is assembled at its own
+    control (StepTooLarge for a direction beyond its bound).  Whatever the
+    step runs, a control-dependent operator, a jump term c or a jumping
+    chaos, is linearized with it.  The grids are base_field's; chi must have
+    the shape of base_field.values (else ValueError), and the bundle must be
+    on base_field.tgrid and, with a jumping chaos, on op.levy (else
+    ModelMismatch, forward._path_noise).
     """
-    _check_measure(op, chaos, bundle)
-    tgrid = bundle.grid
+    grid, tgrid = base_field.grid, base_field.tgrid
+    chi = np.asarray(chi, dtype=float)
+    if chi.shape != base_field.values.shape:
+        raise ValueError(f"chi of shape {chi.shape} for a field of shape {base_field.values.shape}")
+    db, counts, means = _path_noise(op, chaos, bundle, tgrid)
     xs = grid.nodes()
-    db, counts = _bundle_noise(bundle)
-    # the direction's rule sees the x the base control's rule sees, unchecked
-    # against U, as in perturbed_policy
-    beta0 = ControlPolicy(rule=direction, mode=control.mode)
-    means = insider_means(chaos, tgrid, db, counts)
+    sides = [(s, perturbed_policy(control, direction, s)) for s in (_TANGENT_EPS, -_TANGENT_EPS)]
     worst = 0.0
     for k, t in enumerate(tgrid.nodes[:-1]):
-        u0 = _block_control(control, k, t, xs, z, means[k])
-        b0 = _block_control(beta0, k, t, xs, z, means[k])
-        beta = _clamp(u0, b0, control.bounds) * b0
         y, dy = base_field.values[k][None], chi[k][None]
-        sides = []
-        for s in (_TANGENT_EPS, -_TANGENT_EPS):
-            u = u0 + s * beta
-            sides.append(step_forward(
+        steps = []
+        for s, side in sides:
+            u = _block_control(side, k, t, xs, z, means[k])
+            steps.append(step_forward(
                 y + s * dy, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
                 db_k=db[:, k], counts_k=[c[:, k] for c in counts],
                 assembled=_step_operator(op, grid, xs, t, u, z)[0],
             ))
-        tangent = (sides[0] - sides[1]) / (2.0 * _TANGENT_EPS)
+        tangent = (steps[0] - steps[1]) / (2.0 * _TANGENT_EPS)
         worst = max(worst, float(np.max(np.abs(chi[k + 1] - tangent[0])[1:-1])))
     return worst
 

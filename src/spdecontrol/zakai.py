@@ -8,6 +8,12 @@ The signal state space is truncated to a bounded interval; the transport
 half-step uses the exact transpose of the generator stencil, so total mass is
 conserved exactly and any probability reaching the artificial boundary is
 visible as boundary-node mass.
+
+The initial law F_init is read in one place, _initial_density, which refuses
+(ValueError) a law with a negative or NaN value at a grid node; the grid
+sweep, sample_initial_states and SignalModel.check_initial_mass all read it
+there.  Densities are integrated by the rectangle rule, except for the cdf
+that sample_initial_states inverts, which is built by the trapezoid rule.
 """
 from __future__ import annotations
 
@@ -103,12 +109,9 @@ class SignalModel:
     def check_initial_mass(self, sgrid: SpatialGrid, z) -> float:
         """Mass of F_init on the grid by UnnormalizedDensity.mass, the rectangle
         rule dx * sum of all node values (both boundary nodes in full), which
-        the transpose transport conserves exactly; it must be 1 within 1e-8."""
-        xs = sgrid.nodes()
-        f = _full(self.F_init(xs, z), xs.shape)
-        if np.any(f < 0):
-            raise ValueError("initial density must be nonnegative")
-        mass = UnnormalizedDensity(sgrid, f).mass()
+        the transpose transport conserves exactly; it must be 1 within 1e-8.
+        F_init is read by _initial_density (ValueError unless >= 0)."""
+        mass = UnnormalizedDensity(sgrid, _initial_density(self, sgrid, z)).mass()
         if abs(mass - 1.0) > _TOL_INIT_MASS:
             raise ValueError(f"initial density mass {mass} differs from 1 beyond {_TOL_INIT_MASS}")
         return mass
@@ -144,9 +147,9 @@ class UnnormalizedDensity:
         return float(self.grid.dx * np.sum(self.values))
 
     def posterior_mean(self) -> float:
-        m = self.mass()
-        if m < _EPS_MASS:
-            raise MassCollapse(f"density mass {m:.3e} below {_EPS_MASS}")
+        """dx * sum x * values / mass, the mass as normalize checks it
+        (MassCollapse below _EPS_MASS)."""
+        _, m = normalize(self)
         return float(self.grid.dx * np.sum(self.grid.nodes() * self.values) / m)
 
 
@@ -169,13 +172,25 @@ def _full(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
+def _initial_density(model: SignalModel, sgrid: SpatialGrid, z) -> np.ndarray:
+    """F_init(., z) at the grid nodes, broadcast to their shape: the one place
+    the initial law is read.  ValueError unless every value is >= 0, so a
+    negative or NaN value is refused."""
+    xs = sgrid.nodes()
+    f = _full(model.F_init(xs, z), xs.shape)
+    if not np.all(f >= 0.0):
+        raise ValueError("initial density F_init must be >= 0 at every grid node")
+    return f
+
+
 def sample_initial_states(
     model: SignalModel, sgrid: SpatialGrid, n: int, seed: int, channel: int = 3, *, z
 ) -> np.ndarray:
     """Draw n initial signal states from F_init(., z) by inverse transform on
-    the grid; MassCollapse if F_init has no mass there."""
+    the grid, its cdf by the trapezoid rule; ValueError unless F_init >= 0 at
+    every node (_initial_density), MassCollapse if it has no mass there."""
     xs = sgrid.nodes()
-    f = _full(model.F_init(xs, z), xs.shape)
+    f = _initial_density(model, sgrid, z)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * sgrid.dx)))
     if not cdf[-1] > 0:
         raise MassCollapse(f"initial density has mass {cdf[-1]:.3e} on the grid")
@@ -316,7 +331,7 @@ def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGr
     dt = tgrid.dt
     xs = sgrid.nodes()
     h_vals = _full(model.h_obs(xs), xs.shape)
-    Y = np.tile(np.maximum(_full(model.F_init(xs, z), xs.shape), 0.0), (n_paths, 1))
+    Y = np.tile(_initial_density(model, sgrid, z), (n_paths, 1))
     yield Y, np.zeros(n_paths)
     r = np.concatenate((np.zeros((n_paths, 1)), np.cumsum(dR, axis=1)), axis=1)
     transport, u_assembled = None, None
@@ -336,7 +351,8 @@ def solve_zakai(
     obs: ObservationPath,
     sgrid: SpatialGrid,
 ) -> ZakaiSolution:
-    """Splitting-up sweep over a whole observation path (a block of one)."""
+    """Splitting-up sweep over a whole observation path (a block of one),
+    started from F_init (ValueError unless >= 0 at every node)."""
     tgrid = obs.grid
     values = np.empty((tgrid.n_steps + 1, sgrid.n_nodes))
     clamp = 0.0
@@ -491,27 +507,25 @@ def direct_performance(
     return PerformanceEstimate.from_samples(acc + _full(g(X[-1]), (n_paths,)))
 
 
-def coercivity_check(y, pi: float, beta_vol, sgrid: SpatialGrid, alpha_drift: float = 0.0) -> tuple:
+def coercivity_check(y, pi: float, beta_vol, sgrid: SpatialGrid) -> tuple:
     """Discrete energy identity for the filtering generator.
 
     Returns (lhs, rhs) with lhs = 2 <-A y, y> for the flux-form operator
-    A y = pi alpha y' + half pi^2 (beta^2 y')' and rhs the gradient energy
-    pi^2 int beta^2 (y')^2 dx with midpoint volatility and forward
-    differences.  Summation by parts makes the two sides agree to rounding
-    for any volatility profile; the advection part telescopes to zero.
+    A y = half pi^2 (beta^2 y')' and rhs the gradient energy
+    pi^2 int beta^2 (y')^2 dx with midpoint volatility beta_vol, a callable
+    x -> beta, and forward differences.  Summation by parts makes the two
+    sides agree to rounding for any volatility profile.
     """
     y = np.asarray(y, dtype=float)
     if y[0] != 0.0 or y[-1] != 0.0:
         raise BoundaryViolation("test function must vanish at the boundary nodes")
     xs = sgrid.nodes()
     dx = sgrid.dx
-    bfun = beta_vol if callable(beta_vol) else (lambda x: beta_vol)
     xm = 0.5 * (xs[1:] + xs[:-1])
-    beta_m = np.array([float(bfun(x)) for x in xm])
+    beta_m = np.array([float(beta_vol(x)) for x in xm])
     flux = beta_m**2 * np.diff(y) / dx
     Ay = np.zeros_like(y)
     Ay[1:-1] = 0.5 * pi**2 * np.diff(flux) / dx
-    Ay[1:-1] += pi * alpha_drift * (y[2:] - y[:-2]) / (2.0 * dx)
     lhs = float(-2.0 * dx * y @ Ay)
     dy = np.diff(y) / dx
     rhs = float(pi**2 * dx * np.sum(beta_m**2 * dy**2))

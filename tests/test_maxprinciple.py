@@ -315,7 +315,7 @@ def test_sensitivity_residual_shrinks_quadratically_in_step():
         res = []
         for a in (4e-3, 2e-3, 1e-3):
             chi = state_sensitivity(model, op, policy, d, 0.0, b, GRID, a_step=a, chaos=chaos)
-            res.append(sensitivity_residual(chi, base, model, op, policy, d, 0.0, b, GRID, chaos=chaos))
+            res.append(sensitivity_residual(chi, base, model, op, policy, d, 0.0, b, chaos=chaos))
         # central differences: defect drops by ~4x per halving of the step
         assert 3.0 <= res[0] / res[1] <= 5.0
         assert 3.0 <= res[1] / res[2] <= 5.0
@@ -333,8 +333,8 @@ def test_sensitivity_residual_catches_a_wrong_sensitivity():
     pol, d = const_policy(0.3), direction(1.0)
     base = solve_forward(coeffs, OP, pol, 0.0, b, GRID)
     chi = state_sensitivity(coeffs, OP, pol, d, 0.0, b, GRID)
-    assert sensitivity_residual(chi, base, coeffs, OP, pol, d, 0.0, b, GRID) < 1e-9
-    assert sensitivity_residual(2 * chi, base, coeffs, OP, pol, d, 0.0, b, GRID) > 1e-3
+    assert sensitivity_residual(chi, base, coeffs, OP, pol, d, 0.0, b) < 1e-9
+    assert sensitivity_residual(2 * chi, base, coeffs, OP, pol, d, 0.0, b) > 1e-3
 
 
 def test_sensitivity_residual_rejects_direction_beyond_its_bound():
@@ -345,7 +345,35 @@ def test_sensitivity_residual_rejects_direction_beyond_its_bound():
     base = solve_forward(COEFFS, OP, pol, 0.0, b, GRID)
     chi = np.zeros_like(base.values)
     with pytest.raises(StepTooLarge):
-        sensitivity_residual(chi, base, COEFFS, OP, pol, direction(2.0), 0.0, b, GRID)
+        sensitivity_residual(chi, base, COEFFS, OP, pol, direction(2.0), 0.0, b)
+
+
+@pytest.mark.parametrize("entry", ["weak_residual", "sensitivity_residual"])
+@pytest.mark.parametrize("other", [TimeGrid(0.0, 0.4, 10), TimeGrid(0.0, 0.2, 5)],
+                         ids=["other-horizon", "five-steps"])
+def test_residuals_refuse_a_bundle_off_the_fields_time_grid(entry, other):
+    # a bundle with another horizon read 0.0076 against the field's own
+    # 0.0270 in weak_residual; a shorter one died with IndexError
+    tg = TimeGrid(0.0, 0.2, 10)
+    pol = const_policy(0.3)
+    field = solve_forward(COEFFS, OP, pol, 0.0, sample_bundle(tg, LevySpec(), 2, 0), GRID)
+    phi = np.sin(math.pi * GRID.nodes())
+    phi[0] = phi[-1] = 0.0
+    bundle = sample_bundle(other, LevySpec(), 2, 0)
+    with pytest.raises(ModelMismatch, match="bundle is on"):
+        if entry == "weak_residual":
+            weak_residual(field, phi, COEFFS, OP, pol, bundle, 0.0)
+        else:
+            sensitivity_residual(np.zeros_like(field.values), field, COEFFS, OP, pol, direction(1.0),
+                                 0.0, bundle)
+
+
+def test_sensitivity_residual_refuses_chi_of_another_shape():
+    b = sample_bundle(TimeGrid(0.0, 0.2, 10), LevySpec(), 2, 0)
+    pol = const_policy(0.3)
+    base = solve_forward(COEFFS, OP, pol, 0.0, b, GRID)
+    with pytest.raises(ValueError, match="chi of shape"):
+        sensitivity_residual(np.zeros((11, 17)), base, COEFFS, OP, pol, direction(1.0), 0.0, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -723,7 +751,7 @@ def _run_on(part, entry, levy):
         base = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 0, 0), grid,
                              chaos=JUMP_CHAOS)
         return sensitivity_residual(np.zeros_like(base.values), base, coeffs, op, pol, direction(1.0),
-                                    0.3, bundle, grid, chaos=chaos)
+                                    0.3, bundle, chaos=chaos)
     field = solve_forward(coeffs, op, pol, 0.3, bundle, grid, chaos=chaos)
     if entry == "weak_residual":
         phi = np.sin(math.pi * grid.nodes())

@@ -65,6 +65,43 @@ def test_sample_initial_states_rejects_an_initial_law_without_mass():
         zk.sample_initial_states(model, SGRID, 5, 0, z=0.0)
 
 
+def model_with_node(value):
+    """linear_model() with F_init set to value at the middle node of SGRID."""
+    base = linear_model()
+
+    def F_init(x, z):
+        f = np.array(base.F_init(x, z), dtype=float)
+        f[len(f) // 2] = value
+        return f
+
+    return replace(base, F_init=F_init)
+
+
+@pytest.mark.parametrize("routine, value", [
+    *((r, v) for r in ("solve_zakai", "direct_performance", "particle_filter_oracle",
+                       "sample_initial_states") for v in (-5.0, math.nan)),
+    ("transformed_performance", math.nan),
+])
+def test_initial_law_with_a_negative_or_nan_node_is_refused(routine, value):
+    # solve_zakai clamped a negative node to 0, sample_initial_states drew
+    # from a cdf that was not monotone, and a NaN node slipped past
+    # check_initial_mass into a failed solve
+    model = model_with_node(value)
+    tg = TimeGrid(0.0, 0.1, 5)
+    obs = zk.ObservationPath(grid=tg, increments=np.zeros(5))
+    calls = {
+        "solve_zakai": lambda: zk.solve_zakai(model, None, 0.0, obs, SGRID),
+        "direct_performance": lambda: zk.direct_performance(model, None, None, lambda x: x, 0.0, SGRID,
+                                                            tg, 10, 0),
+        "particle_filter_oracle": lambda: zk.particle_filter_oracle(model, obs, 100, 0, sgrid=SGRID),
+        "sample_initial_states": lambda: zk.sample_initial_states(model, SGRID, 5, 0, z=0.0),
+        "transformed_performance": lambda: zk.transformed_performance(model, None, None, lambda x: x,
+                                                                      0.0, SGRID, tg, 10, 0),
+    }
+    with pytest.raises(ValueError, match="F_init must be >= 0"):
+        calls[routine]()
+
+
 def test_zero_observation_function_gives_brownian_observations():
     model = zk.SignalModel(
         alpha=lambda x, r, u: 0.0,
@@ -651,31 +688,31 @@ def test_coercivity_exact_for_constant_volatility():
     xs = sg.nodes()
     y = np.sin(math.pi * xs)
     y[0] = y[-1] = 0.0
-    lhs, rhs = zk.coercivity_check(y, 1.3, 1.0, sg)
+    lhs, rhs = zk.coercivity_check(y, 1.3, lambda x: 1.0, sg)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    l0, r0 = zk.coercivity_check(y, 0.0, 1.0, sg)
+    l0, r0 = zk.coercivity_check(y, 0.0, lambda x: 1.0, sg)
     assert l0 == 0.0 and r0 == 0.0
-    l2, r2 = zk.coercivity_check(y, 2.6, 1.0, sg)
+    l2, r2 = zk.coercivity_check(y, 2.6, lambda x: 1.0, sg)
     assert l2 == pytest.approx(4 * lhs, rel=1e-12)
     assert r2 == pytest.approx(4 * rhs, rel=1e-12)
 
 
-def test_coercivity_exact_for_varying_volatility_and_drift():
+def test_coercivity_exact_for_varying_volatility():
     # flux-form lhs equals the gradient energy by summation by parts even
-    # for non-constant volatility; advection telescopes to zero
+    # for non-constant volatility
     for n_cells in (16, 32, 64):
         sg = SpatialGrid(0.0, 1.0, n_cells)
         xs = sg.nodes()
         y = np.sin(math.pi * xs)
         y[0] = y[-1] = 0.0
-        lhs, rhs = zk.coercivity_check(y, 1.0, lambda x: 1.0 + 0.5 * x, sg, alpha_drift=0.3)
+        lhs, rhs = zk.coercivity_check(y, 1.0, lambda x: 1.0 + 0.5 * x, sg)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_coercivity_boundary_violation():
     sg = SpatialGrid(0.0, 1.0, 8)
     with pytest.raises(BoundaryViolation):
-        zk.coercivity_check(np.ones(sg.n_nodes), 1.0, 1.0, sg)
+        zk.coercivity_check(np.ones(sg.n_nodes), 1.0, lambda x: 1.0, sg)
 
 
 def test_feedback_pi_analytic_quadratic_field():
