@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from spdecontrol import portfolio as pf
-from spdecontrol.donsker import HistorySnapshot
 from spdecontrol.noise import TimeGrid
 
 market, utility, spec = pf.benchmark_market(16)
@@ -27,7 +26,7 @@ candidates = {
 }
 
 print(f"initial proportion at z = {z}: "
-      f"{pf.optimal_pi(market, spec, z, HistorySnapshot(t=0.0, accumulated_b=0.0)):.4f}")
+      f"{pf.optimal_pi(market, spec, z, 0.0, 0.0):.4f}")
 
 results = pf.run_portfolio_experiment(
     market, utility, spec, z, candidates, tgrid, n_paths=4000, seed=0

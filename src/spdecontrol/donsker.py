@@ -10,9 +10,11 @@ history only through the compensated scalar
 
 which is what makes vectorized evaluation over ensembles cheap.
 
-For purely Gaussian specifications (no jump component) every moment has a
-closed form; conditional_delta, delta_from_mean and conditional_malliavin_b
-keep the quadrature route selectable (method=) for cross-validation.
+Every moment takes the time t and the mean m = m(t), which
+forward.insider_means computes for each path of a run.  For purely Gaussian
+specifications (no jump component) every moment has a closed form;
+delta_from_mean and conditional_malliavin_b keep the quadrature route
+selectable (method=) for cross-validation.
 
 The residual variance sigma^2(t) = int_t^{T0} beta^2 ds comes from a built-in
 globally adaptive nested Clenshaw-Curtis 8/16 rule, and the transform
@@ -34,19 +36,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVariance, DivisionUnstable, ModelMismatch, QuadratureFailure, UnknownMark
-from .noise import LevySpec, PathBundle, TimeGrid
+from .noise import LevySpec, TimeGrid
 
 __all__ = [
     "FirstOrderChaosSpec",
-    "HistorySnapshot",
-    "conditional_delta",
     "delta_from_mean",
     "conditional_malliavin_b",
     "conditional_malliavin_n",
-    "phi1",
     "phi1_from_mean",
     "gaussian_phi1",
-    "effective_mean",
 ]
 
 log = logging.getLogger(__name__)
@@ -148,53 +146,11 @@ class FirstOrderChaosSpec:
         return self._sigma2[key]
 
 
-@dataclass(frozen=True)
-class HistorySnapshot:
-    """Realized information at time t < T0: the Brownian integral of beta and
-    the list of (time, mark) jump events seen so far."""
-
-    t: float
-    accumulated_b: float
-    jump_events: tuple = ()
-
-    @classmethod
-    def from_bundle(cls, spec: FirstOrderChaosSpec, bundle: PathBundle, k: int):
-        """Snapshot at node k built from the bundle prefix [t_0, t_k)."""
-        grid = bundle.grid
-        ts = grid.times()
-        acc = float(np.sum([spec.beta(t) for t in ts[:k]] * bundle.brownian_increments[:k])) if k else 0.0
-        # events in time order, in atom order within a step
-        counts = bundle.jump_counts[:, :k].T
-        steps, atoms = np.nonzero(counts)
-        n = counts[steps, atoms]
-        times = np.repeat(ts[steps], n).tolist()
-        marks = np.repeat(bundle.levy.marks[atoms], n).tolist()
-        return cls(t=grid.nodes[k], accumulated_b=acc, jump_events=tuple(zip(times, marks)))
-
-
 @functools.cache
 def _gl_rule():
     """Gauss-Legendre nodes and weights on [-1, 1], built on first use (Gaussian
-    specs never need them) and rescaled by _gl_nodes."""
+    specs never need them) and rescaled to [t, T0] by _jump_exponent."""
     return np.polynomial.legendre.leggauss(_TIME_QUAD_NODES)
-
-
-def _gl_nodes(a: float, b: float):
-    x, w = _gl_rule()
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def effective_mean(spec: FirstOrderChaosSpec, hist: HistorySnapshot) -> float:
-    """Compensated realized mean m(t) of Z given the snapshot."""
-    m = hist.accumulated_b
-    if spec.psi is not None and spec.levy.atoms:
-        for s, mark in hist.jump_events:
-            m += spec.psi(s, mark)
-        if hist.t > 0:
-            s_q, w_q = _gl_nodes(0.0, hist.t)
-            for mark, lam in spec.levy.atoms:
-                m -= lam * float(w_q @ np.array([spec.psi(s, mark) for s in s_q]))
-    return m
 
 
 def _check_time(spec: FirstOrderChaosSpec, t: float) -> float:
@@ -218,7 +174,8 @@ def _jump_exponent(spec: FirstOrderChaosSpec, t: float):
     exponent at the equispaced nodes x = k h, k = nb a + b < nb na."""
     if spec.is_gaussian:
         return lambda x, nb, na: 0.0
-    s_q, w_q = _gl_nodes(t, spec.T0)
+    gx, gw = _gl_rule()
+    s_q, w_q = 0.5 * (spec.T0 - t) * gx + 0.5 * (t + spec.T0), 0.5 * (spec.T0 - t) * gw
     psi = np.array([spec.psi(s, mark) for mark, _ in spec.levy.atoms for s in s_q])
     wl = np.array([lam * w for _, lam in spec.levy.atoms for w in w_q])
     wl_sum, wl_psi = wl.sum(), wl @ psi
@@ -348,14 +305,9 @@ def _gaussian_pdf(z, m, sigma2):
     return np.exp(-((z - m) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)
 
 
-def conditional_delta(spec, z, hist, *, method="auto"):
-    """Conditional density of Z at z given the history snapshot."""
-    m = effective_mean(spec, hist)
-    return delta_from_mean(spec, z, hist.t, m, method=method)
-
-
 def delta_from_mean(spec, z, t, m, *, method="auto"):
-    """Same as conditional_delta but from the scalar (or array) mean m(t)."""
+    """Conditional density E[delta_Z(z) | F_t] of Z at z from the compensated
+    mean m(t), a scalar or an array."""
     sigma2 = _check_time(spec, t)
     if _resolve_method(spec, method) == "closed_form":
         return _gaussian_pdf(z, m, sigma2)
@@ -364,26 +316,24 @@ def delta_from_mean(spec, z, t, m, *, method="auto"):
     return out if np.ndim(m) else float(out)
 
 
-def conditional_malliavin_b(spec, z, hist, *, method="auto"):
+def conditional_malliavin_b(spec, z, t, m, *, method="auto"):
     """Conditional Brownian stochastic derivative of the delta functional at
-    the snapshot time (the diagonal case)."""
-    t, m = hist.t, effective_mean(spec, hist)
+    time t (the diagonal case), from the compensated mean m(t)."""
     sigma2 = _check_time(spec, t)
-    beta_t = spec.beta(t)
     if _resolve_method(spec, method) == "closed_form":
-        return float(beta_t * (z - m) / sigma2 * _gaussian_pdf(z, m, sigma2))
+        return float(gaussian_phi1(spec, z, t, m) * _gaussian_pdf(z, m, sigma2))
+    beta_t = spec.beta(t)
     return float(_fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2))
 
 
-def conditional_malliavin_n(spec, z, hist, zeta):
-    """Conditional jump stochastic derivative at mark zeta."""
+def conditional_malliavin_n(spec, z, t, m, zeta):
+    """Conditional jump stochastic derivative at mark zeta and time t, from
+    the compensated mean m(t)."""
     marks = [mk for mk, _ in spec.levy.atoms]
     if not any(math.isclose(zeta, mk, rel_tol=1e-12, abs_tol=1e-12) for mk in marks):
         raise UnknownMark(f"mark {zeta} is not an atom of the Levy measure")
     if spec.psi is None:
         return 0.0
-    m = effective_mean(spec, hist)
-    t = hist.t
     psi_tz = spec.psi(t, zeta)
     if psi_tz == 0.0:
         return 0.0
@@ -392,18 +342,12 @@ def conditional_malliavin_n(spec, z, hist, zeta):
     return float(num)
 
 
-def phi1(spec, z, hist):
-    """Information-drift ratio: Brownian derivative moment over the density,
-    phi1_from_mean at the history's effective mean."""
-    return phi1_from_mean(spec, z, hist.t, effective_mean(spec, hist))
-
-
 def phi1_from_mean(spec, z, t, m):
-    """phi1 evaluated from the compensated mean m(t); m may be an array.
-    Closed form for a Gaussian spec, Fourier quadrature otherwise.  A
-    quadrature density at or below _FOURIER_TOL, the tolerance the quadrature
-    is resolved to, is rounding noise, and so would be the ratio: it raises
-    DivisionUnstable."""
+    """Information-drift ratio phi1: the Brownian derivative moment over the
+    density, from the compensated mean m(t); m may be an array.  Closed form
+    for a Gaussian spec, Fourier quadrature otherwise.  A quadrature density
+    at or below _FOURIER_TOL, the tolerance the quadrature is resolved to, is
+    rounding noise, and so would be the ratio: it raises DivisionUnstable."""
     if spec.is_gaussian:
         return gaussian_phi1(spec, z, t, m)
     sigma2 = _check_time(spec, t)

@@ -72,10 +72,6 @@ class LevySpec:
             raise ValueError("atom rates must be nonnegative")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def marks(self) -> np.ndarray:
-        return np.array([z for z, _ in self.atoms])
-
 
 @dataclass(frozen=True)
 class PathBundle:

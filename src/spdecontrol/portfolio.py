@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import donsker
-from .donsker import FirstOrderChaosSpec, HistorySnapshot
+from .donsker import FirstOrderChaosSpec
 from .errors import WealthNonpositive
 from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, _write_csv
 from .maxprinciple import PerformanceEstimate, PerformanceSpec, _adjoint_integrand, _volatility, run_ensemble
@@ -122,26 +122,22 @@ def log_utility_performance(market: MarketSpec, utility: UtilitySpec) -> Perform
     return PerformanceSpec(h=lambda t, x, y, u, z: 0.0, k=k)
 
 
-def _pi_hat(market: MarketSpec, spec: FirstOrderChaosSpec, z, t, m) -> float | np.ndarray:
-    """pi_hat = phi1/b0 + a0/b0^2 at time t from the compensated mean m, a scalar or per path."""
-    vol = market.vol(t, z)
-    return donsker.phi1_from_mean(spec, z, t, m) / vol + market.a0(t, z) / vol**2
-
-
-def optimal_pi(market: MarketSpec, spec: FirstOrderChaosSpec, z, hist: HistorySnapshot) -> float:
-    """Closed-form optimal insider proportion at the snapshot time.
+def optimal_pi(market: MarketSpec, spec: FirstOrderChaosSpec, z, t, m) -> float | np.ndarray:
+    """Closed-form optimal insider proportion pi_hat = phi1/b0 + a0/b0^2 at
+    time t from the compensated mean m(t), a scalar or one per path.
 
     The utility weight k(x, z) is deterministic given z, so it cancels from
     the drift ratio entirely and the proportion reads only the information
     drift phi1.
     """
-    return _pi_hat(market, spec, z, hist.t, donsker.effective_mean(spec, hist))
+    vol = market.vol(t, z)
+    return donsker.phi1_from_mean(spec, z, t, m) / vol + market.a0(t, z) / vol**2
 
 
 def optimal_policy(market: MarketSpec, spec: FirstOrderChaosSpec) -> ControlPolicy:
     """x-independent policy evaluating the optimal proportion from the running
     compensated mean; vectorizes over ensemble paths."""
-    return ControlPolicy(rule=lambda k, t, x, z, hist: _pi_hat(market, spec, z, t, hist.m),
+    return ControlPolicy(rule=lambda k, t, x, z, hist: optimal_pi(market, spec, z, t, hist.m),
                          mode="x-independent")
 
 

@@ -119,10 +119,16 @@ class SignalModel:
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """Observation increments dR on a time grid, one per step."""
+    """Observation increments dR on a time grid, one per step; increments of
+    another shape raise ModelMismatch."""
 
     grid: TimeGrid
     increments: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.increments) != (self.grid.n_steps,):
+            raise ModelMismatch(f"observation increments of shape {np.shape(self.increments)}, "
+                                f"not ({self.grid.n_steps},) for {self.grid}")
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,7 @@ import pytest
 
 from spdecontrol import cli, portfolio as pf, zakai as zk
 from spdecontrol.cli import heat_space_error, heat_time_error, run_experiment
-from spdecontrol.donsker import (
-    FirstOrderChaosSpec,
-    HistorySnapshot,
-    conditional_delta,
-    delta_from_mean,
-    effective_mean,
-)
+from spdecontrol.donsker import FirstOrderChaosSpec, delta_from_mean
 from spdecontrol.errors import NumericalCheckFailure
 from spdecontrol.forward import SpatialGrid
 from spdecontrol.maxprinciple import (
@@ -46,16 +40,14 @@ def test_criterion_01_density_oracle_equivalence():
     zs = [-1.0, -0.5, 0.0, 0.5, 1.0]
     worst = 0.0
     for t in ts:
-        hist = HistorySnapshot(t=t, accumulated_b=0.1)
         for z in zs:
-            cf = conditional_delta(spec, z, hist, method="closed_form")
-            qd = conditional_delta(spec, z, hist, method="quadrature")
+            cf = delta_from_mean(spec, z, t, 0.1, method="closed_form")
+            qd = delta_from_mean(spec, z, t, 0.1, method="quadrature")
             worst = max(worst, abs(cf - qd))
     assert worst <= 1e-8
     # unit mass of the density in z at each time
+    m = 0.1
     for t in ts:
-        hist = HistorySnapshot(t=t, accumulated_b=0.1)
-        m = effective_mean(spec, hist)
         sigma = math.sqrt(1.0 - t)
         zg = np.linspace(m - 10 * sigma, m + 10 * sigma, 4001)
         mass = float(np.trapezoid(delta_from_mean(spec, 0.0, t, m - zg), zg))
@@ -68,11 +60,10 @@ def test_criterion_01_density_oracle_equivalence():
 def test_criterion_02_density_martingale():
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, T0=1.0)
     t1, t2 = 0.2, 0.6
-    hist = HistorySnapshot(t=t1, accumulated_b=0.1)
     grid = TimeGrid(t1, t2, 16)
     worst_t = 0.0
     for i, z in enumerate((-0.5, 0.3, 1.0)):
-        d1 = conditional_delta(spec, z, hist)
+        d1 = delta_from_mean(spec, z, t1, 0.1)
         db = brownian_increment_matrix(grid, 100 + i, range(10**4))
         m2 = 0.1 + db.sum(axis=1)
         d2 = delta_from_mean(spec, z, t2, m2)

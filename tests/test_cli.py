@@ -107,7 +107,6 @@ def test_package_namespace_is_the_modules_api():
 # members whose only readers are tests or the benchmark, kept on purpose
 MEMBER_EXEMPTIONS = {
     "AssembledOperator.dense": "the dense matrix the banded solves are tested against",
-    "HistorySnapshot.from_bundle": "the reference snapshot that m(t) updates are tested against",
     "OperatorSpec.control_dependent": "inert, but perfbench's general-jump workload still passes it",
 }
 

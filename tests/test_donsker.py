@@ -13,14 +13,10 @@ from spdecontrol import donsker
 from spdecontrol.donsker import (
     EPS_VAR,
     FirstOrderChaosSpec,
-    HistorySnapshot,
-    conditional_delta,
     conditional_malliavin_b,
     conditional_malliavin_n,
     delta_from_mean,
-    effective_mean,
     gaussian_phi1,
-    phi1,
     phi1_from_mean,
 )
 from spdecontrol.errors import (
@@ -177,46 +173,33 @@ def test_jump_density_equals_poisson_mixture(atom, t):
 
 def test_gaussian_closed_form_matches_quadrature():
     spec = gaussian_spec()
-    hist = HistorySnapshot(t=0.4, accumulated_b=-0.3)
     for z in (-1.0, 0.0, 0.7):
-        cf = conditional_delta(spec, z, hist, method="closed_form")
-        qd = conditional_delta(spec, z, hist, method="quadrature")
+        cf = delta_from_mean(spec, z, 0.4, -0.3, method="closed_form")
+        qd = delta_from_mean(spec, z, 0.4, -0.3, method="quadrature")
         assert qd == pytest.approx(cf, abs=1e-10)
 
 
 def test_density_at_t0_is_standard_gaussian():
     spec = gaussian_spec()
-    hist = HistorySnapshot(t=0.0, accumulated_b=0.0)
-    val = conditional_delta(spec, 0.0, hist)
+    val = delta_from_mean(spec, 0.0, 0.0, 0.0)
     assert val == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
 
 
 def test_degenerate_variance_raises():
     spec = gaussian_spec()
     with pytest.raises(DegenerateVariance):
-        conditional_delta(spec, 0.0, HistorySnapshot(t=1.0, accumulated_b=0.0))
+        delta_from_mean(spec, 0.0, 1.0, 0.0)
     tiny = FirstOrderChaosSpec(beta=lambda s: math.sqrt(EPS_VAR / 10), T0=1.0)
     with pytest.raises(DegenerateVariance):
-        conditional_delta(tiny, 0.0, HistorySnapshot(t=0.0, accumulated_b=0.0))
-
-
-def test_effective_mean_compensates_jumps():
-    spec = jump_spec()
-    hist = HistorySnapshot(
-        t=0.5, accumulated_b=0.2, jump_events=((0.1, 1.0), (0.3, -0.5))
-    )
-    m = effective_mean(spec, hist)
-    # brownian part + realized psi - integral of rates * psi over [0, 0.5]
-    expected = 0.2 + 0.4 * 1.0 + 0.4 * (-0.5) - 0.5 * (0.5 * 0.4 * 1.0 + 1.0 * 0.4 * (-0.5))
-    assert m == pytest.approx(expected, abs=1e-12)
+        delta_from_mean(tiny, 0.0, 0.0, 0.0)
 
 
 def test_jump_density_is_normalized():
     spec = jump_spec()
     t = 0.3
     zs = np.linspace(-8, 8, 1601)
-    hist = HistorySnapshot(t=t, accumulated_b=0.1)
-    m = effective_mean(spec, hist)
+    # Brownian part 0.1 minus the compensator t sum_a lam_a psi(mark_a)
+    m = 0.1 - t * (0.5 * 0.4 * 1.0 + 1.0 * 0.4 * (-0.5))
     # density as a function of z equals a fixed shape translated by the mean
     vals = delta_from_mean(spec, 0.0, t, m - zs)
     mass = float(np.trapezoid(vals, zs))
@@ -225,34 +208,32 @@ def test_jump_density_is_normalized():
 
 def test_malliavin_b_closed_form():
     spec = gaussian_spec()
-    hist = HistorySnapshot(t=0.4, accumulated_b=0.2)
     z = 0.9
     sigma2 = 0.6
-    dens = conditional_delta(spec, z, hist)
+    dens = delta_from_mean(spec, z, 0.4, 0.2)
     expected = (z - 0.2) / sigma2 * dens
-    assert conditional_malliavin_b(spec, z, hist) == pytest.approx(expected, abs=1e-10)
-    qd = conditional_malliavin_b(spec, z, hist, method="quadrature")
+    assert conditional_malliavin_b(spec, z, 0.4, 0.2) == pytest.approx(expected, abs=1e-10)
+    qd = conditional_malliavin_b(spec, z, 0.4, 0.2, method="quadrature")
     assert qd == pytest.approx(expected, abs=1e-8)
 
 
 def test_phi1_gaussian_ratio():
     spec = gaussian_spec()
-    hist = HistorySnapshot(t=0.5, accumulated_b=0.25)
     z = 1.25
-    assert phi1(spec, z, hist) == pytest.approx((z - 0.25) / 0.5, abs=1e-10)
+    assert phi1_from_mean(spec, z, 0.5, 0.25) == pytest.approx((z - 0.25) / 0.5, abs=1e-10)
     assert gaussian_phi1(spec, z, 0.5, 0.25) == pytest.approx((z - 0.25) / 0.5)
 
 
 def test_gaussian_only_rules_raise_model_mismatch_on_jump_spec():
     # a jump spec asked for a Gaussian closed form names the mismatch instead
     # of evaluating the Gaussian part of the model alone
-    spec, hist = jump_spec(), HistorySnapshot(t=0.4, accumulated_b=0.2)
+    spec = jump_spec()
     with pytest.raises(ModelMismatch):
         gaussian_phi1(spec, 0.5, 0.4, 0.2)
     with pytest.raises(ModelMismatch):
         delta_from_mean(spec, 0.5, 0.4, 0.2, method="closed_form")
     with pytest.raises(ModelMismatch):
-        conditional_malliavin_b(spec, 0.5, hist, method="closed_form")
+        conditional_malliavin_b(spec, 0.5, 0.4, 0.2, method="closed_form")
 
 
 def test_residual_variance_integrates_once_per_time():
@@ -328,16 +309,6 @@ def test_simpson_equals_scipy_bitwise(n, rows, coarse):
     assert np.all(np.abs(y @ w - simpson(y, x=x, axis=-1)) <= 1e-14 * (np.abs(y) @ np.abs(w)))
 
 
-def test_phi1_computes_effective_mean_once():
-    spec = jump_spec()
-    hist = HistorySnapshot(t=0.4, accumulated_b=0.2, jump_events=((0.1, 1.0), (0.3, -0.5)))
-    old = conditional_malliavin_b(spec, 0.3, hist) / conditional_delta(spec, 0.3, hist)
-    with mock.patch.object(donsker, "effective_mean", wraps=effective_mean) as mean:
-        val = phi1(spec, 0.3, hist)
-    assert mean.call_count == 1
-    assert val == old
-
-
 def test_phi1_from_mean_vectorizes():
     spec = jump_spec()
     ms = np.array([-0.2, 0.0, 0.4])
@@ -369,23 +340,23 @@ def test_phi1_from_mean_refuses_a_density_within_the_quadrature_tolerance(z):
 
 def test_malliavin_n_unknown_mark():
     spec = jump_spec()
-    hist = HistorySnapshot(t=0.2, accumulated_b=0.0)
+    m = 0.0 - 0.2 * (0.5 * 0.4 * 1.0 + 1.0 * 0.4 * (-0.5))
     with pytest.raises(UnknownMark):
-        conditional_malliavin_n(spec, 0.0, hist, 3.0)
-    val = conditional_malliavin_n(spec, 0.0, hist, 1.0)
+        conditional_malliavin_n(spec, 0.0, 0.2, m, 3.0)
+    val = conditional_malliavin_n(spec, 0.0, 0.2, m, 1.0)
     assert np.isfinite(val)
 
 
 def test_malliavin_n_difference_identity():
     # E[D_{t,z} delta | F_t] equals the density shift induced by one extra jump
     spec = jump_spec()
-    hist = HistorySnapshot(t=0.2, accumulated_b=0.1)
     z = 0.4
     mark = 1.0
-    m = effective_mean(spec, hist)
+    # Brownian part 0.1 minus the compensator t sum_a lam_a psi(mark_a)
+    m = 0.1 - 0.2 * (0.5 * 0.4 * 1.0 + 1.0 * 0.4 * (-0.5))
     shift = spec.psi(0.2, mark)
     expected = delta_from_mean(spec, z, 0.2, m + shift) - delta_from_mean(spec, z, 0.2, m)
-    got = conditional_malliavin_n(spec, z, hist, mark)
+    got = conditional_malliavin_n(spec, z, 0.2, m, mark)
     assert got == pytest.approx(expected, abs=1e-8)
 
 
@@ -393,8 +364,7 @@ def test_density_martingale_under_continuation():
     spec = gaussian_spec()
     t1, t2 = 0.2, 0.6
     z = 0.3
-    hist = HistorySnapshot(t=t1, accumulated_b=0.1)
-    d1 = conditional_delta(spec, z, hist)
+    d1 = delta_from_mean(spec, z, t1, 0.1)
     grid = TimeGrid(t1, t2, 16)
     db = brownian_increment_matrix(grid, 17, range(4000))
     m2 = 0.1 + db.sum(axis=1)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdecontrol import forward
-from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot, effective_mean
+from spdecontrol.donsker import FirstOrderChaosSpec
 from spdecontrol.errors import CoefficientShapeMismatch, LinearSolveFailure, ModelMismatch, NonParabolic
 from spdecontrol.forward import (
     AssembledOperator,
@@ -469,9 +469,10 @@ def test_single_path_solve_rejects_mixed_noise_models(case):
     T=st.floats(0.05, 0.9),
     seed=st.integers(0, 2**16),
 )
-def test_advance_mean_matches_effective_mean_of_snapshot(atoms, beta, psi, n_steps, T, seed):
+def test_insider_means_match_the_closed_form_for_constant_coefficients(atoms, beta, psi, n_steps, T, seed):
     # for time-constant beta and psi the left-endpoint compensator equals the
-    # continuous one, so every node's mean reproduces the snapshot oracle
+    # continuous one, so every node's mean is
+    # beta sum_{j<k} dB_j + sum_a psi mark_a (sum_{j<k} N_{a,j} - lam_a t_k)
     levy = LevySpec(atoms=tuple(atoms))
     spec = FirstOrderChaosSpec(beta=lambda s: beta, psi=lambda s, mark: psi * mark, levy=levy, T0=1.0)
     tgrid = TimeGrid(0.0, T, n_steps)
@@ -480,7 +481,10 @@ def test_advance_mean_matches_effective_mean_of_snapshot(atoms, beta, psi, n_ste
     means = insider_means(spec, tgrid, bundle.brownian_increments[None], counts)
     assert means.shape == (n_steps + 1, 1)
     for k, (m,) in enumerate(means):
-        ref = effective_mean(spec, HistorySnapshot.from_bundle(spec, bundle, k))
+        ref = beta * np.sum(bundle.brownian_increments[:k]) + sum(
+            psi * mark * (np.sum(bundle.jump_counts[a, :k]) - lam * tgrid.nodes[k])
+            for a, (mark, lam) in enumerate(levy.atoms)
+        )
         assert abs(m - ref) <= 1e-12
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
-from spdecontrol.donsker import FirstOrderChaosSpec, HistorySnapshot
+from spdecontrol.donsker import FirstOrderChaosSpec
 from spdecontrol.errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
-from spdecontrol.forward import SpatialGrid
+from spdecontrol.forward import PathHistory, SpatialGrid
 from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix
 
 
@@ -21,8 +21,7 @@ def test_optimal_pi_pure_information_term():
         D=SpatialGrid(0.0, 1.0, 8),
     )
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, T0=1.0)
-    hist = HistorySnapshot(t=0.5, accumulated_b=0.0)
-    val = pf.optimal_pi(market, spec, 1.0, hist)
+    val = pf.optimal_pi(market, spec, 1.0, 0.5, 0.0)
     assert val == pytest.approx(2.0, abs=1e-10)
 
 
@@ -34,8 +33,7 @@ def test_optimal_pi_merton_term_only_at_mean():
         D=SpatialGrid(0.0, 1.0, 8),
     )
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, T0=1.0)
-    hist = HistorySnapshot(t=0.3, accumulated_b=0.7)
-    val = pf.optimal_pi(market, spec, 0.7, hist)
+    val = pf.optimal_pi(market, spec, 0.7, 0.3, 0.7)
     assert val == pytest.approx(0.1 / 0.25, abs=1e-10)
 
 
@@ -48,7 +46,19 @@ def test_degenerate_volatility_raises():
     )
     spec = FirstOrderChaosSpec(beta=lambda s: 1.0, T0=1.0)
     with pytest.raises(DegenerateVolatility):
-        pf.optimal_pi(market, spec, 0.5, HistorySnapshot(t=0.2, accumulated_b=0.0))
+        pf.optimal_pi(market, spec, 0.5, 0.2, 0.0)
+
+
+@pytest.mark.parametrize("k, t", [(0, 0.0), (37, 0.37)])
+def test_policy_and_scalar_optimal_pi_agree_bit_for_bit(k, t):
+    # the ensemble evaluates pi_hat on every path at once, the demos one
+    # mean at a time; both read optimal_pi
+    market, _, spec = pf.benchmark_market(16)
+    z = 0.5
+    ms = np.array([-1.3, -0.2, 0.0, 0.1, 0.45, 2.7])
+    per_path = pf.optimal_policy(market, spec).values(k, t, None, z, PathHistory(m=ms))
+    scalar = [pf.optimal_pi(market, spec, z, t, m) for m in ms]
+    assert np.array_equal(per_path, scalar)
 
 
 def test_zero_weight_gives_zero_performance():

@@ -102,6 +102,22 @@ def test_initial_law_with_a_negative_or_nan_node_is_refused(routine, value):
         calls[routine]()
 
 
+@pytest.mark.parametrize("routine", ["solve_zakai", "particle_filter_oracle", "kalman_bucy_oracle"])
+@pytest.mark.parametrize("n_increments", [3, 8])
+def test_observation_increments_of_another_length_are_refused(routine, n_increments):
+    # on a 5-step grid, 3 increments died with IndexError in all three
+    # routines and 8 ran silently on the first 5
+    model = linear_model()
+    tg = TimeGrid(0.0, 0.1, 5)
+    calls = {
+        "solve_zakai": lambda obs: zk.solve_zakai(model, None, 0.0, obs, SGRID),
+        "particle_filter_oracle": lambda obs: zk.particle_filter_oracle(model, obs, 100, 0, sgrid=SGRID),
+        "kalman_bucy_oracle": lambda obs: zk.kalman_bucy_oracle(-0.5, 0.4, 1.0, 0.0, 0.04, obs),
+    }
+    with pytest.raises(ModelMismatch, match=r"observation increments of shape \(%d,\)" % n_increments):
+        calls[routine](zk.ObservationPath(grid=tg, increments=np.zeros(n_increments)))
+
+
 def test_zero_observation_function_gives_brownian_observations():
     model = zk.SignalModel(
         alpha=lambda x, r, u: 0.0,
