@@ -397,6 +397,20 @@ def _check_measure(op: OperatorSpec, chaos, bundle: PathBundle | None = None):
         raise ModelMismatch(f"bundle is drawn on {bundle.levy} but op.levy is {op.levy}")
 
 
+# paths per chunk of _fill_rows: a chunk of 200 steps is 400 KB of scratch
+_FILL_PATHS = 256
+
+
+def _fill_rows(out, coeff, noise):
+    """out[k, p] = coeff[k] * noise[p, k] for a per-step coefficient coeff
+    and a path-major noise matrix (n_paths, n_steps).  A chunk of paths is
+    multiplied in the noise's own layout and then copied transposed: that is
+    faster than one strided multiply, and its scratch is a chunk, never a
+    block."""
+    for lo in range(0, len(noise), _FILL_PATHS):
+        out[:, lo:lo + _FILL_PATHS] = (noise[lo:lo + _FILL_PATHS] * coeff).T
+
+
 def insider_means(chaos, tgrid: TimeGrid, db, counts=()) -> np.ndarray:
     """Compensated insider mean m(t_k) at every node k = 0..n_steps of the
     block of paths with Brownian increments db (n_paths, n_steps) and event
@@ -411,15 +425,38 @@ def insider_means(chaos, tgrid: TimeGrid, db, counts=()) -> np.ndarray:
     chaos.levy once per run (_check_measure).  chaos None gives zeros.  m
     depends on the noise only, never on a control, so it is computed once
     per block and shared by every control swept on it.
+
+    m is one cumulative sum down the time axis, bit-identical to that
+    recurrence: beta and each psi are evaluated once per node, and each
+    step's terms beta dB, then psi_a N_a and -(dt lam_a psi_a) atom by atom,
+    are rows of one buffer below a row of +0.0, which np.add.accumulate adds
+    in the order the recurrence does (a - b == a + (-b), and +0.0 + -0.0 is
+    +0.0).
     """
-    m = np.zeros((tgrid.n_steps + 1, len(db)))
-    if chaos is not None:
-        for k, t in enumerate(tgrid.nodes[:-1]):
-            m_k = m[k] + chaos.beta(t) * db[:, k]
-            if _has_jumps(chaos):
-                for a, (mark, lam) in enumerate(chaos.levy.atoms):
-                    m_k = m_k + chaos.psi(t, mark) * counts[a][:, k] - tgrid.dt * lam * chaos.psi(t, mark)
-            m[k + 1] = m_k
+    n_steps, n_paths = tgrid.n_steps, len(db)
+    if chaos is None:
+        m = np.zeros((n_steps + 1, n_paths))
+        m.flags.writeable = False
+        return m
+    times = tgrid.nodes[:-1]
+    atoms = chaos.levy.atoms if _has_jumps(chaos) else ()
+    per_step = 1 + 2 * len(atoms)
+    # the sum walks down one column at a time; rows an odd number of 64-byte
+    # cache lines apart spread a column over every cache set, where rows a
+    # multiple of 4 KiB apart (4096 paths) would share one.  Zeros: row 0 is
+    # m(t_0), and the padding columns are summed too
+    buf = np.zeros((1 + n_steps * per_step, 8 * (-(-n_paths // 8) | 1)))
+    terms = buf[:, :n_paths]
+    _fill_rows(terms[1::per_step], np.array([chaos.beta(t) for t in times], dtype=float), db)
+    for a, (mark, lam) in enumerate(atoms):
+        psi = np.array([chaos.psi(t, mark) for t in times], dtype=float)
+        _fill_rows(terms[2 + 2 * a::per_step], psi, counts[a])
+        terms[3 + 2 * a::per_step] = -(tgrid.dt * lam * psi)[:, None]
+    # a complex128 sum is two float64 sums, so this walks two columns at once
+    pairs = buf.view(np.complex128)
+    np.add.accumulate(pairs, axis=0, out=pairs)
+    # with jumps, a copy of every (1 + 2 len(atoms))-th row frees the rest
+    m = terms if per_step == 1 else terms[::per_step].copy()
     m.flags.writeable = False
     return m
 

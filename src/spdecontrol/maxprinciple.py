@@ -494,7 +494,8 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     with theta = b0 pi - a0/b0 (n_paths, n_steps), and the insider mean at
     the horizon.  b0 and a0/b0 are evaluated over the nodes before the loop;
     pi, an x-independent ControlPolicy (else ValueError), is evaluated once
-    per step for the whole block."""
+    per step for the whole block, and a NaN or infinite value of it raises
+    ValueError."""
     if _has_jumps(chaos):
         raise ModelMismatch("the reduced adjoint advances the insider mean by beta dB only; "
                             "it does not support a jump insider variable")
@@ -510,6 +511,9 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     u = np.empty((tgrid.n_steps, len(db)))
     for k, t in enumerate(times):
         u[k] = pi.values(k, t, None, z, PathHistory(m=means[k]))
+    # NaN passes ControlPolicy.values' bounds and would give a NaN adjoint
+    if not np.isfinite(u).all():
+        raise ValueError("control rule produced a non-finite value for the reduced adjoint")
     theta = (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T
     return np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1), means[-1]
 

@@ -205,12 +205,19 @@ def sample_initial_states(
     return np.interp(u, cdf, xs)
 
 
+# the insider mean a filtering rule sees: read-only, so a rule cannot write a
+# number over the NaN and get past _control_value's check
+_NO_MEAN = np.full(1, np.nan)
+_NO_MEAN.flags.writeable = False
+
+
 def _control_value(control, k, t, z):
     """The control of step k, a single value.  The filtering routines carry no
-    insider mean, so the rule sees m = NaN; a rule that reads it raises ModelMismatch."""
+    insider mean, so the rule sees m = NaN, read-only; a rule that reads it
+    raises ModelMismatch, and one that writes into it ValueError."""
     if control is None:
         return 0.0
-    u = control.values(k, t, None, z, PathHistory(m=np.full(1, np.nan)))
+    u = control.values(k, t, None, z, PathHistory(m=_NO_MEAN))
     if u.shape not in ((), (1,)):
         raise ControlShapeMismatch(f"control rule returned shape {u.shape}, not one value per step")
     u = u.item()

@@ -23,7 +23,14 @@ from spdecontrol.forward import (
     weak_residual,
 )
 from spdecontrol.maxprinciple import run_ensemble
-from spdecontrol.noise import LevySpec, PathBundle, TimeGrid, jump_count_matrices, sample_bundle
+from spdecontrol.noise import (
+    LevySpec,
+    PathBundle,
+    TimeGrid,
+    brownian_increment_matrix,
+    jump_count_matrices,
+    sample_bundle,
+)
 from spdecontrol.zakai import SignalModel, transport_bands
 
 
@@ -486,6 +493,65 @@ def test_insider_means_match_the_closed_form_for_constant_coefficients(atoms, be
             for a, (mark, lam) in enumerate(levy.atoms)
         )
         assert abs(m - ref) <= 1e-12
+
+
+def _insider_means_step_by_step(chaos, tgrid, db, counts):
+    """The compensated insider mean by its recurrence, one step at a time:
+    the reference insider_means' cumulative sum must equal bit for bit."""
+    m = np.zeros((tgrid.n_steps + 1, len(db)))
+    if chaos is not None:
+        for k, t in enumerate(tgrid.nodes[:-1]):
+            m_k = m[k] + chaos.beta(t) * db[:, k]
+            if not chaos.is_gaussian:
+                for a, (mark, lam) in enumerate(chaos.levy.atoms):
+                    m_k = m_k + chaos.psi(t, mark) * counts[a][:, k] - tgrid.dt * lam * chaos.psi(t, mark)
+            m[k + 1] = m_k
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 5.0)), max_size=2),
+    beta=st.tuples(*[st.sampled_from([0.0]) | st.floats(-2.0, 2.0)] * 2),
+    psi=st.tuples(st.sampled_from([0.0]) | st.floats(-1.0, 1.0), st.floats(0.0, 6.0)),
+    n_steps=st.integers(1, 30),
+    T=st.floats(0.05, 0.9),
+    n_paths=st.integers(1, 5) | st.sampled_from([512]),
+    seed=st.integers(0, 2**16),
+    with_chaos=st.booleans(),
+)
+# beta = 0: every term beta dB of a negative increment is -0.0, which the
+# recurrence's 0.0 + x turns into +0.0
+@example(atoms=[(0.5, 3.0)], beta=(0.0, 0.0), psi=(0.0, 0.0), n_steps=7, T=0.3, n_paths=3, seed=1,
+         with_chaos=True)
+@example(atoms=[(0.37, 2.9), (-0.81, 1.3)], beta=(0.7, -1.3), psi=(0.83, 2.7), n_steps=25, T=0.77,
+         n_paths=5, seed=3, with_chaos=True)
+def test_insider_means_equal_the_step_by_step_recurrence_bit_for_bit(
+    atoms, beta, psi, n_steps, T, n_paths, seed, with_chaos
+):
+    # time-varying beta and psi, counted: insider_means evaluates each once
+    # per node (per atom), where the recurrence calls psi twice
+    calls = {"beta": 0, "psi": 0}
+
+    def beta_fn(s):
+        calls["beta"] += 1
+        return beta[0] + beta[1] * s
+
+    def psi_fn(s, mark):
+        calls["psi"] += 1
+        return psi[0] * mark * math.cos(psi[1] * s)
+
+    levy = LevySpec(atoms=tuple(atoms))
+    spec = FirstOrderChaosSpec(beta=beta_fn, psi=psi_fn, levy=levy, T0=1.0) if with_chaos else None
+    tgrid = TimeGrid(0.0, T, n_steps)
+    db = brownian_increment_matrix(tgrid, seed, range(n_paths))
+    counts = jump_count_matrices(tgrid, levy, seed, range(n_paths))
+    means = insider_means(spec, tgrid, db, counts)
+    assert means.shape == (n_steps + 1, n_paths)
+    assert not means.flags.writeable
+    if with_chaos:
+        assert calls == {"beta": n_steps, "psi": 0 if spec.is_gaussian else n_steps * len(atoms)}
+    assert means.tobytes() == _insider_means_step_by_step(spec, tgrid, db, counts).tobytes()
 
 
 @pytest.mark.parametrize("coeff", ["a", "b", "c"])

@@ -459,6 +459,26 @@ def test_reduced_adjoint_block_keeps_the_market_volatility_floor():
                               brownian_increment_matrix(tg, 1, range(3)), 0.0)
 
 
+@pytest.mark.parametrize("value, bounds", [(np.nan, (0.0, 2.0)), (np.inf, (-np.inf, np.inf))],
+                         ids=["nan-inside-finite-bounds", "inf-unbounded"])
+def test_reduced_adjoint_rejects_a_non_finite_control(value, bounds):
+    # both pass ControlPolicy.values' bounds; a NaN at one step of one path
+    # gave p0 = [nan nan] with no error
+    def rule(k, t, x, z, hist):
+        u = np.ones(len(hist.m))
+        u[-1] = value if k == 4 else 1.0
+        return u
+
+    tg = TimeGrid(0.0, 0.5, 10)
+    pi = ControlPolicy(rule=rule, bounds=bounds)
+    with pytest.raises(ValueError, match="non-finite"):
+        reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 0.3, pi, 1.0, tg,
+                              brownian_increment_matrix(tg, 1, range(2)), 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        reduced_adjoint_solve(lambda t, z: 0.1, lambda t, z: 0.3, pi, 1.0,
+                              sample_bundle(tg, LevySpec(), 1, 0), 0.0)
+
+
 def test_ensemble_paths_bitwise_match_single_solver():
     market, spec, coeffs, op, _ = bench()
     pol = pf.optimal_policy(market, spec)

@@ -869,12 +869,13 @@ def test_particle_and_grid_filters_agree_on_a_jump_signal():
     assert abs(pf["means"][-1] - grid_mean) <= 3 * 0.25 / math.sqrt(n / 10)
 
 
-@pytest.mark.parametrize("routine", [
-    "simulate_signal_observation", "solve_zakai", "transformed_performance",
-    "direct_performance", "particle_filter_oracle",
-])
-def test_filtering_routines_reject_a_control_that_reads_the_insider_mean(routine):
-    # they carry no insider mean; a rule reading hist.m must not run at m = 0
+FILTERING_ROUTINES = ["simulate_signal_observation", "solve_zakai", "transformed_performance",
+                      "direct_performance", "particle_filter_oracle"]
+
+
+def _filtering_routine(routine):
+    """routine of FILTERING_ROUTINES on a small linear model, as a callable of
+    its control policy."""
     model = linear_model()
     tg = TimeGrid(0.0, 0.2, 20)
     bv, bw = bundles(tg, 1)
@@ -891,9 +892,29 @@ def test_filtering_routines_reject_a_control_that_reads_the_insider_mean(routine
         "particle_filter_oracle": lambda pol: zk.particle_filter_oracle(
             model, obs, 100, 1, sgrid=SGRID, control=pol),
     }
-    calls[routine](ControlPolicy(rule=lambda k, t, x, z, hist: 0.5))
+    return calls[routine]
+
+
+@pytest.mark.parametrize("routine", FILTERING_ROUTINES)
+def test_filtering_routines_reject_a_control_that_reads_the_insider_mean(routine):
+    # they carry no insider mean; a rule reading hist.m must not run at m = 0
+    run = _filtering_routine(routine)
+    run(ControlPolicy(rule=lambda k, t, x, z, hist: 0.5))
     with pytest.raises(ModelMismatch):
-        calls[routine](ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 10.0 * hist.m))
+        run(ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 10.0 * hist.m))
+
+
+def _overwriting_rule(k, t, x, z, hist):
+    np.nan_to_num(hist.m, copy=False)
+    return 0.5 + hist.m[0]
+
+
+@pytest.mark.parametrize("routine", FILTERING_ROUTINES)
+def test_filtering_routines_reject_a_control_that_writes_the_insider_mean(routine):
+    # the NaN placeholder was writable: a rule that wrote 0 over it read
+    # m = 0 and ran at u = 0.5, past the check for a rule that reads m
+    with pytest.raises(ValueError, match="read-only"):
+        _filtering_routine(routine)(ControlPolicy(rule=_overwriting_rule))
 
 
 @pytest.mark.parametrize("routine", ["solve_zakai", "particle_filter_oracle"])
