@@ -318,28 +318,27 @@ def delta_from_mean(spec, z, t, m, *, method="auto"):
 
 def conditional_malliavin_b(spec, z, t, m, *, method="auto"):
     """Conditional Brownian stochastic derivative of the delta functional at
-    time t (the diagonal case), from the compensated mean m(t)."""
+    time t (the diagonal case), from the compensated mean m(t), a scalar or
+    an array."""
     sigma2 = _check_time(spec, t)
     if _resolve_method(spec, method) == "closed_form":
-        return float(gaussian_phi1(spec, z, t, m) * _gaussian_pdf(z, m, sigma2))
+        out = gaussian_phi1(spec, z, t, m) * _gaussian_pdf(z, m, sigma2)
+        return out if np.ndim(m) else float(out)
     beta_t = spec.beta(t)
-    return float(_fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2))
+    return _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2)
 
 
 def conditional_malliavin_n(spec, z, t, m, zeta):
     """Conditional jump stochastic derivative at mark zeta and time t, from
-    the compensated mean m(t)."""
+    the compensated mean m(t), a scalar or an array."""
     marks = [mk for mk, _ in spec.levy.atoms]
     if not any(math.isclose(zeta, mk, rel_tol=1e-12, abs_tol=1e-12) for mk in marks):
         raise UnknownMark(f"mark {zeta} is not an atom of the Levy measure")
-    if spec.psi is None:
-        return 0.0
-    psi_tz = spec.psi(t, zeta)
+    psi_tz = 0.0 if spec.psi is None else spec.psi(t, zeta)
     if psi_tz == 0.0:
-        return 0.0
+        return np.zeros(np.shape(m)) if np.ndim(m) else 0.0
     sigma2 = _check_time(spec, t)
-    num = _fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, sigma2)
-    return float(num)
+    return _fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, sigma2)
 
 
 def phi1_from_mean(spec, z, t, m):

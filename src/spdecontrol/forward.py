@@ -97,7 +97,7 @@ class OperatorSpec:
     only, so the boundary rows of I - dt A are identity rows.
 
     Whether the operator depends on t or u is read from the callables' values
-    (see _step_operator), never declared.  control_dependent is inert: no
+    (see _steps), never declared.  control_dependent is inert: no
     routine reads it, and it is kept only so that existing calls that pass
     it still construct.
     """
@@ -155,9 +155,11 @@ class ControlPolicy:
             val = self.rule(k, t, xs, z, hist)
         val = np.asarray(val, dtype=float)
         lo, hi = self.bounds
-        # an infinite bound admits every value, so only finite ones are checked
-        if (lo > -np.inf and np.any(val < lo - 1e-12)) or (hi < np.inf and np.any(val > hi + 1e-12)):
-            raise ValueError("control rule produced a value outside U")
+        # an unbounded control is not checked; a NaN makes min and max NaN,
+        # which fails both comparisons
+        if (lo > -np.inf or hi < np.inf) and not (val.min() >= lo - 1e-12 and val.max() <= hi + 1e-12):
+            what = "a value outside U" if np.isfinite(val).all() else "a non-finite value"
+            raise ValueError(f"control rule produced {what} at step {k}")
         return val
 
 
@@ -525,22 +527,31 @@ def _explicit_rhs(coeffs: CoefficientSet, op: OperatorSpec, t, xs, Y, u, z, dt, 
     return rhs
 
 
-def _step_operator(op: OperatorSpec, grid: SpatialGrid, xs, t, u, z, prev=None):
-    """The operator at (t, u) and the coefficient values it is built from.
+def _steps(op: OperatorSpec, control: ControlPolicy, z, grid: SpatialGrid, tgrid: TimeGrid, db, counts,
+           means):
+    """Each step's inputs for the block of paths with Brownian increments db
+    (n_paths, n_steps), event counts counts[a] (n_paths, n_steps) of atom a
+    of op.levy and insider_means means: (k, t_k, u_k, A_k, db_k, counts_k)
+    for k = 0..n_steps - 1, with u_k the control block at means[k]
+    (_block_control), A_k the operator at (t_k, u_k) and db_k, counts_k the
+    step's noise columns.
 
-    assemble_operator gives one operator per path when a value carries the
-    paths' axis of the control block u and one shared operator when none
-    does.  prev is the previous step's (operator, values) pair: the operator
-    is a function of these values alone, so prev is handed back when every
-    value is the same object or equal elementwise, and an operator constant
-    in t and u is assembled once per sweep.
+    assemble_operator gives one operator per path when a coefficient value
+    carries the paths' axis of u_k and one shared operator when none does.
+    The operator is a function of these values alone, so the previous one is
+    handed back while every value is the same object or equal elementwise,
+    and an operator constant in t and u is assembled once per sweep.
     """
-    values = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
-    if op.jump_shift is not None:
-        values += tuple(op.jump_shift(t, xs, u, z, mark) for mark, _ in op.levy.atoms)
-    if prev and all(map(_same_value, values, prev[1])):
-        return prev
-    return assemble_operator(op, grid, t, u, z), values
+    xs = grid.nodes()
+    operator = values = None
+    for k, t in enumerate(tgrid.nodes[:-1]):
+        u = _block_control(control, k, t, xs, z, means[k])
+        now = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
+        if op.jump_shift is not None:
+            now += tuple(op.jump_shift(t, xs, u, z, mark) for mark, _ in op.levy.atoms)
+        if values is None or not all(map(_same_value, now, values)):
+            operator, values = assemble_operator(op, grid, t, u, z), now
+        yield k, t, u, operator, db[:, k], [c[:, k] for c in counts]
 
 
 def _same_value(a, b):
@@ -568,9 +579,8 @@ def step_forward(
     Y is the (n_paths, n_nodes) state at t_k on the grid nodes xs, u the
     step's control block (see _block_control), db_k the paths' Brownian
     increments (n_paths,) and counts_k[a] their event counts (n_paths,) of
-    atom a of op.levy.  assembled is the operator at (t_k, u), as _sweep
-    passes it from _step_operator.  Returns the state at t_{k+1} with the
-    Dirichlet data imposed.
+    atom a of op.levy.  assembled is the operator at (t_k, u), as _steps
+    yields it.  Returns the state at t_{k+1} with the Dirichlet data imposed.
     """
     t, t_next = tgrid.nodes[k : k + 2]
     dt = tgrid.dt
@@ -590,23 +600,17 @@ def _sweep(coeffs, op, control, z, grid: SpatialGrid, tgrid: TimeGrid, db, count
 
     Yields (t_k, Y, u) at every node k = 0..n_steps: the state block and the
     control of the step from t_k (None at the last node).  Each step's
-    operator comes from _step_operator at (t_k, u), which hands back the
-    previous one while the coefficient values stay the same.
+    control, operator and noise come from _steps.
     """
     xs = grid.nodes()
     y0 = np.asarray(coeffs.xi(xs, z), dtype=float) if coeffs.xi is not None else np.zeros_like(xs)
     Y = np.tile(np.broadcast_to(y0, (grid.n_nodes,)), (len(db), 1))
     Y[:, 0] = coeffs.boundary(tgrid.t_start, xs[0])
     Y[:, -1] = coeffs.boundary(tgrid.t_start, xs[-1])
-    operator = None
-    for k, t in enumerate(tgrid.nodes[:-1]):
-        u = _block_control(control, k, t, xs, z, means[k])
+    for k, t, u, A, db_k, counts_k in _steps(op, control, z, grid, tgrid, db, counts, means):
         yield t, Y, u
-        operator = _step_operator(op, grid, xs, t, u, z, operator)
-        Y = step_forward(
-            Y, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
-            db_k=db[:, k], counts_k=[c[:, k] for c in counts], assembled=operator[0],
-        )
+        Y = step_forward(Y, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
+                         db_k=db_k, counts_k=counts_k, assembled=A)
     yield tgrid.nodes[-1], Y, None
 
 
@@ -651,7 +655,8 @@ def weak_residual(
     Left-endpoint evaluation throughout, so the defect of the solver's own
     output (and of any injected exact solution) shrinks at first order in dt.
     The bundle must be on field.tgrid, and it and a jumping chaos on op.levy
-    (else ModelMismatch, _path_noise).
+    (else ModelMismatch, _path_noise).  Each step's control, operator and
+    noise come from _steps, as in the sweep that produced the field.
     """
     grid = field.grid
     tgrid = field.tgrid
@@ -663,11 +668,8 @@ def weak_residual(
     dt = tgrid.dt
 
     acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
-    for k, t in enumerate(tgrid.nodes[:-1]):
+    for k, t, u, A, db_k, counts_k in _steps(op, control, z, grid, tgrid, db, counts, means):
         Y = field.values[k][None]
-        u = _block_control(control, k, t, xs, z, means[k])
-        counts_k = [c[:, k] for c in counts]
-        explicit = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db[:, k], counts_k) - Y
-        A = _step_operator(op, grid, xs, t, u, z)[0]
+        explicit = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k) - Y
         acc -= grid.inner((dt * A.apply(Y) + explicit)[0], phi)
     return abs(acc)

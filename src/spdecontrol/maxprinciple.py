@@ -29,11 +29,10 @@ from .forward import (
     OperatorSpec,
     PathHistory,
     SpatialGrid,
-    _block_control,
     _check_measure,
     _has_jumps,
     _path_noise,
-    _step_operator,
+    _steps,
     _sweep,
     assemble_operator,
     insider_means,
@@ -456,8 +455,10 @@ def sensitivity_residual(
     At each step k the tangent is the central difference
     [S(y_k + eps chi_k, u_k^+) - S(y_k - eps chi_k, u_k^-)] / (2 eps) of
     step_forward S, where u^+ and u^- are perturbed_policy(control,
-    direction, +-eps) and each side's operator is assembled at its own
-    control (StepTooLarge for a direction beyond its bound).  Whatever the
+    direction, +-eps) and each side's control, operator and noise come
+    from forward._steps, as in the sweep, so its operator is assembled at
+    its own control (StepTooLarge for a direction beyond its bound) and
+    only when a coefficient value changes.  Whatever the
     step runs, a control-dependent operator, a jump term c or a jumping
     chaos, is linearized with it.  The grids are base_field's; chi must have
     the shape of base_field.values (else ValueError), and the bundle must be
@@ -470,19 +471,18 @@ def sensitivity_residual(
         raise ValueError(f"chi of shape {chi.shape} for a field of shape {base_field.values.shape}")
     db, counts, means = _path_noise(op, chaos, bundle, tgrid)
     xs = grid.nodes()
-    sides = [(s, perturbed_policy(control, direction, s)) for s in (_TANGENT_EPS, -_TANGENT_EPS)]
+    signs = (_TANGENT_EPS, -_TANGENT_EPS)
+    sides = [_steps(op, perturbed_policy(control, direction, s), z, grid, tgrid, db, counts, means)
+             for s in signs]
     worst = 0.0
-    for k, t in enumerate(tgrid.nodes[:-1]):
+    for k, inputs in enumerate(zip(*sides)):
         y, dy = base_field.values[k][None], chi[k][None]
-        steps = []
-        for s, side in sides:
-            u = _block_control(side, k, t, xs, z, means[k])
-            steps.append(step_forward(
-                y + s * dy, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
-                db_k=db[:, k], counts_k=[c[:, k] for c in counts],
-                assembled=_step_operator(op, grid, xs, t, u, z)[0],
-            ))
-        tangent = (steps[0] - steps[1]) / (2.0 * _TANGENT_EPS)
+        up, dn = (
+            step_forward(y + s * dy, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid, z=z,
+                         db_k=db_k, counts_k=counts_k, assembled=A)
+            for s, (_, _, u, A, db_k, counts_k) in zip(signs, inputs)
+        )
+        tangent = (up - dn) / (2.0 * _TANGENT_EPS)
         worst = max(worst, float(np.max(np.abs(chi[k + 1] - tangent[0])[1:-1])))
     return worst
 
@@ -511,11 +511,12 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     u = np.empty((tgrid.n_steps, len(db)))
     for k, t in enumerate(times):
         u[k] = pi.values(k, t, None, z, PathHistory(m=means[k]))
-    # NaN passes ControlPolicy.values' bounds and would give a NaN adjoint
+    # a NaN of an unbounded control, and an infinite value on the side of an
+    # infinite bound, pass ControlPolicy.values and would give a NaN adjoint
     if not np.isfinite(u).all():
         raise ValueError("control rule produced a non-finite value for the reduced adjoint")
     theta = (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T
-    return np.cumsum(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1), means[-1]
+    return np.add.accumulate(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1), means[-1]
 
 
 def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *,

@@ -90,6 +90,29 @@ def test_every_public_name_has_a_caller():
     assert orphans == [], orphans
 
 
+def test_every_private_name_in_the_library_and_readme_is_defined():
+    # a helper that is renamed or folded away leaves its name behind in
+    # docstrings, comments and README; every _name there must still be bound
+    # in some library module.  Two characters at least: a one-letter
+    # subscript, such as README's integral sign followed by _t, is notation
+    lib = sorted((ROOT / "src" / "spdecontrol").glob("*.py"))
+    defined = set()
+    for path in lib:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+    stale = [
+        f"{path.name}: {name}"
+        for path in [ROOT / "README.md", *lib]
+        for name in sorted(set(re.findall(r"(?<!\w)_[A-Za-z]\w+", path.read_text())) - defined)
+    ]
+    assert stale == [], stale
+
+
 def test_package_namespace_is_the_modules_api():
     # every public name of the six library modules and every exception of
     # errors is importable from the package as the same object

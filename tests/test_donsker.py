@@ -217,6 +217,25 @@ def test_malliavin_b_closed_form():
     assert qd == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("moment", [
+    lambda m: conditional_malliavin_b(gaussian_spec(), 0.9, 0.4, m),
+    lambda m: conditional_malliavin_b(gaussian_spec(), 0.9, 0.4, m, method="quadrature"),
+    lambda m: conditional_malliavin_b(general_jump_spec(), 0.9, 0.4, m),
+    lambda m: conditional_malliavin_n(general_jump_spec(), 0.9, 0.4, m, 0.5),
+    lambda m: conditional_malliavin_n(replace(general_jump_spec(), psi=None), 0.9, 0.4, m, 0.5),
+    lambda m: conditional_malliavin_n(replace(general_jump_spec(), psi=lambda s, mark: 0.0), 0.9, 0.4, m, 0.5),
+], ids=["b-closed-form", "b-quadrature", "b-one-atom", "n-one-atom", "n-without-psi", "n-psi-zero"])
+def test_malliavin_moments_take_one_mean_per_path(moment):
+    # both moments called float() on m, so an array raised TypeError, and
+    # the zero branches of _n returned one 0.0 for every path
+    m = np.array([-0.3, 0.45])
+    got = moment(m)
+    assert isinstance(got, np.ndarray) and got.shape == m.shape
+    for m_p, got_p in zip(m.tolist(), got.tolist()):
+        alone = moment(m_p)
+        assert isinstance(alone, float) and got_p == alone
+
+
 def test_phi1_gaussian_ratio():
     spec = gaussian_spec()
     z = 1.25

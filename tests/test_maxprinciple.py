@@ -479,6 +479,17 @@ def test_reduced_adjoint_rejects_a_non_finite_control(value, bounds):
                               sample_bundle(tg, LevySpec(), 1, 0), 0.0)
 
 
+def test_a_nan_control_inside_finite_bounds_is_refused_at_its_step():
+    # NaN fails no comparison with a bound, so it reached the implicit solve
+    # and surfaced as LinearSolveFailure, naming neither the control nor the step
+    market, _, _ = pf.benchmark_market(8)
+    coeffs, op = pf.wealth_dynamics(market)
+    rule = lambda k, t, x, z, hist: np.full(len(hist.m), np.nan if k == 2 else 0.5)
+    with pytest.raises(ValueError, match="non-finite value at step 2"):
+        run_ensemble(coeffs, op, ControlPolicy(rule=rule, bounds=(0.0, 1.0)), 0.0, market.D,
+                     TimeGrid(0.0, 0.5, 10), n_paths=4)
+
+
 def test_ensemble_paths_bitwise_match_single_solver():
     market, spec, coeffs, op, _ = bench()
     pol = pf.optimal_policy(market, spec)
@@ -550,6 +561,66 @@ def jump_model():
         xi=lambda x, z: np.sin(math.pi * x),
     )
     return op, coeffs
+
+
+def _residuals_assembling_every_step(field, chi, phi, coeffs, op, control, d, bundle):
+    """weak_residual and sensitivity_residual at z = 0 as loops that assemble
+    the operator afresh at every step and on each side."""
+    grid, tgrid = field.grid, field.tgrid
+    xs, dt = grid.nodes(), tgrid.dt
+    db, counts, means = forward._path_noise(op, None, bundle, tgrid)
+    sides = [(s, perturbed_policy(control, d, s)) for s in (mp._TANGENT_EPS, -mp._TANGENT_EPS)]
+    acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
+    worst = 0.0
+    for k, t in enumerate(tgrid.nodes[:-1]):
+        Y, dy = field.values[k][None], chi[k][None]
+        noise = dict(db_k=db[:, k], counts_k=[c[:, k] for c in counts])
+        u = forward._block_control(control, k, t, xs, 0.0, means[k])
+        explicit = forward._explicit_rhs(coeffs, op, t, xs, Y, u, 0.0, dt, **noise) - Y
+        acc -= grid.inner((dt * assemble_operator(op, grid, t, u, 0.0).apply(Y) + explicit)[0], phi)
+        steps = []
+        for s, side in sides:
+            u = forward._block_control(side, k, t, xs, 0.0, means[k])
+            steps.append(forward.step_forward(Y + s * dy, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid,
+                                              z=0.0, assembled=assemble_operator(op, grid, t, u, 0.0),
+                                              **noise))
+        tangent = (steps[0] - steps[1]) / (2.0 * mp._TANGENT_EPS)
+        worst = max(worst, float(np.max(np.abs(chi[k + 1] - tangent[0])[1:-1])))
+    return abs(acc), worst
+
+
+@pytest.mark.parametrize("model", ["constant", "t-dependent", "u-dependent-stack-with-jumps"])
+def test_residuals_assemble_only_when_a_coefficient_value_changes(model):
+    # both residuals assembled the operator at every step, on each side:
+    # n_steps and 2 n_steps calls for a constant operator
+    tg = TimeGrid(0.0, 0.2, 10)
+    coeffs = replace(COEFFS, xi=lambda x, z: np.sin(math.pi * x))
+    pol = const_policy(0.3)
+    if model == "constant":
+        op, changes = OP, 1
+    elif model == "t-dependent":
+        # constant on [0, 0.065), [0.065, 0.13) and [0.13, 0.2): steps 0-3, 4-6, 7-9
+        op = replace(OP, second_coeff=lambda t, x, u, z: 0.2 + 0.1 * math.floor(t / 0.065))
+        changes = 3
+    else:
+        # one control per path, so one operator per path: the same for steps
+        # 0-3, then another at each of steps 4-9
+        op, coeffs = jump_model()
+        pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(len(hist.m), 0.3 + 0.01 * max(k - 3, 0)))
+        changes = 7
+    d = direction(1.0)
+    bundle = sample_bundle(tg, op.levy, 2, 0)
+    field = solve_forward(coeffs, op, pol, 0.0, bundle, GRID)
+    chi = state_sensitivity(coeffs, op, pol, d, 0.0, bundle, GRID)
+    phi = np.sin(math.pi * GRID.nodes())
+    phi[0] = phi[-1] = 0.0
+    with mock.patch.object(forward, "assemble_operator", wraps=forward.assemble_operator) as spy:
+        weak = weak_residual(field, phi, coeffs, op, pol, bundle, 0.0)
+        assert spy.call_count == changes
+        spy.reset_mock()
+        sens = sensitivity_residual(chi, field, coeffs, op, pol, d, 0.0, bundle)
+        assert spy.call_count == 2 * changes
+    assert (weak, sens) == _residuals_assembling_every_step(field, chi, phi, coeffs, op, pol, d, bundle)
 
 
 @pytest.mark.parametrize("mode", ["x-independent", "x-dependent"])
