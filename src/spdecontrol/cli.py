@@ -3,6 +3,8 @@
 Subcommands: run, list, validate.  Configs are YAML files with top-level keys
 kind / seed / params; every run writes its artifacts plus a manifest JSON
 (config hash, seeds, versions, per-check verdicts) into the output directory.
+A kind is its _PARAMS table plus a runner that takes those parameters as
+keyword arguments.
 Exit codes: 0 success, 2 configuration error, 3 numerical-check failure.
 """
 from __future__ import annotations
@@ -166,7 +168,7 @@ def _check_constraints(kind: str, p: dict):
             raise ConfigError(f"constraint violated: {what}")
 
     if kind == "donsker-table":
-        spec = _donsker_spec(p)
+        spec = _donsker_spec(p["beta_const"], p["T0"])
         for t in p["t_values"]:
             try:
                 donsker._check_time(spec, t)
@@ -284,40 +286,31 @@ def _orders(errors):
     return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
 
 
-def _donsker_spec(p) -> FirstOrderChaosSpec:
+def _donsker_spec(beta_const: float, T0: float) -> FirstOrderChaosSpec:
     """The insider variable of a donsker-table config: beta = beta_const on [0, T0]."""
-    beta_const = p["beta_const"]
-    return FirstOrderChaosSpec(beta=lambda s: beta_const, T0=p["T0"])
+    return FirstOrderChaosSpec(beta=lambda s: beta_const, T0=T0)
 
 
-def _run_donsker_table(p, seed, out: Path):
-    t_values = p["t_values"]
-    z_values = p["z_values"]
-    m0 = p["history_mean"]
-    tol = p["tol_abs"]
-    spec = _donsker_spec(p)
+def _run_donsker_table(seed, out: Path, *, T0, beta_const, t_values, z_values, history_mean, tol_abs):
+    spec = _donsker_spec(beta_const, T0)
     rows = []
     worst = 0.0
     for t in t_values:
         for z in z_values:
-            cf = donsker.delta_from_mean(spec, z, t, m0, method="closed_form")
-            qd = donsker.delta_from_mean(spec, z, t, m0, method="quadrature")
+            cf = donsker.delta_from_mean(spec, z, t, history_mean, method="closed_form")
+            qd = donsker.delta_from_mean(spec, z, t, history_mean, method="quadrature")
             worst = max(worst, abs(cf - qd))
             rows.append([float(t), float(z), float(cf), float(qd), float(abs(cf - qd))])
     _write_csv(out / "donsker_table.csv", ["t", "z", "closed_form", "quadrature", "abs_err"], rows)
-    verdicts = {"quadrature_matches_closed_form": {"max_abs_err": worst, "tol": tol, "passed": worst <= tol}}
+    verdicts = {"quadrature_matches_closed_form": {"max_abs_err": worst, "tol": tol_abs, "passed": worst <= tol_abs}}
     return verdicts, ["donsker_table.csv"]
 
 
-def _run_forward_convergence(p, seed, out: Path):
-    t_end = p["t_end"]
-    space_cells = p["space_cells"]
-    space_steps = p["space_steps"]
-    time_steps = p["time_steps"]
-    time_cells = p["time_cells"]
-    dx_lo, dx_hi = p["dx_order_range"]
-    dt_lo, dt_hi = p["dt_order_range"]
-
+def _run_forward_convergence(
+    seed, out: Path, *, t_end, space_cells, space_steps, time_steps, time_cells, dx_order_range, dt_order_range
+):
+    dx_lo, dx_hi = dx_order_range
+    dt_lo, dt_hi = dt_order_range
     ex = [heat_space_error(c, space_steps, t_end) for c in space_cells]
     et = [heat_time_error(time_cells, s, t_end) for s in time_steps]
     ox, ot = _orders(ex), _orders(et)
@@ -331,13 +324,7 @@ def _run_forward_convergence(p, seed, out: Path):
     return verdicts, ["convergence.csv"]
 
 
-def _run_portfolio(p, seed, out: Path):
-    T = p["T"]
-    z = p["z"]
-    n_cells = p["n_cells"]
-    n_steps = p["n_steps"]
-    n_paths = p["n_paths"]
-    shifts = p["shifts"]
+def _run_portfolio(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, shifts):
     market, utility, spec = portfolio.benchmark_market(n_cells)
     tgrid = TimeGrid(0.0, T, n_steps)
     pol = portfolio.optimal_policy(market, spec)
@@ -363,15 +350,7 @@ def _run_portfolio(p, seed, out: Path):
     return verdicts, ["portfolio.csv"]
 
 
-def _run_stationarity(p, seed, out: Path):
-    T = p["T"]
-    z = p["z"]
-    n_cells = p["n_cells"]
-    n_steps = p["n_steps"]
-    n_paths = p["n_paths"]
-    n_windows = p["n_windows"]
-    a_step = p["a_step"]
-    tol_tstat = p["tol_tstat"]
+def _run_stationarity(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, n_windows, a_step, tol_tstat):
     market, utility, spec = portfolio.benchmark_market(n_cells)
     coeffs, op = portfolio.wealth_dynamics(market)
     perf = portfolio.log_utility_performance(market, utility)
@@ -387,22 +366,11 @@ def _run_stationarity(p, seed, out: Path):
     return verdicts, ["stationarity.json"]
 
 
-def _run_zakai_benchmark(p, seed, out: Path):
-    a = p["a"]
-    b = p["b"]
-    c = p["c"]
-    m0 = p["m0"]
-    P0 = p["P0"]
-    x_lo = p["x_lo"]
-    x_hi = p["x_hi"]
-    n_cells = p["n_cells"]
-    n_steps = p["n_steps"]
-    T = p["T"]
-    n_particles = p["n_particles"]
-    tol_grid = p["tol_grid"]
-    levels = p["refine_levels"]
-    f_lo, f_hi = p["factor_range"]
-
+def _run_zakai_benchmark(
+    seed, out: Path, *, a, b, c, m0, P0, x_lo, x_hi, n_cells, n_steps, T, n_particles, tol_grid, refine_levels,
+    factor_range
+):
+    f_lo, f_hi = factor_range
     model = SignalModel(
         alpha=lambda x, r, u: a * x,
         beta=lambda x, r, u: b,
@@ -412,7 +380,7 @@ def _run_zakai_benchmark(p, seed, out: Path):
     # one underlying observation path at the finest resolution, aggregated
     # down; each grid run is compared against the Kalman recursion driven by
     # the identically aggregated increments
-    fine_steps = n_steps * 2 ** (levels - 1)
+    fine_steps = n_steps * 2 ** (refine_levels - 1)
     tg_fine = TimeGrid(0.0, T, fine_steps)
     x0 = zakai.sample_initial_states(model, SpatialGrid(x_lo, x_hi, n_cells), 1, seed, channel=15, z=0.0)[0]
     bv = sample_bundle(tg_fine, LevySpec(), seed, 0, channel=13)
@@ -421,7 +389,7 @@ def _run_zakai_benchmark(p, seed, out: Path):
 
     errors = []
     base = None
-    for lvl in range(levels):
+    for lvl in range(refine_levels):
         ns = n_steps * 2**lvl
         sg = SpatialGrid(x_lo, x_hi, n_cells * 2**lvl)
         obs = zakai.ObservationPath(
@@ -464,11 +432,7 @@ def _run_zakai_benchmark(p, seed, out: Path):
     return verdicts, ["zakai_report.json", "zakai_density.csv"]
 
 
-def _run_coercivity(p, seed, out: Path):
-    pi = p["pi"]
-    slope = p["beta_slope"]
-    cells = p["cells"]
-    C_max = p["C_max"]
+def _run_coercivity(seed, out: Path, *, pi, beta_slope, cells, C_max):
     rows = []
     ok = True
     for n_cells in cells:
@@ -476,7 +440,7 @@ def _run_coercivity(p, seed, out: Path):
         xs = sgrid.nodes()
         y = np.sin(math.pi * xs)
         y[0] = y[-1] = 0.0
-        lhs, rhs = zakai.coercivity_check(y, pi, lambda x: 1.0 + slope * x, sgrid)
+        lhs, rhs = zakai.coercivity_check(y, pi, lambda x: 1.0 + beta_slope * x, sgrid)
         ratio = lhs / rhs if rhs != 0 else math.nan
         rows.append([float(sgrid.dx), float(lhs), float(rhs), float(ratio)])
         if pi != 0.0 and not abs(ratio - 1.0) <= C_max * sgrid.dx:
@@ -503,7 +467,7 @@ def run_experiment(config_path: Path, out_dir: Path, seed_override=None) -> dict
     seed = cfg["seed"] if seed_override is None else _read_seed(seed_override)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    verdicts, artifacts = _RUNNERS[cfg["kind"]](cfg["params"], seed, out_dir)
+    verdicts, artifacts = _RUNNERS[cfg["kind"]](seed, out_dir, **cfg["params"])
     verdicts = _jsonify(verdicts)
     manifest = {
         "kind": cfg["kind"],

@@ -581,11 +581,19 @@ def step_forward(
     increments (n_paths,) and counts_k[a] their event counts (n_paths,) of
     atom a of op.levy.  assembled is the operator at (t_k, u), as _steps
     yields it.  Returns the state at t_{k+1} with the Dirichlet data imposed.
+    ControlPolicy.values does not check an unbounded control, so when the
+    implicit solve fails at a u with a NaN or infinite entry, ValueError
+    names the control and step k in place of LinearSolveFailure.
     """
     t, t_next = tgrid.nodes[k : k + 2]
     dt = tgrid.dt
     rhs = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k)
-    Y = assembled.solve_implicit(dt, rhs)
+    try:
+        Y = assembled.solve_implicit(dt, rhs)
+    except LinearSolveFailure:
+        if not np.isfinite(u).all():
+            raise ValueError(f"control rule produced a non-finite value at step {k}") from None
+        raise
     Y[:, 0] = coeffs.boundary(t_next, xs[0])
     Y[:, -1] = coeffs.boundary(t_next, xs[-1])
     return Y

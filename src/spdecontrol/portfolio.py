@@ -47,9 +47,6 @@ class MarketSpec:
     alpha_init: object
     D: SpatialGrid
 
-    def vol(self, t, z) -> float:
-        return _volatility(self.b0, t, z)
-
 
 @dataclass(frozen=True)
 class UtilitySpec:
@@ -130,7 +127,7 @@ def optimal_pi(market: MarketSpec, spec: FirstOrderChaosSpec, z, t, m) -> float 
     the drift ratio entirely and the proportion reads only the information
     drift phi1.
     """
-    vol = market.vol(t, z)
+    vol = _volatility(market.b0, t, z)
     return donsker.phi1_from_mean(spec, z, t, m) / vol + market.a0(t, z) / vol**2
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spdecontrol
-from spdecontrol import errors, portfolio
+from spdecontrol import cli, errors, portfolio
 from spdecontrol.cli import SCHEMAS, main, run_experiment, validate_config
 from spdecontrol.errors import ConfigError
 
@@ -329,6 +330,17 @@ def test_validate_fills_in_read_defaults():
     assert cfg["params"]["n_cells"] == 8
     assert cfg["params"]["shifts"] == [1.0]
     assert cfg["params"]["T"] == 0.5
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_each_runner_takes_its_kinds_parameters_as_keywords(kind):
+    # a parameter declared but not taken, or taken but not declared, would
+    # fail only at run time; the two lists are one
+    positional, keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+    params = inspect.signature(cli._RUNNERS[kind]).parameters.values()
+    assert [(p.name, p.kind) for p in params] == (
+        [("seed", positional), ("out", positional)] + [(key, keyword) for key in cli._PARAMS[kind]]
+    )
 
 
 def test_validate_accepts_good_config(tmp_path):

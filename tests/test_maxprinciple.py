@@ -452,7 +452,7 @@ def test_reduced_adjoint_degenerate_volatility():
 
 
 def test_reduced_adjoint_block_keeps_the_market_volatility_floor():
-    # one floor for the adjoint and for MarketSpec.vol: 1e-10 is below it
+    # one floor for the adjoint and for optimal_pi: 1e-10 is below it
     tg = TimeGrid(0.0, 0.5, 10)
     with pytest.raises(DegenerateVolatility):
         reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 1e-10, const_policy(1.0), 1.0, tg,
@@ -488,6 +488,30 @@ def test_a_nan_control_inside_finite_bounds_is_refused_at_its_step():
     with pytest.raises(ValueError, match="non-finite value at step 2"):
         run_ensemble(coeffs, op, ControlPolicy(rule=rule, bounds=(0.0, 1.0)), 0.0, market.D,
                      TimeGrid(0.0, 0.5, 10), n_paths=4)
+
+
+@pytest.mark.parametrize("value, bounds", [(np.nan, (-np.inf, np.inf)), (np.inf, (0.0, np.inf))],
+                         ids=["nan-unbounded", "inf-on-its-infinite-bound"])
+def test_a_non_finite_control_without_a_finite_bound_is_refused_at_its_step(value, bounds):
+    # ControlPolicy.values does not check such a control, and the implicit
+    # solve raised LinearSolveFailure, naming neither the control nor the step
+    market, _, _ = pf.benchmark_market(8)
+    coeffs, op = pf.wealth_dynamics(market)
+    tg = TimeGrid(0.0, 0.5, 10)
+    rule = lambda k, t, x, z, hist: value if k == 2 else 0.5
+    pol = ControlPolicy(rule=rule, bounds=bounds)
+    b = sample_bundle(tg, op.levy, 0, 0)
+    base = solve_forward(coeffs, op, ControlPolicy(rule=lambda k, t, x, z, hist: 0.5), 0.0, b, market.D)
+    runs = [
+        lambda: run_ensemble(coeffs, op, pol, 0.0, market.D, tg, n_paths=4),
+        lambda: solve_forward(coeffs, op, pol, 0.0, b, market.D),
+        lambda: sensitivity_residual(np.zeros_like(base.values), base, coeffs, op, pol,
+                                     lambda k, t, x, z, hist: 1.0, 0.0, b),
+    ]
+    for run in runs:
+        # inf - inf on the way to the solve warns; the warning is not the error
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite value at step 2"):
+            run()
 
 
 def test_ensemble_paths_bitwise_match_single_solver():

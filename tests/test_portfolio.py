@@ -185,7 +185,7 @@ def test_martingale_match_degenerate_horizon():
 
 def test_martingale_match_keeps_the_market_volatility_floor():
     # |b0| = 1e-10 is below the one volatility floor, which the adjoint's
-    # step loop applies to the market's b0 as MarketSpec.vol does
+    # step loop applies to the market's b0 as optimal_pi does
     market, utility, spec = pf.benchmark_market(8)
     market = pf.MarketSpec(a0=market.a0, b0=lambda t, z: 1e-10,
                            alpha_init=market.alpha_init, D=market.D)
