@@ -222,23 +222,6 @@ def _load_config(config_path) -> tuple:
     return raw, validate_config(cfg)
 
 
-def _jsonify(obj):
-    """Recursively coerce numpy scalars/arrays to plain Python types."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _zero_bundle(tgrid: TimeGrid) -> PathBundle:
     return PathBundle(
         grid=tgrid,
@@ -361,7 +344,7 @@ def _run_stationarity(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, n_win
         n_windows=n_windows, n_paths=n_paths, seed=seed, a_step=a_step, tol_tstat=tol_tstat,
     )
     with open(out / "stationarity.json", "w") as fh:
-        json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
     verdicts = {"stationarity": {"max_abs_tstat": report["max_abs_tstat"], "passed": report["passed"]}}
     return verdicts, ["stationarity.json"]
 
@@ -418,7 +401,7 @@ def _run_zakai_benchmark(
         "seed": seed,
     }
     with open(out / "zakai_report.json", "w") as fh:
-        json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
     zakai.filter_snapshots_csv(sol0, out / "zakai_density.csv")
     verdicts = {
         "grid_vs_kalman": {"abs_err": errors[0], "tol": tol_grid, "passed": errors[0] <= tol_grid},
@@ -468,7 +451,6 @@ def run_experiment(config_path: Path, out_dir: Path, seed_override=None) -> dict
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     verdicts, artifacts = _RUNNERS[cfg["kind"]](seed, out_dir, **cfg["params"])
-    verdicts = _jsonify(verdicts)
     manifest = {
         "kind": cfg["kind"],
         "config_sha256": hashlib.sha256(raw).hexdigest(),

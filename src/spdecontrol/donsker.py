@@ -11,9 +11,10 @@ history only through the compensated scalar
 which is what makes vectorized evaluation over ensembles cheap.
 
 Every moment takes the time t and the mean m = m(t), which
-forward.insider_means computes for each path of a run.  For purely Gaussian
-specifications (no jump component) every moment has a closed form;
-delta_from_mean and conditional_malliavin_b keep the quadrature route
+forward.insider_means computes for each path of a run, and returns a Python
+float for a scalar m and an ndarray for an array m, on every route.  For
+purely Gaussian specifications (no jump component) every moment has a closed
+form; delta_from_mean and conditional_malliavin_b keep the quadrature route
 selectable (method=) for cross-validation.
 
 The residual variance sigma^2(t) = int_t^{T0} beta^2 ds comes from a built-in
@@ -310,9 +311,9 @@ def delta_from_mean(spec, z, t, m, *, method="auto"):
     mean m(t), a scalar or an array."""
     sigma2 = _check_time(spec, t)
     if _resolve_method(spec, method) == "closed_form":
-        return _gaussian_pdf(z, m, sigma2)
-    raw = _fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2)
-    out = _clamp_density(raw, sigma2)
+        out = _gaussian_pdf(z, m, sigma2)
+    else:
+        out = _clamp_density(_fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2), sigma2)
     return out if np.ndim(m) else float(out)
 
 
@@ -366,5 +367,7 @@ def gaussian_phi1(spec, z, t, m):
     if not spec.is_gaussian:
         raise ModelMismatch("gaussian_phi1 requires a purely Gaussian specification")
     sigma2 = _check_time(spec, t)
-    return spec.beta(t) * (z - np.asarray(m, dtype=float)) / sigma2
+    m = np.asarray(m, dtype=float)
+    out = spec.beta(t) * (z - m) / sigma2
+    return out if m.ndim else float(out)
 

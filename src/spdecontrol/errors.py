@@ -68,7 +68,7 @@ class DegenerateCurvature(SpdeControlError):
     """Feedback-control denominator (curvature moment) too close to zero."""
 
 
-class BoundaryViolation(SpdeControlError):
+class BoundaryViolation(SpdeControlError, ValueError):
     """A grid function that must vanish at the boundary does not."""
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import (
+    BoundaryViolation,
     CoefficientShapeMismatch,
     ControlShapeMismatch,
     LinearSolveFailure,
@@ -149,17 +150,14 @@ class ControlPolicy:
             raise ValueError(f"unknown control mode {self.mode!r}")
 
     def values(self, k, t, xs, z, hist):
-        if self.mode == "x-independent":
-            val = self.rule(k, t, None, z, hist)
-        else:
-            val = self.rule(k, t, xs, z, hist)
-        val = np.asarray(val, dtype=float)
+        x = xs if self.mode == "x-dependent" else None
+        val = np.asarray(self.rule(k, t, x, z, hist), dtype=float)
         lo, hi = self.bounds
         # an unbounded control is not checked; a NaN makes min and max NaN,
         # which fails both comparisons
         if (lo > -np.inf or hi < np.inf) and not (val.min() >= lo - 1e-12 and val.max() <= hi + 1e-12):
-            what = "a value outside U" if np.isfinite(val).all() else "a non-finite value"
-            raise ValueError(f"control rule produced {what} at step {k}")
+            _refuse_non_finite(val, k)
+            raise ValueError(f"control rule produced a value outside U at step {k}")
         return val
 
 
@@ -184,12 +182,13 @@ def _write_csv(path, header, rows):
 
 def _write_node_csv(path, header, times, xs, *fields):
     """One CSV row per (t_k, x_i) node: t, x and field[k, i] of each
-    (n_times, n_nodes) field, every number as the repr of a Python float,
-    in csv.writer's format: comma separated, CRLF line ends."""
+    (n_times, n_nodes) field, times being Python floats such as a TimeGrid's
+    nodes, every number as the repr of a Python float, in csv.writer's
+    format: comma separated, CRLF line ends."""
     x_txt = [repr(x) for x in xs.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for k, t in enumerate(times.tolist()):
+        for k, t in enumerate(times):
             t_txt = repr(t)
             cols = zip(x_txt, *(map(repr, f[k].tolist()) for f in fields))
             fh.write("".join(f"{t_txt},{','.join(row)}\r\n" for row in cols))
@@ -540,17 +539,24 @@ def _steps(op: OperatorSpec, control: ControlPolicy, z, grid: SpatialGrid, tgrid
     carries the paths' axis of u_k and one shared operator when none does.
     The operator is a function of these values alone, so the previous one is
     handed back while every value is the same object or equal elementwise,
-    and an operator constant in t and u is assembled once per sweep.
+    and an operator constant in t and u is assembled once per sweep.  A
+    RuntimeWarning or FloatingPointError raised while the coefficients are
+    evaluated or the operator assembled at a u with a NaN or infinite entry
+    becomes the ValueError of _refuse_non_finite.
     """
     xs = grid.nodes()
     operator = values = None
     for k, t in enumerate(tgrid.nodes[:-1]):
         u = _block_control(control, k, t, xs, z, means[k])
-        now = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
-        if op.jump_shift is not None:
-            now += tuple(op.jump_shift(t, xs, u, z, mark) for mark, _ in op.levy.atoms)
-        if values is None or not all(map(_same_value, now, values)):
-            operator, values = assemble_operator(op, grid, t, u, z), now
+        try:
+            now = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
+            if op.jump_shift is not None:
+                now += tuple(op.jump_shift(t, xs, u, z, mark) for mark, _ in op.levy.atoms)
+            if values is None or not all(map(_same_value, now, values)):
+                operator, values = assemble_operator(op, grid, t, u, z), now
+        except (RuntimeWarning, FloatingPointError):
+            _refuse_non_finite(u, k)
+            raise
         yield k, t, u, operator, db[:, k], [c[:, k] for c in counts]
 
 
@@ -558,6 +564,15 @@ def _same_value(a, b):
     """a is b, or a and b have one shape and are equal elementwise; checked
     in that order, as the identity test is the cheap one."""
     return a is b or (np.shape(a) == np.shape(b) and np.all(a == b))
+
+
+def _refuse_non_finite(u, k):
+    """ValueError naming step k when the control block u has a NaN or
+    infinite entry.  ControlPolicy.values does not check an unbounded
+    control, so the stepping routines call this only once a step has failed;
+    weak_residual, which solves nothing, calls it every step."""
+    if not np.isfinite(u).all():
+        raise ValueError(f"control rule produced a non-finite value at step {k}") from None
 
 
 def step_forward(
@@ -581,18 +596,18 @@ def step_forward(
     increments (n_paths,) and counts_k[a] their event counts (n_paths,) of
     atom a of op.levy.  assembled is the operator at (t_k, u), as _steps
     yields it.  Returns the state at t_{k+1} with the Dirichlet data imposed.
-    ControlPolicy.values does not check an unbounded control, so when the
-    implicit solve fails at a u with a NaN or infinite entry, ValueError
-    names the control and step k in place of LinearSolveFailure.
+    When the explicit terms or the implicit solve fail at a u with a NaN or
+    infinite entry, by LinearSolveFailure or by a RuntimeWarning or
+    FloatingPointError that the caller's warning or error settings raise,
+    ValueError names the control and step k (_refuse_non_finite).
     """
     t, t_next = tgrid.nodes[k : k + 2]
     dt = tgrid.dt
-    rhs = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k)
     try:
+        rhs = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k)
         Y = assembled.solve_implicit(dt, rhs)
-    except LinearSolveFailure:
-        if not np.isfinite(u).all():
-            raise ValueError(f"control rule produced a non-finite value at step {k}") from None
+    except (LinearSolveFailure, RuntimeWarning, FloatingPointError):
+        _refuse_non_finite(u, k)
         raise
     Y[:, 0] = coeffs.boundary(t_next, xs[0])
     Y[:, -1] = coeffs.boundary(t_next, xs[-1])
@@ -663,20 +678,22 @@ def weak_residual(
     Left-endpoint evaluation throughout, so the defect of the solver's own
     output (and of any injected exact solution) shrinks at first order in dt.
     The bundle must be on field.tgrid, and it and a jumping chaos on op.levy
-    (else ModelMismatch, _path_noise).  Each step's control, operator and
-    noise come from _steps, as in the sweep that produced the field.
+    (else ModelMismatch, _path_noise), and phi must vanish at the boundary
+    nodes (else BoundaryViolation).  Each step's control, operator and noise
+    come from _steps, as in the sweep that produced the field; a control with
+    a NaN or infinite entry raises ValueError naming its step.
     """
-    grid = field.grid
-    tgrid = field.tgrid
+    grid, tgrid = field.grid, field.tgrid
     db, counts, means = _path_noise(op, chaos, bundle, tgrid)
     phi = np.asarray(phi, dtype=float)
     if phi[0] != 0.0 or phi[-1] != 0.0:
-        raise ValueError("test function must vanish at the boundary nodes")
+        raise BoundaryViolation("test function must vanish at the boundary nodes")
     xs = grid.nodes()
     dt = tgrid.dt
 
     acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
     for k, t, u, A, db_k, counts_k in _steps(op, control, z, grid, tgrid, db, counts, means):
+        _refuse_non_finite(u, k)
         Y = field.values[k][None]
         explicit = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k) - Y
         acc -= grid.inner((dt * A.apply(Y) + explicit)[0], phi)

@@ -32,6 +32,7 @@ from .forward import (
     _check_measure,
     _has_jumps,
     _path_noise,
+    _refuse_non_finite,
     _steps,
     _sweep,
     assemble_operator,
@@ -140,7 +141,6 @@ class PerformanceEstimate:
 class EnsembleResult:
     """Path-indexed summary functionals from a vectorized forward sweep."""
 
-    n_paths: int
     y_terminal: np.ndarray  # (n_paths, n_nodes)
     w_terminal: np.ndarray | None  # conditional-density weight at t_end
     h_integral: np.ndarray | None  # running weighted profit integral
@@ -183,11 +183,10 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, means, weights, db, cou
     control swept on it."""
     xs = grid.nodes()
     dt = tgrid.dt
-    nb = len(db)
     wx = _trapezoid_weights(grid)
-    h_int = np.zeros(nb) if perf is not None else None
+    h_int = np.zeros(len(db)) if perf is not None else None
     # elementwise over interior nodes, reduced over them once at the end
-    run_min = np.full((nb, grid.n_nodes - 2), np.inf)
+    run_min = np.full((len(db), grid.n_nodes - 2), np.inf)
 
     for k, (t, Y, u) in enumerate(_sweep(coeffs, op, control, z, grid, tgrid, db, counts, means)):
         np.minimum(run_min, Y[:, 1:-1], out=run_min)
@@ -200,7 +199,6 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, means, weights, db, cou
             h_int += dt * weights[k] * np.sum(rows * wx, axis=-1)
 
     return EnsembleResult(
-        n_paths=nb,
         y_terminal=Y,
         w_terminal=None if weights is None else weights[-1],
         h_integral=h_int,
@@ -212,10 +210,9 @@ def _joined(parts) -> EnsembleResult:
     """One result from the results of consecutive blocks."""
     if len(parts) == 1:
         return parts[0]
-    # every field but n_paths is path-indexed, or None in every block
+    # every field is path-indexed, or None in every block
     cat = lambda vals: None if vals[0] is None else np.concatenate(vals)
-    per_path = [cat([getattr(p, f.name) for p in parts]) for f in fields(EnsembleResult)[1:]]
-    return EnsembleResult(sum(p.n_paths for p in parts), *per_path)
+    return EnsembleResult(*(cat([getattr(p, f.name) for p in parts]) for f in fields(EnsembleResult)))
 
 
 def run_ensemble(
@@ -368,7 +365,9 @@ def perturbed_policy(base: ControlPolicy, direction, a: float) -> ControlPolicy:
     value(s) of the base policy's shape with |beta0| <= 1 (else
     StepTooLarge).  delta = min(dist(u, boundary of U) / 2, 1) is the
     pointwise distance-to-boundary clamp, so the result stays in U for every
-    |a| < 1.
+    |a| < 1.  An infinite base value whose clamp raises under the caller's
+    warning or error settings raises the ValueError of
+    forward._refuse_non_finite, naming its step.
     """
     if abs(a) >= 1.0:
         raise StepTooLarge(f"perturbation size {a} outside (-1, 1)")
@@ -379,7 +378,11 @@ def perturbed_policy(base: ControlPolicy, direction, a: float) -> ControlPolicy:
         b0 = np.asarray(direction(k, t, x, z, hist), dtype=float)
         if np.any(np.abs(b0) > 1.0 + 1e-12):
             raise StepTooLarge("direction exceeds its bound 1")
-        delta = np.minimum(np.minimum(u0 - lo, hi - u0) / 2.0, 1.0)
+        try:
+            delta = np.minimum(np.minimum(u0 - lo, hi - u0) / 2.0, 1.0)
+        except (RuntimeWarning, FloatingPointError):  # inf - inf, raised by the caller's settings
+            _refuse_non_finite(u0, k)
+            raise
         return u0 + a * delta * b0
 
     return ControlPolicy(rule=rule, mode=base.mode, bounds=base.bounds)

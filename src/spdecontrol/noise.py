@@ -49,15 +49,12 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.n_steps
 
-    def times(self) -> np.ndarray:
-        # node k computed directly from k, never by accumulation
-        return self.t_start + np.arange(self.n_steps + 1) * self.dt
-
     @functools.cached_property
     def nodes(self) -> tuple:
-        """times() as a tuple of floats, computed once per grid for the step
-        loops."""
-        return tuple(self.times().tolist())
+        """The grid's nodes t_start + k dt, k = 0..n_steps, as a tuple of
+        floats, computed once per grid: node k directly from k, never by
+        accumulation."""
+        return tuple((self.t_start + np.arange(self.n_steps + 1) * self.dt).tolist())
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ from .noise import (
 __all__ = [
     "SignalModel",
     "ObservationPath",
-    "GirsanovWeight",
     "UnnormalizedDensity",
     "ZakaiSolution",
     "sample_initial_states",
@@ -129,14 +128,6 @@ class ObservationPath:
         if np.shape(self.increments) != (self.grid.n_steps,):
             raise ModelMismatch(f"observation increments of shape {np.shape(self.increments)}, "
                                 f"not ({self.grid.n_steps},) for {self.grid}")
-
-
-@dataclass(frozen=True)
-class GirsanovWeight:
-    """Change-of-measure weights K(t_k) at the nodes of the observation's
-    time grid along one path; K(0)=1, K>0."""
-
-    values: np.ndarray
 
 
 @dataclass
@@ -284,12 +275,14 @@ def simulate_signal_observation(
     return X, ObservationPath(grid=bundle_v.grid, increments=dR)
 
 
-def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath) -> GirsanovWeight:
-    """K(t) = exp(int h(X) dR - half int h(X)^2 ds), left-endpoint sums."""
+def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath) -> np.ndarray:
+    """Change-of-measure weights K(t_k) = exp(int h(X) dR - half int h(X)^2 ds)
+    at the nodes of the observation's time grid along one path, left-endpoint
+    sums; K(0) = 1, K > 0."""
     tgrid = obs.grid
     h = _full(model.h_obs(signal[:-1]), signal[:-1].shape)
     expo = np.concatenate(([0.0], np.cumsum(h * obs.increments - 0.5 * h**2 * tgrid.dt)))
-    return GirsanovWeight(values=np.exp(expo))
+    return np.exp(expo)
 
 
 def transport_bands(model: SignalModel, sgrid: SpatialGrid, r, u) -> AssembledOperator:
@@ -574,4 +567,4 @@ def filter_snapshots_csv(solution: ZakaiSolution, path):
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(mass > _EPS_MASS, values / mass, math.nan)
     _write_node_csv(path, ["t", "x", "unnormalized", "normalized"],
-                    solution.tgrid.times(), solution.grid.nodes(), values, normalized)
+                    solution.tgrid.nodes, solution.grid.nodes(), values, normalized)

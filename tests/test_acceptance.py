@@ -238,7 +238,7 @@ def test_criterion_09_girsanov_consistency():
         bw = sample_bundle(tg, LevySpec(), 13, p, channel=4)
         X, _ = zk.simulate_signal_observation(model, None, 0.0, bv, bw, x0s[p])
         obs = zk.ObservationPath(grid=tg, increments=dbR[p])
-        K[p] = zk.girsanov_weight(model, X, obs).values[-1]
+        K[p] = zk.girsanov_weight(model, X, obs)[-1]
         fX[p] = X[-1]
     se_K = float(np.std(K, ddof=1) / math.sqrt(n))
     assert abs(float(np.mean(K)) - 1.0) <= 3 * se_K

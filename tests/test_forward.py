@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from spdecontrol import forward
 from spdecontrol.donsker import FirstOrderChaosSpec
-from spdecontrol.errors import CoefficientShapeMismatch, LinearSolveFailure, ModelMismatch, NonParabolic
+from spdecontrol.errors import (
+    BoundaryViolation,
+    CoefficientShapeMismatch,
+    LinearSolveFailure,
+    ModelMismatch,
+    NonParabolic,
+)
 from spdecontrol.forward import (
     AssembledOperator,
     CoefficientSet,
@@ -295,7 +301,7 @@ def test_dirichlet_boundary_enforced_every_step():
     )
     b = sample_bundle(tgrid, LevySpec(), 3, 0)
     field = solve_forward(coeffs, heat_op(), null_control(), 0.0, b, grid)
-    for k, t in enumerate(tgrid.times()):
+    for k, t in enumerate(tgrid.nodes):
         assert field.values[k, 0] == pytest.approx(1.0 + t)
         assert field.values[k, -1] == pytest.approx(1.0 + t)
 
@@ -599,8 +605,26 @@ def test_weak_residual_requires_vanishing_test_function():
     coeffs = CoefficientSet(a=lambda t, x, y, u, z: 0.0, b=lambda t, x, y, u, z: 0.0)
     b = zero_bundle(tgrid)
     f = solve_forward(coeffs, heat_op(), null_control(), 0.0, b, grid)
-    with pytest.raises(ValueError):
+    # the error of coercivity_check for the same input, and still a ValueError
+    with pytest.raises(BoundaryViolation) as exc:
         weak_residual(f, np.ones(grid.n_nodes), coeffs, heat_op(), null_control(), b, 0.0)
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_weak_residual_refuses_a_non_finite_control_at_its_step(value):
+    # a NaN control gave a NaN defect: weak_residual has no implicit solve to fail
+    grid = SpatialGrid(0.0, 1.0, 8)
+    tgrid = TimeGrid(0.0, 0.1, 4)
+    coeffs = CoefficientSet(a=lambda t, x, y, u, z: u * y, b=lambda t, x, y, u, z: 0.0,
+                            xi=lambda x, z: np.sin(np.pi * x))
+    b = zero_bundle(tgrid)
+    f = solve_forward(coeffs, heat_op(), null_control(), 0.0, b, grid)
+    phi = np.sin(np.pi * grid.nodes())
+    phi[0] = phi[-1] = 0.0
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: value if k == 2 else 0.0)
+    with pytest.raises(ValueError, match="non-finite value at step 2"):
+        weak_residual(f, phi, coeffs, heat_op(), pol, b, 0.0)
 
 
 def test_control_policy_bounds_enforced():

@@ -514,6 +514,44 @@ def test_a_non_finite_control_without_a_finite_bound_is_refused_at_its_step(valu
             run()
 
 
+def _infinite_control_at_step_2(case):
+    """A rule that returns +inf at step 2, on the wealth dynamics with bounds
+    (0, inf), or on a control-dependent operator without bounds."""
+    market, _, _ = pf.benchmark_market(8)
+    rule = lambda k, t, x, z, hist: np.inf if k == 2 else 0.5
+    if case == "wealth":
+        coeffs, op = pf.wealth_dynamics(market)
+        return market.D, coeffs, op, ControlPolicy(rule=rule, bounds=(0.0, np.inf))
+    coeffs = CoefficientSet(a=lambda t, x, y, u, z: 0.0, b=lambda t, x, y, u, z: 0.1,
+                            xi=lambda x, z: np.sin(np.pi * x))
+    op = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5 + 0.1 * u**2, first_coeff=lambda t, x, u, z: 0.1 * u)
+    return market.D, coeffs, op, ControlPolicy(rule=rule)
+
+
+@pytest.mark.parametrize("filters", ["warnings-as-errors", "default-warnings", "numpy-raise"])
+@pytest.mark.parametrize("case", ["wealth", "control-dependent-operator"])
+def test_an_infinite_control_is_refused_at_its_step_whatever_the_warning_filters(case, filters):
+    # with warnings as errors, inf * 0 in the wealth coefficient, inf - inf in
+    # the operator's assembly or in perturbed_policy's clamp raised a
+    # RuntimeWarning before the solve could fail, naming neither the control
+    # nor the step
+    grid, coeffs, op, pol = _infinite_control_at_step_2(case)
+    tg = TimeGrid(0.0, 0.5, 10)
+    b = sample_bundle(tg, op.levy, 0, 0)
+    base = solve_forward(coeffs, op, ControlPolicy(rule=lambda k, t, x, z, hist: 0.5), 0.0, b, grid)
+    runs = [
+        lambda: run_ensemble(coeffs, op, pol, 0.0, grid, tg, n_paths=4),
+        lambda: solve_forward(coeffs, op, pol, 0.0, b, grid),
+        lambda: sensitivity_residual(np.zeros_like(base.values), base, coeffs, op, pol,
+                                     lambda k, t, x, z, hist: 1.0, 0.0, b),
+    ]
+    for run in runs:
+        with warnings.catch_warnings(record=True), np.errstate(all="raise" if filters == "numpy-raise" else "warn"):
+            warnings.simplefilter("error" if filters == "warnings-as-errors" else "always")
+            with pytest.raises(ValueError, match="non-finite value at step 2"):
+                run()
+
+
 def test_ensemble_paths_bitwise_match_single_solver():
     market, spec, coeffs, op, _ = bench()
     pol = pf.optimal_policy(market, spec)
@@ -1011,7 +1049,7 @@ def test_tuple_of_controls_equals_separate_runs_bitwise(jumps):
     assert rows == {"B": 8, "P": 8 if jumps else 0}
     assert isinstance(shared, tuple) and len(shared) == 3
     for a, b in zip(alone, shared):
-        assert a.n_paths == b.n_paths == 8
+        assert len(a.y_terminal) == len(b.y_terminal) == 8
         for attr in ("y_terminal", "w_terminal", "h_integral", "min_interior"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
     assert not np.array_equal(shared[0].y_terminal, shared[2].y_terminal)
