@@ -344,12 +344,17 @@ def conditional_malliavin_n(spec, z, t, m, zeta):
 
 def phi1_from_mean(spec, z, t, m):
     """Information-drift ratio phi1: the Brownian derivative moment over the
-    density, from the compensated mean m(t); m may be an array.  Closed form
-    for a Gaussian spec, Fourier quadrature otherwise.  A quadrature density
-    at or below _FOURIER_TOL, the tolerance the quadrature is resolved to, is
-    rounding noise, and so would be the ratio: it raises DivisionUnstable."""
+    density, from the compensated mean m(t); m may be an array, and t a
+    column of times, one per row of m.  Closed form for a Gaussian spec,
+    Fourier quadrature otherwise, row by row for a column t.  A quadrature
+    density at or below _FOURIER_TOL, the tolerance the quadrature is
+    resolved to, is rounding noise, and so would be the ratio: it raises
+    DivisionUnstable."""
     if spec.is_gaussian:
         return gaussian_phi1(spec, z, t, m)
+    if np.ndim(t):
+        rows = np.broadcast_to(m, np.broadcast_shapes(np.shape(t), np.shape(m)))
+        return np.array([phi1_from_mean(spec, z, s, row) for s, row in zip(np.ravel(t).tolist(), rows)])
     sigma2 = _check_time(spec, t)
     beta_t = spec.beta(t)
     den = _fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2)
@@ -363,11 +368,23 @@ def phi1_from_mean(spec, z, t, m):
 
 
 def gaussian_phi1(spec, z, t, m):
-    """Closed-form information drift beta(t)(z - m)/sigma^2(t); m may be an array."""
+    """Closed-form information drift beta(t)(z - m)/sigma^2(t); m may be an
+    array, and t an array of times that broadcasts against it, such as a
+    column of one time per row of m."""
     if not spec.is_gaussian:
         raise ModelMismatch("gaussian_phi1 requires a purely Gaussian specification")
-    sigma2 = _check_time(spec, t)
+    sigma2 = _per_time(lambda s: _check_time(spec, s), t)
     m = np.asarray(m, dtype=float)
-    out = spec.beta(t) * (z - m) / sigma2
-    return out if m.ndim else float(out)
+    out = _per_time(spec.beta, t) * (z - m) / sigma2
+    return out if out.ndim else float(out)
 
+
+def _per_time(f, t, *per_t):
+    """f(s, *a) at each time s of t as a Python float, a being the entries
+    of the arrays per_t of t's shape at s, in an array of t's shape; f(t,
+    *per_t) itself for a scalar t.  A t-only factor so evaluated rounds as it
+    does at one time, whatever array it is then combined with."""
+    if not np.ndim(t):
+        return f(t, *per_t)
+    args = zip(*(np.ravel(a).tolist() for a in (t, *per_t)))
+    return np.array([f(*a) for a in args], dtype=float).reshape(np.shape(t))

@@ -127,11 +127,13 @@ class CoefficientSet:
 @dataclass(frozen=True)
 class PathHistory:
     """What a control rule may look at besides its step, time, nodes and z:
-    the compensated insider mean.
+    the compensated insider mean, rows of the block's insider_means, which
+    every control swept on the block shares; read-only.
 
-    m is a read-only (n_paths,) array, one entry per path of the block the
-    rule is evaluated for (a single path is a block of one): a row of the
-    block's insider_means, which every control swept on the block shares.
+    For an x-independent rule, called once per chunk of n steps, m is the
+    (n, n_paths) array of those steps' rows.  For an x-dependent rule,
+    called once per step, m is the step's row, an (n_paths,) array.  A
+    single path is a block of one.
     """
 
     m: np.ndarray
@@ -139,7 +141,23 @@ class PathHistory:
 
 @dataclass(frozen=True)
 class ControlPolicy:
-    """Rule (step, t, x, z, history) -> control value(s) in the interval U."""
+    """Rule (step, t, x, z, history) -> control value(s) in the interval U.
+
+    An x-independent rule is called once for a chunk of n steps, as
+    rule(k, t, None, z, hist) with k and t (n, 1) columns of the steps and
+    their times and hist.m the (n, n_paths) rows of insider_means.  It must
+    act elementwise, and its value must be 0-d or 2-d and broadcast to
+    (n, n_paths): one value for all steps, a column of one per step, a row
+    of one per path or a value per step and path.  A 1-d value is
+    ambiguous (steps or paths?), and it and any other shape raise
+    ControlShapeMismatch.  An x-dependent rule is called once per step, as
+    rule(k, t, xs, z, hist) with the step k, its time t and hist.m the
+    step's (n_paths,) row: its value over every step at once would hold
+    n_steps x n_paths x n_nodes numbers.
+
+    With a finite bound, a value outside U, a NaN included, raises
+    ValueError naming the first step that has one.
+    """
 
     rule: object
     mode: str = "x-independent"
@@ -152,13 +170,24 @@ class ControlPolicy:
     def values(self, k, t, xs, z, hist):
         x = xs if self.mode == "x-dependent" else None
         val = np.asarray(self.rule(k, t, x, z, hist), dtype=float)
+        if np.ndim(k) and not _fits_chunk(val.shape, np.shape(hist.m)):
+            n, n_paths = np.shape(hist.m)
+            raise ControlShapeMismatch(f"{self.mode} control rule returned shape {val.shape} "
+                                       f"for {n} steps of {n_paths} paths")
         lo, hi = self.bounds
         # an unbounded control is not checked; a NaN makes min and max NaN,
         # which fails both comparisons
         if (lo > -np.inf or hi < np.inf) and not (val.min() >= lo - 1e-12 and val.max() <= hi + 1e-12):
-            _refuse_non_finite(val, k)
-            raise ValueError(f"control rule produced a value outside U at step {k}")
+            i = np.argmax(_by_step(k, ~((val >= lo - 1e-12) & (val <= hi + 1e-12))))
+            what = "a non-finite value" if _by_step(k, ~np.isfinite(val))[i] else "a value outside U"
+            raise ValueError(f"control rule produced {what} at step {np.ravel(k)[i]}")
         return val
+
+
+def _fits_chunk(shape, block):
+    """A chunk's control value is 0-d, or 2-d with each axis 1 or that of
+    the (n_steps, n_paths) block."""
+    return shape == () or (len(shape) == 2 and all(v in (1, n) for v, n in zip(shape, block)))
 
 
 @dataclass
@@ -477,13 +506,14 @@ def _path_noise(op: OperatorSpec, chaos, bundle: PathBundle, tgrid: TimeGrid):
 
 
 def _block_control(control: ControlPolicy, k, t, xs, z, m):
-    """Control values at step k for the block of len(m) paths, whose insider
-    mean at t is m (a row of insider_means), shaped to
+    """Control values at step k alone for the block of len(m) paths, whose
+    insider mean at t is m (a row of insider_means), shaped to
     broadcast against the (n_paths, n_nodes) state block: an x-dependent rule
     gives one profile (n_nodes,) shared by all paths, read as a read-only
     (n_paths, n_nodes) view, or one per path (n_paths, n_nodes); an
     x-independent rule gives one value per path (n_paths,), read as an
-    (n_paths, 1) column.  Either may return a scalar, kept 0-d."""
+    (n_paths, 1) column.  Either may return a scalar, kept 0-d.  The sweep
+    calls it for x-dependent rules; x-independent ones go by _control_chunks."""
     u = control.values(k, t, xs, z, PathHistory(m=m))
     nb, n_nodes = len(m), len(xs)
     shape = u.shape
@@ -499,6 +529,50 @@ def _block_control(control: ControlPolicy, k, t, xs, z, m):
     raise ControlShapeMismatch(
         f"{control.mode} control rule returned shape {shape} for {nb} paths on {n_nodes} nodes"
     )
+
+
+# bytes of one chunk of an x-independent control's (steps, paths) float64
+# values, 8 n_paths per step, at least one step.  A rule's temporaries are
+# chunk-sized, so this bounds the memory its evaluation adds
+_CONTROL_BYTES = 2**16
+
+
+def _control_chunks(control: ControlPolicy, z, times, means):
+    """An x-independent control over the steps at times, chunk by chunk, for
+    the block of paths whose insider mean at each of those times is a row of
+    means: (steps, u) per chunk, steps the slice of the chunk's steps and u
+    the rule's value there, 0-d or 2-d and broadcasting to (len(steps),
+    n_paths) (ControlPolicy.values checks it).  A chunk holds at most
+    _CONTROL_BYTES of (steps, paths) values."""
+    n_paths = means.shape[1]
+    size = max(1, _CONTROL_BYTES // (8 * n_paths))
+    for lo in range(0, len(times), size):
+        steps = slice(lo, min(lo + size, len(times)))
+        k = np.arange(steps.start, steps.stop)[:, None]
+        t = np.array(times[steps])[:, None]
+        yield steps, control.values(k, t, None, z, PathHistory(m=means[steps]))
+
+
+def _step_controls(control: ControlPolicy, z, xs, tgrid: TimeGrid, means):
+    """The control block of each step k = 0..n_steps - 1 of the block of
+    paths with insider_means means, as _block_control gives it: 0-d when the
+    value has no paths' axis, else an (n_paths, 1) column, or an x-dependent
+    rule's profiles.  An x-dependent rule is called step by step; an
+    x-independent one once per chunk of steps (_control_chunks), whose value
+    with a last axis of n_paths gives each step a column."""
+    times = tgrid.nodes[:-1]
+    if control.mode == "x-dependent":
+        for k, t in enumerate(times):
+            yield _block_control(control, k, t, xs, z, means[k])
+        return
+    n_paths = means.shape[1]
+    for steps, u in _control_chunks(control, z, times, means):
+        n = steps.stop - steps.start
+        if u.ndim == 2 and u.shape[1] == n_paths:
+            yield from np.broadcast_to(u, (n, n_paths))[..., None]
+        else:
+            one = np.broadcast_to(u, (n, 1))
+            yield from (one[i, 0, ...] for i in range(n))
 
 
 def _explicit_rhs(coeffs: CoefficientSet, op: OperatorSpec, t, xs, Y, u, z, dt, db_k, counts_k):
@@ -532,7 +606,7 @@ def _steps(op: OperatorSpec, control: ControlPolicy, z, grid: SpatialGrid, tgrid
     (n_paths, n_steps), event counts counts[a] (n_paths, n_steps) of atom a
     of op.levy and insider_means means: (k, t_k, u_k, A_k, db_k, counts_k)
     for k = 0..n_steps - 1, with u_k the control block at means[k]
-    (_block_control), A_k the operator at (t_k, u_k) and db_k, counts_k the
+    (_step_controls), A_k the operator at (t_k, u_k) and db_k, counts_k the
     step's noise columns.
 
     assemble_operator gives one operator per path when a coefficient value
@@ -546,8 +620,8 @@ def _steps(op: OperatorSpec, control: ControlPolicy, z, grid: SpatialGrid, tgrid
     """
     xs = grid.nodes()
     operator = values = None
-    for k, t in enumerate(tgrid.nodes[:-1]):
-        u = _block_control(control, k, t, xs, z, means[k])
+    controls = _step_controls(control, z, xs, tgrid, means)
+    for (k, t), u in zip(enumerate(tgrid.nodes[:-1]), controls):
         try:
             now = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
             if op.jump_shift is not None:
@@ -568,11 +642,22 @@ def _same_value(a, b):
 
 def _refuse_non_finite(u, k):
     """ValueError naming step k when the control block u has a NaN or
-    infinite entry.  ControlPolicy.values does not check an unbounded
-    control, so the stepping routines call this only once a step has failed;
-    weak_residual, which solves nothing, calls it every step."""
-    if not np.isfinite(u).all():
-        raise ValueError(f"control rule produced a non-finite value at step {k}") from None
+    infinite entry; for an (n, 1) column of steps k and their values u, as a
+    chunk's rule sees them, the first step that has one.  ControlPolicy.values
+    does not check an unbounded control, so the stepping routines call this
+    only once a step has failed; weak_residual, which solves nothing, calls
+    it every step."""
+    finite = np.isfinite(u)
+    if not finite.all():
+        step = np.ravel(k)[np.argmax(_by_step(k, ~finite))]
+        raise ValueError(f"control rule produced a non-finite value at step {step}") from None
+
+
+def _by_step(k, mask):
+    """Whether mask, over the control values of the steps k (an int, or an
+    (n, 1) column of steps), has an entry set, one bool per step of k."""
+    mask = np.broadcast_to(mask, np.broadcast_shapes(np.shape(mask), np.shape(k)))
+    return mask.reshape(np.size(k), -1).any(axis=1)
 
 
 def step_forward(
@@ -592,7 +677,7 @@ def step_forward(
     """One semi-implicit step of a block of paths from node k to k+1.
 
     Y is the (n_paths, n_nodes) state at t_k on the grid nodes xs, u the
-    step's control block (see _block_control), db_k the paths' Brownian
+    step's control block (see _step_controls), db_k the paths' Brownian
     increments (n_paths,) and counts_k[a] their event counts (n_paths,) of
     atom a of op.levy.  assembled is the operator at (t_k, u), as _steps
     yields it.  Returns the state at t_{k+1} with the Dirichlet data imposed.

@@ -27,9 +27,9 @@ from .forward import (
     CoefficientSet,
     ControlPolicy,
     OperatorSpec,
-    PathHistory,
     SpatialGrid,
     _check_measure,
+    _control_chunks,
     _has_jumps,
     _path_noise,
     _refuse_non_finite,
@@ -363,7 +363,9 @@ def perturbed_policy(base: ControlPolicy, direction, a: float) -> ControlPolicy:
 
     direction is the base direction beta0, a rule (k, t, x, z, hist) ->
     value(s) of the base policy's shape with |beta0| <= 1 (else
-    StepTooLarge).  delta = min(dist(u, boundary of U) / 2, 1) is the
+    StepTooLarge), called as the base rule is: for an x-independent base,
+    once per chunk of steps, so it acts elementwise on the columns k and t
+    (ControlPolicy).  delta = min(dist(u, boundary of U) / 2, 1) is the
     pointwise distance-to-boundary clamp, so the result stays in U for every
     |a| < 1.  An infinite base value whose clamp raises under the caller's
     warning or error settings raises the ValueError of
@@ -496,9 +498,9 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     exponential at t_1..t_n, the running sum of theta dB - theta^2 dt / 2
     with theta = b0 pi - a0/b0 (n_paths, n_steps), and the insider mean at
     the horizon.  b0 and a0/b0 are evaluated over the nodes before the loop;
-    pi, an x-independent ControlPolicy (else ValueError), is evaluated once
-    per step for the whole block, and a NaN or infinite value of it raises
-    ValueError."""
+    pi, an x-independent ControlPolicy (else ValueError), is evaluated for
+    the whole block once per chunk of steps (forward._control_chunks), and a
+    NaN or infinite value of it raises ValueError naming its first step."""
     if _has_jumps(chaos):
         raise ModelMismatch("the reduced adjoint advances the insider mean by beta dB only; "
                             "it does not support a jump insider variable")
@@ -512,12 +514,12 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     shift = [a0(t, z) / v for t, v in zip(times, vol)]
     means = insider_means(chaos, tgrid, db)
     u = np.empty((tgrid.n_steps, len(db)))
-    for k, t in enumerate(times):
-        u[k] = pi.values(k, t, None, z, PathHistory(m=means[k]))
+    for steps, chunk in _control_chunks(pi, z, times, means):
+        u[steps] = chunk
     # a NaN of an unbounded control, and an infinite value on the side of an
     # infinite bound, pass ControlPolicy.values and would give a NaN adjoint
     if not np.isfinite(u).all():
-        raise ValueError("control rule produced a non-finite value for the reduced adjoint")
+        _refuse_non_finite(u, np.arange(tgrid.n_steps)[:, None])
     theta = (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T
     return np.add.accumulate(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1), means[-1]
 
@@ -543,6 +545,11 @@ def reduced_adjoint_solve(a0, b0, pi, terminal: float, bundle: PathBundle, z, *,
     block = reduced_adjoint_block(a0, b0, pi, terminal, bundle.grid, bundle.brownian_increments[None],
                                   z, chaos=chaos)
     return ReducedAdjointPath(values=block.values[0], p0=float(block.p0[0]))
+
+
+def _window_direction(lo, hi):
+    """The direction 1 at times in [lo, hi) and 0 elsewhere, elementwise in t."""
+    return lambda k, t, x, z, hist: np.where((lo <= t) & (t < hi), 1.0, 0.0)
 
 
 def verify_x_independent_stationarity(
@@ -573,11 +580,7 @@ def verify_x_independent_stationarity(
         raise ValueError("stationarity check applies to x-independent controls")
     edges = np.linspace(tgrid.t_start, tgrid.t_end, n_windows + 1)
     windows = [(float(edges[w]), float(edges[w + 1])) for w in range(n_windows)]
-
-    def bump(lo, hi):
-        return lambda k, t, x, z_, hist: 1.0 if lo <= t < hi else 0.0
-
-    directions = tuple(bump(lo, hi) for lo, hi in windows)
+    directions = tuple(_window_direction(lo, hi) for lo, hi in windows)
     ests = gateaux_derivative(
         coeffs, op, control, directions, perf, chaos, z, grid, tgrid,
         a_step=a_step, n_paths=n_paths, seed=seed,

@@ -121,19 +121,22 @@ def log_utility_performance(market: MarketSpec, utility: UtilitySpec) -> Perform
 
 def optimal_pi(market: MarketSpec, spec: FirstOrderChaosSpec, z, t, m) -> float | np.ndarray:
     """Closed-form optimal insider proportion pi_hat = phi1/b0 + a0/b0^2 at
-    time t from the compensated mean m(t), a scalar or one per path.
+    time t from the compensated mean m(t), a scalar or one per path; t may
+    be a column of times, one per row of m.  b0 and a0/b0^2 are taken at
+    each time alone (donsker._per_time).
 
     The utility weight k(x, z) is deterministic given z, so it cancels from
     the drift ratio entirely and the proportion reads only the information
     drift phi1.
     """
-    vol = _volatility(market.b0, t, z)
-    return donsker.phi1_from_mean(spec, z, t, m) / vol + market.a0(t, z) / vol**2
+    vol = donsker._per_time(lambda s: _volatility(market.b0, s, z), t)
+    drift = donsker._per_time(lambda s, v: market.a0(s, z) / v**2, t, vol)
+    return donsker.phi1_from_mean(spec, z, t, m) / vol + drift
 
 
 def optimal_policy(market: MarketSpec, spec: FirstOrderChaosSpec) -> ControlPolicy:
     """x-independent policy evaluating the optimal proportion from the running
-    compensated mean; vectorizes over ensemble paths."""
+    compensated mean; vectorizes over ensemble paths and a chunk's steps."""
     return ControlPolicy(rule=lambda k, t, x, z, hist: optimal_pi(market, spec, z, t, hist.m),
                          mode="x-independent")
 

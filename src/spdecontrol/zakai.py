@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     BoundaryViolation,
-    ControlShapeMismatch,
     DegenerateCurvature,
     MassCollapse,
     ModelMismatch,
@@ -34,8 +33,9 @@ from .forward import (
     AssembledOperator,
     ControlPolicy,
     OperatorSpec,
-    PathHistory,
     SpatialGrid,
+    _control_chunks,
+    _refuse_non_finite,
     _write_node_csv,
     assemble_operator,
 )
@@ -196,26 +196,33 @@ def sample_initial_states(
     return np.interp(u, cdf, xs)
 
 
-# the insider mean a filtering rule sees: read-only, so a rule cannot write a
-# number over the NaN and get past _control_value's check
-_NO_MEAN = np.full(1, np.nan)
-_NO_MEAN.flags.writeable = False
+def _control_values(control, z, tgrid: TimeGrid):
+    """The control of each step of tgrid as a float, 0.0 without a control.
 
-
-def _control_value(control, k, t, z):
-    """The control of step k, a single value.  The filtering routines carry no
-    insider mean, so the rule sees m = NaN, read-only; a rule that reads it
-    raises ModelMismatch, and one that writes into it ValueError."""
+    The rule is called once per chunk of steps (forward._control_chunks),
+    whatever its mode, with x None: the filtering routines have no nodes for
+    it.  They carry no insider mean either, so the rule sees m as a
+    read-only NaN column, one row per step, and must give one value per
+    step (else ControlShapeMismatch).  A rule that reads m gives NaN and
+    raises ModelMismatch, one that writes into it ValueError, and an
+    infinite value raises the forward routes' ValueError naming its step.
+    """
+    times = tgrid.nodes[:-1]
     if control is None:
-        return 0.0
-    u = control.values(k, t, None, z, PathHistory(m=_NO_MEAN))
-    if u.shape not in ((), (1,)):
-        raise ControlShapeMismatch(f"control rule returned shape {u.shape}, not one value per step")
-    u = u.item()
-    if not math.isfinite(u):
-        raise ModelMismatch(f"control rule gave {u} at step {k}: the filtering routines "
-                            "carry no insider mean for it to read")
-    return u
+        yield from (0.0 for _ in times)
+        return
+    # read-only, so a rule cannot write a number over the NaN and get past the check
+    no_mean = np.broadcast_to(np.nan, (len(times), 1))
+    for steps, u in _control_chunks(control, z, times, no_mean):
+        u = np.broadcast_to(u, (steps.stop - steps.start, 1))[:, 0]
+        finite = np.isfinite(u)
+        if not finite.all():
+            i = int(np.argmax(~finite))
+            if math.isnan(u[i]):
+                raise ModelMismatch(f"control rule gave {u[i]} at step {steps.start + i}: the filtering "
+                                    "routines carry no insider mean for it to read")
+            _refuse_non_finite(u[i], steps.start + i)
+        yield from u.tolist()
 
 
 def _signal_step(model: SignalModel, x, r, u, dt, dv, counts):
@@ -242,8 +249,7 @@ def _euler_maruyama(model: SignalModel, control, z, tgrid: TimeGrid, x0, dv, dw,
     X[0] = x0
     dR = np.empty(np.shape(dv))
     r = 0.0
-    for k, t in enumerate(tgrid.nodes[:-1]):
-        u = _control_value(control, k, t, z)
+    for k, u in enumerate(_control_values(control, z, tgrid)):
         x = X[k]
         dR[k] = model.h_obs(x) * dt + dw[k]
         X[k + 1] = _signal_step(model, x, r, u, dt, dv[k], [n[k] for n in counts])
@@ -341,8 +347,7 @@ def _sweep(model: SignalModel, control, z, dR, sgrid: SpatialGrid, tgrid: TimeGr
     yield Y, np.zeros(n_paths)
     r = np.concatenate((np.zeros((n_paths, 1)), np.cumsum(dR, axis=1)), axis=1)
     transport, u_assembled = None, None
-    for k, t in enumerate(tgrid.nodes[:-1]):
-        u = _control_value(control, k, t, z)
+    for k, u in enumerate(_control_values(control, z, tgrid)):
         if transport is None or transport.bands.ndim == 3 or u != u_assembled:
             transport = transport_bands(model, sgrid, r[:, k, None], u).transposed()
             u_assembled = u
@@ -407,8 +412,7 @@ def particle_filter_oracle(
     means = np.empty(tgrid.n_steps + 1)
     means[0] = float(np.mean(x))
     r = 0.0
-    for k, t in enumerate(tgrid.nodes[:-1]):
-        u = _control_value(control, k, t, z)
+    for k, u in enumerate(_control_values(control, z, tgrid)):
         dv = math.sqrt(dt) * rng.standard_normal(n_particles)
         atoms = model.levy.atoms if model.gamma is not None else ()
         counts = [rng.poisson(lam * dt, n_particles) for _, lam in atoms]

@@ -131,7 +131,7 @@ def test_criterion_05_optimality_of_closed_form_control():
         vals = rng.uniform(-1.0, 1.0, size=4)
 
         def bump(k, t, x, z, hist, v=vals):
-            return float(v[min(int(t / 0.125), 3)])
+            return v[np.minimum((t / 0.125).astype(int), 3)]
 
         est = gateaux_derivative(
             coeffs, op, pol, bump, perf, spec, 0.5, market.D, tg2,

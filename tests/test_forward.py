@@ -387,8 +387,8 @@ def _assembly_count(op, rule, n_paths=1):
 
 def test_operator_is_assembled_once_per_coefficient_change():
     constant = lambda k, t, x, z, hist: 0.5
-    per_path = lambda k, t, x, z, hist: 0.5 + 0.1 * np.arange(len(hist.m))
-    per_step = lambda k, t, x, z, hist: 0.5 + 0.01 * k * np.arange(len(hist.m))
+    per_path = lambda k, t, x, z, hist: 0.5 + 0.1 * np.arange(hist.m.shape[1])[None]
+    per_step = lambda k, t, x, z, hist: 0.5 + 0.01 * k * np.arange(hist.m.shape[1])
     assert _assembly_count(heat_op(), constant) == 1
     assert _assembly_count(heat_op(), per_step, n_paths=3) == 1
     assert _assembly_count(READ_U, constant, n_paths=3) == 1
@@ -622,7 +622,7 @@ def test_weak_residual_refuses_a_non_finite_control_at_its_step(value):
     f = solve_forward(coeffs, heat_op(), null_control(), 0.0, b, grid)
     phi = np.sin(np.pi * grid.nodes())
     phi[0] = phi[-1] = 0.0
-    pol = ControlPolicy(rule=lambda k, t, x, z, hist: value if k == 2 else 0.0)
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.where(k == 2, value, 0.0))
     with pytest.raises(ValueError, match="non-finite value at step 2"):
         weak_residual(f, phi, coeffs, heat_op(), pol, b, 0.0)
 

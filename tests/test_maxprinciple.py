@@ -228,7 +228,7 @@ def test_gateaux_antisymmetric_in_direction(b0, window, shift, a_step, seed):
     lo, hi = sorted(window)
 
     def along(sign):
-        return lambda k, t, x, z, hist: sign * b0 * (lo <= t < hi)
+        return lambda k, t, x, z, hist: sign * b0 * ((lo <= t) & (t < hi))
 
     est = [
         gateaux_derivative(coeffs, op, pol, along(sign), perf, spec, 0.5, market.D, tg,
@@ -465,9 +465,8 @@ def test_reduced_adjoint_rejects_a_non_finite_control(value, bounds):
     # both pass ControlPolicy.values' bounds; a NaN at one step of one path
     # gave p0 = [nan nan] with no error
     def rule(k, t, x, z, hist):
-        u = np.ones(len(hist.m))
-        u[-1] = value if k == 4 else 1.0
-        return u
+        last = np.arange(hist.m.shape[1]) == hist.m.shape[1] - 1
+        return np.where(last & (k == 4), value, 1.0)
 
     tg = TimeGrid(0.0, 0.5, 10)
     pi = ControlPolicy(rule=rule, bounds=bounds)
@@ -479,12 +478,23 @@ def test_reduced_adjoint_rejects_a_non_finite_control(value, bounds):
                               sample_bundle(tg, LevySpec(), 1, 0), 0.0)
 
 
+def test_reduced_adjoint_names_the_first_step_of_a_non_finite_control():
+    # path 1 is NaN at steps 4 and 7; the adjoint said only "for the reduced adjoint"
+    def rule(k, t, x, z, hist):
+        return np.where(((k == 4) | (k == 7)) & (np.arange(hist.m.shape[1]) == 1), np.nan, 1.0)
+
+    tg = TimeGrid(0.0, 0.5, 10)
+    with pytest.raises(ValueError, match="non-finite value at step 4"):
+        reduced_adjoint_block(lambda t, z: 0.1, lambda t, z: 0.3, ControlPolicy(rule=rule), 1.0, tg,
+                              brownian_increment_matrix(tg, 1, range(2)), 0.0)
+
+
 def test_a_nan_control_inside_finite_bounds_is_refused_at_its_step():
     # NaN fails no comparison with a bound, so it reached the implicit solve
     # and surfaced as LinearSolveFailure, naming neither the control nor the step
     market, _, _ = pf.benchmark_market(8)
     coeffs, op = pf.wealth_dynamics(market)
-    rule = lambda k, t, x, z, hist: np.full(len(hist.m), np.nan if k == 2 else 0.5)
+    rule = lambda k, t, x, z, hist: np.full(hist.m.shape, np.where(k == 2, np.nan, 0.5))
     with pytest.raises(ValueError, match="non-finite value at step 2"):
         run_ensemble(coeffs, op, ControlPolicy(rule=rule, bounds=(0.0, 1.0)), 0.0, market.D,
                      TimeGrid(0.0, 0.5, 10), n_paths=4)
@@ -498,7 +508,7 @@ def test_a_non_finite_control_without_a_finite_bound_is_refused_at_its_step(valu
     market, _, _ = pf.benchmark_market(8)
     coeffs, op = pf.wealth_dynamics(market)
     tg = TimeGrid(0.0, 0.5, 10)
-    rule = lambda k, t, x, z, hist: value if k == 2 else 0.5
+    rule = lambda k, t, x, z, hist: np.where(k == 2, value, 0.5)
     pol = ControlPolicy(rule=rule, bounds=bounds)
     b = sample_bundle(tg, op.levy, 0, 0)
     base = solve_forward(coeffs, op, ControlPolicy(rule=lambda k, t, x, z, hist: 0.5), 0.0, b, market.D)
@@ -518,7 +528,7 @@ def _infinite_control_at_step_2(case):
     """A rule that returns +inf at step 2, on the wealth dynamics with bounds
     (0, inf), or on a control-dependent operator without bounds."""
     market, _, _ = pf.benchmark_market(8)
-    rule = lambda k, t, x, z, hist: np.inf if k == 2 else 0.5
+    rule = lambda k, t, x, z, hist: np.where(k == 2, np.inf, 0.5)
     if case == "wealth":
         coeffs, op = pf.wealth_dynamics(market)
         return market.D, coeffs, op, ControlPolicy(rule=rule, bounds=(0.0, np.inf))
@@ -668,7 +678,8 @@ def test_residuals_assemble_only_when_a_coefficient_value_changes(model):
         # one control per path, so one operator per path: the same for steps
         # 0-3, then another at each of steps 4-9
         op, coeffs = jump_model()
-        pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(len(hist.m), 0.3 + 0.01 * max(k - 3, 0)))
+        pol = ControlPolicy(
+            rule=lambda k, t, x, z, hist: np.full(np.shape(hist.m), 0.3 + 0.01 * np.maximum(k - 3, 0)))
         changes = 7
     d = direction(1.0)
     bundle = sample_bundle(tg, op.levy, 2, 0)
@@ -1150,7 +1161,7 @@ def test_stationarity_draws_each_path_once_for_all_windows():
         )
     assert rows["B"] == 20
     for w in report["windows"]:
-        bump = lambda k, t, x, z, hist, lo=w["t_lo"], hi=w["t_hi"]: 1.0 if lo <= t < hi else 0.0
+        bump = lambda k, t, x, z, hist, lo=w["t_lo"], hi=w["t_hi"]: np.where((lo <= t) & (t < hi), 1.0, 0.0)
         est = gateaux_derivative(coeffs, op, pol, bump, perf, spec, 0.5, market.D, tg,
                                  n_paths=20, seed=1)
         width = w["t_hi"] - w["t_lo"]

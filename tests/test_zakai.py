@@ -904,6 +904,16 @@ def test_filtering_routines_reject_a_control_that_reads_the_insider_mean(routine
         run(ControlPolicy(rule=lambda k, t, x, z, hist: 0.5 + 10.0 * hist.m))
 
 
+@pytest.mark.parametrize("routine", FILTERING_ROUTINES)
+def test_filtering_routines_refuse_an_infinite_control_at_its_step(routine):
+    # an infinite value is not a read of the missing insider mean: it raised
+    # ModelMismatch, as a NaN does
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.where(k == 2, np.inf, 0.5))
+    with pytest.raises(ValueError, match="non-finite value at step 2") as info:
+        _filtering_routine(routine)(pol)
+    assert not isinstance(info.value, ModelMismatch)
+
+
 def _overwriting_rule(k, t, x, z, hist):
     np.nan_to_num(hist.m, copy=False)
     return 0.5 + hist.m[0]
