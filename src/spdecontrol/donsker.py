@@ -132,8 +132,10 @@ class FirstOrderChaosSpec:
     psi: object = None  # callable (s, mark) -> float, or None for no jump part
     levy: LevySpec = LevySpec()
     T0: float = 1.0
-    # sigma^2(t) by float(t); outside the spec's equality and hash
+    # sigma^2(t) by float(t), and t-only factor columns by time column
+    # (_memo); outside the spec's equality and hash
     _sigma2: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_gaussian(self) -> bool:
@@ -145,6 +147,14 @@ class FirstOrderChaosSpec:
         if key not in self._sigma2:
             self._sigma2[key] = _adaptive_quad(lambda s: self.beta(s) ** 2, t, self.T0)
         return self._sigma2[key]
+
+    def node_column(self, times: tuple, atom: int | None = None) -> np.ndarray:
+        """beta, or psi at the mark of levy.atoms[atom], at each time of the
+        tuple times, one Python call per time, memoized per spec, times and
+        atom."""
+        mark = None if atom is None else self.levy.atoms[atom][0]
+        f = self.beta if atom is None else lambda s: self.psi(s, mark)
+        return _memo(self._columns, ("node", times, atom), lambda: np.array([f(s) for s in times], dtype=float))
 
 
 @functools.cache
@@ -373,10 +383,17 @@ def gaussian_phi1(spec, z, t, m):
     column of one time per row of m."""
     if not spec.is_gaussian:
         raise ModelMismatch("gaussian_phi1 requires a purely Gaussian specification")
-    sigma2 = _per_time(lambda s: _check_time(spec, s), t)
+    sigma2, beta = _gaussian_factors(spec, t)
     m = np.asarray(m, dtype=float)
-    out = _per_time(spec.beta, t) * (z - m) / sigma2
+    out = beta * (z - m) / sigma2
     return out if out.ndim else float(out)
+
+
+def _gaussian_factors(spec, t):
+    """(sigma^2, beta) at the times t (_per_time), sigma^2 checked by
+    _check_time; for an array t memoized per spec and time column."""
+    factors = lambda: (_per_time(lambda s: _check_time(spec, s), t), _per_time(spec.beta, t))
+    return factors() if not np.ndim(t) else _memo(spec._columns, ("phi1", _array_key(t)), factors)
 
 
 def _per_time(f, t, *per_t):
@@ -388,3 +405,24 @@ def _per_time(f, t, *per_t):
         return f(t, *per_t)
     args = zip(*(np.ravel(a).tolist() for a in (t, *per_t)))
     return np.array([f(*a) for a in args], dtype=float).reshape(np.shape(t))
+
+
+def _array_key(a):
+    """A dict key equal for two arrays exactly when their dtype, shape and bytes are."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _memo(memo, key, build):
+    """memo[key], built by build() on a miss: an array or a tuple of arrays,
+    made read-only, since every later caller gets the same ones.  A build
+    that raises stores nothing, so a failing evaluation raises on every
+    call.  The memo assumes that the functions build calls are
+    deterministic, as the sigma^2 memo does."""
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        memo[key] = value
+    return value

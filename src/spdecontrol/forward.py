@@ -457,7 +457,8 @@ def insider_means(chaos, tgrid: TimeGrid, db, counts=()) -> np.ndarray:
     per block and shared by every control swept on it.
 
     m is one cumulative sum down the time axis, bit-identical to that
-    recurrence: beta and each psi are evaluated once per node, and each
+    recurrence: beta and each psi are read at the nodes from the spec's
+    memo (FirstOrderChaosSpec.node_column), and each
     step's terms beta dB, then psi_a N_a and -(dt lam_a psi_a) atom by atom,
     are rows of one buffer below a row of +0.0, which np.add.accumulate adds
     in the order the recurrence does (a - b == a + (-b), and +0.0 + -0.0 is
@@ -477,9 +478,9 @@ def insider_means(chaos, tgrid: TimeGrid, db, counts=()) -> np.ndarray:
     # m(t_0), and the padding columns are summed too
     buf = np.zeros((1 + n_steps * per_step, 8 * (-(-n_paths // 8) | 1)))
     terms = buf[:, :n_paths]
-    _fill_rows(terms[1::per_step], np.array([chaos.beta(t) for t in times], dtype=float), db)
+    _fill_rows(terms[1::per_step], chaos.node_column(times), db)
     for a, (mark, lam) in enumerate(atoms):
-        psi = np.array([chaos.psi(t, mark) for t in times], dtype=float)
+        psi = chaos.node_column(times, a)
         _fill_rows(terms[2 + 2 * a::per_step], psi, counts[a])
         terms[3 + 2 * a::per_step] = -(tgrid.dt * lam * psi)[:, None]
     # a complex128 sum is two float64 sums, so this walks two columns at once

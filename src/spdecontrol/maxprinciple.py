@@ -185,11 +185,12 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, means, weights, db, cou
     dt = tgrid.dt
     wx = _trapezoid_weights(grid)
     h_int = np.zeros(len(db)) if perf is not None else None
-    # elementwise over interior nodes, reduced over them once at the end
-    run_min = np.full((len(db), grid.n_nodes - 2), np.inf)
+    # elementwise over whole rows, which is faster than over the strided
+    # interior; the interior is sliced and reduced once at the end
+    run_min = np.full((len(db), grid.n_nodes), np.inf)
 
     for k, (t, Y, u) in enumerate(_sweep(coeffs, op, control, z, grid, tgrid, db, counts, means)):
-        np.minimum(run_min, Y[:, 1:-1], out=run_min)
+        np.minimum(run_min, Y, out=run_min)
         if perf is not None and u is not None:
             h = np.asarray(perf.h(t, xs, Y, u, z), dtype=float)
             # a row sum, not h @ wx: a BLAS product rounds each row
@@ -202,7 +203,7 @@ def _ensemble_block(coeffs, op, control, z, grid, tgrid, means, weights, db, cou
         y_terminal=Y,
         w_terminal=None if weights is None else weights[-1],
         h_integral=h_int,
-        min_interior=run_min.min(axis=1),
+        min_interior=run_min[:, 1:-1].min(axis=1),
     )
 
 

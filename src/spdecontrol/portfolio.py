@@ -9,7 +9,7 @@ is pi_hat = Phi1/b0 + a0/b0^2 when the utility weight is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,19 @@ class MarketSpec:
     b0: object
     alpha_init: object
     D: SpatialGrid
+    # (b0, a0/b0^2) columns by time column and z; outside the market's equality and hash
+    _pi_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pi_factors(self, t, z):
+        """(b0, a0/b0^2) at the times t, each time alone (donsker._per_time),
+        b0 checked against the volatility floor; for an array t memoized per
+        market, time column and z."""
+        def factors():
+            vol = donsker._per_time(lambda s: _volatility(self.b0, s, z), t)
+            return vol, donsker._per_time(lambda s, v: self.a0(s, z) / v**2, t, vol)
+
+        key = donsker._array_key(t), donsker._array_key(z)
+        return factors() if not np.ndim(t) else donsker._memo(self._pi_factors, key, factors)
 
 
 @dataclass(frozen=True)
@@ -123,14 +136,13 @@ def optimal_pi(market: MarketSpec, spec: FirstOrderChaosSpec, z, t, m) -> float 
     """Closed-form optimal insider proportion pi_hat = phi1/b0 + a0/b0^2 at
     time t from the compensated mean m(t), a scalar or one per path; t may
     be a column of times, one per row of m.  b0 and a0/b0^2 are taken at
-    each time alone (donsker._per_time).
+    each time alone (MarketSpec.pi_factors).
 
     The utility weight k(x, z) is deterministic given z, so it cancels from
     the drift ratio entirely and the proportion reads only the information
     drift phi1.
     """
-    vol = donsker._per_time(lambda s: _volatility(market.b0, s, z), t)
-    drift = donsker._per_time(lambda s, v: market.a0(s, z) / v**2, t, vol)
+    vol, drift = market.pi_factors(t, z)
     return donsker.phi1_from_mean(spec, z, t, m) / vol + drift
 
 
