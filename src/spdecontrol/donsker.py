@@ -305,6 +305,8 @@ def _clamp_density(raw, sigma2):
 
 
 def _resolve_method(spec, method):
+    if method not in ("auto", "closed_form", "quadrature"):
+        raise ValueError(f"unknown method {method!r}: expected 'auto', 'closed_form' or 'quadrature'")
     if method == "auto":
         return "closed_form" if spec.is_gaussian else "quadrature"
     if method == "closed_form" and not spec.is_gaussian:
@@ -345,10 +347,10 @@ def conditional_malliavin_n(spec, z, t, m, zeta):
     marks = [mk for mk, _ in spec.levy.atoms]
     if not any(math.isclose(zeta, mk, rel_tol=1e-12, abs_tol=1e-12) for mk in marks):
         raise UnknownMark(f"mark {zeta} is not an atom of the Levy measure")
+    sigma2 = _check_time(spec, t)
     psi_tz = 0.0 if spec.psi is None else spec.psi(t, zeta)
     if psi_tz == 0.0:
         return np.zeros(np.shape(m)) if np.ndim(m) else 0.0
-    sigma2 = _check_time(spec, t)
     return _fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, sigma2)
 
 

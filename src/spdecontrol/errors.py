@@ -39,6 +39,17 @@ class ControlShapeMismatch(SpdeControlError, ValueError):
     the block of paths and nodes it was evaluated on."""
 
 
+class InadmissibleControl(SpdeControlError, ValueError):
+    """A control rule produced a value outside its set U, an interval of
+    reals, so a NaN or infinite value too; step is the first step that has
+    one and value that step's first such value."""
+
+    def __init__(self, message, step, value):
+        super().__init__(message)
+        self.step = step
+        self.value = value
+
+
 class CoefficientShapeMismatch(SpdeControlError, ValueError):
     """A coefficient of the forward equation returned values that do not fit
     the block of paths and nodes it was evaluated on, or would widen it."""

@@ -19,6 +19,7 @@ off the time grid of the run.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     BoundaryViolation,
     CoefficientShapeMismatch,
     ControlShapeMismatch,
+    InadmissibleControl,
     LinearSolveFailure,
     ModelMismatch,
     NonParabolic,
@@ -59,6 +61,7 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self):
+        operator.index(self.n_cells)  # TypeError for a float, integral or not
         if self.n_cells < 2:
             raise ValueError("n_cells must be >= 2")
         if not self.x_right > self.x_left:
@@ -155,8 +158,11 @@ class ControlPolicy:
     step's (n_paths,) row: its value over every step at once would hold
     n_steps x n_paths x n_nodes numbers.
 
-    With a finite bound, a value outside U, a NaN included, raises
-    ValueError naming the first step that has one.
+    U is an interval of reals: a value outside its bounds, a NaN or an
+    infinite value raises InadmissibleControl (a ValueError) naming the
+    first step that has one, whether the control is bounded or not.  The
+    value is refused here, where the rule is called, before any step reads
+    it.
     """
 
     rule: object
@@ -175,12 +181,18 @@ class ControlPolicy:
             raise ControlShapeMismatch(f"{self.mode} control rule returned shape {val.shape} "
                                        f"for {n} steps of {n_paths} paths")
         lo, hi = self.bounds
-        # an unbounded control is not checked; a NaN makes min and max NaN,
-        # which fails both comparisons
-        if (lo > -np.inf or hi < np.inf) and not (val.min() >= lo - 1e-12 and val.max() <= hi + 1e-12):
-            i = np.argmax(_by_step(k, ~((val >= lo - 1e-12) & (val <= hi + 1e-12))))
-            what = "a non-finite value" if _by_step(k, ~np.isfinite(val))[i] else "a value outside U"
-            raise ValueError(f"control rule produced {what} at step {np.ravel(k)[i]}")
+        # U is an interval of reals: a NaN makes min and max NaN, which fails
+        # every comparison, and neither may be infinite, bounded control or
+        # not.  An empty value passes, for _block_control to refuse its shape
+        low, high = val.min(initial=np.inf), val.max(initial=-np.inf)
+        if not (-np.inf < low and lo - 1e-12 <= low and high <= hi + 1e-12 and high < np.inf):
+            # one row per step of k, an int or an (n, 1) column of steps
+            rows = np.broadcast_to(val, np.broadcast_shapes(val.shape, np.shape(k))).reshape(np.size(k), -1)
+            bad = ~(np.isfinite(rows) & (rows >= lo - 1e-12) & (rows <= hi + 1e-12))
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            step, value = int(np.ravel(k)[i]), float(rows[i, j])
+            what = "a value outside U" if np.isfinite(value) else "a non-finite value"
+            raise InadmissibleControl(f"control rule produced {what} at step {step}", step, value)
         return val
 
 
@@ -614,24 +626,18 @@ def _steps(op: OperatorSpec, control: ControlPolicy, z, grid: SpatialGrid, tgrid
     carries the paths' axis of u_k and one shared operator when none does.
     The operator is a function of these values alone, so the previous one is
     handed back while every value is the same object or equal elementwise,
-    and an operator constant in t and u is assembled once per sweep.  A
-    RuntimeWarning or FloatingPointError raised while the coefficients are
-    evaluated or the operator assembled at a u with a NaN or infinite entry
-    becomes the ValueError of _refuse_non_finite.
+    and an operator constant in t and u is assembled once per sweep.  Every
+    u_k has passed ControlPolicy.values, so it is finite and in U.
     """
     xs = grid.nodes()
     operator = values = None
     controls = _step_controls(control, z, xs, tgrid, means)
     for (k, t), u in zip(enumerate(tgrid.nodes[:-1]), controls):
-        try:
-            now = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
-            if op.jump_shift is not None:
-                now += tuple(op.jump_shift(t, xs, u, z, mark) for mark, _ in op.levy.atoms)
-            if values is None or not all(map(_same_value, now, values)):
-                operator, values = assemble_operator(op, grid, t, u, z), now
-        except (RuntimeWarning, FloatingPointError):
-            _refuse_non_finite(u, k)
-            raise
+        now = (op.second_coeff(t, xs, u, z), op.first_coeff(t, xs, u, z))
+        if op.jump_shift is not None:
+            now += tuple(op.jump_shift(t, xs, u, z, mark) for mark, _ in op.levy.atoms)
+        if values is None or not all(map(_same_value, now, values)):
+            operator, values = assemble_operator(op, grid, t, u, z), now
         yield k, t, u, operator, db[:, k], [c[:, k] for c in counts]
 
 
@@ -639,26 +645,6 @@ def _same_value(a, b):
     """a is b, or a and b have one shape and are equal elementwise; checked
     in that order, as the identity test is the cheap one."""
     return a is b or (np.shape(a) == np.shape(b) and np.all(a == b))
-
-
-def _refuse_non_finite(u, k):
-    """ValueError naming step k when the control block u has a NaN or
-    infinite entry; for an (n, 1) column of steps k and their values u, as a
-    chunk's rule sees them, the first step that has one.  ControlPolicy.values
-    does not check an unbounded control, so the stepping routines call this
-    only once a step has failed; weak_residual, which solves nothing, calls
-    it every step."""
-    finite = np.isfinite(u)
-    if not finite.all():
-        step = np.ravel(k)[np.argmax(_by_step(k, ~finite))]
-        raise ValueError(f"control rule produced a non-finite value at step {step}") from None
-
-
-def _by_step(k, mask):
-    """Whether mask, over the control values of the steps k (an int, or an
-    (n, 1) column of steps), has an entry set, one bool per step of k."""
-    mask = np.broadcast_to(mask, np.broadcast_shapes(np.shape(mask), np.shape(k)))
-    return mask.reshape(np.size(k), -1).any(axis=1)
 
 
 def step_forward(
@@ -682,19 +668,12 @@ def step_forward(
     increments (n_paths,) and counts_k[a] their event counts (n_paths,) of
     atom a of op.levy.  assembled is the operator at (t_k, u), as _steps
     yields it.  Returns the state at t_{k+1} with the Dirichlet data imposed.
-    When the explicit terms or the implicit solve fail at a u with a NaN or
-    infinite entry, by LinearSolveFailure or by a RuntimeWarning or
-    FloatingPointError that the caller's warning or error settings raise,
-    ValueError names the control and step k (_refuse_non_finite).
+    u has passed ControlPolicy.values, so it is finite and in U.
     """
     t, t_next = tgrid.nodes[k : k + 2]
     dt = tgrid.dt
-    try:
-        rhs = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k)
-        Y = assembled.solve_implicit(dt, rhs)
-    except (LinearSolveFailure, RuntimeWarning, FloatingPointError):
-        _refuse_non_finite(u, k)
-        raise
+    rhs = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k)
+    Y = assembled.solve_implicit(dt, rhs)
     Y[:, 0] = coeffs.boundary(t_next, xs[0])
     Y[:, -1] = coeffs.boundary(t_next, xs[-1])
     return Y
@@ -766,8 +745,9 @@ def weak_residual(
     The bundle must be on field.tgrid, and it and a jumping chaos on op.levy
     (else ModelMismatch, _path_noise), and phi must vanish at the boundary
     nodes (else BoundaryViolation).  Each step's control, operator and noise
-    come from _steps, as in the sweep that produced the field; a control with
-    a NaN or infinite entry raises ValueError naming its step.
+    come from _steps, as in the sweep that produced the field, so a control
+    with a NaN or infinite entry raises InadmissibleControl naming its step
+    (ControlPolicy.values).
     """
     grid, tgrid = field.grid, field.tgrid
     db, counts, means = _path_noise(op, chaos, bundle, tgrid)
@@ -779,7 +759,6 @@ def weak_residual(
 
     acc = grid.inner(field.values[-1], phi) - grid.inner(field.values[0], phi)
     for k, t, u, A, db_k, counts_k in _steps(op, control, z, grid, tgrid, db, counts, means):
-        _refuse_non_finite(u, k)
         Y = field.values[k][None]
         explicit = _explicit_rhs(coeffs, op, t, xs, Y, u, z, dt, db_k, counts_k) - Y
         acc -= grid.inner((dt * A.apply(Y) + explicit)[0], phi)

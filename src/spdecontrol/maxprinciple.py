@@ -32,7 +32,6 @@ from .forward import (
     _control_chunks,
     _has_jumps,
     _path_noise,
-    _refuse_non_finite,
     _steps,
     _sweep,
     assemble_operator,
@@ -368,24 +367,20 @@ def perturbed_policy(base: ControlPolicy, direction, a: float) -> ControlPolicy:
     once per chunk of steps, so it acts elementwise on the columns k and t
     (ControlPolicy).  delta = min(dist(u, boundary of U) / 2, 1) is the
     pointwise distance-to-boundary clamp, so the result stays in U for every
-    |a| < 1.  An infinite base value whose clamp raises under the caller's
-    warning or error settings raises the ValueError of
-    forward._refuse_non_finite, naming its step.
+    |a| < 1.  The base value is read through base.values, so a base value
+    outside U, NaN or infinite included, raises InadmissibleControl naming
+    its step before the clamp reads it.
     """
     if abs(a) >= 1.0:
         raise StepTooLarge(f"perturbation size {a} outside (-1, 1)")
     lo, hi = base.bounds
 
     def rule(k, t, x, z, hist):
-        u0 = np.asarray(base.rule(k, t, x, z, hist), dtype=float)
+        u0 = base.values(k, t, x, z, hist)
         b0 = np.asarray(direction(k, t, x, z, hist), dtype=float)
         if np.any(np.abs(b0) > 1.0 + 1e-12):
             raise StepTooLarge("direction exceeds its bound 1")
-        try:
-            delta = np.minimum(np.minimum(u0 - lo, hi - u0) / 2.0, 1.0)
-        except (RuntimeWarning, FloatingPointError):  # inf - inf, raised by the caller's settings
-            _refuse_non_finite(u0, k)
-            raise
+        delta = np.minimum(np.minimum(u0 - lo, hi - u0) / 2.0, 1.0)
         return u0 + a * delta * b0
 
     return ControlPolicy(rule=rule, mode=base.mode, bounds=base.bounds)
@@ -500,8 +495,9 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     with theta = b0 pi - a0/b0 (n_paths, n_steps), and the insider mean at
     the horizon.  b0 and a0/b0 are evaluated over the nodes before the loop;
     pi, an x-independent ControlPolicy (else ValueError), is evaluated for
-    the whole block once per chunk of steps (forward._control_chunks), and a
-    NaN or infinite value of it raises ValueError naming its first step."""
+    the whole block once per chunk of steps (forward._control_chunks), so a
+    NaN or infinite value of it raises InadmissibleControl naming its first
+    step (ControlPolicy.values)."""
     if _has_jumps(chaos):
         raise ModelMismatch("the reduced adjoint advances the insider mean by beta dB only; "
                             "it does not support a jump insider variable")
@@ -517,10 +513,6 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     u = np.empty((tgrid.n_steps, len(db)))
     for steps, chunk in _control_chunks(pi, z, times, means):
         u[steps] = chunk
-    # a NaN of an unbounded control, and an infinite value on the side of an
-    # infinite bound, pass ControlPolicy.values and would give a NaN adjoint
-    if not np.isfinite(u).all():
-        _refuse_non_finite(u, np.arange(tgrid.n_steps)[:, None])
     theta = (np.array(vol)[:, None] * u - np.array(shift)[:, None]).T
     return np.add.accumulate(theta * db - 0.5 * theta**2 * tgrid.dt, axis=1), means[-1]
 
@@ -530,8 +522,9 @@ def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *
     """Scalar adjoint martingale along each path of a block: the stochastic
     exponential of (b0 pi - a0/b0) dB on the Brownian increments db (n_paths,
     n_steps) of brownian_increment_matrix, scaled to the supplied terminal
-    value.  pi is an x-independent ControlPolicy (else ValueError).  The
-    insider variable, if given, must be Gaussian.
+    value.  pi is an x-independent ControlPolicy (else ValueError); a value
+    of it outside U, NaN or infinite included, raises InadmissibleControl
+    naming its first step.  The insider variable, if given, must be Gaussian.
     """
     expo, _ = _adjoint_integrand(a0, b0, pi, tgrid, db, z, chaos)
     start = np.zeros((len(db), 1))

@@ -40,6 +40,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        operator.index(self.n_steps)  # TypeError for a float, integral or not
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not self.t_end > self.t_start:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     BoundaryViolation,
     DegenerateCurvature,
+    InadmissibleControl,
     MassCollapse,
     ModelMismatch,
     WeightDegeneracy,
@@ -35,7 +36,6 @@ from .forward import (
     OperatorSpec,
     SpatialGrid,
     _control_chunks,
-    _refuse_non_finite,
     _write_node_csv,
     assemble_operator,
 )
@@ -203,9 +203,10 @@ def _control_values(control, z, tgrid: TimeGrid):
     whatever its mode, with x None: the filtering routines have no nodes for
     it.  They carry no insider mean either, so the rule sees m as a
     read-only NaN column, one row per step, and must give one value per
-    step (else ControlShapeMismatch).  A rule that reads m gives NaN and
-    raises ModelMismatch, one that writes into it ValueError, and an
-    infinite value raises the forward routes' ValueError naming its step.
+    step (else ControlShapeMismatch).  ControlPolicy.values refuses a
+    value outside U, NaN or infinite included, with InadmissibleControl
+    naming its step; a NaN there is the read of m, so it raises
+    ModelMismatch instead.  A rule that writes into m raises ValueError.
     """
     times = tgrid.nodes[:-1]
     if control is None:
@@ -213,16 +214,14 @@ def _control_values(control, z, tgrid: TimeGrid):
         return
     # read-only, so a rule cannot write a number over the NaN and get past the check
     no_mean = np.broadcast_to(np.nan, (len(times), 1))
-    for steps, u in _control_chunks(control, z, times, no_mean):
-        u = np.broadcast_to(u, (steps.stop - steps.start, 1))[:, 0]
-        finite = np.isfinite(u)
-        if not finite.all():
-            i = int(np.argmax(~finite))
-            if math.isnan(u[i]):
-                raise ModelMismatch(f"control rule gave {u[i]} at step {steps.start + i}: the filtering "
-                                    "routines carry no insider mean for it to read")
-            _refuse_non_finite(u[i], steps.start + i)
-        yield from u.tolist()
+    try:
+        for steps, u in _control_chunks(control, z, times, no_mean):
+            yield from np.broadcast_to(u, (steps.stop - steps.start, 1))[:, 0].tolist()
+    except InadmissibleControl as exc:
+        if math.isnan(exc.value):
+            raise ModelMismatch(f"control rule gave nan at step {exc.step}: the filtering "
+                                "routines carry no insider mean for it to read") from None
+        raise
 
 
 def _signal_step(model: SignalModel, x, r, u, dt, dv, counts):

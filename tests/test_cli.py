@@ -91,6 +91,21 @@ def test_every_public_name_has_a_caller():
     assert orphans == [], orphans
 
 
+def test_no_except_clause_in_the_library_catches_a_floating_point_warning():
+    # a control value is checked once, where its rule is called
+    # (ControlPolicy.values); an except clause that caught RuntimeWarning or
+    # FloatingPointError would check it again, after a step had failed
+    caught = []
+    for path in sorted((ROOT / "src" / "spdecontrol").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))}
+                caught += [f"{path.name}:{node.lineno} {name}"
+                           for name in sorted(names & {"RuntimeWarning", "FloatingPointError"})]
+    assert caught == [], caught
+
+
 def test_every_private_name_in_the_library_and_readme_is_defined():
     # a helper that is renamed or folded away leaves its name behind in
     # docstrings, comments and README; every _name there must still be bound

@@ -15,7 +15,7 @@ from spdecontrol import cli, forward
 from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec
-from spdecontrol.errors import ControlShapeMismatch
+from spdecontrol.errors import ControlShapeMismatch, InadmissibleControl
 from spdecontrol.forward import ControlPolicy, PathHistory, SpatialGrid, insider_means, solve_forward
 from spdecontrol.maxprinciple import perturbed_policy, reduced_adjoint_block, reduced_adjoint_solve, run_ensemble
 from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix, jump_count_matrices, sample_bundle
@@ -100,6 +100,14 @@ def test_a_chunk_names_the_first_step_outside_the_bounds():
         pol.values(k, 0.1 * k, None, 0.0, hist)
     with pytest.raises(ValueError, match="non-finite value at step 5"):
         pol.values(k[4:], 0.1 * k[4:], None, 0.0, PathHistory(m=hist.m[4:]))
+    # U is an interval of reals, so an unbounded control refuses a NaN and
+    # either infinity too; it was not checked at all
+    for value in (np.nan, np.inf, -np.inf):
+        unbounded = ControlPolicy(rule=lambda k, t, x, z, hist: np.where(k == 6, value, 0.5))
+        with pytest.raises(InadmissibleControl, match="non-finite value at step 6") as info:
+            unbounded.values(k, 0.1 * k, None, 0.0, hist)
+        assert info.value.step == 6
+        assert np.array_equal(info.value.value, value, equal_nan=True)
 
 
 def _values_spy():

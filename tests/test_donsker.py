@@ -256,6 +256,13 @@ def test_gaussian_only_rules_raise_model_mismatch_on_jump_spec():
         conditional_malliavin_b(spec, 0.5, 0.4, 0.2, method="closed_form")
 
 
+@pytest.mark.parametrize("routine", [delta_from_mean, conditional_malliavin_b])
+def test_an_unknown_method_is_refused_with_the_allowed_values(routine):
+    # "closed" ran the quadrature without a word
+    with pytest.raises(ValueError, match="expected 'auto', 'closed_form' or 'quadrature'"):
+        routine(gaussian_spec(), 0.5, 0.3, 0.1, method="closed")
+
+
 def test_residual_variance_integrates_once_per_time():
     # a non-constant beta, so every time needs its own integration
     make = lambda: FirstOrderChaosSpec(beta=lambda s: 1.0 + s, T0=1.0)
@@ -365,6 +372,16 @@ def test_malliavin_n_unknown_mark():
         conditional_malliavin_n(spec, 0.0, 0.2, m, 3.0)
     val = conditional_malliavin_n(spec, 0.0, 0.2, m, 1.0)
     assert np.isfinite(val)
+
+
+def test_malliavin_n_checks_the_time_before_its_zero_shortcut():
+    # psi(1.5, mark) = 0 past T0 = 1, and the moment returned 0.0 there,
+    # where every other moment raises
+    spec = replace(general_jump_spec(), psi=lambda s, mark: mark if s < 1.0 else 0.0)
+    with pytest.raises(DegenerateVariance):
+        delta_from_mean(spec, 0.5, 1.5, 0.0)
+    with pytest.raises(DegenerateVariance):
+        conditional_malliavin_n(spec, 0.5, 1.5, 0.0, 0.5)
 
 
 def test_malliavin_n_difference_identity():

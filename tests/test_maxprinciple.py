@@ -17,6 +17,7 @@ from spdecontrol.donsker import FirstOrderChaosSpec
 from spdecontrol.errors import (
     ControlShapeMismatch,
     DegenerateVolatility,
+    InadmissibleControl,
     ModelMismatch,
     StepTooLarge,
 )
@@ -24,6 +25,7 @@ from spdecontrol.forward import (
     CoefficientSet,
     ControlPolicy,
     OperatorSpec,
+    PathHistory,
     SpatialGrid,
     assemble_operator,
     solve_forward,
@@ -500,28 +502,60 @@ def test_a_nan_control_inside_finite_bounds_is_refused_at_its_step():
                      TimeGrid(0.0, 0.5, 10), n_paths=4)
 
 
-@pytest.mark.parametrize("value, bounds", [(np.nan, (-np.inf, np.inf)), (np.inf, (0.0, np.inf))],
-                         ids=["nan-unbounded", "inf-on-its-infinite-bound"])
-def test_a_non_finite_control_without_a_finite_bound_is_refused_at_its_step(value, bounds):
-    # ControlPolicy.values does not check such a control, and the implicit
-    # solve raised LinearSolveFailure, naming neither the control nor the step
-    market, _, _ = pf.benchmark_market(8)
-    coeffs, op = pf.wealth_dynamics(market)
+@pytest.mark.parametrize("value, bounds, model", [
+    (np.nan, (-np.inf, np.inf), "wealth"),
+    (np.inf, (0.0, np.inf), "wealth"),
+    (np.nan, (-np.inf, np.inf), "heat"),
+    (np.inf, (-np.inf, np.inf), "heat"),
+], ids=["nan-unbounded", "inf-on-its-infinite-bound", "nan-unbounded-u-independent",
+        "inf-unbounded-u-independent"])
+def test_a_non_finite_control_without_a_finite_bound_is_refused_at_its_step(value, bounds, model):
+    # ControlPolicy.values did not check such a control: on the wealth
+    # dynamics the implicit solve raised LinearSolveFailure, naming neither
+    # the control nor the step, and on the heat equation, whose coefficients
+    # ignore u, every route ran to the end without a word
+    if model == "wealth":
+        market, _, _ = pf.benchmark_market(8)
+        grid = market.D
+        coeffs, op = pf.wealth_dynamics(market)
+    else:
+        grid = SpatialGrid(0.0, 1.0, 8)
+        coeffs = CoefficientSet(a=lambda t, x, y, u, z: 0.0, b=lambda t, x, y, u, z: 0.0,
+                                xi=lambda x, z: np.sin(np.pi * x))
+        op = OperatorSpec(second_coeff=lambda t, x, u, z: 0.5, first_coeff=lambda t, x, u, z: 0.0)
     tg = TimeGrid(0.0, 0.5, 10)
     rule = lambda k, t, x, z, hist: np.where(k == 2, value, 0.5)
     pol = ControlPolicy(rule=rule, bounds=bounds)
     b = sample_bundle(tg, op.levy, 0, 0)
-    base = solve_forward(coeffs, op, ControlPolicy(rule=lambda k, t, x, z, hist: 0.5), 0.0, b, market.D)
+    base = solve_forward(coeffs, op, ControlPolicy(rule=lambda k, t, x, z, hist: 0.5), 0.0, b, grid)
+    phi = np.sin(np.pi * grid.nodes())
+    phi[0] = phi[-1] = 0.0
     runs = [
-        lambda: run_ensemble(coeffs, op, pol, 0.0, market.D, tg, n_paths=4),
-        lambda: solve_forward(coeffs, op, pol, 0.0, b, market.D),
+        lambda: run_ensemble(coeffs, op, pol, 0.0, grid, tg, n_paths=4),
+        lambda: solve_forward(coeffs, op, pol, 0.0, b, grid),
         lambda: sensitivity_residual(np.zeros_like(base.values), base, coeffs, op, pol,
                                      lambda k, t, x, z, hist: 1.0, 0.0, b),
+        lambda: weak_residual(base, phi, coeffs, op, pol, b, 0.0),
     ]
     for run in runs:
         # inf - inf on the way to the solve warns; the warning is not the error
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite value at step 2"):
             run()
+
+
+def test_a_perturbed_policy_refuses_an_infinite_base_at_its_step():
+    # with invalid operations ignored, the clamp's inf - inf gave a NaN side
+    # that no check saw; the base value is now read through its own values
+    k = np.arange(4)[:, None]
+    hist = PathHistory(m=np.zeros((4, 3)))
+    base = ControlPolicy(rule=lambda k, t, x, z, hist: np.where(k == 2, np.inf, 0.5))
+    for a in (0.5, -0.5):
+        side = perturbed_policy(base, lambda k, t, x, z, hist: 1.0, a)
+        with np.errstate(invalid="ignore"), pytest.raises(InadmissibleControl, match="non-finite value at step 2"):
+            side.rule(k, 0.1 * k, None, 0.0, hist)
+    side = perturbed_policy(ControlPolicy(rule=lambda *args: np.inf), lambda *args: 1.0, 0.5)
+    with np.errstate(invalid="ignore"), pytest.raises(InadmissibleControl, match="non-finite value at step 0"):
+        side.rule(0, 0.0, None, 0.0, PathHistory(m=np.zeros(3)))
 
 
 def _infinite_control_at_step_2(case):
@@ -821,6 +855,7 @@ def test_ensemble_rows_equal_single_path_solves_bitwise(
 @pytest.mark.parametrize("mode, shape", [
     ("x-dependent", (5, 1)),
     ("x-dependent", (5,)),
+    ("x-dependent", (0,)),
     ("x-independent", (9,)),
     ("x-independent", (5, 9)),
 ])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdecontrol.errors import ModelMismatch
+from spdecontrol.forward import SpatialGrid
 from spdecontrol.noise import (
     LevySpec,
     PathBundle,
@@ -29,6 +30,16 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, 5)
+
+
+def test_grids_refuse_a_count_that_is_not_an_integer():
+    # TimeGrid(0, 1, 2.5) ended at 1.2, and SpatialGrid(0, 1, 8.5) had 9.5 nodes
+    with pytest.raises(TypeError, match="integer"):
+        TimeGrid(0.0, 1.0, 2.5)
+    with pytest.raises(TypeError, match="integer"):
+        SpatialGrid(0.0, 1.0, 8.5)
+    assert TimeGrid(0.0, 1.0, np.int64(4)).nodes[-1] == 1.0
+    assert SpatialGrid(0.0, 1.0, np.int64(8)).n_nodes == 9
 
 
 def test_levy_spec_rejects_negative_rates():
