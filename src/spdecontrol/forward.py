@@ -64,8 +64,8 @@ class SpatialGrid:
         operator.index(self.n_cells)  # TypeError for a float, integral or not
         if self.n_cells < 2:
             raise ValueError("n_cells must be >= 2")
-        if not self.x_right > self.x_left:
-            raise ValueError("x_right must exceed x_left")
+        if not (np.isfinite(self.x_left) and self.x_left < self.x_right < np.inf):
+            raise ValueError(f"x_right must exceed x_left, both finite: [{self.x_left}, {self.x_right}]")
 
     @property
     def dx(self) -> float:
@@ -152,17 +152,17 @@ class ControlPolicy:
     act elementwise, and its value must be 0-d or 2-d and broadcast to
     (n, n_paths): one value for all steps, a column of one per step, a row
     of one per path or a value per step and path.  A 1-d value is
-    ambiguous (steps or paths?), and it and any other shape raise
-    ControlShapeMismatch.  An x-dependent rule is called once per step, as
-    rule(k, t, xs, z, hist) with the step k, its time t and hist.m the
-    step's (n_paths,) row: its value over every step at once would hold
-    n_steps x n_paths x n_nodes numbers.
+    ambiguous (steps or paths?), so it is refused.  An x-dependent rule is
+    called once per step, as rule(k, t, xs, z, hist) with the step k, its
+    time t and hist.m the step's (n_paths,) row: its value over every step
+    at once would hold n_steps x n_paths x n_nodes numbers.  Its value is
+    0-d, one (n_nodes,) profile for all paths or an (n_paths, n_nodes)
+    array of one per path.  A route without nodes (the reduced adjoint, the
+    filtering routines) refuses an x-dependent control with ValueError
+    (_control_chunks).
 
-    U is an interval of reals: a value outside its bounds, a NaN or an
-    infinite value raises InadmissibleControl (a ValueError) naming the
-    first step that has one, whether the control is bounded or not.  The
-    value is refused here, where the rule is called, before any step reads
-    it.
+    U is the interval bounds = (lo, hi) of reals, lo <= hi and neither NaN
+    (else ValueError here); infinite ends are allowed.
     """
 
     rule: object
@@ -172,18 +172,39 @@ class ControlPolicy:
     def __post_init__(self):
         if self.mode not in ("x-independent", "x-dependent"):
             raise ValueError(f"unknown control mode {self.mode!r}")
+        if not (len(self.bounds) == 2 and self.bounds[0] <= self.bounds[1]):  # False for a NaN
+            raise ValueError(f"control bounds {self.bounds!r} are not an interval lo <= hi of reals")
 
     def values(self, k, t, xs, z, hist):
+        """The rule's value at step k, an int, or at the chunk of steps k, an
+        (n, 1) column, checked before any step reads it: its shape first,
+        then admissibility.  A 0-d value fits any call; a chunk's is 2-d with
+        each axis 1 or that of the (n, n_paths) block of hist.m; a step's is
+        one value per path, (n_paths,), or for an x-dependent rule one
+        (n_nodes,) profile or an (n_paths, n_nodes) array.  Another shape
+        raises ControlShapeMismatch ("control rule returned shape ...").  A
+        value outside U, a NaN or an infinite value raises
+        InadmissibleControl (a ValueError) naming the first step that has
+        one, whether the control is bounded or not.  This is the one place
+        that calls a rule."""
         x = xs if self.mode == "x-dependent" else None
         val = np.asarray(self.rule(k, t, x, z, hist), dtype=float)
-        if np.ndim(k) and not _fits_chunk(val.shape, np.shape(hist.m)):
-            n, n_paths = np.shape(hist.m)
-            raise ControlShapeMismatch(f"{self.mode} control rule returned shape {val.shape} "
-                                       f"for {n} steps of {n_paths} paths")
+        if val.ndim:  # a 0-d value fits any call
+            block = np.shape(hist.m)
+            if np.ndim(k):  # a chunk: each axis 1 or that of the (n_steps, n_paths) block
+                fits = val.ndim == 2 and all(v in (1, n) for v, n in zip(val.shape, block))
+                where = f"{block[0]} steps of {block[1]} paths"
+            elif x is None:  # a step: one value per path
+                fits, where = val.shape == block, f"{block[0]} paths"
+            else:  # one profile for all paths or one per path
+                fits = val.shape in ((len(x),), block + (len(x),))
+                where = f"{block[0]} paths on {len(x)} nodes"
+            if not fits:
+                raise ControlShapeMismatch(f"{self.mode} control rule returned shape {val.shape} for {where}")
         lo, hi = self.bounds
         # U is an interval of reals: a NaN makes min and max NaN, which fails
         # every comparison, and neither may be infinite, bounded control or
-        # not.  An empty value passes, for _block_control to refuse its shape
+        # not.  initial= lets a block without paths pass
         low, high = val.min(initial=np.inf), val.max(initial=-np.inf)
         if not (-np.inf < low and lo - 1e-12 <= low and high <= hi + 1e-12 and high < np.inf):
             # one row per step of k, an int or an (n, 1) column of steps
@@ -194,12 +215,6 @@ class ControlPolicy:
             what = "a value outside U" if np.isfinite(value) else "a non-finite value"
             raise InadmissibleControl(f"control rule produced {what} at step {step}", step, value)
         return val
-
-
-def _fits_chunk(shape, block):
-    """A chunk's control value is 0-d, or 2-d with each axis 1 or that of
-    the (n_steps, n_paths) block."""
-    return shape == () or (len(shape) == 2 and all(v in (1, n) for v, n in zip(shape, block)))
 
 
 @dataclass
@@ -518,32 +533,6 @@ def _path_noise(op: OperatorSpec, chaos, bundle: PathBundle, tgrid: TimeGrid):
     return db, counts, insider_means(chaos, tgrid, db, counts)
 
 
-def _block_control(control: ControlPolicy, k, t, xs, z, m):
-    """Control values at step k alone for the block of len(m) paths, whose
-    insider mean at t is m (a row of insider_means), shaped to
-    broadcast against the (n_paths, n_nodes) state block: an x-dependent rule
-    gives one profile (n_nodes,) shared by all paths, read as a read-only
-    (n_paths, n_nodes) view, or one per path (n_paths, n_nodes); an
-    x-independent rule gives one value per path (n_paths,), read as an
-    (n_paths, 1) column.  Either may return a scalar, kept 0-d.  The sweep
-    calls it for x-dependent rules; x-independent ones go by _control_chunks."""
-    u = control.values(k, t, xs, z, PathHistory(m=m))
-    nb, n_nodes = len(m), len(xs)
-    shape = u.shape
-    if shape == ():
-        return u
-    if control.mode == "x-dependent":
-        if shape == (n_nodes,):
-            return np.broadcast_to(u, (nb, n_nodes))
-        if shape == (nb, n_nodes):
-            return u
-    elif shape == (nb,):
-        return u[:, None]
-    raise ControlShapeMismatch(
-        f"{control.mode} control rule returned shape {shape} for {nb} paths on {n_nodes} nodes"
-    )
-
-
 # bytes of one chunk of an x-independent control's (steps, paths) float64
 # values, 8 n_paths per step, at least one step.  A rule's temporaries are
 # chunk-sized, so this bounds the memory its evaluation adds
@@ -556,7 +545,12 @@ def _control_chunks(control: ControlPolicy, z, times, means):
     means: (steps, u) per chunk, steps the slice of the chunk's steps and u
     the rule's value there, 0-d or 2-d and broadcasting to (len(steps),
     n_paths) (ControlPolicy.values checks it).  A chunk holds at most
-    _CONTROL_BYTES of (steps, paths) values."""
+    _CONTROL_BYTES of (steps, paths) values.  The rule is called without
+    nodes, so an x-dependent control raises ValueError: a rule that read x
+    would die inside itself on None, and one that ignored it would run as
+    another control than the one given."""
+    if control.mode != "x-independent":
+        raise ValueError("a control evaluated without nodes must be x-independent")
     n_paths = means.shape[1]
     size = max(1, _CONTROL_BYTES // (8 * n_paths))
     for lo in range(0, len(times), size):
@@ -568,17 +562,21 @@ def _control_chunks(control: ControlPolicy, z, times, means):
 
 def _step_controls(control: ControlPolicy, z, xs, tgrid: TimeGrid, means):
     """The control block of each step k = 0..n_steps - 1 of the block of
-    paths with insider_means means, as _block_control gives it: 0-d when the
-    value has no paths' axis, else an (n_paths, 1) column, or an x-dependent
-    rule's profiles.  An x-dependent rule is called step by step; an
-    x-independent one once per chunk of steps (_control_chunks), whose value
-    with a last axis of n_paths gives each step a column."""
+    paths with insider_means means, shaped to broadcast against the
+    (n_paths, n_nodes) state block: 0-d when the value has no paths' axis,
+    else an (n_paths, 1) column, or an x-dependent rule's (n_paths, n_nodes)
+    profiles, a shared (n_nodes,) profile read as a read-only view.  An
+    x-dependent rule is called step by step, its shape checked by
+    ControlPolicy.values; an x-independent one once per chunk of steps
+    (_control_chunks), whose value with a last axis of n_paths gives each
+    step a column."""
     times = tgrid.nodes[:-1]
+    n_paths = means.shape[1]
     if control.mode == "x-dependent":
         for k, t in enumerate(times):
-            yield _block_control(control, k, t, xs, z, means[k])
+            u = control.values(k, t, xs, z, PathHistory(m=means[k]))
+            yield np.broadcast_to(u, (n_paths, len(xs))) if u.ndim == 1 else u
         return
-    n_paths = means.shape[1]
     for steps, u in _control_chunks(control, z, times, means):
         n = steps.stop - steps.start
         if u.ndim == 2 and u.shape[1] == n_paths:
@@ -627,7 +625,8 @@ def _steps(op: OperatorSpec, control: ControlPolicy, z, grid: SpatialGrid, tgrid
     The operator is a function of these values alone, so the previous one is
     handed back while every value is the same object or equal elementwise,
     and an operator constant in t and u is assembled once per sweep.  Every
-    u_k has passed ControlPolicy.values, so it is finite and in U.
+    u_k has passed ControlPolicy.values, so it has a control's shape and is
+    finite and in U.
     """
     xs = grid.nodes()
     operator = values = None

@@ -494,15 +494,13 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     exponential at t_1..t_n, the running sum of theta dB - theta^2 dt / 2
     with theta = b0 pi - a0/b0 (n_paths, n_steps), and the insider mean at
     the horizon.  b0 and a0/b0 are evaluated over the nodes before the loop;
-    pi, an x-independent ControlPolicy (else ValueError), is evaluated for
-    the whole block once per chunk of steps (forward._control_chunks), so a
-    NaN or infinite value of it raises InadmissibleControl naming its first
-    step (ControlPolicy.values)."""
+    pi, a ControlPolicy, is evaluated for the whole block once per chunk of
+    steps without nodes (forward._control_chunks), so an x-dependent pi
+    raises ValueError there, and a NaN or infinite value of it
+    InadmissibleControl naming its first step (ControlPolicy.values)."""
     if _has_jumps(chaos):
         raise ModelMismatch("the reduced adjoint advances the insider mean by beta dB only; "
                             "it does not support a jump insider variable")
-    if pi.mode != "x-independent":
-        raise ValueError("the reduced adjoint applies to x-independent controls")
     db = np.asarray(db, dtype=float)
     if db.ndim != 2 or db.shape[1] != tgrid.n_steps:
         raise ModelMismatch(f"Brownian increments of shape {db.shape} for a {tgrid.n_steps}-step grid")
@@ -522,9 +520,11 @@ def reduced_adjoint_block(a0, b0, pi, terminal: float, tgrid: TimeGrid, db, z, *
     """Scalar adjoint martingale along each path of a block: the stochastic
     exponential of (b0 pi - a0/b0) dB on the Brownian increments db (n_paths,
     n_steps) of brownian_increment_matrix, scaled to the supplied terminal
-    value.  pi is an x-independent ControlPolicy (else ValueError); a value
-    of it outside U, NaN or infinite included, raises InadmissibleControl
-    naming its first step.  The insider variable, if given, must be Gaussian.
+    value.  pi is an x-independent ControlPolicy: it is evaluated without
+    nodes, so an x-dependent one raises ValueError (forward._control_chunks),
+    and a value of it outside U, NaN or infinite included, raises
+    InadmissibleControl naming its first step (ControlPolicy.values).  The
+    insider variable, if given, must be Gaussian.
     """
     expo, _ = _adjoint_integrand(a0, b0, pi, tgrid, db, z, chaos)
     start = np.zeros((len(db), 1))

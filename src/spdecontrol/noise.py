@@ -43,8 +43,8 @@ class TimeGrid:
         operator.index(self.n_steps)  # TypeError for a float, integral or not
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if not (np.isfinite(self.t_start) and self.t_start < self.t_end < np.inf):
+            raise ValueError(f"t_end must exceed t_start, both finite: [{self.t_start}, {self.t_end}]")
 
     @property
     def dt(self) -> float:
@@ -66,8 +66,8 @@ class LevySpec:
 
     def __post_init__(self):
         atoms = tuple((float(z), float(lam)) for z, lam in self.atoms)
-        if any(lam < 0 for _, lam in atoms):
-            raise ValueError("atom rates must be nonnegative")
+        if not all(np.isfinite(z) and 0 <= lam < np.inf for z, lam in atoms):
+            raise ValueError(f"atom marks must be finite and rates finite and nonnegative: {atoms}")
         object.__setattr__(self, "atoms", atoms)
 
 

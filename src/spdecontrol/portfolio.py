@@ -158,8 +158,11 @@ def constant_policy(value: float) -> ControlPolicy:
 
 
 def shifted_policy(base: ControlPolicy, shift: float) -> ControlPolicy:
+    """base + shift, in base's U.  The base value is read through
+    base.values, so a base value of the wrong shape or outside U raises
+    where the base rule is called, before the shift moves it."""
     return ControlPolicy(
-        rule=lambda k, t, x, z, hist: np.asarray(base.rule(k, t, x, z, hist)) + shift,
+        rule=lambda k, t, x, z, hist: base.values(k, t, x, z, hist) + shift,
         mode=base.mode,
         bounds=base.bounds,
     )

@@ -200,13 +200,14 @@ def _control_values(control, z, tgrid: TimeGrid):
     """The control of each step of tgrid as a float, 0.0 without a control.
 
     The rule is called once per chunk of steps (forward._control_chunks),
-    whatever its mode, with x None: the filtering routines have no nodes for
-    it.  They carry no insider mean either, so the rule sees m as a
-    read-only NaN column, one row per step, and must give one value per
-    step (else ControlShapeMismatch).  ControlPolicy.values refuses a
-    value outside U, NaN or infinite included, with InadmissibleControl
-    naming its step; a NaN there is the read of m, so it raises
-    ModelMismatch instead.  A rule that writes into m raises ValueError.
+    with x None: the filtering routines have no nodes for it, so an
+    x-dependent control raises ValueError there.  They carry no insider
+    mean either, so the rule sees m as a read-only NaN column, one row per
+    step, and must give one value per step (else ControlShapeMismatch).
+    ControlPolicy.values refuses a value outside U, NaN or infinite
+    included, with InadmissibleControl naming its step; a NaN there is the
+    read of m, so it raises ModelMismatch instead.  A rule that writes into
+    m raises ValueError.
     """
     times = tgrid.nodes[:-1]
     if control is None:

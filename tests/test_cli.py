@@ -106,6 +106,39 @@ def test_no_except_clause_in_the_library_catches_a_floating_point_warning():
     assert caught == [], caught
 
 
+class _RuleCalls(ast.NodeVisitor):
+    """Each call of a .rule attribute, as "module:Class.function" of the
+    definitions that enclose it."""
+
+    def __init__(self, module):
+        self.scope, self.calls = [module], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "rule":
+            self.calls.append(f"{self.scope[0]}:{'.'.join(self.scope[1:])}")
+        self.generic_visit(node)
+
+
+def test_only_control_policy_values_calls_a_control_rule():
+    # a control's whole contract, its value's shape and U, is checked where
+    # its rule is called (ControlPolicy.values); a caller of .rule elsewhere
+    # would skip it, as portfolio.shifted_policy did
+    calls = []
+    for path in sorted((ROOT / "src" / "spdecontrol").glob("*.py")):
+        visitor = _RuleCalls(path.name)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        calls += visitor.calls
+    assert "forward.py:ControlPolicy.values" in calls
+    assert [c for c in calls if c != "forward.py:ControlPolicy.values"] == []
+
+
 def test_every_private_name_in_the_library_and_readme_is_defined():
     # a helper that is renamed or folded away leaves its name behind in
     # docstrings, comments and README; every _name there must still be bound

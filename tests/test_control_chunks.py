@@ -65,7 +65,8 @@ def test_chunked_control_rows_equal_per_step_evaluation(name, n_steps, n_paths, 
         rows = list(forward._step_controls(control, 0.5, xs, tgrid, means))
     assert len(rows) == n_steps
     for k, (t, row) in enumerate(zip(tgrid.nodes, rows)):
-        alone = forward._block_control(control, k, t, xs, 0.5, means[k])
+        # the rule called for step k alone: one value per path, or 0-d
+        alone = np.reshape(control.values(k, t, xs, 0.5, PathHistory(m=means[k])), (-1, 1))
         assert np.shape(row) in ((), (n_paths, 1))
         assert np.broadcast_to(row, (n_paths, 1)).tobytes() == np.broadcast_to(alone, (n_paths, 1)).tobytes()
 

@@ -12,6 +12,7 @@ from spdecontrol.donsker import FirstOrderChaosSpec
 from spdecontrol.errors import (
     BoundaryViolation,
     CoefficientShapeMismatch,
+    ControlShapeMismatch,
     LinearSolveFailure,
     ModelMismatch,
     NonParabolic,
@@ -625,6 +626,33 @@ def test_weak_residual_refuses_a_non_finite_control_at_its_step(value):
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.where(k == 2, value, 0.0))
     with pytest.raises(ValueError, match="non-finite value at step 2"):
         weak_residual(f, phi, coeffs, heat_op(), pol, b, 0.0)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (0.0,), (0.0, 0.5, 1.0)])
+def test_control_policy_refuses_bounds_that_are_not_an_interval(bounds):
+    # (1, 0) and (nan, 1) constructed, and every value then failed as one
+    # outside U at step 0: a configuration error read as a control defect
+    with pytest.raises(ValueError, match="not an interval"):
+        ControlPolicy(rule=lambda k, t, x, z, hist: 0.5, bounds=bounds)
+    for ok in [(0.0, 0.0), (-math.inf, 1.0), (0.0, math.inf)]:
+        ControlPolicy(rule=lambda k, t, x, z, hist: 0.5, bounds=ok)
+
+
+@pytest.mark.parametrize("shape", [(4,), (5,), (4, 1), (1, 9), (3, 9), (4, 9, 1)])
+def test_an_x_dependent_step_of_the_wrong_shape_is_refused_by_values(shape):
+    # 4 paths on 9 nodes: a step takes one (9,) profile or a (4, 9) array,
+    # or a 0-d value; the shape was checked after values, by the sweep alone
+    xs, hist = SpatialGrid(0.0, 1.0, 8).nodes(), PathHistory(m=np.zeros(4))
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(shape, 0.5), mode="x-dependent")
+    with pytest.raises(ControlShapeMismatch, match=r"shape \(.*\) for 4 paths on 9 nodes"):
+        pol.values(3, 0.3, xs, 0.0, hist)
+    for ok in [(), (9,), (4, 9)]:
+        good = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(ok, 0.5), mode="x-dependent")
+        assert good.values(3, 0.3, xs, 0.0, hist).shape == ok
+    # the shape is reported before a value outside U, as it is for a chunk
+    bad = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(shape, 2.0), mode="x-dependent", bounds=(0.0, 1.0))
+    with pytest.raises(ControlShapeMismatch):
+        bad.values(3, 0.3, xs, 0.0, hist)
 
 
 def test_control_policy_bounds_enforced():

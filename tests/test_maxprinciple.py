@@ -669,6 +669,13 @@ def jump_model():
     return op, coeffs
 
 
+def _column_at_step(control, k, t, xs, m):
+    """An x-independent control's rule called for step k alone, its one value
+    per path read as the block's (n_paths, 1) column; a 0-d value stays 0-d."""
+    u = control.values(k, t, xs, 0.0, PathHistory(m=m))
+    return u[:, None] if u.ndim == 1 else u
+
+
 def _residuals_assembling_every_step(field, chi, phi, coeffs, op, control, d, bundle):
     """weak_residual and sensitivity_residual at z = 0 as loops that assemble
     the operator afresh at every step and on each side."""
@@ -681,12 +688,12 @@ def _residuals_assembling_every_step(field, chi, phi, coeffs, op, control, d, bu
     for k, t in enumerate(tgrid.nodes[:-1]):
         Y, dy = field.values[k][None], chi[k][None]
         noise = dict(db_k=db[:, k], counts_k=[c[:, k] for c in counts])
-        u = forward._block_control(control, k, t, xs, 0.0, means[k])
+        u = _column_at_step(control, k, t, xs, means[k])
         explicit = forward._explicit_rhs(coeffs, op, t, xs, Y, u, 0.0, dt, **noise) - Y
         acc -= grid.inner((dt * assemble_operator(op, grid, t, u, 0.0).apply(Y) + explicit)[0], phi)
         steps = []
         for s, side in sides:
-            u = forward._block_control(side, k, t, xs, 0.0, means[k])
+            u = _column_at_step(side, k, t, xs, means[k])
             steps.append(forward.step_forward(Y + s * dy, k, u, coeffs=coeffs, op=op, xs=xs, tgrid=tgrid,
                                               z=0.0, assembled=assemble_operator(op, grid, t, u, 0.0),
                                               **noise))

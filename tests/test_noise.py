@@ -42,6 +42,25 @@ def test_grids_refuse_a_count_that_is_not_an_integer():
     assert SpatialGrid(0.0, 1.0, np.int64(8)).n_nodes == 9
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LevySpec(((0.5, math.nan),)),
+    lambda: LevySpec(((0.5, math.inf),)),
+    lambda: LevySpec(((math.inf, 1.0),)),
+    lambda: LevySpec(((math.nan, 1.0),)),
+    lambda: TimeGrid(0.0, math.inf, 4),
+    lambda: TimeGrid(-math.inf, 1.0, 4),
+    lambda: TimeGrid(math.nan, 1.0, 4),
+    lambda: SpatialGrid(0.0, math.inf, 4),
+    lambda: SpatialGrid(-math.inf, 1.0, 4),
+    lambda: SpatialGrid(0.0, math.nan, 4),
+])
+def test_noise_and_grid_specs_refuse_a_non_finite_number(make):
+    # a NaN rate died inside numpy at the first draw, TimeGrid(0, inf, 4) had
+    # dt = inf and NaN nodes, and SpatialGrid(0, inf, 4) had dx = inf
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_levy_spec_rejects_negative_rates():
     with pytest.raises(ValueError):
         LevySpec(atoms=((1.0, -0.5),))

@@ -7,8 +7,8 @@ import pytest
 from spdecontrol import maxprinciple as mp
 from spdecontrol import portfolio as pf
 from spdecontrol.donsker import FirstOrderChaosSpec
-from spdecontrol.errors import DegenerateVolatility, ModelMismatch, WealthNonpositive
-from spdecontrol.forward import PathHistory, SpatialGrid
+from spdecontrol.errors import DegenerateVolatility, InadmissibleControl, ModelMismatch, WealthNonpositive
+from spdecontrol.forward import ControlPolicy, PathHistory, SpatialGrid
 from spdecontrol.noise import LevySpec, TimeGrid, brownian_increment_matrix
 
 
@@ -99,6 +99,21 @@ def test_one_accepted_path_raises_wealth_nonpositive():
             market, utility, spec, 0.5, {"pi17": pf.constant_policy(17.0)},
             TimeGrid(0.0, 0.5, 20), 20, 0,
         )
+
+
+def test_a_shifted_policy_checks_its_base_where_the_base_rule_is_called():
+    # the base is outside U = [0, 1]; shifted by -0.25 it ran as 0.95, while
+    # the base alone was refused at step 0
+    base = ControlPolicy(rule=lambda k, t, x, z, hist: 1.2 + 0 * t, bounds=(0.0, 1.0))
+    k = np.arange(3)[:, None]
+    hist = PathHistory(m=np.zeros((3, 2)))
+    for pol in (base, pf.shifted_policy(base, -0.25)):
+        with pytest.raises(InadmissibleControl, match="outside U at step 0"):
+            pol.values(k, 0.1 * k, None, 0.5, hist)
+    market, utility, spec = pf.benchmark_market(8)
+    with pytest.raises(InadmissibleControl, match="outside U at step 0"):
+        pf.run_portfolio_experiment(market, utility, spec, 0.5, {"down": pf.shifted_policy(base, -0.25)},
+                                    TimeGrid(0.0, 0.3, 12), 4, 0)
 
 
 def test_candidates_share_one_noise_draw():

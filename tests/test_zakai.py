@@ -914,6 +914,17 @@ def test_filtering_routines_refuse_an_infinite_control_at_its_step(routine):
     assert not isinstance(info.value, ModelMismatch)
 
 
+@pytest.mark.parametrize("rule", [lambda k, t, x, z, hist: 0.5 + 0.0 * k,
+                                  lambda k, t, x, z, hist: 0.5 + 0.1 * x],
+                         ids=["ignores-x", "reads-x"])
+@pytest.mark.parametrize("routine", FILTERING_ROUTINES)
+def test_filtering_routines_refuse_an_x_dependent_control(routine, rule):
+    # they have no nodes for it: a rule that read x died inside itself on
+    # x = None with TypeError, and one that ignored x ran silently
+    with pytest.raises(ValueError, match="x-independent"):
+        _filtering_routine(routine)(ControlPolicy(rule=rule, mode="x-dependent"))
+
+
 def _overwriting_rule(k, t, x, z, hist):
     np.nan_to_num(hist.m, copy=False)
     return 0.5 + hist.m[0]
