@@ -56,7 +56,8 @@ class CoefficientShapeMismatch(SpdeControlError, ValueError):
 
 
 class StepTooLarge(SpdeControlError):
-    """A perturbation step would push the control outside the admissible set."""
+    """A perturbation size |a| >= 1, for which perturbed_policy's clamp no
+    longer keeps the control in its set U."""
 
 
 class DegenerateVolatility(SpdeControlError):

@@ -9,9 +9,11 @@ of the necessary conditions.  The sensitivity process is checked against the
 tangent of forward.step_forward, its central difference in the state and the
 control, so the time scheme is written once, in the forward module; the two
 sides of the control are perturbed_policy's, so its clamp is written once
-too.  sensitivity_residual reads its grids from the base field and refuses a
-chi of another shape (ValueError) and a bundle off the field's time grid
-(ModelMismatch).
+too.  A perturbation direction is a control on U = [-1, 1], read through
+ControlPolicy.values as every control is, so its shape and its bound are
+checked there.  sensitivity_residual reads its grids from the base field and
+refuses a chi of another shape (ValueError) and a bundle off the field's time
+grid (ModelMismatch).
 """
 from __future__ import annotations
 
@@ -361,27 +363,25 @@ def estimate_j(
 def perturbed_policy(base: ControlPolicy, direction, a: float) -> ControlPolicy:
     """Admissible perturbation u + a * delta * beta0 of a base policy.
 
-    direction is the base direction beta0, a rule (k, t, x, z, hist) ->
-    value(s) of the base policy's shape with |beta0| <= 1 (else
-    StepTooLarge), called as the base rule is: for an x-independent base,
-    once per chunk of steps, so it acts elementwise on the columns k and t
-    (ControlPolicy).  delta = min(dist(u, boundary of U) / 2, 1) is the
-    pointwise distance-to-boundary clamp, so the result stays in U for every
-    |a| < 1.  The base value is read through base.values, so a base value
-    outside U, NaN or infinite included, raises InadmissibleControl naming
-    its step before the clamp reads it.
+    direction is the base direction beta0, a control on U = [-1, 1] with
+    the base's mode: a rule (k, t, x, z, hist) read through
+    ControlPolicy.values, as the base is, so its value has a control's shape
+    (else ControlShapeMismatch), and a value outside [-1, 1], NaN or
+    infinite included, raises InadmissibleControl naming its first step.
+    delta = min(dist(u, boundary of U) / 2, 1) is the pointwise
+    distance-to-boundary clamp, so the result stays in U for every |a| < 1
+    (else StepTooLarge).  The base value is checked the same way before the
+    clamp reads it.
     """
     if abs(a) >= 1.0:
         raise StepTooLarge(f"perturbation size {a} outside (-1, 1)")
     lo, hi = base.bounds
+    beta0 = ControlPolicy(rule=direction, mode=base.mode, bounds=(-1.0, 1.0))
 
     def rule(k, t, x, z, hist):
         u0 = base.values(k, t, x, z, hist)
-        b0 = np.asarray(direction(k, t, x, z, hist), dtype=float)
-        if np.any(np.abs(b0) > 1.0 + 1e-12):
-            raise StepTooLarge("direction exceeds its bound 1")
         delta = np.minimum(np.minimum(u0 - lo, hi - u0) / 2.0, 1.0)
-        return u0 + a * delta * b0
+        return u0 + a * delta * beta0.values(k, t, x, z, hist)
 
     return ControlPolicy(rule=rule, mode=base.mode, bounds=base.bounds)
 
@@ -403,9 +403,11 @@ def gateaux_derivative(
 ):
     """Directional derivative of the performance by central differences with
     common random numbers: both sides are swept on the same noise draw, on
-    op.levy.  direction is a rule as perturbed_policy takes it; a tuple of
-    them gives a tuple of estimates in the same order, all 2 * len(direction)
-    sides from one draw per block."""
+    op.levy.  direction is a rule of a control on [-1, 1], as
+    perturbed_policy takes it, so a value of another shape raises
+    ControlShapeMismatch and one outside [-1, 1] InadmissibleControl; a tuple
+    of them gives a tuple of estimates in the same order, all
+    2 * len(direction) sides from one draw per block."""
     directions = direction if isinstance(direction, tuple) else (direction,)
     sides = tuple(perturbed_policy(control, d, a) for d in directions for a in (a_step, -a_step))
     runs = estimate_j(
@@ -457,9 +459,9 @@ def sensitivity_residual(
     [S(y_k + eps chi_k, u_k^+) - S(y_k - eps chi_k, u_k^-)] / (2 eps) of
     step_forward S, where u^+ and u^- are perturbed_policy(control,
     direction, +-eps) and each side's control, operator and noise come
-    from forward._steps, as in the sweep, so its operator is assembled at
-    its own control (StepTooLarge for a direction beyond its bound) and
-    only when a coefficient value changes.  Whatever the
+    from forward._steps, as in the sweep: the direction is read as a control
+    on [-1, 1] (perturbed_policy), and each side's operator is assembled at
+    its own control and only when a coefficient value changes.  Whatever the
     step runs, a control-dependent operator, a jump term c or a jumping
     chaos, is linearized with it.  The grids are base_field's; chi must have
     the shape of base_field.values (else ValueError), and the bundle must be

@@ -107,8 +107,9 @@ def test_no_except_clause_in_the_library_catches_a_floating_point_warning():
 
 
 class _RuleCalls(ast.NodeVisitor):
-    """Each call of a .rule attribute, as "module:Class.function" of the
-    definitions that enclose it."""
+    """Each call of a .rule attribute or of a name direction, a perturbation
+    direction's rule, as "module:Class.function" of the definitions that
+    enclose it."""
 
     def __init__(self, module):
         self.scope, self.calls = [module], []
@@ -121,7 +122,8 @@ class _RuleCalls(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "rule":
+        if (isinstance(node.func, ast.Attribute) and node.func.attr == "rule"
+                or isinstance(node.func, ast.Name) and node.func.id == "direction"):
             self.calls.append(f"{self.scope[0]}:{'.'.join(self.scope[1:])}")
         self.generic_visit(node)
 
@@ -129,7 +131,8 @@ class _RuleCalls(ast.NodeVisitor):
 def test_only_control_policy_values_calls_a_control_rule():
     # a control's whole contract, its value's shape and U, is checked where
     # its rule is called (ControlPolicy.values); a caller of .rule elsewhere
-    # would skip it, as portfolio.shifted_policy did
+    # would skip it, as portfolio.shifted_policy did, and so would a call of
+    # a perturbation direction, a control on [-1, 1], as perturbed_policy did
     calls = []
     for path in sorted((ROOT / "src" / "spdecontrol").glob("*.py")):
         visitor = _RuleCalls(path.name)
@@ -319,6 +322,21 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         ("donsker-table", "{tol_abs: .inf}"),
         # t < T0, but the residual variance T0 - t is below its floor
         ("donsker-table", "{t_values: [0.0, 0.9999999999999]}"),
+        # each of these validated, and run read a vacuous or inverted
+        # verdict off it: a reversed interval failed every order or factor,
+        # fewer than two resolutions measured no order and "passed", a
+        # decreasing list failed, and no evaluation point checked nothing
+        ("forward-convergence", "{dx_order_range: [2.2, 1.8]}"),
+        ("forward-convergence", "{dt_order_range: [1.2, 0.8]}"),
+        ("zakai-benchmark", "{factor_range: [2.6, 1.6]}"),
+        ("forward-convergence", "{space_cells: [8]}"),
+        ("forward-convergence", "{time_steps: []}"),
+        ("forward-convergence", "{space_cells: [32, 16, 8]}"),
+        ("forward-convergence", "{time_steps: [16, 16, 32]}"),
+        ("donsker-table", "{t_values: []}"),
+        ("donsker-table", "{z_values: []}"),
+        ("coercivity", "{cells: []}"),
+        ("zakai-benchmark", "{x_lo: 1.0, x_hi: 1.0}"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -371,6 +389,22 @@ def test_list_shows_the_checked_T0(capsys, kind):
     assert f"T0 = {T0} " in horizon
     with pytest.raises(ConfigError, match=f"T0={T0}"):
         validate_config({"kind": kind, "params": {"T": T0}})
+
+
+@pytest.mark.parametrize("kind, params, verdict", [
+    ("zakai-benchmark", {"n_cells": 40, "n_steps": 20, "n_particles": 100, "refine_levels": 1},
+     "refinement_factor"),
+    ("portfolio", {"n_steps": 50, "n_paths": 50, "shifts": []}, "optimum_has_max_mean"),
+])
+def test_a_verdict_that_measured_nothing_is_informational(tmp_path, kind, params, verdict):
+    # one refinement level measures no factor, and pi_hat alone is the best
+    # of one candidate; both read "passed": true
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
+    manifest = run_experiment(cfg, tmp_path / "out")
+    assert "passed" not in manifest["verdicts"][verdict]
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "passed" not in written["verdicts"][verdict]
 
 
 def test_validate_fills_in_read_defaults():

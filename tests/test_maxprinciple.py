@@ -199,8 +199,31 @@ def test_perturbed_policy_clamp_and_step_guard():
     val = pol.rule(0, 0.0, None, 0.0, None)
     assert val == pytest.approx(0.9 + 0.5 * 0.05, abs=1e-12)
     big = direction(5.0)
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(InadmissibleControl, match="outside U at step 0"):
         perturbed_policy(base, big, 0.5).rule(0, 0.0, None, 0.0, None)
+
+
+@pytest.mark.parametrize("n_paths", [64, 50])
+def test_gateaux_refuses_a_one_dimensional_direction(n_paths):
+    # a direction is a control on [-1, 1]: one value per step, a 1-d array,
+    # is ambiguous in a chunk of steps.  At 64 paths the 64 steps fit in one
+    # 64 x 64 chunk and it was read as one value per path; at 50 paths it
+    # died inside numpy's broadcasting
+    market, utility, spec = pf.benchmark_market(8)
+    coeffs, op = pf.wealth_dynamics(market)
+    perf = pf.log_utility_performance(market, utility)
+    per_step = lambda k, t, x, z, hist: np.where(np.ravel(t) < 0.25, 1.0, 0.0)
+    with pytest.raises(ControlShapeMismatch, match="returned shape \\(64,\\)"):
+        gateaux_derivative(coeffs, op, pf.optimal_policy(market, spec), per_step, perf, spec, 0.5,
+                           market.D, TimeGrid(0.0, 0.5, 64), n_paths=n_paths, seed=0)
+
+
+def test_gateaux_refuses_a_direction_outside_its_bound_at_step_0():
+    market, spec, coeffs, op, perf = bench()
+    with pytest.raises(InadmissibleControl, match="outside U at step 0") as info:
+        gateaux_derivative(coeffs, op, const_policy(0.5), direction(5.0), perf, spec, 0.5,
+                           market.D, TimeGrid(0.0, 0.3, 10), n_paths=8, seed=0)
+    assert (info.value.step, info.value.value) == (0, 5.0)
 
 
 def test_gateaux_zero_direction_is_exactly_zero():
@@ -346,7 +369,7 @@ def test_sensitivity_residual_rejects_direction_beyond_its_bound():
     pol = const_policy(0.3)
     base = solve_forward(COEFFS, OP, pol, 0.0, b, GRID)
     chi = np.zeros_like(base.values)
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(InadmissibleControl, match="outside U at step 0"):
         sensitivity_residual(chi, base, COEFFS, OP, pol, direction(2.0), 0.0, b)
 
 
