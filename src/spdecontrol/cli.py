@@ -122,7 +122,7 @@ _PARAMS = {
         "n_cells": (_at_least_2, 16, "spatial cells"),
         "n_steps": (_at_least_1, 100, "time steps"),
         "n_paths": (_at_least_2, 2000, "Monte Carlo paths"),
-        "n_windows": (_at_least_1, 3, "time windows for localized directions"),
+        "n_windows": (_at_least_1, 3, "time windows for localized directions, <= n_steps"),
         "a_step": (_reader(float, (">", 0), ("<", 1)), 1e-3, "central difference step"),
         "tol_tstat": (_real, 3.0, "verdict threshold on |t|; a large finite value switches the verdict off"),
     },
@@ -143,7 +143,7 @@ _PARAMS = {
         "factor_range": (_interval, [1.6, 2.6], "accepted per-halving error-reduction interval"),
     },
     "coercivity": {
-        "pi": (_real, 1.0, "control value scaling the generator"),
+        "pi": (_reader(float, ("!=", 0)), 1.0, "control value scaling the generator"),
         "beta_slope": (_real, 0.5, "volatility profile beta(x) = 1 + slope*x"),
         "cells": (_reader(int, (">=", 2), many=1), [16, 32, 64], "cell counts"),
         "C_max": (_real, 5.0, "allowed constant in |ratio - 1| <= C dx"),
@@ -183,6 +183,8 @@ def _check_constraints(kind: str, p: dict):
             donsker._check_horizon(_BENCHMARK_SPEC, TimeGrid(0.0, p["T"], p["n_steps"]))
         except ValueError as exc:
             raise ConfigError(f"constraint violated: T < T0 with T + T/n_steps <= T0: {exc}") from None
+    if kind == "stationarity" and p["n_windows"] > p["n_steps"]:
+        raise ConfigError("constraint violated: n_windows <= n_steps, so that every window holds a step")
     if kind == "zakai-benchmark":
         try:
             SpatialGrid(p["x_lo"], p["x_hi"], p["n_cells"])
@@ -429,7 +431,7 @@ def _run_coercivity(seed, out: Path, *, pi, beta_slope, cells, C_max):
         lhs, rhs = zakai.coercivity_check(y, pi, lambda x: 1.0 + beta_slope * x, sgrid)
         ratio = lhs / rhs if rhs != 0 else math.nan
         rows.append([float(sgrid.dx), float(lhs), float(rhs), float(ratio)])
-        if pi != 0.0 and not abs(ratio - 1.0) <= C_max * sgrid.dx:
+        if not abs(ratio - 1.0) <= C_max * sgrid.dx:
             ok = False
     _write_csv(out / "coercivity.csv", ["dx", "lhs", "rhs", "ratio"], rows)
     verdicts = {"ratio_within_C_dx": {"C_max": C_max, "passed": ok}}

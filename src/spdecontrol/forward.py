@@ -135,8 +135,9 @@ class PathHistory:
 
     For an x-independent rule, called once per chunk of n steps, m is the
     (n, n_paths) array of those steps' rows.  For an x-dependent rule,
-    called once per step, m is the step's row, an (n_paths,) array.  A
-    single path is a block of one.
+    called once per step, m is the step's row as an (n_paths, 1) column, so
+    that it broadcasts against the (1, n_nodes) row of nodes.  A single
+    path is a block of one.
     """
 
     m: np.ndarray
@@ -146,20 +147,19 @@ class PathHistory:
 class ControlPolicy:
     """Rule (step, t, x, z, history) -> control value(s) in the interval U.
 
+    A rule is called on a block, and its arguments broadcast to that block.
     An x-independent rule is called once for a chunk of n steps, as
     rule(k, t, None, z, hist) with k and t (n, 1) columns of the steps and
-    their times and hist.m the (n, n_paths) rows of insider_means.  It must
-    act elementwise, and its value must be 0-d or 2-d and broadcast to
-    (n, n_paths): one value for all steps, a column of one per step, a row
-    of one per path or a value per step and path.  A 1-d value is
-    ambiguous (steps or paths?), so it is refused.  An x-dependent rule is
-    called once per step, as rule(k, t, xs, z, hist) with the step k, its
-    time t and hist.m the step's (n_paths,) row: its value over every step
-    at once would hold n_steps x n_paths x n_nodes numbers.  Its value is
-    0-d, one (n_nodes,) profile for all paths or an (n_paths, n_nodes)
-    array of one per path.  A route without nodes (the reduced adjoint, the
-    filtering routines) refuses an x-dependent control with ValueError
-    (_control_chunks).
+    their times and hist.m the (n, n_paths) rows of insider_means: the
+    block is (n, n_paths).  An x-dependent rule is called once per step, as
+    rule(k, t, xs, z, hist) with the step k, its time t, xs the (1, n_nodes)
+    row of nodes and hist.m the step's (n_paths, 1) column: the block is
+    (n_paths, n_nodes), as its value over every step at once would hold
+    n_steps x n_paths x n_nodes numbers.  Either rule must act elementwise,
+    and its value is 0-d or has one axis per block axis, each of length 1
+    or the block's (see values).  A route without nodes (the reduced
+    adjoint, the filtering routines) refuses an x-dependent control with
+    ValueError (_control_chunks).
 
     U is the interval bounds = (lo, hi) of reals, lo <= hi and neither NaN
     (else ValueError here); infinite ends are allowed.
@@ -176,31 +176,23 @@ class ControlPolicy:
             raise ValueError(f"control bounds {self.bounds!r} are not an interval lo <= hi of reals")
 
     def values(self, k, t, xs, z, hist):
-        """The rule's value at step k, an int, or at the chunk of steps k, an
-        (n, 1) column, checked before any step reads it: its shape first,
-        then admissibility.  A 0-d value fits any call; a chunk's is 2-d with
-        each axis 1 or that of the (n, n_paths) block of hist.m; a step's is
-        one value per path, (n_paths,), or for an x-dependent rule one
-        (n_nodes,) profile or an (n_paths, n_nodes) array.  Another shape
-        raises ControlShapeMismatch ("control rule returned shape ...").  A
-        value outside U, a NaN or an infinite value raises
-        InadmissibleControl (a ValueError) naming the first step that has
-        one, whether the control is bounded or not.  This is the one place
-        that calls a rule."""
+        """The rule's value on the block it is called on, checked before any
+        step reads it: its shape first, then admissibility.  The block is
+        np.shape(hist.m) without nodes and (len(hist.m), n_nodes) with them.
+        A value is 0-d, or has one axis per block axis, each of length 1 or
+        the block's; another shape raises ControlShapeMismatch ("control rule
+        returned shape S for a block of shape B"), a 1-d value in a chunk of
+        steps included, as it could mean steps or paths.  A value outside U,
+        a NaN or an infinite value raises InadmissibleControl (a ValueError)
+        naming the first step that has one, whether the control is bounded
+        or not.  This is the one place that calls a rule."""
         x = xs if self.mode == "x-dependent" else None
         val = np.asarray(self.rule(k, t, x, z, hist), dtype=float)
-        if val.ndim:  # a 0-d value fits any call
-            block = np.shape(hist.m)
-            if np.ndim(k):  # a chunk: each axis 1 or that of the (n_steps, n_paths) block
-                fits = val.ndim == 2 and all(v in (1, n) for v, n in zip(val.shape, block))
-                where = f"{block[0]} steps of {block[1]} paths"
-            elif x is None:  # a step: one value per path
-                fits, where = val.shape == block, f"{block[0]} paths"
-            else:  # one profile for all paths or one per path
-                fits = val.shape in ((len(x),), block + (len(x),))
-                where = f"{block[0]} paths on {len(x)} nodes"
-            if not fits:
-                raise ControlShapeMismatch(f"{self.mode} control rule returned shape {val.shape} for {where}")
+        if val.ndim:  # a 0-d value fits any block
+            block = np.shape(hist.m) if x is None else (len(hist.m), np.shape(x)[-1])
+            if val.ndim != len(block) or not all(v in (1, n) for v, n in zip(val.shape, block)):
+                raise ControlShapeMismatch(
+                    f"{self.mode} control rule returned shape {val.shape} for a block of shape {block}")
         lo, hi = self.bounds
         # U is an interval of reals: a NaN makes min and max NaN, which fails
         # every comparison, and neither may be infinite, bounded control or
@@ -563,19 +555,19 @@ def _control_chunks(control: ControlPolicy, z, times, means):
 def _step_controls(control: ControlPolicy, z, xs, tgrid: TimeGrid, means):
     """The control block of each step k = 0..n_steps - 1 of the block of
     paths with insider_means means, shaped to broadcast against the
-    (n_paths, n_nodes) state block: 0-d when the value has no paths' axis,
-    else an (n_paths, 1) column, or an x-dependent rule's (n_paths, n_nodes)
-    profiles, a shared (n_nodes,) profile read as a read-only view.  An
-    x-dependent rule is called step by step, its shape checked by
-    ControlPolicy.values; an x-independent one once per chunk of steps
-    (_control_chunks), whose value with a last axis of n_paths gives each
-    step a column."""
+    (n_paths, n_nodes) state block: 0-d when the value has no axis longer
+    than 1, so that one operator is shared, else an (n_paths, 1) column or,
+    for a value with a nodes axis, a read-only (n_paths, n_nodes) view.  An
+    x-dependent rule is called step by step on the (n_paths, n_nodes) block,
+    with the nodes as a (1, n_nodes) row and m as an (n_paths, 1) column; an
+    x-independent one once per chunk of steps (_control_chunks), whose value
+    with a last axis of n_paths gives each step a column."""
     times = tgrid.nodes[:-1]
     n_paths = means.shape[1]
     if control.mode == "x-dependent":
         for k, t in enumerate(times):
-            u = control.values(k, t, xs, z, PathHistory(m=means[k]))
-            yield np.broadcast_to(u, (n_paths, len(xs))) if u.ndim == 1 else u
+            u = control.values(k, t, xs[None], z, PathHistory(m=means[k][:, None]))
+            yield u.reshape(()) if u.size == 1 else np.broadcast_to(u, (n_paths, u.shape[-1]))
         return
     for steps, u in _control_chunks(control, z, times, means):
         n = steps.stop - steps.start

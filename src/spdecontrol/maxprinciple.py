@@ -499,13 +499,16 @@ def _adjoint_integrand(a0, b0, pi, tgrid: TimeGrid, db, z, chaos):
     pi, a ControlPolicy, is evaluated for the whole block once per chunk of
     steps without nodes (forward._control_chunks), so an x-dependent pi
     raises ValueError there, and a NaN or infinite value of it
-    InadmissibleControl naming its first step (ControlPolicy.values)."""
+    InadmissibleControl naming its first step (ControlPolicy.values).  A
+    block of no paths raises ValueError, as in run_ensemble."""
     if _has_jumps(chaos):
         raise ModelMismatch("the reduced adjoint advances the insider mean by beta dB only; "
                             "it does not support a jump insider variable")
     db = np.asarray(db, dtype=float)
     if db.ndim != 2 or db.shape[1] != tgrid.n_steps:
         raise ModelMismatch(f"Brownian increments of shape {db.shape} for a {tgrid.n_steps}-step grid")
+    if not len(db):
+        raise ValueError("the reduced adjoint needs a block of at least one path, got 0")
     times = tgrid.nodes[:-1]
     vol = [_volatility(b0, t, z) for t in times]
     shift = [a0(t, z) / v for t, v in zip(times, vol)]
@@ -570,10 +573,14 @@ def verify_x_independent_stationarity(
     For an indicator-in-time direction the directional derivative equals the
     time integral of the space-integrated control gradient of the Hamiltonian
     over that window, so a per-unit-time statistic near zero on every window
-    is the testable form of the stationarity condition.
+    is the testable form of the stationarity condition.  The windows split
+    the horizon evenly, and each must hold a step: more windows than steps
+    raise ValueError.
     """
     if control.mode != "x-independent":
         raise ValueError("stationarity check applies to x-independent controls")
+    if n_windows > tgrid.n_steps:
+        raise ValueError(f"{n_windows} windows on {tgrid.n_steps} steps: a window would hold no step")
     edges = np.linspace(tgrid.t_start, tgrid.t_end, n_windows + 1)
     windows = [(float(edges[w]), float(edges[w + 1])) for w in range(n_windows)]
     directions = tuple(_window_direction(lo, hi) for lo, hi in windows)

@@ -284,8 +284,11 @@ def simulate_signal_observation(
 def girsanov_weight(model: SignalModel, signal: np.ndarray, obs: ObservationPath) -> np.ndarray:
     """Change-of-measure weights K(t_k) = exp(int h(X) dR - half int h(X)^2 ds)
     at the nodes of the observation's time grid along one path, left-endpoint
-    sums; K(0) = 1, K > 0."""
+    sums; K(0) = 1, K > 0.  signal holds one value per node of obs.grid,
+    (n_steps + 1,); another shape raises ModelMismatch."""
     tgrid = obs.grid
+    if np.shape(signal) != (tgrid.n_steps + 1,):
+        raise ModelMismatch(f"signal of shape {np.shape(signal)}, not ({tgrid.n_steps + 1},) for {tgrid}")
     h = _full(model.h_obs(signal[:-1]), signal[:-1].shape)
     expo = np.concatenate(([0.0], np.cumsum(h * obs.increments - 0.5 * h**2 * tgrid.dt)))
     return np.exp(expo)

@@ -337,6 +337,10 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         ("donsker-table", "{z_values: []}"),
         ("coercivity", "{cells: []}"),
         ("zakai-benchmark", "{x_lo: 1.0, x_hi: 1.0}"),
+        # more windows than steps left windows with no step, which passed
+        # at t = 0; pi = 0 gave lhs = rhs = 0 and a NaN ratio, which passed
+        ("stationarity", "{n_steps: 4, n_windows: 8}"),
+        ("coercivity", "{pi: 0}"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])

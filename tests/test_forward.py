@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -638,21 +639,62 @@ def test_control_policy_refuses_bounds_that_are_not_an_interval(bounds):
         ControlPolicy(rule=lambda k, t, x, z, hist: 0.5, bounds=ok)
 
 
-@pytest.mark.parametrize("shape", [(4,), (5,), (4, 1), (1, 9), (3, 9), (4, 9, 1)])
+@pytest.mark.parametrize("shape", [(4,), (5,), (9,), (4, 3), (3, 9), (4, 9, 1)])
 def test_an_x_dependent_step_of_the_wrong_shape_is_refused_by_values(shape):
-    # 4 paths on 9 nodes: a step takes one (9,) profile or a (4, 9) array,
-    # or a 0-d value; the shape was checked after values, by the sweep alone
-    xs, hist = SpatialGrid(0.0, 1.0, 8).nodes(), PathHistory(m=np.zeros(4))
+    # 4 paths on 9 nodes, the nodes a (1, 9) row and m a (4, 1) column: a
+    # step takes a 0-d value or one with an axis per block axis, each of
+    # length 1 or the block's; the shape was checked after values, by the
+    # sweep alone
+    xs, hist = SpatialGrid(0.0, 1.0, 8).nodes()[None], PathHistory(m=np.zeros((4, 1)))
     pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(shape, 0.5), mode="x-dependent")
-    with pytest.raises(ControlShapeMismatch, match=r"shape \(.*\) for 4 paths on 9 nodes"):
+    with pytest.raises(ControlShapeMismatch, match=r"shape \(.*\) for a block of shape \(4, 9\)"):
         pol.values(3, 0.3, xs, 0.0, hist)
-    for ok in [(), (9,), (4, 9)]:
+    for ok in [(), (1, 9), (4, 1), (1, 1), (4, 9)]:
         good = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(ok, 0.5), mode="x-dependent")
         assert good.values(3, 0.3, xs, 0.0, hist).shape == ok
     # the shape is reported before a value outside U, as it is for a chunk
     bad = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(shape, 2.0), mode="x-dependent", bounds=(0.0, 1.0))
     with pytest.raises(ControlShapeMismatch):
         bad.values(3, 0.3, xs, 0.0, hist)
+
+
+@st.composite
+def _block_and_value_shape(draw):
+    """A block a rule is called on, the arguments of that call and a value
+    shape: a chunk of steps or one step of an x-independent rule, or a step
+    of an x-dependent one, and a shape built from the block's lengths, 1 and
+    others, of any rank up to 3."""
+    mode = draw(st.sampled_from(["x-independent", "x-dependent"]))
+    n_paths = draw(st.integers(1, 6))
+    if mode == "x-dependent":
+        n_nodes = draw(st.integers(3, 7))
+        block, k, xs, m = (n_paths, n_nodes), 2, np.zeros((1, n_nodes)), np.zeros((n_paths, 1))
+    elif draw(st.booleans()):
+        n_steps = draw(st.integers(1, 6))
+        block, xs, m = (n_steps, n_paths), None, np.zeros((n_steps, n_paths))
+        k = np.arange(n_steps)[:, None]
+    else:
+        block, k, xs, m = (n_paths,), 2, None, np.zeros(n_paths)
+    lengths = st.sampled_from(sorted({1, 2, 7, *block}))
+    shape = tuple(draw(st.lists(lengths, max_size=3)))
+    return mode, block, k, xs, PathHistory(m=m), shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_block_and_value_shape())
+def test_values_accepts_exactly_the_shapes_that_fit_the_block(case):
+    # one rule for both modes: a 0-d value, or one axis per block axis, each
+    # of length 1 or the block's; the x-dependent step took (n_nodes,) and
+    # refused (1, n_nodes), (n_paths, 1) and (1, 1)
+    mode, block, k, xs, hist, shape = case
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: np.full(shape, 0.5), mode=mode)
+    fits = shape == () or (len(shape) == len(block) and all(v in (1, n) for v, n in zip(shape, block)))
+    if fits:
+        assert pol.values(k, 0.1 * np.asarray(k), xs, 0.0, hist).shape == shape
+    else:
+        with pytest.raises(ControlShapeMismatch, match=rf"returned shape \({shape[0]},.* for a block of shape "
+                                                       + re.escape(str(block))):
+            pol.values(k, 0.1 * np.asarray(k), xs, 0.0, hist)
 
 
 def test_control_policy_bounds_enforced():

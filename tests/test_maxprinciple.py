@@ -451,6 +451,17 @@ def test_reduced_adjoint_rejects_an_x_dependent_control(rule):
         pf.martingale_match_check(market, utility, spec, 0.5, pi, tg, db)
 
 
+def test_reduced_adjoint_refuses_a_block_of_no_paths():
+    # it died with ZeroDivisionError while sizing the control's chunks
+    market, utility, spec = pf.benchmark_market(8)
+    tg = TimeGrid(0.0, 0.4, 10)
+    db = np.empty((0, 10))
+    with pytest.raises(ValueError, match="at least one path"):
+        reduced_adjoint_block(market.a0, market.b0, const_policy(1.3), 1.0, tg, db, 0.5)
+    with pytest.raises(ValueError, match="at least one path"):
+        pf.martingale_match_check(market, utility, spec, 0.5, const_policy(1.3), tg, db)
+
+
 def test_reduced_adjoint_constant_when_integrand_vanishes():
     tg = TimeGrid(0.0, 0.5, 100)
     b = sample_bundle(tg, LevySpec(), 3, 0)
@@ -768,7 +779,7 @@ def test_control_dependent_jump_ensemble_matches_single_path_solver(mode):
         m = np.asarray(hist.m, dtype=float)
         if x is None:
             return np.clip(0.5 + 0.3 * m, 0.0, 1.0)
-        return np.clip(0.5 + 0.3 * m[..., None] + 0.2 * x, 0.0, 1.0)
+        return np.clip(0.5 + 0.3 * m + 0.2 * x, 0.0, 1.0)
 
     pol = ControlPolicy(rule=rule, mode=mode, bounds=(0.0, 1.0))
     grid = SpatialGrid(0.0, 1.0, 16)
@@ -794,6 +805,34 @@ def test_shared_x_dependent_profile_ensemble_matches_single_path_solver(n_paths)
     for p in range(n_paths):
         ref = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 1, p), grid).values[-1]
         assert np.array_equal(res.y_terminal[p], ref)
+
+
+# an x-dependent rule's value of each shape its block allows, built from its
+# arguments: x is a (1, n_nodes) row and m an (n_paths, 1) column
+_X_DEPENDENT_VALUES = {
+    "()": lambda k, t, x, z, m: 0.4 + 0.01 * k,
+    "(1, 1)": lambda k, t, x, z, m: np.full((1, 1), 0.4 + 0.01 * k),
+    "(1, n_nodes)": lambda k, t, x, z, m: 0.3 + 0.2 * x + 0.01 * k,
+    "(n_paths, 1)": lambda k, t, x, z, m: np.clip(0.5 + 0.3 * m, 0.0, 1.0),
+    "(n_paths, n_nodes)": lambda k, t, x, z, m: np.clip(0.5 + 0.3 * m + 0.2 * x, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("n_paths", [5, 9, 1])  # 9 paths = 9 nodes
+@pytest.mark.parametrize("shape", _X_DEPENDENT_VALUES)
+def test_x_dependent_values_of_every_shape_give_ensemble_rows_equal_to_single_path_solves(shape, n_paths):
+    # (1, 1), (1, n_nodes) and (n_paths, 1) were refused by values, and a
+    # rule had to write m[..., None] for a value per path and node
+    op, coeffs = jump_model()
+    value = _X_DEPENDENT_VALUES[shape]
+    pol = ControlPolicy(rule=lambda k, t, x, z, hist: value(k, t, x, z, hist.m), mode="x-dependent",
+                        bounds=(0.0, 1.0))
+    grid = SpatialGrid(0.0, 1.0, 8)
+    tg = TimeGrid(0.0, 0.5, 10)
+    res = run_ensemble(coeffs, op, pol, 0.3, grid, tg, chaos=JUMP_CHAOS, n_paths=n_paths, seed=1)
+    for p in range(n_paths):
+        ref = solve_forward(coeffs, op, pol, 0.3, sample_bundle(tg, JUMP_LEVY, 1, p), grid, chaos=JUMP_CHAOS)
+        assert np.array_equal(res.y_terminal[p], ref.values[-1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -871,7 +910,7 @@ def test_ensemble_rows_equal_single_path_solves_bitwise(
         m = np.asarray(hist.m, dtype=float)
         if x is None:
             return np.clip(0.5 + 0.3 * m, 0.0, 1.0)
-        return np.clip(0.5 + 0.3 * m[..., None] + 0.2 * x, 0.0, 1.0)
+        return np.clip(0.5 + 0.3 * m + 0.2 * x, 0.0, 1.0)
 
     pol = ControlPolicy(rule=rule, mode=mode, bounds=(0.0, 1.0))
     grid = SpatialGrid(0.0, 1.0, n_cells)
@@ -883,7 +922,7 @@ def test_ensemble_rows_equal_single_path_solves_bitwise(
 
 
 @pytest.mark.parametrize("mode, shape", [
-    ("x-dependent", (5, 1)),
+    ("x-dependent", (5, 2)),
     ("x-dependent", (5,)),
     ("x-dependent", (0,)),
     ("x-independent", (9,)),
@@ -1073,6 +1112,19 @@ def test_stationarity_report_is_json_friendly_and_passes_at_optimum():
     json.dumps(report)
     assert report["passed"]
     assert len(report["windows"]) == 2
+
+
+def test_stationarity_refuses_more_windows_than_steps():
+    # 8 windows on 4 steps: four windows held no step and read statistic
+    # 0.0, stderr 0.0 and t = 0.0, which passed
+    market, spec, coeffs, op, perf = bench()
+    pol = pf.optimal_policy(market, spec)
+    with pytest.raises(ValueError, match="8 windows on 4 steps"):
+        verify_x_independent_stationarity(coeffs, op, pol, perf, spec, 0.5, market.D, TimeGrid(0.0, 0.5, 4),
+                                          n_windows=8, n_paths=20, seed=0)
+    report = verify_x_independent_stationarity(coeffs, op, pol, perf, spec, 0.5, market.D,
+                                               TimeGrid(0.0, 0.5, 4), n_windows=4, n_paths=20, seed=0)
+    assert all(e["stderr"] > 0.0 for e in report["windows"])
 
 
 def test_performance_estimate_guards():

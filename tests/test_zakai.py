@@ -285,6 +285,17 @@ def test_girsanov_trivial_and_martingale():
     assert abs(Ks.mean() - 1.0) <= 3 * se
 
 
+@pytest.mark.parametrize("n_values", [2, 10, 12])
+def test_girsanov_weight_refuses_a_signal_off_the_observation_grid(n_values):
+    # a 2-node signal on a 10-step path gave 11 weights, broadcast from its
+    # first value
+    tg = TimeGrid(0.0, 1.0, 10)
+    obs = zk.ObservationPath(grid=tg, increments=brownian_increment_matrix(tg, 1, [0], 1)[0])
+    with pytest.raises(ModelMismatch, match=rf"signal of shape \({n_values},\), not \(11,\)"):
+        zk.girsanov_weight(linear_model(), np.linspace(0.0, 1.0, n_values), obs)
+    assert zk.girsanov_weight(linear_model(), np.linspace(0.0, 1.0, 11), obs).shape == (11,)
+
+
 def zakai_step(density, model, u, r, dR, dt):
     """Reference splitting-up step for one density: implicit transpose-transport,
     then the multiplicative observation update.  Returns (density, clamp
