@@ -35,10 +35,12 @@ print(f"\n{'control':>12} {'j mean':>10} {'stderr':>9} {'rejected':>9}")
 for r in results:
     print(f"{r.name:>12} {r.estimate.mean:10.5f} {r.estimate.stderr:9.5f} {r.n_rejected:9d}")
 
-# paired differences remove the common noise
+# paired differences remove the common noise; a rejected path's sample is
+# NaN, so only the paths that both candidates accept are paired
 d = {r.name: r for r in results}
 for other in ("pi_hat+0.25", "pi_hat-0.25", "merton"):
     diff = d["pi_hat"].samples - d[other].samples
+    diff = diff[~np.isnan(diff)]
     se = np.std(diff, ddof=1) / math.sqrt(len(diff))
     print(f"pi_hat - {other:12s}: {np.mean(diff):+.5f} +- {se:.5f} "
           f"(t = {np.mean(diff) / se:+.2f})")

@@ -4,8 +4,15 @@ Subcommands: run, list, validate.  Configs are YAML files with top-level keys
 kind / seed / params; every run writes its artifacts plus a manifest JSON
 (config hash, seeds, versions, per-check verdicts) into the output directory.
 A kind is its _PARAMS table plus a runner that takes those parameters as
-keyword arguments.
-Exit codes: 0 success, 2 configuration error, 3 numerical-check failure.
+keyword arguments.  No parameter sets where a verdict passes: each threshold
+is a constant next to the runner that checks it, and `spdecontrol list
+<kind>` shows it from _PASSES.  donsker-table passes at |quadrature -
+closed form| <= 1e-8; forward-convergence at space orders in [1.8, 2.2] and
+time orders in [0.8, 1.2]; zakai-benchmark at |grid mean - Kalman mean| <=
+5e-2 and refinement factors in [1.6, 2.6]; coercivity at |ratio - 1| <= 5 dx;
+stationarity at |t| <= 3 on every window, maxprinciple's own threshold.
+Exit codes: 0 success, 2 configuration error, 3 a numerical check failed or
+a library error (an SpdeControlError other than ConfigError) stopped the run.
 """
 from __future__ import annotations
 
@@ -24,31 +31,28 @@ import yaml
 
 from . import __version__, donsker, portfolio, zakai
 from .donsker import FirstOrderChaosSpec
-from .errors import ConfigError, DegenerateVariance, NumericalCheckFailure
+from .errors import ConfigError, DegenerateVariance, NumericalCheckFailure, SpdeControlError
 from .forward import CoefficientSet, ControlPolicy, OperatorSpec, SpatialGrid, _write_csv, solve_forward
-from .maxprinciple import verify_x_independent_stationarity
+from .maxprinciple import _TOL_TSTAT, verify_x_independent_stationarity
 from .noise import LevySpec, PathBundle, TimeGrid, sample_bundle
 from .zakai import ObservationPath, SignalModel
 
 __all__ = ["main", "validate_config", "run_experiment", "SCHEMAS"]
 
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le, "!=": operator.ne}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "!=": operator.ne}
 
 
-def _reader(cast, *bounds, many=None, size=None, order=None):
+def _reader(cast, *bounds, many=None, increasing=False):
     """The reader of one parameter, the one home of its type and range.  It
-    reads a value with cast (float or int), or a YAML sequence of them when
-    many or size is given: of at least many entries, or of exactly size,
-    each entry order ("<" or "<=") the next if order is given, so that no
-    verdict is read off too few values or a reversed interval.  It refuses
-    an entry outside bounds, (operator, limit) pairs such as (">=", 2).  It
-    refuses a bool, and a count refuses a float with a fraction, rather than
-    misread them; a float must be finite, since no run can use NaN or an
-    infinity.  Its range attribute is the text `spdecontrol list` shows."""
+    reads a value with cast (float or int), or a YAML sequence of at least
+    many of them when many is given, each entry < the next if increasing, so
+    that no verdict is read off too few values.  It refuses an entry outside
+    bounds, (operator, limit) pairs such as (">=", 2).  It refuses a bool,
+    and a count refuses a float with a fraction, rather than misread them; a
+    float must be finite, since no run can use NaN or an infinity.  Its range
+    attribute is the text `spdecontrol list` shows."""
     kind = cast.__name__
-    if size:
-        many, kind = size, f"list of {size} {kind}s"
-    elif many is not None:
+    if many is not None:
         kind = f"list of at least {many} {kind}s" if many else f"list of {kind}s"
 
     def one(value):
@@ -65,16 +69,16 @@ def _reader(cast, *bounds, many=None, size=None, order=None):
     def read(value):
         if many is None:
             return one(value)
-        if not isinstance(value, (list, tuple)) or len(value) < many or (size and len(value) != size):
+        if not isinstance(value, (list, tuple)) or len(value) < many:
             raise ValueError(f"expected {kind}")
         xs = [one(v) for v in value]
         for x, nxt in zip(xs, xs[1:]):
-            if order and not _COMPARE[order](x, nxt):
-                raise ValueError(f"{x} is not {order} the next entry {nxt}")
+            if increasing and not x < nxt:
+                raise ValueError(f"{x} is not < the next entry {nxt}")
         return xs
 
     limits = " and ".join(f"{op} {limit}" for op, limit in bounds)
-    read.range = f"{kind} {limits}".rstrip() + (f", each {order} the next" if order else "")
+    read.range = f"{kind} {limits}".rstrip() + (", each < the next" if increasing else "")
     return read
 
 
@@ -82,7 +86,6 @@ _real = _reader(float)
 _positive = _reader(float, (">", 0))
 _at_least_2 = _reader(int, (">=", 2))
 _at_least_1 = _reader(int, (">=", 1))
-_interval = _reader(float, size=2, order="<=")
 # the insider variable of the model that portfolio and stationarity run
 _BENCHMARK_SPEC = portfolio.benchmark_market()[2]
 _HORIZON = f"with T + T/n_steps <= T0 = {_BENCHMARK_SPEC.T0}"
@@ -97,16 +100,13 @@ _PARAMS = {
         "t_values": (_reader(float, (">=", 0), many=1), [0.0, 0.25, 0.5, 0.75], "evaluation times, each < T0"),
         "z_values": (_reader(float, many=1), [-1.0, -0.5, 0.0, 0.5, 1.0], "density evaluation points"),
         "history_mean": (_real, 0.0, "realized conditioning mean m(t)"),
-        "tol_abs": (_real, 1e-8, "max |quadrature - closed form| allowed; a large finite value switches the verdict off"),
     },
     "forward-convergence": {
         "t_end": (_positive, 0.1, "horizon of the diffusion oracle"),
-        "space_cells": (_reader(int, (">=", 2), many=2, order="<"), [8, 16, 32], "cell counts of the space study"),
+        "space_cells": (_reader(int, (">=", 2), many=2, increasing=True), [8, 16, 32], "cell counts of the space study"),
         "space_steps": (_at_least_1, 4096, "fine step count shared by the space study"),
-        "time_steps": (_reader(int, (">=", 1), many=2, order="<"), [16, 32, 64], "step counts of the time study"),
+        "time_steps": (_reader(int, (">=", 1), many=2, increasing=True), [16, 32, 64], "step counts of the time study"),
         "time_cells": (_at_least_2, 16, "cell count shared by the time study"),
-        "dx_order_range": (_interval, [1.8, 2.2], "accepted empirical order interval"),
-        "dt_order_range": (_interval, [0.8, 1.2], "accepted empirical order interval"),
     },
     "portfolio": {
         "T": (_positive, 0.5, f"trading horizon, {_HORIZON}"),
@@ -124,7 +124,6 @@ _PARAMS = {
         "n_paths": (_at_least_2, 2000, "Monte Carlo paths"),
         "n_windows": (_at_least_1, 3, "time windows for localized directions, <= n_steps"),
         "a_step": (_reader(float, (">", 0), ("<", 1)), 1e-3, "central difference step"),
-        "tol_tstat": (_real, 3.0, "verdict threshold on |t|; a large finite value switches the verdict off"),
     },
     "zakai-benchmark": {
         "a": (_real, -0.5, "signal drift rate dX = aX dt + b dv"),
@@ -138,15 +137,12 @@ _PARAMS = {
         "n_steps": (_at_least_1, 100, "time steps at the base resolution"),
         "T": (_positive, 1.0, "horizon"),
         "n_particles": (_reader(int, (">=", 100)), 10000, "particle-filter oracle size"),
-        "tol_grid": (_real, 5e-2, "allowed |grid mean - Kalman mean|; a large finite value switches the verdict off"),
         "refine_levels": (_at_least_1, 2, "number of halvings of dx and dt measured"),
-        "factor_range": (_interval, [1.6, 2.6], "accepted per-halving error-reduction interval"),
     },
     "coercivity": {
         "pi": (_reader(float, ("!=", 0)), 1.0, "control value scaling the generator"),
         "beta_slope": (_real, 0.5, "volatility profile beta(x) = 1 + slope*x"),
         "cells": (_reader(int, (">=", 2), many=1), [16, 32, 64], "cell counts"),
-        "C_max": (_real, 5.0, "allowed constant in |ratio - 1| <= C dx"),
     },
 }
 
@@ -283,7 +279,11 @@ def _donsker_spec(beta_const: float, T0: float) -> FirstOrderChaosSpec:
     return FirstOrderChaosSpec(beta=lambda s: beta_const, T0=T0)
 
 
-def _run_donsker_table(seed, out: Path, *, T0, beta_const, t_values, z_values, history_mean, tol_abs):
+# largest |quadrature - closed form| of a density weight that passes
+_QUADRATURE_TOL = 1e-8
+
+
+def _run_donsker_table(seed, out: Path, *, T0, beta_const, t_values, z_values, history_mean):
     spec = _donsker_spec(beta_const, T0)
     rows = []
     worst = 0.0
@@ -294,15 +294,20 @@ def _run_donsker_table(seed, out: Path, *, T0, beta_const, t_values, z_values, h
             worst = max(worst, abs(cf - qd))
             rows.append([float(t), float(z), float(cf), float(qd), float(abs(cf - qd))])
     _write_csv(out / "donsker_table.csv", ["t", "z", "closed_form", "quadrature", "abs_err"], rows)
-    verdicts = {"quadrature_matches_closed_form": {"max_abs_err": worst, "tol": tol_abs, "passed": worst <= tol_abs}}
+    passed = worst <= _QUADRATURE_TOL
+    verdicts = {"quadrature_matches_closed_form": {"max_abs_err": worst, "tol": _QUADRATURE_TOL, "passed": passed}}
     return verdicts, ["donsker_table.csv"]
 
 
-def _run_forward_convergence(
-    seed, out: Path, *, t_end, space_cells, space_steps, time_steps, time_cells, dx_order_range, dt_order_range
-):
-    dx_lo, dx_hi = dx_order_range
-    dt_lo, dt_hi = dt_order_range
+# the empirical orders that pass: the scheme is second order in space and
+# first order in time
+_SPACE_ORDER_RANGE = (1.8, 2.2)
+_TIME_ORDER_RANGE = (0.8, 1.2)
+
+
+def _run_forward_convergence(seed, out: Path, *, t_end, space_cells, space_steps, time_steps, time_cells):
+    dx_lo, dx_hi = _SPACE_ORDER_RANGE
+    dt_lo, dt_hi = _TIME_ORDER_RANGE
     ex = [heat_space_error(c, space_steps, t_end) for c in space_cells]
     et = [heat_time_error(time_cells, s, t_end) for s in time_steps]
     ox, ot = _orders(ex), _orders(et)
@@ -340,7 +345,7 @@ def _run_portfolio(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, shifts):
     return verdicts, ["portfolio.csv"]
 
 
-def _run_stationarity(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, n_windows, a_step, tol_tstat):
+def _run_stationarity(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, n_windows, a_step):
     market, utility, spec = portfolio.benchmark_market(n_cells)
     coeffs, op = portfolio.wealth_dynamics(market)
     perf = portfolio.log_utility_performance(market, utility)
@@ -348,7 +353,7 @@ def _run_stationarity(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, n_win
     tgrid = TimeGrid(0.0, T, n_steps)
     report = verify_x_independent_stationarity(
         coeffs, op, pol, perf, spec, z, market.D, tgrid,
-        n_windows=n_windows, n_paths=n_paths, seed=seed, a_step=a_step, tol_tstat=tol_tstat,
+        n_windows=n_windows, n_paths=n_paths, seed=seed, a_step=a_step,
     )
     with open(out / "stationarity.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -356,11 +361,17 @@ def _run_stationarity(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, n_win
     return verdicts, ["stationarity.json"]
 
 
+# largest |grid mean - Kalman mean| that passes, and the error-reduction
+# factors per halving of dx and dt that pass: a first-order refinement
+# halves the error
+_GRID_TOL = 5e-2
+_FACTOR_RANGE = (1.6, 2.6)
+
+
 def _run_zakai_benchmark(
-    seed, out: Path, *, a, b, c, m0, P0, x_lo, x_hi, n_cells, n_steps, T, n_particles, tol_grid, refine_levels,
-    factor_range
+    seed, out: Path, *, a, b, c, m0, P0, x_lo, x_hi, n_cells, n_steps, T, n_particles, refine_levels
 ):
-    f_lo, f_hi = factor_range
+    f_lo, f_hi = _FACTOR_RANGE
     model = SignalModel(
         alpha=lambda x, r, u: a * x,
         beta=lambda x, r, u: b,
@@ -411,7 +422,7 @@ def _run_zakai_benchmark(
         json.dump(report, fh, indent=2, sort_keys=True)
     zakai.filter_snapshots_csv(sol0, out / "zakai_density.csv")
     verdicts = {
-        "grid_vs_kalman": {"abs_err": errors[0], "tol": tol_grid, "passed": errors[0] <= tol_grid},
+        "grid_vs_kalman": {"abs_err": errors[0], "tol": _GRID_TOL, "passed": errors[0] <= _GRID_TOL},
         "refinement_factor": {"factors": factors, "range": [f_lo, f_hi]},
         "particle_vs_kalman": {"abs_err": abs(float(pf["means"][-1]) - kalman_mean)},
     }
@@ -420,7 +431,11 @@ def _run_zakai_benchmark(
     return verdicts, ["zakai_report.json", "zakai_density.csv"]
 
 
-def _run_coercivity(seed, out: Path, *, pi, beta_slope, cells, C_max):
+# the constant C of |ratio - 1| <= C dx that passes
+_C_MAX = 5.0
+
+
+def _run_coercivity(seed, out: Path, *, pi, beta_slope, cells):
     rows = []
     ok = True
     for n_cells in cells:
@@ -431,12 +446,24 @@ def _run_coercivity(seed, out: Path, *, pi, beta_slope, cells, C_max):
         lhs, rhs = zakai.coercivity_check(y, pi, lambda x: 1.0 + beta_slope * x, sgrid)
         ratio = lhs / rhs if rhs != 0 else math.nan
         rows.append([float(sgrid.dx), float(lhs), float(rhs), float(ratio)])
-        if not abs(ratio - 1.0) <= C_max * sgrid.dx:
+        if not abs(ratio - 1.0) <= _C_MAX * sgrid.dx:
             ok = False
     _write_csv(out / "coercivity.csv", ["dx", "lhs", "rhs", "ratio"], rows)
-    verdicts = {"ratio_within_C_dx": {"C_max": C_max, "passed": ok}}
+    verdicts = {"ratio_within_C_dx": {"C_max": _C_MAX, "passed": ok}}
     return verdicts, ["coercivity.csv"]
 
+
+# kind -> where its verdicts pass, as `spdecontrol list <kind>` shows it
+_PASSES = {
+    "donsker-table": f"quadrature_matches_closed_form at max |quadrature - closed form| <= {_QUADRATURE_TOL}",
+    "forward-convergence": f"space_order at every order in {list(_SPACE_ORDER_RANGE)}, "
+    f"time_order at every order in {list(_TIME_ORDER_RANGE)}",
+    "portfolio": "optimum_has_max_mean if pi_hat has the largest mean, no_rejections if no path is rejected",
+    "stationarity": f"stationarity at |t| <= {_TOL_TSTAT} on every window",
+    "zakai-benchmark": f"grid_vs_kalman at |grid mean - Kalman mean| <= {_GRID_TOL}, "
+    f"refinement_factor at every factor in {list(_FACTOR_RANGE)}; particle_vs_kalman is informational",
+    "coercivity": f"ratio_within_C_dx at |ratio - 1| <= {_C_MAX} dx for every cell count",
+}
 
 _RUNNERS = {
     "donsker-table": _run_donsker_table,
@@ -492,6 +519,7 @@ def _cmd_list(args) -> int:
     print(args.kind)
     for field_name, desc in SCHEMAS[args.kind].items():
         print(f"  {field_name}: {desc}")
+    print(f"  passes: {_PASSES[args.kind]}")
     return 0
 
 
@@ -529,8 +557,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalCheckFailure as exc:
-        print(str(exc), file=sys.stderr)
+    except SpdeControlError as exc:  # a failed check or a library error that stopped the run
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
 

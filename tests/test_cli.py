@@ -304,31 +304,24 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         ("portfolio", "{T: 0.95, n_steps: 10}"),
         ("forward-convergence", "{space_cells: [8, 1]}"),
         ("forward-convergence", "{time_cells: 1}"),
-        ("forward-convergence", "{dx_order_range: [1.8]}"),
         ("donsker-table", "{t_values: abc}"),
         ("zakai-benchmark", "{P0: 0.0}"),
         ("zakai-benchmark", "{n_cells: [400]}"),
         ("coercivity", "{1: 2, foo: 3}"),
         # each of these was misread and run with another value
         ("coercivity", '{cells: "32"}'),
-        ("forward-convergence", '{dx_order_range: "12"}'),
         ("stationarity", "{n_steps: 200.9}"),
         ("stationarity", "{n_paths: 2.5}"),
         ("stationarity", "{n_windows: true}"),
         # non-finite floats: a NaN z and an infinite T crashed the run in
-        # the implicit solve; a large finite tolerance switches a verdict off
+        # the implicit solve
         ("portfolio", "{z: .nan}"),
         ("zakai-benchmark", "{T: .inf}"),
-        ("donsker-table", "{tol_abs: .inf}"),
         # t < T0, but the residual variance T0 - t is below its floor
         ("donsker-table", "{t_values: [0.0, 0.9999999999999]}"),
-        # each of these validated, and run read a vacuous or inverted
-        # verdict off it: a reversed interval failed every order or factor,
+        # each of these validated, and run read a vacuous verdict off it:
         # fewer than two resolutions measured no order and "passed", a
         # decreasing list failed, and no evaluation point checked nothing
-        ("forward-convergence", "{dx_order_range: [2.2, 1.8]}"),
-        ("forward-convergence", "{dt_order_range: [1.2, 0.8]}"),
-        ("zakai-benchmark", "{factor_range: [2.6, 1.6]}"),
         ("forward-convergence", "{space_cells: [8]}"),
         ("forward-convergence", "{time_steps: []}"),
         ("forward-convergence", "{space_cells: [32, 16, 8]}"),
@@ -341,6 +334,15 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         # at t = 0; pi = 0 gave lhs = rhs = 0 and a NaN ratio, which passed
         ("stationarity", "{n_steps: 4, n_windows: 8}"),
         ("coercivity", "{pi: 0}"),
+        # each of these set where a verdict passes, here at its old default;
+        # each verdict's threshold is a constant, so each name is unknown
+        ("donsker-table", "{tol_abs: 1.0e-8}"),
+        ("forward-convergence", "{dx_order_range: [1.8, 2.2]}"),
+        ("forward-convergence", "{dt_order_range: [0.8, 1.2]}"),
+        ("stationarity", "{tol_tstat: 3.0}"),
+        ("zakai-benchmark", "{tol_grid: 5.0e-2}"),
+        ("zakai-benchmark", "{factor_range: [1.6, 2.6]}"),
+        ("coercivity", "{C_max: 5.0}"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -473,11 +475,38 @@ def test_manifest_seed_reproduces_run(tmp_path):
 
 
 def test_numerical_failure_exits_3_and_names_check(tmp_path):
+    # one step over the whole horizon leaves the time error above the space
+    # error, so the space orders read near 0, outside the fixed [1.8, 2.2]
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(DONSKER_CFG + "  tol_abs: 1e-22\n")
+    cfg.write_text("kind: forward-convergence\nseed: 0\nparams: {space_steps: 1}\n")
     out = tmp_path / "out"
     code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)])
     assert code == 3
-    assert "quadrature_matches_closed_form" in err
+    assert "space_order" in err and "time_order" not in err
     # artifacts and manifest still written for post-mortem inspection
-    assert (out / "manifest.json").exists()
+    verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+    assert verdicts["space_order"]["passed"] is False and verdicts["time_order"]["passed"] is True
+
+
+def test_a_library_error_exits_3_on_one_line_that_names_it(tmp_path, capsys):
+    # at z = 3 near the horizon pi_hat drives every wealth path nonpositive;
+    # the WealthNonpositive this raises ended the run with a traceback and
+    # exit code 1
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("kind: portfolio\nseed: 0\nparams: {T: 0.98, z: 3.0, n_steps: 60, n_paths: 4}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "WealthNonpositive" in err
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_list_shows_where_the_verdicts_pass_and_no_setting_of_it(capsys, kind):
+    assert main(["list", kind]) == 0
+    shown = capsys.readouterr().out
+    assert f"  passes: {cli._PASSES[kind]}\n" in shown
+    removed = ("tol_abs", "dx_order_range", "dt_order_range", "tol_tstat", "tol_grid", "factor_range", "C_max")
+    assert not any(f"  {name}:" in shown for name in removed)
+    for name in removed:
+        with pytest.raises(ConfigError, match=f"unknown parameter.*{name}"):
+            validate_config({"kind": kind, "params": {name: 1.0}})
