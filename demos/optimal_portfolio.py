@@ -4,11 +4,8 @@ Compares the closed-form insider proportion pi = phi1/b0 + a0/b0^2 against
 constant and shifted competitors under common random numbers, using the
 conditional density as the performance weight for integrated log utility.
 """
-import math
-
-import numpy as np
-
 from spdecontrol import portfolio as pf
+from spdecontrol.maxprinciple import PerformanceEstimate
 from spdecontrol.noise import TimeGrid
 
 market, utility, spec = pf.benchmark_market(16)
@@ -35,12 +32,10 @@ print(f"\n{'control':>12} {'j mean':>10} {'stderr':>9} {'rejected':>9}")
 for r in results:
     print(f"{r.name:>12} {r.estimate.mean:10.5f} {r.estimate.stderr:9.5f} {r.n_rejected:9d}")
 
-# paired differences remove the common noise; a rejected path's sample is
-# NaN, so only the paths that both candidates accept are paired
+# paired differences remove the common noise; every result holds its
+# samples on the paths that all candidates accept, so they pair path by path
 d = {r.name: r for r in results}
 for other in ("pi_hat+0.25", "pi_hat-0.25", "merton"):
-    diff = d["pi_hat"].samples - d[other].samples
-    diff = diff[~np.isnan(diff)]
-    se = np.std(diff, ddof=1) / math.sqrt(len(diff))
-    print(f"pi_hat - {other:12s}: {np.mean(diff):+.5f} +- {se:.5f} "
-          f"(t = {np.mean(diff) / se:+.2f})")
+    diff = PerformanceEstimate.from_samples(d["pi_hat"].samples - d[other].samples)
+    print(f"pi_hat - {other:12s}: {diff.mean:+.5f} +- {diff.stderr:.5f} "
+          f"(t = {diff.tstat():+.2f})")

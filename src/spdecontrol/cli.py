@@ -2,7 +2,9 @@
 
 Subcommands: run, list, validate.  Configs are YAML files with top-level keys
 kind / seed / params; every run writes its artifacts plus a manifest JSON
-(config hash, seeds, versions, per-check verdicts) into the output directory.
+(config hash, seeds, versions, per-check verdicts) into the output directory,
+and a run that a library error stops writes the manifest with an error entry
+in place of the verdicts.
 A kind is its _PARAMS table plus a runner that takes those parameters as
 keyword arguments.  No parameter sets where a verdict passes: each threshold
 is a constant next to the runner that checks it, and `spdecontrol list
@@ -227,6 +229,11 @@ def _load_config(config_path) -> tuple:
     return raw, validate_config(cfg)
 
 
+def _write_json(path: Path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
 def _zero_bundle(tgrid: TimeGrid) -> PathBundle:
     return PathBundle(
         grid=tgrid,
@@ -355,8 +362,7 @@ def _run_stationarity(seed, out: Path, *, T, z, n_cells, n_steps, n_paths, n_win
         coeffs, op, pol, perf, spec, z, market.D, tgrid,
         n_windows=n_windows, n_paths=n_paths, seed=seed, a_step=a_step,
     )
-    with open(out / "stationarity.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_json(out / "stationarity.json", report)
     verdicts = {"stationarity": {"max_abs_tstat": report["max_abs_tstat"], "passed": report["passed"]}}
     return verdicts, ["stationarity.json"]
 
@@ -418,8 +424,7 @@ def _run_zakai_benchmark(
         "boundary_mass_final": float(sol0.boundary_mass[-1]),
         "seed": seed,
     }
-    with open(out / "zakai_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_json(out / "zakai_report.json", report)
     zakai.filter_snapshots_csv(sol0, out / "zakai_density.csv")
     verdicts = {
         "grid_vs_kalman": {"abs_err": errors[0], "tol": _GRID_TOL, "passed": errors[0] <= _GRID_TOL},
@@ -477,12 +482,13 @@ _RUNNERS = {
 
 def run_experiment(config_path: Path, out_dir: Path, seed_override=None) -> dict:
     """Validate, run, and write artifacts plus a manifest.  Returns the
-    manifest dict; raises ConfigError / NumericalCheckFailure."""
+    manifest dict; raises ConfigError / NumericalCheckFailure.  A library
+    error that stops the runner still leaves a manifest, whose error entry
+    names it in place of the verdicts, and then propagates."""
     raw, cfg = _load_config(config_path)
     seed = cfg["seed"] if seed_override is None else _read_seed(seed_override)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    verdicts, artifacts = _RUNNERS[cfg["kind"]](seed, out_dir, **cfg["params"])
     manifest = {
         "kind": cfg["kind"],
         "config_sha256": hashlib.sha256(raw).hexdigest(),
@@ -493,11 +499,14 @@ def run_experiment(config_path: Path, out_dir: Path, seed_override=None) -> dict
             "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
-        "verdicts": verdicts,
-        "artifacts": artifacts,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    try:
+        verdicts, artifacts = _RUNNERS[cfg["kind"]](seed, out_dir, **cfg["params"])
+    except SpdeControlError as exc:
+        _write_json(out_dir / "manifest.json", {**manifest, "error": f"{type(exc).__name__}: {exc}"})
+        raise
+    manifest.update(verdicts=verdicts, artifacts=artifacts)
+    _write_json(out_dir / "manifest.json", manifest)
     failed = [name for name, v in verdicts.items() if v.get("passed") is False]
     if failed:
         raise NumericalCheckFailure(f"numerical check failed: {', '.join(failed)}")

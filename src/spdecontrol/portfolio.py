@@ -84,11 +84,22 @@ class UtilitySpec:
 
 @dataclass(frozen=True)
 class PortfolioResult:
+    """One candidate's log-utility performance on the paths that every
+    candidate of its run accepts: samples holds one sample per kept path,
+    in path order, so the samples of two results of one run are paired.
+    The estimate and the rejection count are read off the samples."""
+
     name: str
-    estimate: PerformanceEstimate
-    n_rejected: int
     n_paths: int
-    samples: np.ndarray  # per-path performance, nan where rejected
+    samples: np.ndarray
+
+    @property
+    def estimate(self) -> PerformanceEstimate:
+        return PerformanceEstimate.from_samples(self.samples)
+
+    @property
+    def n_rejected(self) -> int:
+        return self.n_paths - len(self.samples)
 
     @property
     def rejection_rate(self) -> float:
@@ -182,10 +193,12 @@ def run_portfolio_experiment(
 
     Every candidate is swept on the identical noise, drawn once per block by
     one run_ensemble call over all candidates, so differences between
-    estimates are low-variance and the per-path samples of two candidates
-    can be paired.  Paths whose wealth hits a nonpositive interior value are
-    rejected and counted; a candidate with fewer than two accepted paths
-    raises WealthNonpositive.
+    estimates are low-variance.  A path is kept only if every candidate's
+    wealth stays positive on the interior nodes; a path that any candidate
+    drives to a nonpositive value leaves all of them, so every result holds
+    its samples on the same kept paths and two results' samples pair path by
+    path.  Fewer than two kept paths raise WealthNonpositive, with each
+    candidate's own rejection count.
     """
     coeffs, op = wealth_dynamics(market)
     grid = market.D
@@ -199,23 +212,15 @@ def run_portfolio_experiment(
         coeffs, op, tuple(candidates.values()), z, grid, tgrid,
         chaos=spec, n_paths=n_paths, seed=seed,
     )
-    results = []
-    for name, res in zip(candidates, runs):
-        accepted = res.min_interior > 0.0
-        n_acc = int(np.count_nonzero(accepted))
-        if n_acc < 2:
-            raise WealthNonpositive(
-                f"{n_acc} of {n_paths} paths accepted for control {name!r}; "
-                "a standard error needs two"
-            )
-        n_rej = n_paths - n_acc
-        util = grid.dx * np.sum(perf.k(xs, res.y_terminal[accepted], z)[:, 1:-1], axis=1)
-        samples = res.w_terminal[accepted] * util
-        est = PerformanceEstimate.from_samples(samples)
-        full = np.full(n_paths, math.nan)
-        full[accepted] = samples
-        results.append(PortfolioResult(name, est, n_rej, n_paths, full))
-    return results
+    positive = {name: res.min_interior > 0.0 for name, res in zip(candidates, runs)}
+    keep = np.logical_and.reduce([np.ones(n_paths, dtype=bool), *positive.values()])
+    n_kept = int(np.count_nonzero(keep))
+    if n_kept < 2:
+        own = ", ".join(f"{name!r} {n_paths - np.count_nonzero(p)}" for name, p in positive.items())
+        raise WealthNonpositive(f"{n_kept} of {n_paths} paths accepted by every candidate; a standard "
+                                f"error needs two (rejected per candidate: {own})")
+    util = [grid.dx * np.sum(perf.k(xs, res.y_terminal[keep], z)[:, 1:-1], axis=1) for res in runs]
+    return [PortfolioResult(name, n_paths, res.w_terminal[keep] * u) for name, res, u in zip(candidates, runs, util)]
 
 
 def portfolio_table_csv(results, path):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -498,6 +499,24 @@ def test_a_library_error_exits_3_on_one_line_that_names_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "WealthNonpositive" in err
+
+
+def test_a_library_error_leaves_a_manifest_that_names_it(tmp_path, capsys):
+    # the run this WealthNonpositive stops left an empty output directory:
+    # nothing recorded the config hash, the seed or the error
+    text = "kind: portfolio\nseed: 0\nparams: {T: 0.98, z: 3.0, n_steps: 60, n_paths: 4}\n"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip() and manifest["error"].startswith("WealthNonpositive: ")
+    assert manifest["kind"] == "portfolio" and manifest["seed"] == 0
+    assert manifest["config_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert manifest["versions"]["spdecontrol"] == spdecontrol.__version__
+    assert "verdicts" not in manifest and "artifacts" not in manifest
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))

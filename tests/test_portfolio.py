@@ -86,15 +86,15 @@ def test_every_path_rejected_raises_wealth_nonpositive():
     # turns some interior node negative on every path
     market, utility, spec = pf.benchmark_market(16)
     candidates = {"pi_hat": pf.optimal_policy(market, spec), "huge": pf.constant_policy(1000.0)}
-    with pytest.raises(WealthNonpositive, match="huge"):
+    with pytest.raises(WealthNonpositive, match="0 of 50 paths.*'pi_hat' 0, 'huge' 50"):
         pf.run_portfolio_experiment(market, utility, spec, 0.5, candidates, TimeGrid(0.0, 0.5, 20), 50, 0)
 
 
 def test_one_accepted_path_raises_wealth_nonpositive():
     # pi = 17 leaves exactly one of 20 paths positive: one sample has no
-    # standard error, so the candidate fails like an all-rejected one
+    # standard error, so the run fails like an all-rejected one
     market, utility, spec = pf.benchmark_market(16)
-    with pytest.raises(WealthNonpositive, match="1 of 20 paths accepted for control 'pi17'"):
+    with pytest.raises(WealthNonpositive, match=r"1 of 20 paths accepted by every candidate.*: 'pi17' 19\)$"):
         pf.run_portfolio_experiment(
             market, utility, spec, 0.5, {"pi17": pf.constant_policy(17.0)},
             TimeGrid(0.0, 0.5, 20), 20, 0,
@@ -131,11 +131,35 @@ def test_candidates_share_one_noise_draw():
     with mock.patch.object(mp, "brownian_increment_matrix", draw):
         shared = pf.run_portfolio_experiment(market, utility, spec, 0.5, candidates, tg, 30, 4)
     assert rows == [30]
+    # no candidate rejects a path here, so the run's one mask is each
+    # candidate's own
     for r in shared:
         alone, = pf.run_portfolio_experiment(market, utility, spec, 0.5, {r.name: candidates[r.name]},
                                              tg, 30, 4)
-        assert r.estimate == alone.estimate and r.n_rejected == alone.n_rejected
-        assert np.array_equal(r.samples, alone.samples, equal_nan=True)
+        assert r.n_rejected == alone.n_rejected == 0
+        assert r.estimate == alone.estimate
+        assert np.array_equal(r.samples, alone.samples)
+
+
+def test_a_path_rejected_for_any_candidate_leaves_all_of_them():
+    # near the horizon at z = 2, pi_hat, pi_hat - 0.25 and pi_hat + 0.25
+    # reject 181, 180 and 182 of 200 paths each; on their own masks the raw
+    # means picked pi_hat + 0.25, while on the 18 paths all three keep
+    # pi_hat has the largest mean
+    market, utility, spec = pf.benchmark_market(16)
+    pol = pf.optimal_policy(market, spec)
+    candidates = {"pi_hat": pol, "down": pf.shifted_policy(pol, -0.25), "up": pf.shifted_policy(pol, 0.25)}
+    tg = TimeGrid(0.0, 0.95, 60)
+    res = pf.run_portfolio_experiment(market, utility, spec, 2.0, candidates, tg, 200, 0)
+    for r in res:
+        assert len(r.samples) == 18 and r.n_rejected == 182 and r.rejection_rate == 0.91
+        assert r.estimate == mp.PerformanceEstimate.from_samples(r.samples)
+    d = {r.name: r for r in res}
+    for other in ("down", "up"):
+        assert not np.any(np.isnan(d["pi_hat"].samples - d[other].samples))
+    assert max(res, key=lambda r: r.estimate.mean).name == "pi_hat"
+    alone, = pf.run_portfolio_experiment(market, utility, spec, 2.0, {"pi_hat": pol}, tg, 200, 0)
+    assert alone.n_rejected == 181
 
 
 def test_zero_control_matches_deterministic_pde_oracle():
