@@ -12,10 +12,14 @@ which is what makes vectorized evaluation over ensembles cheap.
 
 Every moment takes the time t and the mean m = m(t), which
 forward.insider_means computes for each path of a run, and returns a Python
-float for a scalar m and an ndarray for an array m, on every route.  For
-purely Gaussian specifications (no jump component) every moment has a closed
-form; delta_from_mean and conditional_malliavin_b keep the quadrature route
-selectable (method=) for cross-validation.
+float for a scalar t and m and an ndarray otherwise, on every route.  t may
+be an (n, 1) column of times, one per row of m, so that a block's weights at
+all of its nodes are one call: the quadrature then makes one Fourier pass for
+all the times and moments of the call (phi1_from_mean's density and Brownian
+moment share theirs), and each row equals its scalar-t call bit for bit.
+For purely Gaussian specifications (no jump component) every moment has a
+closed form; delta_from_mean and conditional_malliavin_b keep the quadrature
+route selectable (method=) for cross-validation.
 
 The residual variance sigma^2(t) = int_t^{T0} beta^2 ds comes from a built-in
 globally adaptive nested Clenshaw-Curtis 8/16 rule, and the transform
@@ -57,6 +61,13 @@ _TAIL_EXPONENT = 37.0
 _TIME_QUAD_NODES = 64
 _FIRST_X_NODES = 257
 _MAX_X_NODES = 2**21 + 1
+# bytes of one chunk of a Fourier level's temporaries (_fourier_moment), at
+# least one item: per time its nodes and transform rows, or its jump
+# exponent's phase steps, per entry its baby and giant steps and its
+# stage-one products.  Chunks this small keep the temporaries on the heap:
+# one time's 1024 entries take no page faults per call, where a single
+# chunk took about 300
+_CHUNK_BYTES = 2**18
 # Fourier quadrature: stop once two Simpson levels agree to within this
 _FOURIER_TOL = 1e-10
 # sigma^2(t): stop once the summed panel error estimates are below
@@ -180,43 +191,52 @@ def _check_horizon(spec: FirstOrderChaosSpec, tgrid: TimeGrid) -> None:
                          f"(t_end={tgrid.t_end}, dt={tgrid.dt}, T0={spec.T0})")
 
 
-def _jump_exponent(spec: FirstOrderChaosSpec, t: float):
-    """Callable (x, nb, na) -> complex array: the remaining-jump part of the
-    exponent at the equispaced nodes x = k h, k = nb a + b < nb na."""
+def _jump_nodes(spec, ts):
+    """The remaining-jump part of the exponent at each time of the column
+    ts, one row per time: psi and lam w at the Gauss-Legendre nodes of
+    [t, T0] of every atom, then sum(lam w) and (lam w) @ psi as columns.
+    None for a Gaussian spec."""
     if spec.is_gaussian:
-        return lambda x, nb, na: 0.0
+        return None
     gx, gw = _gl_rule()
-    s_q, w_q = 0.5 * (spec.T0 - t) * gx + 0.5 * (t + spec.T0), 0.5 * (spec.T0 - t) * gw
-    psi = np.array([spec.psi(s, mark) for mark, _ in spec.levy.atoms for s in s_q])
-    wl = np.array([lam * w for _, lam in spec.levy.atoms for w in w_q])
-    wl_sum, wl_psi = wl.sum(), wl @ psi
+    s_q, w_q = 0.5 * (spec.T0 - ts) * gx + 0.5 * (ts + spec.T0), 0.5 * (spec.T0 - ts) * gw
+    psi = np.array([[spec.psi(s, mark) for mark, _ in spec.levy.atoms for s in row] for row in s_q])
+    wl = np.concatenate([lam * w_q for _, lam in spec.levy.atoms], axis=1)
+    return psi, wl, wl.sum(axis=1, keepdims=True), np.matmul(wl[:, None, :], psi[:, :, None])[:, 0]
 
-    def g(x, nb, na):
-        # sum_j wl_j (e^{i x psi_j} - 1 - i x psi_j); the first sum is one
-        # (na x J)(J x nb) product of giant and baby steps
-        step = psi * x[1]
-        giant = _phase_powers(step * nb, na)
-        return ((giant.T * wl) @ _phase_powers(step, nb)).ravel()[: x.size] - wl_sum - 1j * x * wl_psi
 
-    return g
+def _jump_exponent(jump, rows, x, nb, na):
+    """g at the nodes x = k h, k = nb a + b < nb na, one row of x per time
+    rows of jump (_jump_nodes): sum_j lam w_j (e^{i x psi_j} - 1 - i x psi_j).
+    Per time, the first sum is one (na x J)(J x nb) product of giant and baby
+    steps, stacked over the times, which go through in chunks of at most
+    _CHUNK_BYTES of steps."""
+    psi, wl, wl_sum, wl_psi = (a[rows] for a in jump)
+    step = psi * x[:, 1:2]
+    n_t, n_j = step.shape
+    g = np.empty((n_t, na * nb), dtype=complex)
+    for part in _chunks(n_t, 16 * n_j * (nb + na)):
+        k = part.stop - part.start
+        giant = _phase_powers((step[part] * nb).ravel(), na).reshape(k, n_j, na)
+        baby = _phase_powers(step[part].ravel(), nb).reshape(k, n_j, nb)
+        g[part] = np.matmul(giant.swapaxes(1, 2) * wl[part, None, :], baby).reshape(k, -1)
+    return g[:, : x.shape[1]] - wl_sum - 1j * x * wl_psi
 
 
 def _simpson_weights(x):
-    """Composite Simpson weights on an odd number of nodes x, so that y @ w is
-    the rule of scipy's simpson(y, x=x) (its uneven-spacing branch, guarded
-    divisions included) up to the order of summation."""
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
+    """Composite Simpson weights on an odd number of strictly increasing
+    nodes x, along its last axis, so that y @ w is the rule of scipy's
+    simpson(y, x=x) (its uneven-spacing branch, whose guarded divisions
+    never guard on such nodes) up to the order of summation."""
+    h = np.diff(x, axis=-1)
+    h0, h1 = h[..., 0::2], h[..., 1::2]
     hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    h1divh0 = np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
-    hsum2divhprod = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    h0divh1 = h0 / h1
     sixth = hsum / 6.0
     w = np.zeros_like(x)
-    w[0:-2:2] += sixth * (2.0 - h1divh0)
-    w[1:-1:2] = sixth * (hsum * hsum2divhprod)
-    w[2::2] += sixth * (2.0 - h0divh1)
+    w[..., 0:-2:2] += sixth * (2.0 - 1.0 / h0divh1)
+    w[..., 1:-1:2] = sixth * (hsum * (hsum / (h0 * h1)))
+    w[..., 2::2] += sixth * (2.0 - h0divh1)
     return w
 
 
@@ -239,69 +259,134 @@ def _phase_powers(step, count):
     return out.T.copy()
 
 
-def _fourier_moment(spec, z, t, m, factor, sigma2):
-    """(1/2pi) int exp(i x m + g(x) - x^2 sigma^2/2 - i x z) factor(x) dx;
-    sigma2 is sigma^2(t), checked by the caller.
+def _linspace_rows(stop, n):
+    """np.linspace(0.0, s, n) for each entry s of the column stop, one row
+    each, bit for bit: k (s / (n - 1)), and s itself last."""
+    x = np.arange(n, dtype=float) * (stop / (n - 1))
+    x[:, -1] = stop[:, 0]
+    return x
+
+
+def _chunks(count, item_bytes):
+    """Consecutive slices that cover range(count), each of at most
+    _CHUNK_BYTES // item_bytes items, at least one."""
+    size = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _fourier_moment(spec, z, t, m, factors, sigma2):
+    """(1/2pi) int exp(i x m + g(x) - x^2 sigma^2/2 - i x z) factor(x) dx for
+    each factor of factors, in an array of shape (len(factors), *shape):
+    shape is that of m for a scalar time t, and for an (n, 1) column t the
+    shape of t and m broadcast, one row of m per time.  sigma2 is sigma^2 at
+    t, of t's shape, checked by the caller.  A factor is called as
+    factor(x, rows), x the nodes of the times t[rows], one row each.
 
     Evaluated on [0, X] using conjugate symmetry by composite Simpson on
     _FIRST_X_NODES equispaced nodes x_k = k h, doubling the node count until
     the estimate agrees with the Simpson estimate on its own even nodes (the
-    previous level) to within _FOURIER_TOL.  m may be a scalar or a 1-d array
-    (shared x-nodes, one result per entry); each entry stops at the first
-    level where it agrees, so its result does not depend on the other entries.
+    previous level) to within _FOURIER_TOL.  Each entry and factor stops at
+    the first level where it agrees, so its result does not depend on the
+    other entries, times or factors: it equals the entry's call alone.
 
     Both estimates are Re sum_k e^{i theta k h} c_k, with theta = m - z and c
     the transform at x_k times the fine or the coarse Simpson weights.  With
     k = nb a + b the phase splits into baby steps e^{i theta h b} and giant
-    steps e^{i theta h nb a} (_phase_powers).  The sum over b is one stacked
-    (1 x nb)(nb x 2 na) product per entry and the sum over a one
-    (2 x na)(na x 1) product, since a single matrix product over all entries
-    rounds an entry differently depending on their number.  The jump exponent
-    g is split the same way; it has no entry axis, so one plain product does.
-    No array is entries x n: those with an entry axis have at most 2 na
-    columns.
+    steps e^{i theta h nb a} (_phase_powers), built once per entry for all
+    factors.  The sum over b is one stacked (1 x nb)(nb x 2 na) product per
+    entry and factor, and the sum over a one (2 x na)(na x 1) product, since
+    a single matrix product over all entries rounds an entry differently
+    depending on their number; the products are grouped by time, factors on
+    a batch axis.  The nodes, the jump exponent g (_jump_exponent), the
+    Simpson weights and c are built for many times at once.  No array is
+    entries x n: those with an entry axis have at most 2 na columns per
+    factor.  Times and entries go through in chunks of at most _CHUNK_BYTES
+    of temporaries.
     """
-    g = _jump_exponent(spec, t)
-    x_max = math.sqrt(2.0 * _TAIL_EXPONENT / sigma2)
-    theta = np.atleast_1d(np.asarray(m, dtype=float)) - z
-    out = np.empty(theta.size)
-    todo = np.arange(theta.size)  # entries whose two estimates do not agree yet
+    shape = np.broadcast_shapes(np.shape(t), np.shape(m)) if np.ndim(t) else np.shape(m)
+    if np.ndim(t) and (np.shape(t) != (np.size(t), 1) or len(shape) != 2):
+        raise ValueError(f"t must be a scalar or an (n, 1) column of times, one per row of m; "
+                         f"got t of shape {np.shape(t)} and m of shape {np.shape(m)}")
+    ts = np.reshape(np.asarray(t, dtype=float), (-1, 1))
+    theta = np.broadcast_to(np.asarray(m, dtype=float), shape).reshape(len(ts), -1) - z
+    n_e = theta.shape[1]
+    theta = theta.ravel()
+    s2 = np.reshape(sigma2, (-1, 1))
+    x_max = np.sqrt(2.0 * _TAIL_EXPONENT / s2)
+    jump = _jump_nodes(spec, ts)
+    n_f = len(factors)
+    out = np.empty((n_f, theta.size))
+    pending = np.ones((n_f, theta.size), dtype=bool)
+    todo = np.arange(theta.size)  # entries with a factor whose two estimates do not agree yet
     n = _FIRST_X_NODES
-    while n <= _MAX_X_NODES:
-        x = np.linspace(0.0, x_max, n)
+    while todo.size:
+        if n > _MAX_X_NODES:
+            raise QuadratureFailure(
+                f"no convergence to tol={_FOURIER_TOL} with {_MAX_X_NODES} transform nodes"
+            )
         nb = 1 << ((n - 1).bit_length() // 2)  # 2^ceil(log2(n - 1) / 2), about sqrt(n)
         na = -(-n // nb)
-        base = np.exp(g(x, nb, na) - 0.5 * sigma2 * x * x) * factor(x)
-        c = np.zeros((2, na * nb), dtype=complex)
-        c[0, :n] = _simpson_weights(x) * base
-        c[1, :n:2] = _simpson_weights(x[::2]) * base[::2]
-        step = theta[todo] * x[1]
-        inner = np.matmul(_phase_powers(step, nb)[:, None, :], c.reshape(2 * na, nb).T.copy())
-        giant = _phase_powers(step * nb, na)
-        est, coarse = np.matmul(inner.reshape(-1, 2, na), giant[:, :, None]).real.T[0] / math.pi
-        done = np.abs(est - coarse) < _FOURIER_TOL
-        out[todo[done]] = est[done]
-        todo = todo[~done]
-        if not todo.size:
-            return out if np.ndim(m) else float(out[0])
+        time_of = todo // n_e
+        # todo[bounds[i]:bounds[i + 1]] are the entries of the time rows[i]
+        bounds = [0, *(np.flatnonzero(np.diff(time_of)) + 1).tolist(), todo.size]
+        rows = time_of[bounds[:-1]]
+        h = np.empty(len(ts))  # x_1 at each time
+        est = np.empty((n_f, 2, todo.size))
+        # per time: c and its transposed copy, and the node-long rows
+        for chunk in _chunks(len(rows), 16 * (4 * n_f * na * nb + 4 * n)):
+            times = rows[chunk]
+            x = _linspace_rows(x_max[times], n)
+            h[times] = x[:, 1]
+            g = 0.0 if jump is None else _jump_exponent(jump, times, x, nb, na)
+            damp = np.exp(g - 0.5 * s2[times] * x * x)
+            fine, coarse = _simpson_weights(x), _simpson_weights(x[:, ::2])
+            c = np.zeros((len(times), n_f, 2, na * nb), dtype=complex)
+            for f, factor in enumerate(factors):
+                base = damp * factor(x, times)
+                c[:, f, 0, :n] = fine * base
+                c[:, f, 1, :n:2] = coarse * base[:, ::2]
+            c = c.reshape(len(times), n_f, 2 * na, nb).swapaxes(2, 3).copy()
+            first = bounds[chunk.start]
+            for part in _chunks(bounds[chunk.stop] - first, 16 * (nb + na + 2 * na * n_f)):
+                lo, hi = first + part.start, first + part.stop
+                step = theta[todo[lo:hi]] * h[time_of[lo:hi]]
+                baby = _phase_powers(step, nb)[:, None, None, :]
+                giant = _phase_powers(step * nb, na)[:, None, :, None]
+                for i in range(chunk.start, chunk.stop):
+                    a, b = max(bounds[i], lo), min(bounds[i + 1], hi)
+                    if a < b:
+                        inner = np.matmul(baby[a - lo:b - lo], c[i - chunk.start])
+                        sums = np.matmul(inner.reshape(b - a, n_f, 2, na), giant[a - lo:b - lo])
+                        est[:, :, a:b] = (sums.real[..., 0] / math.pi).transpose(1, 2, 0)
+        # a pending moment takes this level's estimate, and keeps the
+        # estimate of the level where it first agrees; a NaN never agrees
+        now = pending[:, todo]
+        out[:, todo] = np.where(now, est[:, 0], out[:, todo])
+        pending[:, todo] = now & ~(np.abs(est[:, 0] - est[:, 1]) < _FOURIER_TOL)
+        todo = todo[pending[:, todo].any(axis=0)]
         n = 2 * n - 1
-    raise QuadratureFailure(
-        f"no convergence to tol={_FOURIER_TOL} with {_MAX_X_NODES} transform nodes"
-    )
+    return out.reshape(n_f, *shape)
 
 
-def _clamp_density(raw, sigma2):
-    envelope = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
-    raw = np.asarray(raw, dtype=float)
+def _clamp_density(raw, sigma2, t):
+    """The density values raw with the negative ones set to 0.0, one row per
+    time of t, a scalar or an (n, 1) column, sigma2 being sigma^2 there.  A
+    value below -NEG_CLAMP_REL times its time's envelope 1/sqrt(2 pi sigma^2)
+    is logged as a warning that names the time."""
     neg = raw < 0.0
-    if np.any(neg):
-        worst = float(raw.min())
+    if not np.any(neg):
+        return raw
+    rows = raw.reshape(np.size(t), -1)
+    for s, var, row in zip(np.ravel(t).tolist(), np.ravel(sigma2).tolist(), rows):
+        if not np.any(row < 0.0):
+            continue
+        envelope = 1.0 / math.sqrt(2.0 * math.pi * var)
+        worst = float(row.min())
         if worst < -NEG_CLAMP_REL * envelope:
-            log.warning("clamped negative density value %.3e (envelope %.3e)", worst, envelope)
+            log.warning("clamped negative density value %.3e at t=%s (envelope %.3e)", worst, s, envelope)
         else:
-            log.debug("clamped tiny negative density value %.3e", worst)
-        raw = np.where(neg, 0.0, raw)
-    return raw
+            log.debug("clamped tiny negative density value %.3e at t=%s", worst, s)
+    return np.where(neg, 0.0, raw)
 
 
 def _resolve_method(spec, method):
@@ -315,68 +400,83 @@ def _resolve_method(spec, method):
 
 
 def _gaussian_pdf(z, m, sigma2):
-    return np.exp(-((z - m) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)
+    return np.exp(-((z - m) ** 2) / (2.0 * sigma2)) / np.sqrt(2.0 * math.pi * sigma2)
+
+
+def _value(a):
+    """A Python float for a 0-d result, the array itself otherwise."""
+    a = np.asarray(a)
+    return a if a.ndim else float(a)
+
+
+def _density(x, rows):
+    """The density's factor, 1."""
+    return 1.0
+
+
+def _brownian_factor(beta):
+    """The Brownian moment's factor i x beta(t), beta one entry per time."""
+    beta = np.reshape(beta, (-1, 1))
+    return lambda x, rows: 1j * x * beta[rows]
 
 
 def delta_from_mean(spec, z, t, m, *, method="auto"):
     """Conditional density E[delta_Z(z) | F_t] of Z at z from the compensated
-    mean m(t), a scalar or an array."""
-    sigma2 = _check_time(spec, t)
+    mean m(t), a scalar or an array; t is a time or an (n, 1) column of
+    times, one per row of m."""
+    sigma2 = _variance(spec, t)
     if _resolve_method(spec, method) == "closed_form":
-        out = _gaussian_pdf(z, m, sigma2)
-    else:
-        out = _clamp_density(_fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2), sigma2)
-    return out if np.ndim(m) else float(out)
+        return _value(_gaussian_pdf(z, m, sigma2))
+    return _value(_clamp_density(_fourier_moment(spec, z, t, m, (_density,), sigma2)[0], sigma2, t))
 
 
 def conditional_malliavin_b(spec, z, t, m, *, method="auto"):
     """Conditional Brownian stochastic derivative of the delta functional at
     time t (the diagonal case), from the compensated mean m(t), a scalar or
-    an array."""
-    sigma2 = _check_time(spec, t)
+    an array; t is a time or an (n, 1) column of times, one per row of m."""
+    sigma2, beta = _time_factors(spec, t)
     if _resolve_method(spec, method) == "closed_form":
-        out = gaussian_phi1(spec, z, t, m) * _gaussian_pdf(z, m, sigma2)
-        return out if np.ndim(m) else float(out)
-    beta_t = spec.beta(t)
-    return _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2)
+        return _value(gaussian_phi1(spec, z, t, m) * _gaussian_pdf(z, m, sigma2))
+    return _value(_fourier_moment(spec, z, t, m, (_brownian_factor(beta),), sigma2)[0])
 
 
 def conditional_malliavin_n(spec, z, t, m, zeta):
     """Conditional jump stochastic derivative at mark zeta and time t, from
-    the compensated mean m(t), a scalar or an array."""
+    the compensated mean m(t), a scalar or an array; t is a time or an
+    (n, 1) column of times, one per row of m.  It is 0.0 at a time where
+    psi(t, zeta) is 0."""
     marks = [mk for mk, _ in spec.levy.atoms]
     if not any(math.isclose(zeta, mk, rel_tol=1e-12, abs_tol=1e-12) for mk in marks):
         raise UnknownMark(f"mark {zeta} is not an atom of the Levy measure")
-    sigma2 = _check_time(spec, t)
-    psi_tz = 0.0 if spec.psi is None else spec.psi(t, zeta)
-    if psi_tz == 0.0:
-        return np.zeros(np.shape(m)) if np.ndim(m) else 0.0
-    return _fourier_moment(spec, z, t, m, lambda x: np.exp(1j * x * psi_tz) - 1.0, sigma2)
+    sigma2 = _variance(spec, t)
+    psi = 0.0 if spec.psi is None else _per_time(lambda s: spec.psi(s, zeta), t)
+    if not np.any(psi):
+        return _value(np.zeros(np.broadcast_shapes(np.shape(t), np.shape(m))))
+    col = np.reshape(psi, (-1, 1))
+    factor = lambda x, rows: np.exp(1j * x * col[rows]) - 1.0
+    return _value(np.where(psi == 0.0, 0.0, _fourier_moment(spec, z, t, m, (factor,), sigma2)[0]))
 
 
 def phi1_from_mean(spec, z, t, m):
     """Information-drift ratio phi1: the Brownian derivative moment over the
     density, from the compensated mean m(t); m may be an array, and t a
     column of times, one per row of m.  Closed form for a Gaussian spec,
-    Fourier quadrature otherwise, row by row for a column t.  A quadrature
-    density at or below _FOURIER_TOL, the tolerance the quadrature is
-    resolved to, is rounding noise, and so would be the ratio: it raises
-    DivisionUnstable."""
+    otherwise one Fourier pass for both moments.  A quadrature density at
+    or below _FOURIER_TOL, the tolerance the quadrature is resolved to, is
+    rounding noise, and so would be the ratio: it raises DivisionUnstable,
+    naming the time and the mean of the first such entry."""
     if spec.is_gaussian:
         return gaussian_phi1(spec, z, t, m)
-    if np.ndim(t):
-        rows = np.broadcast_to(m, np.broadcast_shapes(np.shape(t), np.shape(m)))
-        return np.array([phi1_from_mean(spec, z, s, row) for s, row in zip(np.ravel(t).tolist(), rows)])
-    sigma2 = _check_time(spec, t)
-    beta_t = spec.beta(t)
-    den = _fourier_moment(spec, z, t, m, lambda x: 1.0, sigma2)
-    num = _fourier_moment(spec, z, t, m, lambda x: 1j * x * beta_t, sigma2)
-    den = np.asarray(den, dtype=float)
-    if np.any(den <= _FOURIER_TOL):
-        raise DivisionUnstable(f"conditional density at or below the quadrature tolerance "
-                               f"{_FOURIER_TOL} at z={z}")
-    out = np.asarray(num, dtype=float) / den
-    return out if np.ndim(m) else float(out)
+    sigma2, beta = _time_factors(spec, t)
+    den, num = _fourier_moment(spec, z, t, m, (_density, _brownian_factor(beta)), sigma2)
+    low = den <= _FOURIER_TOL
+    if np.any(low):
+        k = np.flatnonzero(low)[0]
+        s = float(np.broadcast_to(t, den.shape).flat[k])
+        mean = float(np.broadcast_to(m, den.shape).flat[k])
+        raise DivisionUnstable(f"conditional density {den.flat[k]:.3e} at or below the quadrature "
+                               f"tolerance {_FOURIER_TOL} at z={z}, t={s}, m={mean}")
+    return _value(num / den)
 
 
 def gaussian_phi1(spec, z, t, m):
@@ -385,17 +485,23 @@ def gaussian_phi1(spec, z, t, m):
     column of one time per row of m."""
     if not spec.is_gaussian:
         raise ModelMismatch("gaussian_phi1 requires a purely Gaussian specification")
-    sigma2, beta = _gaussian_factors(spec, t)
+    sigma2, beta = _time_factors(spec, t)
     m = np.asarray(m, dtype=float)
     out = beta * (z - m) / sigma2
     return out if out.ndim else float(out)
 
 
-def _gaussian_factors(spec, t):
+def _time_factors(spec, t):
     """(sigma^2, beta) at the times t (_per_time), sigma^2 checked by
     _check_time; for an array t memoized per spec and time column."""
     factors = lambda: (_per_time(lambda s: _check_time(spec, s), t), _per_time(spec.beta, t))
-    return factors() if not np.ndim(t) else _memo(spec._columns, ("phi1", _array_key(t)), factors)
+    return factors() if not np.ndim(t) else _memo(spec._columns, ("factors", _array_key(t)), factors)
+
+
+def _variance(spec, t):
+    """sigma^2 at the times t checked by _check_time: a float for a scalar t,
+    _time_factors' memoized column for an array."""
+    return _time_factors(spec, t)[0] if np.ndim(t) else _check_time(spec, t)
 
 
 def _per_time(f, t, *per_t):

@@ -169,11 +169,12 @@ def _density_weights(chaos, z, tgrid: TimeGrid, means, perf):
     """The conditional density of chaos at z along each path of a block whose
     insider_means are means, one read-only row per time: at t_0..t_{n-1},
     where perf's profit rate is weighted, when perf is given, and last at
-    the horizon tgrid.t_end.  None without chaos."""
+    the horizon tgrid.t_end, in one delta_from_mean call on the column of
+    times.  None without chaos."""
     if chaos is None:
         return None
     times = [*tgrid.nodes[:-1], tgrid.t_end] if perf is not None else [tgrid.t_end]
-    weights = np.array([donsker.delta_from_mean(chaos, z, t, m) for t, m in zip(times, means[-len(times):])])
+    weights = donsker.delta_from_mean(chaos, z, np.array(times)[:, None], means[-len(times):])
     weights.flags.writeable = False
     return weights
 

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -100,11 +102,12 @@ def test_fourier_moments_equal_reference_doubling_bitwise(make_spec, t, m):
 
 
 def fourier_moments(spec, z, t, m):
-    """The transform integrals of the density and of the drift's numerator."""
+    """The transform integrals of the density and of the drift's numerator,
+    one call each."""
     sigma2 = spec.residual_variance(t)
     return [
-        donsker._fourier_moment(spec, z, t, m, factor, sigma2)
-        for factor in (lambda x: 1.0, lambda x: 1j * x * spec.beta(t))
+        donsker._fourier_moment(spec, z, t, m, (factor,), sigma2)[0]
+        for factor in (lambda x, rows: 1.0, lambda x, rows: 1j * x * spec.beta(t))
     ]
 
 
@@ -133,11 +136,150 @@ def test_fourier_rows_match_reference_and_their_own_calls(atoms, c, t, ms):
     assert fourier_moments(spec, z, t, ms[0]) == [r[0] for r in fourier_moments(spec, z, t, m[:1])]
 
 
+def _column_moments(atoms, c, z):
+    """Every moment that takes a column of times, on every route: the jump
+    spec of the row tests above, and a Gaussian spec whose beta varies in
+    time for the closed forms."""
+    jump = FirstOrderChaosSpec(
+        beta=lambda s: 1.0, psi=lambda s, mk: mk * (1.0 + c * s), levy=LevySpec(atoms=atoms), T0=1.0
+    )
+    gauss = FirstOrderChaosSpec(beta=lambda s: 1.0 + c * s, T0=1.0)
+    return {
+        "delta-closed-form": lambda t, m: delta_from_mean(gauss, z, t, m, method="closed_form"),
+        "delta-quadrature": lambda t, m: delta_from_mean(gauss, z, t, m, method="quadrature"),
+        "delta-jump": lambda t, m: delta_from_mean(jump, z, t, m),
+        "phi1-gaussian": lambda t, m: phi1_from_mean(gauss, z, t, m),
+        "phi1-jump": lambda t, m: phi1_from_mean(jump, z, t, m),
+        "malliavin-b-closed-form": lambda t, m: conditional_malliavin_b(gauss, z, t, m, method="closed_form"),
+        "malliavin-b-quadrature": lambda t, m: conditional_malliavin_b(gauss, z, t, m, method="quadrature"),
+        "malliavin-b-jump": lambda t, m: conditional_malliavin_b(jump, z, t, m),
+        "malliavin-n": lambda t, m: conditional_malliavin_n(jump, z, t, m, atoms[0][0]),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 5.0)), min_size=1, max_size=2),
+    c=st.floats(-0.5, 0.5),
+    times=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4),
+    ms=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+)
+# at t = 0.95 the entry 1.0 needs one doubling more than 0.0, and in the
+# column the times 0.3 and 0.0 stop a level before 0.95
+@example(atoms=[(1.0, 5.0)], c=0.5, times=[0.95], ms=[0.0, 1.0])
+@example(atoms=[(1.0, 5.0)], c=0.5, times=[0.95, 0.3, 0.0], ms=[0.0, 1.0])
+def test_a_column_of_times_equals_each_time_alone_bit_for_bit(atoms, c, times, ms):
+    # one row of means per time, each row its own
+    t = np.array(times)[:, None]
+    m = np.array(ms) + 0.1 * np.arange(len(times))[:, None]
+    for name, moment in _column_moments(atoms, c, 0.3).items():
+        rows = []
+        for s, row in zip(times, m):
+            try:
+                rows.append(moment(s, row))
+            except DivisionUnstable:
+                rows.append(None)
+        if any(r is None for r in rows):
+            # a density at the quadrature tolerance refuses the whole column
+            with pytest.raises(DivisionUnstable):
+                moment(t, m)
+            continue
+        col = moment(t, m)
+        assert type(col) is np.ndarray and col.shape == m.shape, name
+        assert col.tobytes() == np.array(rows).tobytes(), name
+        # and each entry its call alone
+        assert col.tolist() == [[moment(s, v) for v in row.tolist()] for s, row in zip(times, m)], name
+
+
+def test_the_column_example_stops_its_times_at_different_levels():
+    # the nodes of each level's times, seen by the column call of the
+    # second example above
+    levels = []
+    linspace_rows = donsker._linspace_rows
+
+    def spy(stop, n):
+        levels.append((n, stop.size))
+        return linspace_rows(stop, n)
+
+    spec = FirstOrderChaosSpec(beta=lambda s: 1.0, psi=lambda s, mk: mk * (1.0 + 0.5 * s),
+                               levy=LevySpec(atoms=[(1.0, 5.0)]), T0=1.0)
+    with mock.patch.object(donsker, "_linspace_rows", spy):
+        delta_from_mean(spec, 0.3, np.array([[0.95], [0.3], [0.0]]), np.array([0.0, 1.0]))
+    assert levels == [(257, 3), (513, 1)]
+
+
+def test_phi1_from_mean_keeps_each_moment_at_its_own_level():
+    # at t = 0.95 the density of m = 0.0 stops at 257 nodes and its Brownian
+    # moment at 513, and the other way round for m = -0.8; in one pass each
+    # moment keeps the estimate of its own level
+    spec = FirstOrderChaosSpec(beta=lambda s: 1.0, psi=lambda s, mk: mk * (1.0 + 0.5 * s),
+                               levy=LevySpec(atoms=[(1.0, 5.0)]), T0=1.0)
+    m = np.array([0.0, -0.8])
+    sigma2 = spec.residual_variance(0.95)
+    linspace_rows = donsker._linspace_rows
+
+    def last_level(factor, v):
+        levels = []
+        with mock.patch.object(donsker, "_linspace_rows", lambda stop, n: levels.append(n) or linspace_rows(stop, n)):
+            donsker._fourier_moment(spec, 0.3, 0.95, v, (factor,), sigma2)
+        return levels[-1]
+
+    density, brownian = (lambda x, rows: 1.0), (lambda x, rows: 1j * x)
+    assert [(last_level(density, v), last_level(brownian, v)) for v in m] == [(257, 513), (513, 257)]
+    den, num = fourier_moments(spec, 0.3, 0.95, m)
+    assert phi1_from_mean(spec, 0.3, 0.95, m).tobytes() == (num / den).tobytes()
+    col = phi1_from_mean(spec, 0.3, np.array([[0.5], [0.95]]), np.array([[0.1, 0.2], m]))
+    assert col[1].tobytes() == (num / den).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_column_moments([(0.5, 3.0)], 0.2, 0.3)))
+@pytest.mark.parametrize("bad", [1.0, 1.5])
+def test_a_column_of_times_with_one_at_or_past_t0_raises_naming_it(name, bad):
+    moment = _column_moments([(0.5, 3.0)], 0.2, 0.3)[name]
+    with pytest.raises(DegenerateVariance, match=re.escape(f"evaluation time {bad} not strictly before")):
+        moment(np.array([[0.1], [bad], [0.3]]), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("t, m", [
+    (np.array([0.1, 0.2]), np.zeros(2)),
+    (np.array([[0.1, 0.2]]), np.zeros(2)),
+    (np.array([[0.1], [0.2]]), np.zeros((2, 2, 2))),
+], ids=["flat", "row", "3-d-mean"])
+def test_a_column_of_times_must_be_one_time_per_row(t, m):
+    with pytest.raises(ValueError, match="column of times"):
+        delta_from_mean(jump_spec(), 0.3, t, m)
+
+
+def test_linspace_rows_are_numpys_linspace_bit_for_bit():
+    stops = np.array([[8.602], [38.47], [1e-3], [123.0]])
+    for n in (257, 513, 1025):
+        rows = donsker._linspace_rows(stops, n)
+        assert all(rows[i].tobytes() == np.linspace(0.0, s, n).tobytes() for i, s in enumerate(stops[:, 0]))
+
+
+def test_phi1_from_mean_makes_one_fourier_pass_for_both_moments():
+    calls = []
+    fourier = donsker._fourier_moment
+
+    def counting(spec, z, t, m, factors, sigma2):
+        calls.append(len(factors))
+        return fourier(spec, z, t, m, factors, sigma2)
+
+    with mock.patch.object(donsker, "_fourier_moment", counting):
+        phi1_from_mean(jump_spec(), 0.3, np.array([[0.1], [0.4]]), np.zeros((2, 3)))
+    assert calls == [2]
+
+
 def test_fourier_moment_raises_when_the_levels_never_agree():
     with mock.patch.object(donsker, "_FOURIER_TOL", 0.0), \
             mock.patch.object(donsker, "_MAX_X_NODES", 1025):
         with pytest.raises(QuadratureFailure, match="1025"):
             delta_from_mean(jump_spec(), 0.3, 0.4, np.array([-0.5, 0.0, 0.5]))
+    # nor does a NaN mean, alone or in a column of times
+    with mock.patch.object(donsker, "_MAX_X_NODES", 1025):
+        for t, m in ((0.4, np.array([0.0, np.nan])), (np.array([[0.2], [0.4]]), np.array([[0.0, 0.1], [0.0, np.nan]]))):
+            with pytest.raises(QuadratureFailure, match="1025"):
+                phi1_from_mean(jump_spec(), 0.3, t, m)
 
 
 @pytest.mark.parametrize("routine", [delta_from_mean, phi1_from_mean])
@@ -347,10 +489,35 @@ def test_phi1_from_mean_vectorizes():
 def test_phi1_from_mean_refuses_a_density_at_the_division_floor():
     # far in the tail the quadrature's density is rounding noise of either
     # sign; a zero moment stands for it
-    zero = lambda spec, z, t, m, factor, sigma2: np.zeros(np.shape(m))
+    zero = lambda spec, z, t, m, factors, sigma2: np.zeros((len(factors), *np.shape(m)))
     with mock.patch.object(donsker, "_fourier_moment", zero):
-        with pytest.raises(DivisionUnstable, match="z=0.3"):
+        with pytest.raises(DivisionUnstable, match=re.escape("z=0.3, t=0.25, m=-0.2")):
             phi1_from_mean(jump_spec(), 0.3, 0.25, np.array([-0.2, 0.0]))
+
+
+def test_division_unstable_names_the_time_and_mean_of_the_first_entry_at_the_tolerance():
+    # every density of the first row is well resolved; in the second the
+    # mean 0.0 is far in the tail of z = 10 (density 3.6e-12)
+    levy = LevySpec(atoms=((1.0, 0.5), (-0.5, 1.0)))
+    spec = FirstOrderChaosSpec(beta=lambda s: 1.0, psi=lambda s, mark: mark, levy=levy, T0=1.0)
+    t, m = np.array([[0.2], [0.5]]), np.array([[9.9, 9.8], [9.7, 0.0]])
+    with pytest.raises(DivisionUnstable, match=re.escape("at z=10.0, t=0.5, m=0.0")):
+        phi1_from_mean(spec, 10.0, t, m)
+    assert np.all(np.isfinite(phi1_from_mean(spec, 10.0, t[:1], m[:1])))
+
+
+def test_a_clamped_density_warning_names_its_time(caplog):
+    # the second time's -1e-3 is far below -NEG_CLAMP_REL times its
+    # envelope; the first time's -1e-20 is not, and is logged at debug
+    # level only
+    raw = np.array([[0.1, -1e-20], [0.2, -1e-3]])
+    sigma2 = np.array([[0.5], [0.4]])
+    with caplog.at_level(logging.WARNING, logger="spdecontrol.donsker"):
+        out = donsker._clamp_density(raw, sigma2, np.array([[0.1], [0.7]]))
+    assert out.tolist() == [[0.1, 0.0], [0.2, 0.0]]
+    assert [r.getMessage() for r in caplog.records] == [
+        "clamped negative density value -1.000e-03 at t=0.7 (envelope 6.308e-01)"
+    ]
 
 
 @pytest.mark.parametrize("z", [10.0, 30.0, 60.0])

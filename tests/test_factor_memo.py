@@ -58,11 +58,11 @@ def test_memoized_columns_equal_fresh_evaluation_bit_for_bit(shape, times, z):
     spec, market = _spec(psi=None, levy=LevySpec()), _market()
     fresh_spec, fresh_market = replace(spec), replace(market)
     for _ in range(2):  # a miss, then a hit
-        for got, want in [(donsker._gaussian_factors(spec, t), _fresh_gaussian(fresh_spec, t)),
+        for got, want in [(donsker._time_factors(spec, t), _fresh_gaussian(fresh_spec, t)),
                           (market.pi_factors(t, z), _fresh_pi(fresh_market, t, z))]:
             assert all(_same(g, w) for g, w in zip(got, want, strict=True))
         # and each entry is its time's value alone
-        sigma2, beta = donsker._gaussian_factors(spec, t)
+        sigma2, beta = donsker._time_factors(spec, t)
         vol, drift = market.pi_factors(t, z)
         for k, s in enumerate(t.ravel().tolist()):
             assert sigma2.flat[k] == spec.residual_variance(s) and beta.flat[k] == spec.beta(s)
@@ -118,7 +118,7 @@ def test_cached_arrays_are_read_only():
     t = np.array([[0.1], [0.2]])
     times = (0.0, 0.25)
     gauss = replace(spec, psi=None, levy=LevySpec())
-    arrays = [*donsker._gaussian_factors(gauss, t), *market.pi_factors(t, 0.5), spec.node_column(times),
+    arrays = [*donsker._time_factors(gauss, t), *market.pi_factors(t, 0.5), spec.node_column(times),
               spec.node_column(times, 1)]
     for a in arrays:
         assert not a.flags.writeable
@@ -130,14 +130,14 @@ def test_a_replaced_spec_or_market_starts_with_an_empty_memo():
     spec, market = _spec(psi=None, levy=LevySpec()), _market()
     t = np.array([[0.1], [0.3]])
     times = (0.0, 0.3)
-    donsker._gaussian_factors(spec, t)
+    donsker._time_factors(spec, t)
     spec.node_column(times)
     market.pi_factors(t, 0.5)
 
     spec2 = replace(spec, beta=lambda s: 2.0 + s)
     market2 = replace(market, b0=lambda t, z: 0.5 + t)
     assert spec2._columns == {} and spec2._sigma2 == {} and market2._pi_factors == {}
-    assert _same(donsker._gaussian_factors(spec2, t)[1], np.array([[2.1], [2.3]]))
+    assert _same(donsker._time_factors(spec2, t)[1], np.array([[2.1], [2.3]]))
     assert _same(spec2.node_column(times), np.array([2.0, 2.3]))
     assert _same(market2.pi_factors(t, 0.5)[0], np.array([[0.6], [0.8]]))
     # the originals keep their own values

@@ -1234,7 +1234,7 @@ def test_density_weights_are_computed_once_per_block_for_every_control(jumps):
     calls = []
 
     def counting(spec, z, t, m, **kw):
-        calls.append(len(m))
+        calls.append((np.shape(t), np.shape(m)))
         return delta(spec, z, t, m, **kw)
 
     def count(control, perf):
@@ -1242,9 +1242,10 @@ def test_density_weights_are_computed_once_per_block_for_every_control(jumps):
         run_ensemble(coeffs, op, control, 0.3, grid, tg, chaos=chaos, n_paths=8, seed=5, perf=perf)
         return list(calls)
 
-    # blocks of 3, 3 and 2 paths: n_steps + 1 weights per block with perf,
-    # the horizon's alone without, whatever the number of controls
-    per_block = lambda n: [b for b in (3, 3, 2) for _ in range(n)]
+    # blocks of 3, 3 and 2 paths: one call per block on a column of times,
+    # n_steps + 1 of them with perf and the horizon's alone without, whatever
+    # the number of controls
+    per_block = lambda n: [((n, 1), (n, b)) for b in (3, 3, 2)]
     with mock.patch.object(mp, "_BLOCK_PATHS", 3), mock.patch.object(donsker, "delta_from_mean", counting):
         assert count(pols[0], perf) == count(pols, perf) == per_block(tg.n_steps + 1)
         assert count(pols[0], None) == count(pols, None) == per_block(1)
