@@ -200,7 +200,8 @@ def _jump_nodes(spec, ts):
         return None
     gx, gw = _gl_rule()
     s_q, w_q = 0.5 * (spec.T0 - ts) * gx + 0.5 * (ts + spec.T0), 0.5 * (spec.T0 - ts) * gw
-    psi = np.array([[spec.psi(s, mark) for mark, _ in spec.levy.atoms for s in row] for row in s_q])
+    # a row at a time, so that one time's values at most are Python floats
+    psi = np.stack([np.array([spec.psi(s, mark) for mark, _ in spec.levy.atoms for s in row]) for row in s_q])
     wl = np.concatenate([lam * w_q for _, lam in spec.levy.atoms], axis=1)
     return psi, wl, wl.sum(axis=1, keepdims=True), np.matmul(wl[:, None, :], psi[:, :, None])[:, 0]
 
