@@ -16,7 +16,9 @@ float for a scalar t and m and an ndarray otherwise, on every route.  t may
 be an (n, 1) column of times, one per row of m, so that a block's weights at
 all of its nodes are one call: the quadrature then makes one Fourier pass for
 all the times and moments of the call (phi1_from_mean's density and Brownian
-moment share theirs), and each row equals its scalar-t call bit for bit.
+moment share theirs), and each row equals its scalar-t call bit for bit.  A
+scalar t is the 0-d case of that route: its t-only factors are a memoized
+0-d array, and its quadrature a column of one time.
 For purely Gaussian specifications (no jump component) every moment has a
 closed form; delta_from_mean and conditional_malliavin_b keep the quadrature
 route selectable (method=) for cross-validation.
@@ -143,8 +145,8 @@ class FirstOrderChaosSpec:
     psi: object = None  # callable (s, mark) -> float, or None for no jump part
     levy: LevySpec = LevySpec()
     T0: float = 1.0
-    # sigma^2(t) by float(t), and t-only factor columns by time column
-    # (_memo); outside the spec's equality and hash
+    # sigma^2(t) by float(t), and t-only factor columns by time array, 0-d
+    # for a scalar t (_memo); outside the spec's equality and hash
     _sigma2: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -278,10 +280,10 @@ def _chunks(count, item_bytes):
 def _fourier_moment(spec, z, t, m, factors, sigma2):
     """(1/2pi) int exp(i x m + g(x) - x^2 sigma^2/2 - i x z) factor(x) dx for
     each factor of factors, in an array of shape (len(factors), *shape):
-    shape is that of m for a scalar time t, and for an (n, 1) column t the
-    shape of t and m broadcast, one row of m per time.  sigma2 is sigma^2 at
-    t, of t's shape, checked by the caller.  A factor is called as
-    factor(x, rows), x the nodes of the times t[rows], one row each.
+    shape is that of t and m broadcast, one row of m per time of an (n, 1)
+    column t, and m's own for a scalar t, a column of one.  sigma2 is
+    sigma^2 at t, of t's shape, checked by the caller.  A factor is called
+    as factor(x, rows), x the nodes of the times t[rows], one row each.
 
     Evaluated on [0, X] using conjugate symmetry by composite Simpson on
     _FIRST_X_NODES equispaced nodes x_k = k h, doubling the node count until
@@ -304,7 +306,7 @@ def _fourier_moment(spec, z, t, m, factors, sigma2):
     factor.  Times and entries go through in chunks of at most _CHUNK_BYTES
     of temporaries.
     """
-    shape = np.broadcast_shapes(np.shape(t), np.shape(m)) if np.ndim(t) else np.shape(m)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(m))
     if np.ndim(t) and (np.shape(t) != (np.size(t), 1) or len(shape) != 2):
         raise ValueError(f"t must be a scalar or an (n, 1) column of times, one per row of m; "
                          f"got t of shape {np.shape(t)} and m of shape {np.shape(m)}")
@@ -425,7 +427,7 @@ def delta_from_mean(spec, z, t, m, *, method="auto"):
     """Conditional density E[delta_Z(z) | F_t] of Z at z from the compensated
     mean m(t), a scalar or an array; t is a time or an (n, 1) column of
     times, one per row of m."""
-    sigma2 = _variance(spec, t)
+    sigma2 = _time_factors(spec, t)[0]
     if _resolve_method(spec, method) == "closed_form":
         return _value(_gaussian_pdf(z, m, sigma2))
     return _value(_clamp_density(_fourier_moment(spec, z, t, m, (_density,), sigma2)[0], sigma2, t))
@@ -449,7 +451,7 @@ def conditional_malliavin_n(spec, z, t, m, zeta):
     marks = [mk for mk, _ in spec.levy.atoms]
     if not any(math.isclose(zeta, mk, rel_tol=1e-12, abs_tol=1e-12) for mk in marks):
         raise UnknownMark(f"mark {zeta} is not an atom of the Levy measure")
-    sigma2 = _variance(spec, t)
+    sigma2 = _time_factors(spec, t)[0]
     psi = 0.0 if spec.psi is None else _per_time(lambda s: spec.psi(s, zeta), t)
     if not np.any(psi):
         return _value(np.zeros(np.broadcast_shapes(np.shape(t), np.shape(m))))
@@ -487,31 +489,22 @@ def gaussian_phi1(spec, z, t, m):
     if not spec.is_gaussian:
         raise ModelMismatch("gaussian_phi1 requires a purely Gaussian specification")
     sigma2, beta = _time_factors(spec, t)
-    m = np.asarray(m, dtype=float)
-    out = beta * (z - m) / sigma2
-    return out if out.ndim else float(out)
+    return _value(beta * (z - np.asarray(m, dtype=float)) / sigma2)
 
 
 def _time_factors(spec, t):
     """(sigma^2, beta) at the times t (_per_time), sigma^2 checked by
-    _check_time; for an array t memoized per spec and time column."""
+    _check_time, memoized per spec and time array; a scalar t is the 0-d
+    case, memoized as a column is."""
     factors = lambda: (_per_time(lambda s: _check_time(spec, s), t), _per_time(spec.beta, t))
-    return factors() if not np.ndim(t) else _memo(spec._columns, ("factors", _array_key(t)), factors)
-
-
-def _variance(spec, t):
-    """sigma^2 at the times t checked by _check_time: a float for a scalar t,
-    _time_factors' memoized column for an array."""
-    return _time_factors(spec, t)[0] if np.ndim(t) else _check_time(spec, t)
+    return _memo(spec._columns, ("factors", _array_key(t)), factors)
 
 
 def _per_time(f, t, *per_t):
     """f(s, *a) at each time s of t as a Python float, a being the entries
-    of the arrays per_t of t's shape at s, in an array of t's shape; f(t,
-    *per_t) itself for a scalar t.  A t-only factor so evaluated rounds as it
-    does at one time, whatever array it is then combined with."""
-    if not np.ndim(t):
-        return f(t, *per_t)
+    of the arrays per_t of t's shape at s, in an array of t's shape, 0-d
+    for a scalar t.  A t-only factor so evaluated rounds as it does at one
+    time, whatever array it is then combined with."""
     args = zip(*(np.ravel(a).tolist() for a in (t, *per_t)))
     return np.array([f(*a) for a in args], dtype=float).reshape(np.shape(t))
 

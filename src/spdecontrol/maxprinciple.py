@@ -564,7 +564,7 @@ def verify_x_independent_stationarity(
     grid,
     tgrid,
     *,
-    n_windows: int = 4,
+    n_windows: int,
     n_paths: int = 4096,
     seed: int = 0,
     a_step: float = 1e-3,

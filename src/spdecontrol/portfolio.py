@@ -46,19 +46,19 @@ class MarketSpec:
     b0: object
     alpha_init: object
     D: SpatialGrid
-    # (b0, a0/b0^2) columns by time column and z; outside the market's equality and hash
+    # (b0, a0/b0^2) columns by time array, 0-d for a scalar t, and z; outside the market's equality and hash
     _pi_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pi_factors(self, t, z):
         """(b0, a0/b0^2) at the times t, each time alone (donsker._per_time),
-        b0 checked against the volatility floor; for an array t memoized per
-        market, time column and z."""
+        b0 checked against the volatility floor, memoized per market, time
+        array and z; a scalar t is the 0-d case, memoized as a column is."""
         def factors():
             vol = donsker._per_time(lambda s: _volatility(self.b0, s, z), t)
             return vol, donsker._per_time(lambda s, v: self.a0(s, z) / v**2, t, vol)
 
         key = donsker._array_key(t), donsker._array_key(z)
-        return factors() if not np.ndim(t) else donsker._memo(self._pi_factors, key, factors)
+        return donsker._memo(self._pi_factors, key, factors)
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,16 @@ def log_utility_performance(market: MarketSpec, utility: UtilitySpec) -> Perform
 def optimal_pi(market: MarketSpec, spec: FirstOrderChaosSpec, z, t, m) -> float | np.ndarray:
     """Closed-form optimal insider proportion pi_hat = phi1/b0 + a0/b0^2 at
     time t from the compensated mean m(t), a scalar or one per path; t may
-    be a column of times, one per row of m.  b0 and a0/b0^2 are taken at
-    each time alone (MarketSpec.pi_factors).
+    be a column of times, one per row of m, and a scalar t is its 0-d case.
+    b0 and a0/b0^2 are taken at each time alone (MarketSpec.pi_factors).  A
+    Python float for a scalar t and m (donsker._value), an ndarray otherwise.
 
     The utility weight k(x, z) is deterministic given z, so it cancels from
     the drift ratio entirely and the proportion reads only the information
     drift phi1.
     """
     vol, drift = market.pi_factors(t, z)
-    return donsker.phi1_from_mean(spec, z, t, m) / vol + drift
+    return donsker._value(donsker.phi1_from_mean(spec, z, t, m) / vol + drift)
 
 
 def optimal_policy(market: MarketSpec, spec: FirstOrderChaosSpec) -> ControlPolicy:

@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import importlib
 import inspect
@@ -335,6 +336,8 @@ def test_validate_rejects_unknown_kind_and_missing_fields():
         # at t = 0; pi = 0 gave lhs = rhs = 0 and a NaN ratio, which passed
         ("stationarity", "{n_steps: 4, n_windows: 8}"),
         ("coercivity", "{pi: 0}"),
+        # two shifts that share a candidate name ran as one candidate
+        ("portfolio", "{n_paths: 20, n_steps: 20, shifts: [0.25, 0.2500001, -0.25]}"),
         # each of these set where a verdict passes, here at its old default;
         # each verdict's threshold is a constant, so each name is unknown
         ("donsker-table", "{tol_abs: 1.0e-8}"),
@@ -356,6 +359,30 @@ def test_unusable_parameter_exits_2(tmp_path, capsys, kind, params, command):
     assert main([command, *args]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_shifts_that_share_a_candidate_name_are_named():
+    # 0.25 and 0.2500001 both name the candidate pi_hat+0.25: the run kept
+    # one of them, filed the 0.2500001 numbers under that name and exited 0
+    with pytest.raises(ConfigError, match=re.escape("{'pi_hat+0.25': [0.25, 0.2500001]}")):
+        validate_config({"kind": "portfolio", "params": {"shifts": [0.25, 0.2500001, -0.25]}})
+
+
+def test_a_run_that_rejects_paths_records_one_rejection_count(tmp_path, capsys):
+    # every candidate of a run is kept on one acceptance mask, so the
+    # no_rejections verdict repeated one rate per candidate
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("kind: portfolio\nseed: 0\nparams: {T: 0.95, z: 2.0, n_steps: 60, n_paths: 200}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "no_rejections" in capsys.readouterr().err
+    verdict = json.loads((out / "manifest.json").read_text())["verdicts"]["no_rejections"]
+    assert sorted(verdict) == ["n_rejected", "passed"] and verdict["passed"] is False
+    assert 0 < verdict["n_rejected"] < 199
+    with open(out / "portfolio.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["control-name"] for r in rows] == ["pi_hat", "pi_hat-0.25", "pi_hat+0.25"]
+    assert {float(r["rejection-rate"]) for r in rows} == {verdict["n_rejected"] / 200}
 
 
 @pytest.mark.parametrize(

@@ -578,27 +578,29 @@ def test_density_martingale_under_continuation():
 
 
 _MOMENTS = {
-    "delta-closed-form": lambda m: delta_from_mean(gaussian_spec(), 0.3, 0.4, m, method="closed_form"),
-    "delta-quadrature": lambda m: delta_from_mean(gaussian_spec(), 0.3, 0.4, m, method="quadrature"),
-    "delta-jump": lambda m: delta_from_mean(jump_spec(), 0.3, 0.4, m),
-    "malliavin-b-closed-form": lambda m: conditional_malliavin_b(gaussian_spec(), 0.3, 0.4, m,
-                                                                 method="closed_form"),
-    "malliavin-b-quadrature": lambda m: conditional_malliavin_b(gaussian_spec(), 0.3, 0.4, m,
-                                                                method="quadrature"),
-    "malliavin-n": lambda m: conditional_malliavin_n(jump_spec(), 0.3, 0.4, m, 1.0),
-    "phi1-gaussian": lambda m: phi1_from_mean(gaussian_spec(), 0.3, 0.4, m),
-    "phi1-jump": lambda m: phi1_from_mean(jump_spec(), 0.3, 0.4, m),
-    "gaussian-phi1": lambda m: gaussian_phi1(gaussian_spec(), 0.3, 0.4, m),
-    "optimal-pi": lambda m: pf.optimal_pi(pf.benchmark_market(8)[0], gaussian_spec(), 0.3, 0.4, m),
+    "delta-closed-form": lambda t, m: delta_from_mean(gaussian_spec(), 0.3, t, m, method="closed_form"),
+    "delta-quadrature": lambda t, m: delta_from_mean(gaussian_spec(), 0.3, t, m, method="quadrature"),
+    "delta-jump": lambda t, m: delta_from_mean(jump_spec(), 0.3, t, m),
+    "malliavin-b-closed-form": lambda t, m: conditional_malliavin_b(gaussian_spec(), 0.3, t, m,
+                                                                    method="closed_form"),
+    "malliavin-b-quadrature": lambda t, m: conditional_malliavin_b(gaussian_spec(), 0.3, t, m,
+                                                                   method="quadrature"),
+    "malliavin-n": lambda t, m: conditional_malliavin_n(jump_spec(), 0.3, t, m, 1.0),
+    "phi1-gaussian": lambda t, m: phi1_from_mean(gaussian_spec(), 0.3, t, m),
+    "phi1-jump": lambda t, m: phi1_from_mean(jump_spec(), 0.3, t, m),
+    "gaussian-phi1": lambda t, m: gaussian_phi1(gaussian_spec(), 0.3, t, m),
+    "optimal-pi": lambda t, m: pf.optimal_pi(pf.benchmark_market(8)[0], gaussian_spec(), 0.3, t, m),
 }
 
 
 @pytest.mark.parametrize("moment", _MOMENTS.values(), ids=_MOMENTS.keys())
 def test_every_moment_returns_a_float_for_a_scalar_mean_and_an_array_for_an_array(moment):
     # the closed forms returned np.float64, so a verdict built from them was
-    # an np.bool_ that json.dump refuses
-    for m in (0.1, np.float64(0.1), np.array(0.1)):
-        assert type(moment(m)) is float
-    out = moment(np.array([0.0, 0.1]))
-    assert type(out) is np.ndarray and out.shape == (2,)
-    assert out[1] == moment(0.1)
+    # an np.bool_ that json.dump refuses; a scalar t is the 0-d case of a
+    # column of times, so its t-only factors are 0-d arrays
+    for t in (0.4, np.float64(0.4), np.array(0.4)):
+        for m in (0.1, np.float64(0.1), np.array(0.1)):
+            assert type(moment(t, m)) is float
+        out = moment(t, np.array([0.0, 0.1]))
+        assert type(out) is np.ndarray and out.shape == (2,)
+        assert out[1] == moment(t, 0.1)

@@ -1,9 +1,10 @@
 """The t-only factors of pi_hat and phi1 (sigma^2, beta, b0 and a0/b0^2) and
 the node columns of beta and psi are memoized per specification or market
-and per time column: a memoized column equals a fresh evaluation, one Python
-float per time, bit for bit, whatever the column's shape.  Like the chunked
-control's bit-identity, this rests on numpy's elementwise loops rounding the
-same whatever the shape of the arrays they run over."""
+and per time column, a scalar time being its 0-d case: a memoized column
+equals a fresh evaluation, one Python float per time, bit for bit, whatever
+the column's shape.  Like the chunked control's bit-identity, this rests on
+numpy's elementwise loops rounding the same whatever the shape of the arrays
+they run over."""
 import math
 from collections import Counter
 from dataclasses import replace
@@ -111,6 +112,61 @@ def test_a_degenerate_volatility_raises_on_every_call_and_is_never_cached():
         with pytest.raises(DegenerateVolatility):
             market.pi_factors(t, 0.5)
     assert market._pi_factors == {}
+
+
+def test_repeated_scalar_time_calls_evaluate_each_t_only_factor_once():
+    # a scalar t is the 0-d case of a time column, memoized the same way
+    calls = Counter()
+
+    def beta(s):
+        calls["beta", s] += 1
+        return 1.0 + 0.5 * math.sin(s)
+
+    def a0(t, z):
+        calls["a0", t, z] += 1
+        return 0.1 + 0.05 * math.sin(3.0 * t) * z
+
+    def b0(t, z):
+        calls["b0", t, z] += 1
+        return 0.3 + 0.1 * math.cos(t)
+
+    spec, market = FirstOrderChaosSpec(beta=beta, T0=1.0), _market(a0=a0, b0=b0)
+    for s in (0.3, 0.6):
+        spec.residual_variance(s)  # sigma^2's quadrature reads beta too
+    calls.clear()
+    m = np.array([0.0, 0.2])
+    for _ in range(3):
+        # np.float64 and 0-d array times share the float's memo entry
+        for t in (0.3, np.float64(0.3), np.array(0.3), 0.6):
+            for z in (0.5, 1.5):
+                donsker.delta_from_mean(spec, z, t, m)
+                gaussian_phi1(spec, z, t, 0.1)
+                pf.optimal_pi(market, spec, z, t, m)
+    want = Counter({("beta", 0.3): 1, ("beta", 0.6): 1})
+    want.update((f, t, z) for f in ("a0", "b0") for t in (0.3, 0.6) for z in (0.5, 1.5))
+    assert calls == want
+    assert len(spec._columns) == 2 and len(market._pi_factors) == 4
+
+
+@pytest.mark.parametrize("bad", ["at-T0", "past-T0", "tiny-variance", "small-b0"])
+def test_a_failing_scalar_time_raises_on_every_call_and_is_never_cached(bad):
+    spec = _spec(psi=None, levy=LevySpec())
+    if bad == "small-b0":
+        market, t, error = _market(b0=lambda t, z: 0.3 if t < 0.3 else 0.0), 0.4, DegenerateVolatility
+        calls = [lambda: pf.optimal_pi(market, spec, 0.5, t, np.zeros(2))]
+    else:
+        market, error = _market(), DegenerateVariance
+        t = {"at-T0": spec.T0, "past-T0": 1.5, "tiny-variance": spec.T0 - 1e-14}[bad]
+        calls = [lambda: donsker.delta_from_mean(spec, 0.5, t, np.zeros(2)),
+                 lambda: gaussian_phi1(spec, 0.5, t, 0.0),
+                 lambda: pf.optimal_pi(market, spec, 0.5, t, np.zeros(2))]
+    for _ in range(3):
+        for call in calls:
+            with pytest.raises(error):
+                call()
+    assert spec._columns == {}
+    if bad == "small-b0":
+        assert market._pi_factors == {}
 
 
 def test_cached_arrays_are_read_only():
